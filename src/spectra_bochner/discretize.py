@@ -5,18 +5,21 @@ int <phi(grad psi_a), grad psi_b> dM, so the generalized eigenproblem reads
 K u = mu M u with K the phi-weighted stiffness and M the consistent mass.
 Coefficients are taken constant per face/cell (barycentric quadrature); for
 phi = g the mesh stiffness reproduces the classical cotangent weights, which
-serves as an independent oracle.
+serves as an independent oracle.  Assembly is batched: frames, element
+matrices and COO triplets are built for all elements at once, and a
+coefficient provider is called once per mesh or grid with whole arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (ConfigError, DegenerateElement, NonSymmetricCoefficient)
 
@@ -87,22 +90,31 @@ class SurfaceMesh:
         F = self.faces
         if F.ndim != 2 or F.shape[1] != 3:
             raise DegenerateElement("faces must be index triples")
-        edges: Dict[Tuple[int, int], int] = {}
-        directed = set()
-        for tri in F:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                a, b = int(a), int(b)
-                if (a, b) in directed:
-                    raise DegenerateElement(
-                        "edge (%d,%d) repeated with same orientation "
-                        "(mesh not orientable or faces duplicated)" % (a, b))
-                directed.add((a, b))
-                key = (min(a, b), max(a, b))
-                edges[key] = edges.get(key, 0) + 1
-        bad = [e for e, cnt in edges.items() if cnt != 2]
-        if bad:
+        nv = self.num_vertices
+        if F.size and (F.min() < 0 or F.max() >= nv):
+            raise DegenerateElement("face index outside 0..%d" % (nv - 1))
+        a, b = F.ravel(), F[:, [1, 2, 0]].ravel()   # directed edges, face order
+        keys, counts = np.unique(a * nv + b, return_counts=True)
+        if np.any(counts > 1):
+            e = divmod(int(keys[np.argmax(counts > 1)]), nv)
+            raise DegenerateElement(
+                "edge (%d,%d) repeated with same orientation "
+                "(mesh not orientable or faces duplicated)" % e)
+        keys, counts = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                                 return_counts=True)
+        if np.any(counts != 2):
+            k = int(np.argmax(counts != 2))
             raise DegenerateElement("mesh not closed: edge %r on %d face(s)"
-                                    % (bad[0], edges[bad[0]]))
+                                    % (divmod(int(keys[k]), nv), counts[k]))
+        unused = np.flatnonzero(np.bincount(a, minlength=nv) == 0)
+        if unused.size:
+            raise DegenerateElement("%d vertices in no face (first: %d)"
+                                    % (unused.size, unused[0]))
+        adjacency = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(nv, nv))
+        ncomp = connected_components(adjacency, directed=False)[0]
+        if ncomp > 1:
+            raise DegenerateElement("mesh has %d connected components"
+                                    % ncomp)
         areas = self.face_areas()
         mean_area = float(areas.mean())
         if np.min(areas) < MIN_AREA_FRACTION * mean_area:
@@ -210,11 +222,6 @@ class PeriodicGrid:
             idx = idx * s + (k % s)
         return idx
 
-    def metric_at(self, p):
-        if self.metric is None:
-            return np.eye(self.dim)
-        return np.asarray(self.metric(p), dtype=float)
-
 
 # ---------------------------------------------------------------------------
 # assembled operators
@@ -230,96 +237,81 @@ class AssembledOperator:
         return self.K.shape[0]
 
 
-def _check_sym_coeff(phi, where, tol=1e-10):
+def _check_sym_coeff(phi, shape, where, tol=1e-10):
+    """Symmetric part of a (E, k, k) coefficient stack; names the first
+    element (``where(e)``) whose matrix is not symmetric."""
     phi = np.asarray(phi, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(phi))))
-    if np.max(np.abs(phi - phi.T)) > tol * scale:
-        raise NonSymmetricCoefficient("coefficient not symmetric at %s" % where)
-    return 0.5 * (phi + phi.T)
+    if phi.shape != shape:
+        raise ConfigError("coefficient provider returned shape %r, "
+                          "expected %r" % (phi.shape, shape))
+    phiT = phi.transpose(0, 2, 1)
+    scale = np.maximum(1.0, np.max(np.abs(phi), axis=(1, 2)))
+    bad = np.max(np.abs(phi - phiT), axis=(1, 2)) > tol * scale
+    if np.any(bad):
+        raise NonSymmetricCoefficient("coefficient not symmetric at %s"
+                                      % where(int(np.argmax(bad))))
+    return 0.5 * (phi + phiT)
 
 
-def _triangle_frame(p0, p1, p2):
-    e1 = p1 - p0
-    e2 = p2 - p0
-    nrm = np.cross(e1, e2)
-    area = 0.5 * np.linalg.norm(nrm)
-    t1 = e1 / np.linalg.norm(e1)
-    t2 = e2 - (e2 @ t1) * t1
-    t2 /= np.linalg.norm(t2)
-    B = np.stack([t1, t2], axis=1)  # (3, 2)
-    # local 2D vertex coordinates
-    v = np.array([[0.0, 0.0], [e1 @ t1, e1 @ t2], [e2 @ t1, e2 @ t2]])
-    return B, v, area
+def _sparse_pair(nodes, Ke, Me, n):
+    """K and M (CSR) from per-element node lists (E, m) and element
+    matrices (E, m, m); triplets run element by element, row-major."""
+    m = nodes.shape[1]
+    rows = np.repeat(nodes, m, axis=1).ravel()
+    cols = np.tile(nodes, (1, m)).ravel()
+    K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    M = sp.coo_matrix((Me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    _post_checks(K)
+    return K, M
 
 
-def _hat_gradients(v, area):
-    """2D gradients of the three barycentric hat functions."""
-    g = np.empty((3, 2))
-    for i in range(3):
-        a, b = v[(i + 1) % 3], v[(i + 2) % 3]
-        edge = b - a
-        # rotate the opposite edge by 90 degrees; normalize so grad.(v_i-a)=1
-        perp = np.array([-edge[1], edge[0]])
-        g[i] = perp / (perp @ (v[i] - a))
-    return g
-
-
-def assemble(domain, phi_provider, quadrature=1):
+def assemble(domain, phi_provider):
     """Assemble stiffness and mass for a SurfaceMesh or PeriodicGrid.
 
-    The provider is called once per element:
-      mesh:  phi_provider(face_idx, barycenter, B) -> 2x2 symmetric matrix in
-             the face's orthonormal tangent basis B (columns in R^3);
-      grid:  phi_provider(cell_multi_index, center) -> n x n symmetric
-             coordinate components of phi.
+    The provider is called once per domain with whole arrays and returns one
+    symmetric coefficient matrix per element:
+      mesh (F faces):  phi_provider(q[F, 3], B[F, 3, 2]) -> phi[F, 2, 2],
+             q the face barycenters and B the faces' orthonormal tangent
+             bases (columns in R^3); phi is in the basis B;
+      grid (C cells):  phi_provider(centers[C, n], G[C, n, n]) -> phi[C, n, n],
+             G the coordinate metric at the cell centers; phi holds the
+             coordinate components.
     """
     if isinstance(domain, SurfaceMesh):
-        return _assemble_mesh(domain, phi_provider, quadrature)
+        return _assemble_mesh(domain, phi_provider)
     if isinstance(domain, PeriodicGrid):
         return _assemble_grid(domain, phi_provider)
     raise ConfigError("cannot assemble on %r" % type(domain).__name__)
 
 
 _MASS_TRI = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-_TRI_QPTS3 = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 
 
-def _assemble_mesh(mesh, phi_provider, quadrature):
-    if quadrature not in (1, 3):
-        raise ConfigError("quadrature must be 1 (barycentric) or 3 (midpoints)")
-    V, F = mesh.vertices, mesh.faces
+def _assemble_mesh(mesh, phi_provider):
+    P = mesh.face_corners()                          # (F, 3, 3)
+    e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
+    area = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
+    if np.any(area <= 0.0):
+        raise DegenerateElement("zero-area face %d" % np.argmax(area <= 0.0))
+    t1 = e1 / np.linalg.norm(e1, axis=1)[:, None]
+    t2 = e2 - np.einsum("fi,fi->f", e2, t1)[:, None] * t1
+    t2 /= np.linalg.norm(t2, axis=1)[:, None]
+    B = np.stack([t1, t2], axis=2)                   # (F, 3, 2)
+    v = np.einsum("fki,fia->fka", P - P[:, :1], B)   # local 2D corners
+    # hat gradients: the opposite edge turned by 90 degrees, scaled so that
+    # grad_i . (v_i - v_{i+1}) = 1
+    a, b = v[:, [1, 2, 0]], v[:, [2, 0, 1]]
+    perp = np.stack([a[..., 1] - b[..., 1], b[..., 0] - a[..., 0]], axis=2)
+    g = perp / np.einsum("fka,fka->fk", perp, v - a)[..., None]
+    nf = mesh.num_faces
+    phi = _check_sym_coeff(phi_provider(P.mean(axis=1), B), (nf, 2, 2),
+                           lambda f: "face %d" % f)
+    Ke = area[:, None, None] * np.einsum("fia,fab,fjb->fij", g, phi, g)
+    Ke = 0.5 * (Ke + Ke.transpose(0, 2, 1))
+    Me = area[:, None, None] * _MASS_TRI
     nv = mesh.num_vertices
-    rows, cols, kvals, mvals = [], [], [], []
-    for fidx, tri in enumerate(F):
-        p = V[tri]
-        B, v, area = _triangle_frame(p[0], p[1], p[2])
-        if area <= 0.0:
-            raise DegenerateElement("zero-area face %d" % fidx)
-        g = _hat_gradients(v, area)
-        if quadrature == 1:
-            phi = _check_sym_coeff(phi_provider(fidx, p.mean(axis=0), B),
-                                   "face %d" % fidx)
-        else:
-            acc = np.zeros((2, 2))
-            for w in _TRI_QPTS3:
-                q = w @ p
-                acc += _check_sym_coeff(phi_provider(fidx, q, B),
-                                        "face %d" % fidx)
-            phi = acc / 3.0
-        Ke = area * (g @ phi @ g.T)
-        Ke = 0.5 * (Ke + Ke.T)
-        Me = area * _MASS_TRI
-        for i in range(3):
-            for j in range(3):
-                rows.append(int(tri[i]))
-                cols.append(int(tri[j]))
-                kvals.append(Ke[i, j])
-                mvals.append(Me[i, j])
-    K = sp.coo_matrix((kvals, (rows, cols)), shape=(nv, nv)).tocsr()
-    M = sp.coo_matrix((mvals, (rows, cols)), shape=(nv, nv)).tocsr()
-    _post_checks(K)
-    rec = {"domain": "SurfaceMesh", "vertices": nv, "faces": mesh.num_faces,
-           "quadrature": quadrature,
+    K, M = _sparse_pair(mesh.faces.astype(np.int32), Ke, Me, nv)
+    rec = {"domain": "SurfaceMesh", "vertices": nv, "faces": nf,
            "phi": getattr(phi_provider, "label", "custom")}
     return AssembledOperator(K=K, M=M, record=rec)
 
@@ -361,39 +353,31 @@ def _grid_element_tensors(h):
 
 
 def _assemble_grid(grid, phi_provider):
-    n = grid.dim
-    h = grid.steps
-    T, Me_unit = _grid_element_tensors(h)
-    shape = grid.shape
-    nloc = 2 ** n
-    offsets = [tuple((k >> (n - 1 - ax)) & 1 for ax in range(n))
-               for k in range(nloc)]
-    rows, cols, kvals, mvals = [], [], [], []
-    for cell in np.ndindex(*shape):
-        center = (np.asarray(cell, dtype=float) + 0.5) * h
-        gmat = grid.metric_at(center)
-        w = np.linalg.eigvalsh(gmat)
-        if w[0] <= 0.0:
-            raise DegenerateElement("grid metric not SPD at %r" % (center,))
-        phi = _check_sym_coeff(phi_provider(cell, center), "cell %r" % (cell,))
-        vol = math.sqrt(float(np.linalg.det(gmat)))
-        ginv = np.linalg.inv(gmat)
-        W = vol * (ginv @ phi @ ginv)  # raised-index coefficient, weighted
-        Ke = np.einsum("ab,abIJ->IJ", W, T)
-        Ke = 0.5 * (Ke + Ke.T)
-        Me = vol * Me_unit
-        nodes = [grid.node_index(tuple(c + o for c, o in zip(cell, off)))
-                 for off in offsets]
-        for i in range(nloc):
-            for j in range(nloc):
-                rows.append(nodes[i])
-                cols.append(nodes[j])
-                kvals.append(Ke[i, j])
-                mvals.append(Me[i, j])
-    N = grid.num_nodes
-    K = sp.coo_matrix((kvals, (rows, cols)), shape=(N, N)).tocsr()
-    M = sp.coo_matrix((mvals, (rows, cols)), shape=(N, N)).tocsr()
-    _post_checks(K)
+    n, shape = grid.dim, grid.shape
+    T, Me_unit = _grid_element_tensors(grid.steps)
+    lower = np.indices(shape).reshape(n, -1)     # cell corners, C order
+    centers = (lower.T + 0.5) * grid.steps
+    if grid.metric is None:
+        G = np.broadcast_to(np.eye(n), (len(centers), n, n))
+    else:  # a pointwise callable p -> (n, n): one call per cell center
+        G = np.array([grid.metric(c) for c in centers], dtype=float)
+    spd = np.linalg.eigvalsh(G)[:, 0] > 0.0
+    if not np.all(spd):
+        raise DegenerateElement("grid metric not SPD at %r"
+                                % (centers[np.argmin(spd)].tolist(),))
+    phi = _check_sym_coeff(phi_provider(centers, G), G.shape,
+                           lambda c: "cell %r" % (lower[:, c].tolist(),))
+    vol = np.sqrt(np.linalg.det(G))
+    ginv = np.linalg.inv(G)
+    W = vol[:, None, None] * (ginv @ phi @ ginv)  # raised index, weighted
+    Ke = np.einsum("cab,abIJ->cIJ", W, T)
+    Ke = 0.5 * (Ke + Ke.transpose(0, 2, 1))
+    Me = vol[:, None, None] * Me_unit
+    # corner k of a cell sits at offset bits(k), the last axis fastest
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    corners = lower[:, :, None] + bits.T[:, None, :]   # (n, C, 2^n)
+    nodes = np.ravel_multi_index(tuple(corners), shape, mode="wrap")
+    K, M = _sparse_pair(nodes.astype(np.int32), Ke, Me, grid.num_nodes)
     rec = {"domain": "PeriodicGrid", "shape": tuple(shape),
            "phi": getattr(phi_provider, "label", "custom")}
     return AssembledOperator(K=K, M=M, record=rec)
@@ -412,6 +396,9 @@ def _post_checks(K):
 
 # ---------------------------------------------------------------------------
 # coefficient providers
+#
+# A provider maps (points[E, d], X[E, ., k]) to phi[E, k, k]: X is the face
+# bases B (k = 2) on a mesh and the cell metrics G (k = n) on a grid.
 
 def _labelled(fn, label):
     fn.label = label
@@ -419,24 +406,27 @@ def _labelled(fn, label):
 
 
 def metric_coefficient(scale=1.0):
-    """phi = scale * g: identity in any orthonormal tangent basis."""
+    """phi = scale * I: scale * g in any orthonormal tangent basis, and
+    scale times the identity components on a grid."""
     s = float(scale)
 
-    def provider(_idx, _q, *rest):
-        dim = 2 if rest else None
-        if rest:
-            return s * np.eye(2)
-        return s * np.eye(len(np.atleast_1d(_q)))
+    def provider(_q, X):
+        k = X.shape[-1]
+        return np.broadcast_to(s * np.eye(k), (len(X), k, k))
 
     return _labelled(provider, "metric" if s == 1.0 else "metric*%g" % s)
 
 
 def grid_metric_coefficient(grid, scale=1.0):
-    """phi = scale * g in coordinates for a (possibly curved) grid metric."""
+    """phi = scale * g in coordinates for a (possibly curved) grid metric.
+
+    The provider returns scale times the cell metrics that assembly on
+    ``grid`` passes it.
+    """
     s = float(scale)
 
-    def provider(_cell, center):
-        return s * grid.metric_at(center)
+    def provider(_centers, G):
+        return s * G
 
     return _labelled(provider, "metric" if s == 1.0 else "metric*%g" % s)
 
@@ -451,20 +441,23 @@ def ellipsoid_newton1_coefficient(semiaxes):
     from .hypersurface import ellipsoid_shape_operator
     d = np.asarray(semiaxes, dtype=float)
 
-    def provider(_fidx, q, B):
+    def provider(q, B):
         w = q / d
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
+        nw = np.linalg.norm(w, axis=1)
+        if np.any(nw == 0.0):
             raise DegenerateElement("face barycenter at the origin")
-        p = (w / nw) * d
+        p = (w / nw[:, None]) * d
         A3, nu, Bs = ellipsoid_shape_operator(p, d)
-        H = float(np.trace(A3))
-        P1s = Bs.T @ (H * (np.eye(3) - np.outer(nu, nu)) - A3) @ Bs
+        H = np.trace(A3, axis1=1, axis2=2)[:, None, None]
+        tangent = np.eye(3) - np.einsum("fi,fj->fij", nu, nu)
+        BsT = Bs.transpose(0, 2, 1)
+        P1s = BsT @ (H * tangent - A3) @ Bs
         # exact in-plane rotation aligning the face basis with the surface
-        # tangent basis (umbilic surfaces then restrict to alpha*I exactly)
-        U, _, Vt = np.linalg.svd(Bs.T @ B)
+        # tangent basis (umbilic surfaces then restrict to alpha*I exactly);
+        # the polar factor U Vt is unique, so the batched SVD's signs agree
+        U, _, Vt = np.linalg.svd(BsT @ B)
         R = U @ Vt
-        return R.T @ P1s @ R
+        return R.transpose(0, 2, 1) @ P1s @ R
 
     return _labelled(provider, "newton1:ellipsoid:%g,%g,%g" % tuple(d))
 
@@ -473,42 +466,38 @@ def mesh_newton1_coefficient(mesh):
     """Discrete P1 from angle-weighted vertex normals (OFF input path).
 
     Per face, the shape operator is the least-squares fit of the normal
-    differences along two edges; first-order accurate, intended for meshes
-    with no analytic parent surface.
+    differences along two edges; intended for meshes with no analytic parent
+    surface.  P1 itself does not converge in the max norm: on icospheres of
+    radius 2, max |P1 - I/2| over faces is 2.7e-2 at subdiv 2 and 2.5e-2 at
+    subdiv 4.  mu1 still converges at second order.
     """
     vn = vertex_normals(mesh)
+    P = mesh.face_corners()
+    N = vn[mesh.faces]
+    E = np.stack([P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]], axis=1)    # (F, 2, 3)
+    dN = np.stack([N[:, 1] - N[:, 0], N[:, 2] - N[:, 0]], axis=1)   # (F, 2, 3)
 
-    def provider(fidx, _q, B):
-        tri = mesh.faces[fidx]
-        p = mesh.vertices[tri]
-        n = vn[tri]
-        E = np.stack([p[1] - p[0], p[2] - p[0]])    # (2, 3)
-        dN = np.stack([n[1] - n[0], n[2] - n[0]])   # (2, 3)
-        Et = E @ B      # (2, 2) edge coords
-        Nt = dN @ B     # (2, 2)
-        A = np.linalg.solve(Et, Nt)
-        A = 0.5 * (A + A.T)
-        return float(np.trace(A)) * np.eye(2) - A
+    def provider(_q, B):
+        A = np.linalg.solve(E @ B, dN @ B)       # edge coords -> (F, 2, 2)
+        A = 0.5 * (A + A.transpose(0, 2, 1))
+        return np.trace(A, axis1=1, axis2=2)[:, None, None] * np.eye(2) - A
 
     return _labelled(provider, "newton1:discrete")
 
 
 def vertex_normals(mesh):
     """Angle-weighted average of face normals, oriented outward by majority."""
-    V, F = mesh.vertices, mesh.faces
+    V, P = mesh.vertices, mesh.face_corners()
+    nrm = np.cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
+    ln = np.linalg.norm(nrm, axis=1)
+    nrm = nrm / np.where(ln == 0.0, np.inf, ln)[:, None]   # zero-area: no vote
+    u = P[:, [1, 2, 0]] - P                          # (F, 3 corners, 3)
+    v = P[:, [2, 0, 1]] - P
+    ang = np.arctan2(np.linalg.norm(np.cross(u, v), axis=2),
+                     np.einsum("fki,fki->fk", u, v))
     out = np.zeros_like(V)
-    for tri in F:
-        p = V[tri]
-        nrm = np.cross(p[1] - p[0], p[2] - p[0])
-        ln = np.linalg.norm(nrm)
-        if ln == 0.0:
-            continue
-        nrm = nrm / ln
-        for k in range(3):
-            u = p[(k + 1) % 3] - p[k]
-            v = p[(k + 2) % 3] - p[k]
-            ang = math.atan2(np.linalg.norm(np.cross(u, v)), float(u @ v))
-            out[tri[k]] += ang * nrm
+    np.add.at(out, mesh.faces.ravel(),
+              (ang[:, :, None] * nrm[:, None, :]).reshape(-1, 3))
     out /= np.maximum(np.linalg.norm(out, axis=1, keepdims=True), 1e-300)
     ctr = V - V.mean(axis=0)
     if np.sum(np.einsum("vi,vi->v", out, ctr) < 0.0) > mesh.num_vertices // 2:
@@ -520,13 +509,12 @@ def nondivergence_free_coefficient(amplitude=1.0):
     """Smooth SPD phi with nonzero divergence (negative control)."""
     a = float(amplitude)
 
-    def provider(_idx, q, *rest):
-        q = np.atleast_1d(np.asarray(q, dtype=float))
-        dim = 2 if rest else q.size
-        phi = np.eye(dim)
-        phi[0, 0] += 0.5 * a * (1.0 + math.sin(q[0]))
-        if dim > 1:
-            phi[0, 1] = phi[1, 0] = 0.25 * a * math.cos(q[0] + q[-1])
+    def provider(q, X):
+        k = X.shape[-1]
+        phi = np.tile(np.eye(k), (len(q), 1, 1))
+        phi[:, 0, 0] += 0.5 * a * (1.0 + np.sin(q[:, 0]))
+        if k > 1:
+            phi[:, 0, 1] = phi[:, 1, 0] = 0.25 * a * np.cos(q[:, 0] + q[:, -1])
         return phi
 
     return _labelled(provider, "nondivfree")

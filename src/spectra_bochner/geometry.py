@@ -50,23 +50,6 @@ def fd_derivative(fn, p, step):
     return np.stack(rows, axis=0)
 
 
-def fd_consistency_ratio(fn, p, step):
-    """Two-step Richardson check: ratio of FD errors at step and step/2.
-
-    For a smooth function the central difference converges at O(step^2), so
-    the returned ratio of |D_h - D_{h/2}| against |D_{h/2} - D_{h/4}| should
-    sit near 4.
-    """
-    d1 = fd_derivative(fn, p, step)
-    d2 = fd_derivative(fn, p, step / 2.0)
-    d3 = fd_derivative(fn, p, step / 4.0)
-    num = np.max(np.abs(d1 - d2))
-    den = np.max(np.abs(d2 - d3))
-    if den == 0.0:
-        return 4.0 if num == 0.0 else np.inf
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # fields
 
@@ -101,33 +84,6 @@ class ScalarField:
                 lambda q: fd_derivative(hfn, q, max(self.fd_step, 1e-4)))
             out.append(np.asarray(t(p), dtype=float))
         return tuple(out[: order + 1])
-
-    def __add__(self, other):
-        return combine_fields([self, other], [1.0, 1.0])
-
-    def __rmul__(self, c):
-        return combine_fields([self], [float(c)])
-
-
-def combine_fields(fields, coeffs):
-    """Linear combination of scalar fields, preserving analytic partials."""
-    fields = list(fields)
-    coeffs = [float(c) for c in coeffs]
-
-    def mix(attr, q):
-        return sum(c * np.asarray(getattr(f, attr)(q), dtype=float)
-                   for f, c in zip(fields, coeffs))
-
-    has = {a: all(getattr(f, a) is not None for f in fields)
-           for a in ("grad", "hess", "third")}
-    return ScalarField(
-        eval=lambda q: sum(c * f.eval(q) for f, c in zip(fields, coeffs)),
-        grad=(lambda q: mix("grad", q)) if has["grad"] else None,
-        hess=(lambda q: mix("hess", q)) if has["hess"] else None,
-        third=(lambda q: mix("third", q)) if has["third"] else None,
-        fd_step=min(f.fd_step for f in fields),
-    )
-
 
 @dataclass(frozen=True)
 class SymmetricTensorField:
@@ -455,12 +411,6 @@ def tensor_divergence(phi, m, p, chart_idx=0):
     return np.einsum("ijj->i", T1)
 
 
-def codazzi_defect(phi, m, p, chart_idx=0):
-    """max_{i,j,k} |phi_ijk - phi_ikj| (0 iff nabla phi symmetric in last slots)."""
-    _, T1 = tensor_jets(m.chart(chart_idx), phi, p, 1)
-    return float(np.max(np.abs(T1 - T1.transpose(0, 2, 1))))
-
-
 def scalar_frame_gradient(chart, f, p):
     """Frame components of nabla f."""
     _, fi = scalar_jets(chart, f, p, 1)[:2]
@@ -667,11 +617,12 @@ def flat_torus(n=2, lengths=None):
                          name="torus%d" % n)
 
 
-def perturbed_torus(n=2, eps=0.1, analytic=True, fd_step=1e-4):
-    """g = (1 + eps sin x1) * delta on the 2pi-periodic box."""
+def perturbed_torus(n=2, eps=0.1, L=2.0 * np.pi, analytic=True, fd_step=1e-4):
+    """g = (1 + eps sin(2 pi x1 / L)) * delta on the L-periodic box [0, L)^n."""
+    k = 2.0 * np.pi / L   # exactly 1.0 for the default period
 
     def conf(p):
-        return 1.0 + eps * np.sin(p[0])
+        return 1.0 + eps * np.sin(k * p[0])
 
     eye = np.eye(n)
 
@@ -680,19 +631,19 @@ def perturbed_torus(n=2, eps=0.1, analytic=True, fd_step=1e-4):
 
     def dcomp(p):
         d = np.zeros((n, n, n))
-        d[0] = eps * np.cos(p[0]) * eye
+        d[0] = eps * k * np.cos(k * p[0]) * eye
         return d
 
     def d2comp(p):
         d = np.zeros((n, n, n, n))
-        d[0, 0] = -eps * np.sin(p[0]) * eye
+        d[0, 0] = -eps * k ** 2 * np.sin(k * p[0]) * eye
         return d
 
     if analytic:
         g = SymmetricTensorField(comp, dcomp, d2comp, name="perturbed")
     else:
         g = SymmetricTensorField(comp, fd_step=fd_step, name="perturbed-fd")
-    chart = Chart(lo=np.zeros(n), hi=np.full(n, 2.0 * np.pi), metric=g)
+    chart = Chart(lo=np.zeros(n), hi=np.full(n, float(L)), metric=g)
     return ChartManifold(dim=n, charts=(chart,), atlas_kind=ATLAS_PERIODIC_BOX,
                          name="perturbed-torus%d" % n)
 
@@ -866,7 +817,7 @@ def parse_manifold(spec):
             L = float(opts.get("L", 2.0 * np.pi))
             if opts.get("perturb") == "sin":
                 eps = float(opts.get("eps", 0.1))
-                return perturbed_torus(n=n, eps=eps)
+                return perturbed_torus(n=n, eps=eps, L=L)
             return flat_torus(n=n, lengths=np.full(n, L))
         if head == "sphere":
             return round_sphere(n=int(opts.get("n", 2)), K=float(opts.get("K", 1.0)))

@@ -99,11 +99,14 @@ def trace_inequality_defect(A, B):
 # ---------------------------------------------------------------------------
 # Q(A) bound trials
 
+# trials per Q(A) evaluation: bounds the (batch, n, n) temporaries
+QA_BATCH = 2048
+
+
 def qa_lower_bound(n, alpha, a, kappa):
-    if kappa > 0.0:
-        ck = 2.0 * kappa * (n - 1.0) ** 2 * alpha
-    else:
-        ck = 2.0 * kappa * (n - 1.0) ** 2 * a * alpha
+    """Claimed lower bound on the diagonal of Q(A); elementwise on arrays."""
+    ck = np.where(kappa > 0.0, 2.0 * kappa * (n - 1.0) ** 2 * alpha,
+                  2.0 * kappa * (n - 1.0) ** 2 * a * alpha)
     return 2.0 * (n - 1.0) * alpha ** 3 * (n - a ** 2) + ck
 
 
@@ -113,15 +116,18 @@ def qa_bound_trials(cfg=TrialConfig(), kappa_sign="positive", planted=False):
     Q(A) is a polynomial in A, so it diagonalizes simultaneously with A and
     diagonal A covers the general case.  ``planted=True`` draws the
     eigenvalues outside the claimed [alpha, a*alpha] band (negative control;
-    the suite must then report violations).
+    the suite must then report violations).  Each trial's draws come from
+    the stream in trial order; Q(A) is then evaluated per dimension, up
+    to QA_BATCH trials at a time.
     """
     if kappa_sign not in ("positive", "negative"):
         raise ConfigError("kappa_sign must be 'positive' or 'negative'")
     rng = np.random.default_rng(cfg.seed + (0 if kappa_sign == "positive"
                                             else 1))
-    violations = 0
-    worst = np.inf
-    for _ in range(cfg.trials):
+    dims = np.empty(cfg.trials, dtype=int)
+    draws = np.empty((cfg.trials, 3))            # alpha, a, kappa
+    h = np.zeros((cfg.trials, cfg.dim_hi))       # eigenvalues, zero-padded
+    for t in range(cfg.trials):
         n = int(rng.integers(max(cfg.dim_lo, 2), cfg.dim_hi + 1))
         alpha = rng.uniform(0.2, 2.0)
         a = rng.uniform(1.0, 2.0)
@@ -130,15 +136,22 @@ def qa_bound_trials(cfg=TrialConfig(), kappa_sign="positive", planted=False):
         else:
             kappa = rng.uniform(-2.0, 0.0)
         if planted:
-            h = rng.uniform(0.5 * alpha, 2.0 * a * alpha, size=n)
+            h[t, :n] = rng.uniform(0.5 * alpha, 2.0 * a * alpha, size=n)
         else:
-            h = rng.uniform(alpha, a * alpha, size=n)
-        Q = hyp.q_polynomial(np.diag(h), kappa)
-        defect = (float(np.min(np.diag(Q)))
-                  - qa_lower_bound(n, alpha, a, kappa)) / alpha ** 3
-        worst = min(worst, defect)
-        if defect < -1e-10:
-            violations += 1
+            h[t, :n] = rng.uniform(alpha, a * alpha, size=n)
+        dims[t] = n
+        draws[t] = alpha, a, kappa
+    violations = 0
+    worst = np.inf
+    for n in np.unique(dims):
+        group = np.flatnonzero(dims == n)
+        for sel in np.split(group, np.arange(QA_BATCH, group.size, QA_BATCH)):
+            alpha, a, kappa = draws[sel].T
+            Q = hyp.q_polynomial(h[sel, :n, None] * np.eye(n), kappa)
+            defect = (np.min(np.diagonal(Q, axis1=1, axis2=2), axis=1)
+                      - qa_lower_bound(n, alpha, a, kappa)) / alpha ** 3
+            worst = min(worst, float(np.min(defect)))
+            violations += int(np.sum(defect < -1e-10))
     return {"trials": cfg.trials, "kappa_sign": kappa_sign,
             "planted": planted, "violations": violations,
             "worst_defect": float(worst), "seed": cfg.seed,

@@ -177,11 +177,16 @@ def gauss_intrinsic(hs, u, chart_idx=0):
 
 
 def q_polynomial(sd, kappa):
-    """Q(A) = 2A^3 - 3H A^2 + (2H^2 - |A|^2 - kappa(n-2)) A + kappa(2n-3) H I."""
+    """Q(A) = 2A^3 - 3H A^2 + (2H^2 - |A|^2 - kappa(n-2)) A + kappa(2n-3) H I.
+
+    A may carry leading batch axes (..., n, n); kappa is then a scalar or an
+    array over those axes.
+    """
     A = np.asarray(sd.A if isinstance(sd, ShapeData) else sd, dtype=float)
-    n = A.shape[0]
-    H = float(np.trace(A))
-    normA2 = float(np.sum(A * A))
+    n = A.shape[-1]
+    H = np.trace(A, axis1=-2, axis2=-1)[..., None, None]
+    normA2 = np.sum(A * A, axis=(-2, -1))[..., None, None]
+    kappa = np.asarray(kappa, dtype=float)[..., None, None]
     A2 = A @ A
     return (2.0 * A2 @ A - 3.0 * H * A2
             + (2.0 * H ** 2 - normA2 - kappa * (n - 2.0)) * A
@@ -392,21 +397,21 @@ def ellipsoid_shape_operator(point, semiaxes):
 
     Returns (A3, nu, B): the symmetric 3x3 operator acting on the tangent
     plane (zero on the normal), the outward-pointing unit normal flipped to
-    the H > 0 convention, and a 3x2 orthonormal tangent basis.
+    the H > 0 convention, and a 3x2 orthonormal tangent basis.  ``point``
+    may be a (..., 3) stack; the outputs then carry the same leading axes.
     """
     p = np.asarray(point, dtype=float)
     d = np.asarray(semiaxes, dtype=float)
     grad = p / d ** 2
-    nrm = np.linalg.norm(grad)
+    nrm = np.linalg.norm(grad, axis=-1)[..., None]
     nu = grad / nrm
-    P = np.eye(3) - np.outer(nu, nu)
-    A3 = P @ np.diag(1.0 / d ** 2) @ P / nrm
+    P = np.eye(3) - nu[..., :, None] * nu[..., None, :]
+    A3 = P @ np.diag(1.0 / d ** 2) @ P / nrm[..., None]
     # orthonormal tangent basis, deterministic
-    k = int(np.argmin(np.abs(nu)))
-    t1 = np.zeros(3)
-    t1[k] = 1.0
-    t1 = t1 - (t1 @ nu) * nu
-    t1 /= np.linalg.norm(t1)
+    k = np.argmin(np.abs(nu), axis=-1)[..., None]
+    t1 = (np.arange(3) == k).astype(float)
+    t1 = t1 - np.sum(t1 * nu, axis=-1, keepdims=True) * nu
+    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
     t2 = np.cross(nu, t1)
-    B = np.stack([t1, t2], axis=1)
+    B = np.stack([t1, t2], axis=-1)
     return A3, nu, B

@@ -62,6 +62,25 @@ class TestEig:
         code, _, err = run(capsys, "eig")
         assert code == 2
 
+    def test_mesh_off_newton1_second_order(self, capsys, tmp_path):
+        # discrete P1 from vertex normals on the sphere of radius r, where
+        # P1 = I/r and mu1(L1) = 2/r^3; measured errors 5.8e-3, 1.4e-3,
+        # 3.6e-4 at subdivs 2-4, from above, halving h quarters the error
+        r = 2.0
+        errs = []
+        for sub in (2, 3, 4):
+            path = str(tmp_path / ("s%d.off" % sub))
+            dz.write_off(dz.icosphere(sub, r), path)
+            code, out, _ = run(capsys, "--json", "eig", "--mesh", path,
+                               "--operator", "newton1", "--k", "1")
+            assert code == 0
+            errs.append(json.loads(out)["eigenvalues"][0] - 2.0 / r ** 3)
+        errs = np.array(errs)
+        assert np.all(errs > 0.0)
+        assert errs[-1] < 4e-4
+        orders = np.log2(errs[:-1] / errs[1:])
+        assert np.all(np.abs(orders - 2.0) < 0.1)
+
 
 class TestVerify:
     def test_bochner_passes(self, capsys):

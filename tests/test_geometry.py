@@ -189,6 +189,25 @@ class TestFieldsAndErrors:
         with pytest.raises(ConfigError):
             geom.parse_manifold("klein-bottle:x=1")
 
+    def test_perturbed_torus_period(self):
+        m = geom.parse_manifold("torus2:L=3,perturb=sin,eps=0.2")
+        c = m.chart()
+        assert np.array_equal(c.hi, [3.0, 3.0])
+        # conformal factor 1 + eps sin(2 pi x1 / L): peak at x1 = L/4
+        assert c.metric.comp(np.array([0.75, 0.4]))[0, 0] == pytest.approx(1.2)
+        p = np.array([0.3, 1.1])
+        for order, got in enumerate(c.metric.partials(p, 2)):
+            shifted = c.metric.partials(p + [3.0, 0.0], 2)[order]
+            assert np.allclose(got, shifted, atol=1e-12)
+        d_fd = geom.fd_derivative(c.metric.comp, p, 1e-6)
+        assert np.allclose(c.metric.dcomp(p), d_fd, atol=1e-8)
+        d2_fd = geom.fd_derivative(c.metric.dcomp, p, 1e-6)
+        assert np.allclose(c.metric.d2comp(p), d2_fd, atol=1e-8)
+        # the default period is 2 pi, as the spec without L
+        q = geom.parse_manifold("torus3:perturb=sin").chart()
+        assert np.array_equal(q.hi, np.full(3, 2 * np.pi))
+        assert q.metric.comp(p[[0, 1, 1]])[0, 0] == 1.0 + 0.1 * np.sin(0.3)
+
     def test_random_spd_tensor_is_spd_and_analytic(self):
         phi = geom.random_spd_trig_tensor(3, seed=11)
         rng = np.random.default_rng(0)
