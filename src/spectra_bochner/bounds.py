@@ -89,17 +89,9 @@ class BoundReport:
     notes: dict = field(default_factory=dict)
 
 
-def schouten_bound(n, R, K0, L0, check_flags=None):
-    """Evaluate the Schouten-operator lower bound.
-
-    Accepts either positional scalars or a SchoutenBoundInput as the first
-    argument (remaining arguments ignored in that case).
-    """
-    if isinstance(n, SchoutenBoundInput):
-        inp = n
-    else:
-        inp = SchoutenBoundInput(n=int(n), R=float(R), K0=float(K0),
-                                 L0=float(L0))
+def schouten_bound(n, R, K0, L0):
+    """Evaluate the Schouten-operator lower bound."""
+    inp = SchoutenBoundInput(n=int(n), R=float(R), K0=float(K0), L0=float(L0))
     if inp.n < 4:
         raise DimensionTooSmall("Schouten bound requires n >= 4, got %d"
                                 % inp.n)
@@ -109,14 +101,10 @@ def schouten_bound(n, R, K0, L0, check_flags=None):
     return ((inp.n - 2.0) / (2.0 * (inp.n - 1.0))) * (inp.R / den) * inp.gamma
 
 
-def newton_bound(n, kappa=None, alpha=None, a=None, sigma=None):
+def newton_bound(n, kappa, alpha, a, sigma):
     """Evaluate the L1 lower bound; kappa's sign selects the variant."""
-    if isinstance(n, NewtonBoundInput):
-        inp = n
-    else:
-        inp = NewtonBoundInput(n=int(n), kappa=float(kappa),
-                               alpha=float(alpha), a=float(a),
-                               sigma=float(sigma))
+    inp = NewtonBoundInput(n=int(n), kappa=float(kappa), alpha=float(alpha),
+                           a=float(a), sigma=float(sigma))
     if inp.alpha <= 0.0:
         raise ValueError("alpha must be positive")
     if inp.a < 1.0:
@@ -140,17 +128,18 @@ def compare(bound_input, mu1, error_estimate=0.0, analytic=True):
     refinement error estimate otherwise.  ViolationSuspected only fires when
     the margin is below minus the error estimate.
     """
-    if isinstance(bound_input, SchoutenBoundInput):
-        bound = schouten_bound(bound_input, None, None, None)
-    elif isinstance(bound_input, NewtonBoundInput):
-        bound = newton_bound(bound_input)
+    inp = bound_input
+    if isinstance(inp, SchoutenBoundInput):
+        bound = schouten_bound(inp.n, inp.R, inp.K0, inp.L0)
+    elif isinstance(inp, NewtonBoundInput):
+        bound = newton_bound(inp.n, inp.kappa, inp.alpha, inp.a, inp.sigma)
     else:
         raise TypeError("expected SchoutenBoundInput or NewtonBoundInput")
     mu1 = float(mu1)
     margin = mu1 - bound
     scale = max(abs(mu1), abs(bound), 1e-300)
     tol = 1e-6 * scale if analytic else 3.0 * float(error_estimate)
-    if not bound_input.hypotheses_ok:
+    if not inp.hypotheses_ok:
         verdict = VERDICT_HYPOTHESIS_FAILED
     elif abs(margin) <= tol:
         verdict = VERDICT_EQUALITY
@@ -163,4 +152,4 @@ def compare(bound_input, mu1, error_estimate=0.0, analytic=True):
     notes = {"error_estimate": float(error_estimate), "analytic": analytic}
     return BoundReport(bound_value=bound, computed_mu1=mu1, margin=margin,
                        verdict=verdict, tolerance=tol,
-                       hypotheses_ok=bound_input.hypotheses_ok, notes=notes)
+                       hypotheses_ok=inp.hypotheses_ok, notes=notes)

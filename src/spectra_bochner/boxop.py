@@ -1,7 +1,7 @@
 """The operator box(f) = sum_ij phi_ij f_ij and its Bochner-type identity.
 
-Named instances: Laplacian (phi = g), Schouten (phi = S, n >= 3), NewtonL1
-(phi = P1 of an attached hypersurface) and Custom.  All pointwise evaluations
+Builders: Laplacian (phi = g) and Schouten (phi = S, n >= 3); any other
+symmetric phi is a plain BoxOperator.  All pointwise evaluations
 happen in the deterministic orthonormal frame of the geometry module; the two
 divergence-form groups of the identity are expanded by the product rule, so
 the evaluation needs third derivatives of f and second covariant derivatives
@@ -11,38 +11,30 @@ of phi, nothing more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from . import geometry as geom
 from .errors import InsufficientSmoothness, NotPositiveDefinite
 
-NAME_LAPLACIAN = "Laplacian"
-NAME_SCHOUTEN = "Schouten"
-NAME_NEWTON_L1 = "NewtonL1"
-NAME_CUSTOM = "Custom"
-
 
 @dataclass(frozen=True)
 class BoxOperator:
     phi: geom.SymmetricTensorField
     manifold: geom.ChartManifold
-    name: str = NAME_CUSTOM
-    chart_idx: int = 0
 
     @property
     def chart(self):
-        return self.manifold.chart(self.chart_idx)
+        return self.manifold.chart()
 
 
 def laplacian_box(m):
-    return BoxOperator(phi=geom.metric_field(m), manifold=m, name=NAME_LAPLACIAN)
+    return BoxOperator(phi=geom.metric_field(m), manifold=m)
 
 
 def schouten_box(m, fd_step=1e-4):
-    return BoxOperator(phi=geom.schouten_tensor_field(m, fd_step),
-                       manifold=m, name=NAME_SCHOUTEN)
+    return BoxOperator(phi=geom.schouten_tensor_field(m, fd_step), manifold=m)
 
 
 @dataclass(frozen=True)
@@ -61,8 +53,9 @@ class BochnerResidual:
 
 def apply(box, f, p):
     """box(f)(p) = tr(phi Hess f) in the orthonormal frame."""
-    _, _, fij = geom.scalar_jets(box.chart, f, p, 2)
-    phi_ij = geom.tensor_jets(box.chart, box.phi, p, 0)[0]
+    geo = geom.point_geometry(box.chart, p)
+    _, _, fij = geom.scalar_jets(geo, f, 2)
+    phi_ij = geom.tensor_jets(geo, box.phi, 0)[0]
     return float(np.sum(phi_ij * fij))
 
 
@@ -73,7 +66,7 @@ def divergence_form_defect(box, f, p, fd_step=1e-5):
     central differences of the composite, so the two routes are independent.
     """
     chart = box.chart
-    p = np.asarray(p, dtype=float)
+    geo = geom.point_geometry(chart, p)
 
     def vec(q):
         g = chart.metric.comp(q)
@@ -82,30 +75,35 @@ def divergence_form_defect(box, f, p, fd_step=1e-5):
         ph = box.phi.comp(q)
         return g_inv @ ph @ g_inv @ df  # coordinate components of phi(grad f)
 
-    g, dg = geom.metric_jets(chart, p, 1)
-    g_inv = np.linalg.inv(g)
-    Gamma = geom.christoffel(g_inv, dg)
-    dV = geom.fd_derivative(vec, p, fd_step)
-    div_composite = float(np.trace(dV) + np.einsum("aab,b->", Gamma, vec(p)))
+    dV = geom.fd_derivative(vec, geo.p, fd_step)
+    div_composite = float(np.trace(dV)
+                          + np.einsum("aab,b->", geo.Gamma, vec(geo.p)))
 
-    _, fi = geom.scalar_jets(chart, f, p, 1)
-    divphi = geom.tensor_divergence(box.phi, box.manifold, p, box.chart_idx)
-    return abs(apply(box, f, p) - (div_composite - float(divphi @ fi)))
+    _, fi, fij = geom.scalar_jets(geo, f, 2)
+    phi_ij, dphi = geom.tensor_jets(geo, box.phi, 1)
+    boxf = float(np.sum(phi_ij * fij))
+    divphi = np.einsum("ijj->i", dphi)
+    return abs(boxf - (div_composite - float(divphi @ fi)))
 
 
-def bochner_residual(box, f, p, c):
-    """Evaluate every term of the generalized Bochner identity at p.
+def bochner_residual(box, f, p, cvals):
+    """Evaluate every term of the generalized Bochner identity at p, once
+    per value of c in ``cvals``; returns one BochnerResidual per c.
 
-    The identity holds for every real c; the residual is |lhs - sum(rhs)|.
-    Requires third partials of f and second partials of phi.
+    The jets and the curvature are evaluated once.  The identity holds for
+    every real c: its two c-terms, ``c_trace_hessian`` and the c part of
+    ``divergence_difference``, are the same contraction
+    c * sum phi_mmij f_i f_j with opposite signs, so the residuals
+    |lhs - sum(rhs)| of different c differ by rounding only.  Requires
+    third partials of f and second partials of phi.
     """
-    chart = box.chart
     try:
-        _, fi, fij, f3 = geom.scalar_jets(chart, f, p, 3)
-        ph, p3, p4 = geom.tensor_jets(chart, box.phi, p, 2)
+        geo = geom.point_geometry(box.chart, p)
+        _, fi, fij, f3 = geom.scalar_jets(geo, f, 3)
+        ph, p3, p4 = geom.tensor_jets(geo, box.phi, 2)
     except (TypeError, ValueError) as exc:
         raise InsufficientSmoothness(str(exc)) from exc
-    Rf = geom.curvature_at(box.manifold, p).riemann
+    Rf = geom.curvature_at(box.manifold, geo).riemann
     ric = np.einsum("mkjk->mj", Rf)
 
     # lhs: 0.5 box(|grad f|^2), Hessian of |grad f|^2 expanded by Leibniz
@@ -116,16 +114,19 @@ def bochner_residual(box, f, p, c):
     grad_box = np.einsum("ijk,ij->k", p3, fij) + np.einsum("ij,ijk->k", ph, f3)
     grad_lap = np.einsum("iik->k", f3)
 
+    trace_c = float(np.einsum("mmij,i,j->", p4, fi, fi))
+    div_ikkj = np.einsum("i,j,ikkj->", fi, fi, p4)
+    div_kkij = np.einsum("i,j,kkij->", fi, fi, p4)
+    # the c-terms are filled in per c below; the key order fixes the
+    # order of the rhs sum
     terms = {
         "grad_f_grad_boxf": float(fi @ grad_box),
         "phi_gradf_grad_lapf": float(np.einsum("kj,j,k->", ph, fi, grad_lap)),
         "hessian_square": 2.0 * float(np.einsum("ij,jk,ki->", ph, fij, fij)),
         "curvature": 2.0 * float(np.einsum("i,j,im,mj->", fi, fi, ph, ric)),
-        "c_trace_hessian": c * float(np.einsum("mmij,i,j->", p4, fi, fi)),
+        "c_trace_hessian": None,
         "laplacian_phi": -float(np.einsum("i,j,ijkk->", fi, fi, p4)),
-        "divergence_difference": float(
-            np.einsum("i,j,ikkj->", fi, fi, p4)
-            - c * np.einsum("i,j,kkij->", fi, fi, p4)),
+        "divergence_difference": None,
         # div-form group 1: sum_k ( f_i f_j (phi_jik - phi_jki) )_k
         "divform_codazzi": float(
             np.einsum("ik,j,jik->", fij, fi, p3 - p3.transpose(0, 2, 1))
@@ -138,16 +139,21 @@ def bochner_residual(box, f, p, c):
             + np.einsum("j,ijk,ik->", fi, p3, fij)
             + np.einsum("j,ij,ikk->", fi, ph, f3)),
     }
-    rhs = sum(terms.values())
-    return BochnerResidual(c=float(c), lhs=lhs, rhs_terms=terms,
-                           residual=abs(lhs - rhs))
+    out = []
+    for c in cvals:
+        terms_c = dict(terms, c_trace_hessian=c * trace_c,
+                       divergence_difference=float(div_ikkj - c * div_kkij))
+        rhs = sum(terms_c.values())
+        out.append(BochnerResidual(c=float(c), lhs=lhs, rhs_terms=terms_c,
+                                   residual=abs(lhs - rhs)))
+    return out
 
 
 def hessian_trace_defect(box, f, p):
     """sum phi_ij f_jk f_ki - (box f)^2 / tr(phi); nonnegative when phi > 0."""
-    chart = box.chart
-    _, _, fij = geom.scalar_jets(chart, f, p, 2)
-    ph = geom.tensor_jets(chart, box.phi, p, 0)[0]
+    geo = geom.point_geometry(box.chart, p)
+    _, _, fij = geom.scalar_jets(geo, f, 2)
+    ph = geom.tensor_jets(geo, box.phi, 0)[0]
     w = np.linalg.eigvalsh(ph)
     if w[0] <= 0.0:
         raise NotPositiveDefinite("phi not positive definite at %r (min eig %g)"

@@ -22,7 +22,6 @@ from . import boxop
 from . import discretize as dz
 from . import geometry as geom
 from . import harness as hz
-from . import hypersurface as hyp
 from . import spectral as spec
 from .errors import (ConfigError, NoConvergence, FactorizationFailure,
                      SpectraError)
@@ -65,7 +64,7 @@ def cmd_verify(args):
     if args.target == "bochner":
         m = geom.parse_manifold(args.manifold)
         phi = hz._suite_phi(m, args.phi, seed=args.seed)
-        box = boxop.BoxOperator(phi=phi, manifold=m, name=args.phi)
+        box = boxop.BoxOperator(phi=phi, manifold=m)
         f = hz._suite_test_function(m, seed=args.seed + 1)
         cvals = [float(c) for c in args.c.split(",")]
         rng = np.random.default_rng(args.seed)
@@ -73,8 +72,7 @@ def cmd_verify(args):
         rows = []
         worst = 0.0
         for p in pts:
-            rs = [boxop.bochner_residual(box, f, p, c).residual
-                  for c in cvals]
+            rs = [r.residual for r in boxop.bochner_residual(box, f, p, cvals)]
             worst = max(worst, max(rs))
             rows.append({"point": [round(float(x), 6) for x in p],
                          "residuals": rs})

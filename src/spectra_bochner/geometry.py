@@ -20,7 +20,7 @@ Index conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -126,7 +126,9 @@ class SymmetricTensorField:
 
 ATLAS_PERIODIC_BOX = "PeriodicBox"
 ATLAS_ANALYTIC_SPHERE = "AnalyticSphere"
-ATLAS_MESH_BACKED = "MeshBacked"
+# one coordinate patch of a larger manifold (e.g. a chart of an immersed
+# hypersurface), sampled like a periodic box: uniformly in [lo, hi]
+ATLAS_CHART_PATCH = "ChartPatch"
 
 
 @dataclass(frozen=True)
@@ -160,9 +162,9 @@ class ChartManifold:
         return self.charts[idx]
 
     def sample_points(self, count, rng):
-        """Draw chart points covering the manifold (chart 0)."""
+        """Draw chart points covering the manifold (chart 0) or the patch."""
         c = self.chart()
-        if self.atlas_kind == ATLAS_PERIODIC_BOX:
+        if self.atlas_kind in (ATLAS_PERIODIC_BOX, ATLAS_CHART_PATCH):
             return rng.uniform(c.lo, c.hi, size=(count, self.dim))
         if self.atlas_kind == ATLAS_ANALYTIC_SPHERE:
             # Uniform ambient directions mapped through stereographic
@@ -214,32 +216,22 @@ def orthonormal_frame(g):
     return E
 
 
+def _lowered(dg):
+    """low[..., d, a, b] = 0.5 (d_a g_db + d_b g_da - d_d g_ab) over the
+    last three axes of dg (dg[..., c, a, b] = d_c g_ab)."""
+    return 0.5 * (np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg)
+
+
 def christoffel(g_inv, dg):
     """Gamma[c, a, b] = 0.5 g^{cd} (d_a g_db + d_b g_da - d_d g_ab)."""
-    n = g_inv.shape[0]
-    low = np.empty((n, n, n))
-    for a in range(n):
-        for b in range(n):
-            for d in range(n):
-                low[d, a, b] = 0.5 * (dg[a, d, b] + dg[b, d, a] - dg[d, a, b])
-    return np.einsum("cd,dab->cab", g_inv, low)
+    return np.einsum("cd,dab->cab", g_inv, _lowered(dg))
 
 
 def christoffel_derivative(g, g_inv, dg, d2g):
     """dGamma[e, c, a, b] = d_e Gamma^c_ab."""
-    n = g.shape[0]
-    low = np.empty((n, n, n))
-    dlow = np.empty((n, n, n, n))
-    for a in range(n):
-        for b in range(n):
-            for d in range(n):
-                low[d, a, b] = 0.5 * (dg[a, d, b] + dg[b, d, a] - dg[d, a, b])
-                for e in range(n):
-                    dlow[e, d, a, b] = 0.5 * (d2g[e, a, d, b] + d2g[e, b, d, a]
-                                              - d2g[e, d, a, b])
     dg_inv = -np.einsum("cm,emn,nd->ecd", g_inv, dg, g_inv)
-    return (np.einsum("ecd,dab->ecab", dg_inv, low)
-            + np.einsum("cd,edab->ecab", g_inv, dlow))
+    return (np.einsum("ecd,dab->ecab", dg_inv, _lowered(dg))
+            + np.einsum("cd,edab->ecab", g_inv, _lowered(d2g)))
 
 
 def riemann_lowered(g, Gamma, dGamma):
@@ -258,15 +250,29 @@ def riemann_lowered(g, Gamma, dGamma):
     return -Rstd
 
 
-def curvature_parts(chart, p):
-    """Raw coordinate curvature data at p: (g, g_inv, E, Gamma, dGamma, Riem)."""
+@dataclass(frozen=True)
+class PointGeometry:
+    """Metric data at one chart point, shared by every jet and curvature
+    query there: g, its inverse, the orthonormal frame (columns), the
+    Christoffel symbols Gamma[c, a, b] and their derivatives
+    dGamma[e, c, a, b] = d_e Gamma^c_ab."""
+
+    p: np.ndarray
+    g: np.ndarray
+    g_inv: np.ndarray
+    frame: np.ndarray
+    Gamma: np.ndarray
+    dGamma: np.ndarray
+
+
+def point_geometry(chart, p):
+    """Build the geometry of ``chart`` at ``p`` from one metric jet."""
+    p = np.asarray(p, dtype=float)
     g, dg, d2g = metric_jets(chart, p, 2)
     g_inv = np.linalg.inv(g)
-    Gamma = christoffel(g_inv, dg)
-    dGamma = christoffel_derivative(g, g_inv, dg, d2g)
-    Riem = riemann_lowered(g, Gamma, dGamma)
-    E = orthonormal_frame(g)
-    return g, g_inv, E, Gamma, dGamma, Riem
+    return PointGeometry(p=p, g=g, g_inv=g_inv, frame=orthonormal_frame(g),
+                         Gamma=christoffel(g_inv, dg),
+                         dGamma=christoffel_derivative(g, g_inv, dg, d2g))
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +325,16 @@ def _bundle_from_frame_riemann(n, g, E, Rf):
                            scalar=R, schouten=S, weyl=W)
 
 
-def curvature_at(m, p):
-    """Full curvature bundle at a chart point of m."""
-    p = np.asarray(p, dtype=float)
+def curvature_at(m, geo):
+    """Full curvature bundle of m at the point of ``geo``."""
     n = m.dim
-    chart = m.chart()
+    g, E = geo.g, geo.frame
     if m.atlas_kind == ATLAS_ANALYTIC_SPHERE:
         K = m.constant_curvature
-        g = chart.metric.comp(p)
-        E = orthonormal_frame(g)
         d = np.eye(n)
         Rf = K * (np.einsum("ik,jl->ijkl", d, d) - np.einsum("il,jk->ijkl", d, d))
         return _bundle_from_frame_riemann(n, g, E, Rf)
-    g, g_inv, E, Gamma, dGamma, Riem = curvature_parts(chart, p)
+    Riem = riemann_lowered(g, geo.Gamma, geo.dGamma)
     Rf = np.einsum("abcd,ai,bj,ck,dl->ijkl", Riem, E, E, E, E)
     return _bundle_from_frame_riemann(n, g, E, Rf)
 
@@ -339,18 +342,14 @@ def curvature_at(m, p):
 # ---------------------------------------------------------------------------
 # covariant jets of fields
 
-def scalar_jets(chart, f, p, order=2):
-    """Frame covariant derivatives of f at p.
+def scalar_jets(geo, f, order=2):
+    """Frame covariant derivatives of f at the point of ``geo``.
 
     Returns (value, f_i, f_ij[, f_ijk]); the LAST frame index is the
     outermost covariant-derivative direction.
     """
-    p = np.asarray(p, dtype=float)
-    parts = f.partials(p, order)
-    g, dg, d2g = metric_jets(chart, p, 2)
-    g_inv = np.linalg.inv(g)
-    Gamma = christoffel(g_inv, dg)
-    E = orthonormal_frame(g)
+    parts = f.partials(geo.p, order)
+    Gamma, E = geo.Gamma, geo.frame
     val, df = parts[0], parts[1]
     out = [val, df @ E]
     if order >= 2:
@@ -359,9 +358,7 @@ def scalar_jets(chart, f, p, order=2):
         out.append(np.einsum("ab,ai,bj->ij", H, E, E))
     if order >= 3:
         d3f = parts[3]
-        dGamma = christoffel_derivative(g, g_inv, dg, d2g)
-        H = d2f - np.einsum("cab,c->ab", Gamma, df)
-        dH = (d3f - np.einsum("ecab,c->eab", dGamma, df)
+        dH = (d3f - np.einsum("ecab,c->eab", geo.dGamma, df)
               - np.einsum("cab,ec->eab", Gamma, d2f))
         T3 = (dH - np.einsum("cea,cb->eab", Gamma, H)
               - np.einsum("ceb,ac->eab", Gamma, H))
@@ -369,18 +366,15 @@ def scalar_jets(chart, f, p, order=2):
     return tuple(out)
 
 
-def tensor_jets(chart, phi, p, order=1):
-    """Frame covariant derivatives of a symmetric 2-tensor at p.
+def tensor_jets(geo, phi, order=1):
+    """Frame covariant derivatives of a symmetric 2-tensor at the point of
+    ``geo``.
 
     Returns (phi_ij[, phi_ijk[, phi_ijkl]]); derivative indices come last,
     with phi_ijkl = (nabla_l nabla_k phi)(e_i, e_j).
     """
-    p = np.asarray(p, dtype=float)
-    parts = phi.partials(p, order)
-    g, dg, d2g = metric_jets(chart, p, 2)
-    g_inv = np.linalg.inv(g)
-    Gamma = christoffel(g_inv, dg)
-    E = orthonormal_frame(g)
+    parts = phi.partials(geo.p, order)
+    Gamma, E = geo.Gamma, geo.frame
     ph = parts[0]
     out = [np.einsum("ab,ai,bj->ij", ph, E, E)]
     if order >= 1:
@@ -390,8 +384,7 @@ def tensor_jets(chart, phi, p, order=1):
         out.append(np.einsum("cab,ai,bj,ck->ijk", T1, E, E, E))
     if order >= 2:
         d2ph = parts[2]
-        dGamma = christoffel_derivative(g, g_inv, dg, d2g)
-        dph = parts[1]
+        dGamma = geo.dGamma
         dT1 = (d2ph
                - np.einsum("deca,eb->dcab", dGamma, ph)
                - np.einsum("eca,deb->dcab", Gamma, dph)
@@ -405,16 +398,10 @@ def tensor_jets(chart, phi, p, order=1):
     return tuple(out)
 
 
-def tensor_divergence(phi, m, p, chart_idx=0):
+def tensor_divergence(geo, phi):
     """(div phi)_i = sum_j phi_ijj in the orthonormal frame."""
-    _, T1 = tensor_jets(m.chart(chart_idx), phi, p, 1)
+    _, T1 = tensor_jets(geo, phi, 1)
     return np.einsum("ijj->i", T1)
-
-
-def scalar_frame_gradient(chart, f, p):
-    """Frame components of nabla f."""
-    _, fi = scalar_jets(chart, f, p, 1)[:2]
-    return fi
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +416,7 @@ def min_sectional(m, plan=SamplePlan()):
     n = m.dim
     best = np.inf
     for p in pts:
-        bundle = curvature_at(m, p)
-        Rf = bundle.riemann
+        Rf = curvature_at(m, point_geometry(m.chart(), p)).riemann
         # axis-aligned frame pairs
         for i in range(n):
             for j in range(i + 1, n):
@@ -450,7 +436,7 @@ def min_ricci(m, plan=SamplePlan()):
     pts = m.sample_points(plan.points, rng)
     best = np.inf
     for p in pts:
-        ric = curvature_at(m, p).ricci
+        ric = curvature_at(m, point_geometry(m.chart(), p)).ricci
         best = min(best, float(np.linalg.eigvalsh(ric)[0]))
     return float(best)
 
@@ -458,8 +444,14 @@ def min_ricci(m, plan=SamplePlan()):
 # ---------------------------------------------------------------------------
 # derived tensor fields
 
-def metric_field(m, chart_idx=0):
-    return m.chart(chart_idx).metric
+def metric_field(m):
+    return m.chart().metric
+
+
+def _coordinate_ricci(b):
+    """Coordinate components of the frame Ricci tensor of a bundle."""
+    Einv = np.linalg.inv(b.frame)
+    return Einv.T @ b.ricci @ Einv
 
 
 def ricci_tensor_field(m, fd_step=1e-4):
@@ -470,9 +462,7 @@ def ricci_tensor_field(m, fd_step=1e-4):
     chart = m.chart()
 
     def comp(p):
-        b = curvature_at(m, p)
-        Einv = np.linalg.inv(b.frame)
-        return Einv.T @ b.ricci @ Einv
+        return _coordinate_ricci(curvature_at(m, point_geometry(chart, p)))
 
     return SymmetricTensorField(comp=comp, fd_step=fd_step, name="ricci")
 
@@ -484,7 +474,12 @@ def scalar_curvature_field(m, fd_step=1e-4):
         return ScalarField(eval=lambda p: Rconst,
                            grad=lambda p: np.zeros(n),
                            hess=lambda p: np.zeros((n, n)))
-    return ScalarField(eval=lambda p: curvature_at(m, p).scalar, fd_step=fd_step)
+    chart = m.chart()
+
+    def scalar(p):
+        return curvature_at(m, point_geometry(chart, p)).scalar
+
+    return ScalarField(eval=scalar, fd_step=fd_step)
 
 
 def scale_tensor_field(phi, c, name=None):
@@ -522,12 +517,11 @@ def schouten_tensor_field(m, fd_step=1e-4, formal=False):
     if m.atlas_kind == ATLAS_ANALYTIC_SPHERE:
         c = (n - 2) / 2.0 * m.constant_curvature
         return scale_tensor_field(metric_field(m), c, name="schouten")
-    ric = ricci_tensor_field(m, fd_step)
-    g = metric_field(m)
+    chart = m.chart()
 
     def comp(p):
-        b = curvature_at(m, p)
-        return ric.comp(p) - b.scalar / (2.0 * (n - 1)) * np.asarray(g.comp(p), float)
+        b = curvature_at(m, point_geometry(chart, p))
+        return _coordinate_ricci(b) - b.scalar / (2.0 * (n - 1)) * b.g
 
     return SymmetricTensorField(comp=comp, fd_step=fd_step, name="schouten")
 
@@ -538,12 +532,11 @@ def einstein_tensor_field(m, fd_step=1e-4):
         n = m.dim
         c = n * (n - 1) * m.constant_curvature / 2.0 - (n - 1) * m.constant_curvature
         return scale_tensor_field(metric_field(m), c, name="einstein")
-    g = metric_field(m)
+    chart = m.chart()
 
     def comp(p):
-        b = curvature_at(m, p)
-        return (b.scalar / 2.0 * np.asarray(g.comp(p), float)
-                - np.linalg.inv(b.frame).T @ b.ricci @ np.linalg.inv(b.frame))
+        b = curvature_at(m, point_geometry(chart, p))
+        return b.scalar / 2.0 * b.g - _coordinate_ricci(b)
 
     return SymmetricTensorField(comp=comp, fd_step=fd_step, name="einstein")
 
@@ -558,9 +551,9 @@ def divergence_identity_suite(m, samples=20, seed=7, fd_step=1e-4):
     rng = np.random.default_rng(seed)
     pts = m.sample_points(samples, rng)
     n = m.dim
-    chart = m.chart()
+    geos = [point_geometry(m.chart(), p) for p in pts]
 
-    Rs = [curvature_at(m, p).scalar for p in pts]
+    Rs = [curvature_at(m, geo).scalar for geo in geos]
     r_spread = float(np.max(Rs) - np.min(Rs))
     r_scale = max(1.0, float(np.max(np.abs(Rs))))
     r_constant = r_spread <= 1e-6 * r_scale
@@ -574,7 +567,7 @@ def divergence_identity_suite(m, samples=20, seed=7, fd_step=1e-4):
         c = 0.5 * float(np.mean(Rs)) / n
         sc = add_tensor_fields(ric, scale_tensor_field(metric_field(m), -c), "S_c")
         report["item1_div_ric_minus_cI"] = float(max(
-            np.max(np.abs(tensor_divergence(sc, m, p))) for p in pts))
+            np.max(np.abs(tensor_divergence(geo, sc))) for geo in geos))
     else:
         report["item1_div_ric_minus_cI"] = None
         report["item1_flag"] = "R_not_constant"
@@ -582,16 +575,16 @@ def divergence_identity_suite(m, samples=20, seed=7, fd_step=1e-4):
     # item 2: div((R/2) g - ric) = 0 (contracted Bianchi)
     E = einstein_tensor_field(m, fd_step)
     report["item2_div_einstein"] = float(max(
-        np.max(np.abs(tensor_divergence(E, m, p))) for p in pts))
+        np.max(np.abs(tensor_divergence(geo, E))) for geo in geos))
 
     # item 5: div S = grad(tr S)  (formal Schouten used when n == 2)
     S = schouten_tensor_field(m, fd_step, formal=True)
     Rfield = scalar_curvature_field(m, fd_step)
     coef = (n - 2) / (2.0 * (n - 1))
     defect5 = 0.0
-    for p in pts:
-        div = tensor_divergence(S, m, p)
-        gradR = scalar_frame_gradient(chart, Rfield, p)
+    for geo in geos:
+        div = tensor_divergence(geo, S)
+        gradR = scalar_jets(geo, Rfield, 1)[1]
         defect5 = max(defect5, float(np.max(np.abs(div - coef * gradR))))
     report["item5_div_schouten"] = defect5
     return report

@@ -208,7 +208,7 @@ def induced_metric_manifold(hs, chart_idx=0, fd_step=1e-5):
     g = geom.SymmetricTensorField(comp=comp, fd_step=fd_step, name="induced")
     c = geom.Chart(lo=np.full(hs.n, -r), hi=np.full(hs.n, r), metric=g)
     return geom.ChartManifold(dim=hs.n, charts=(c,),
-                              atlas_kind=geom.ATLAS_MESH_BACKED,
+                              atlas_kind=geom.ATLAS_CHART_PATCH,
                               name=(hs.name or "surface") + "-induced")
 
 
@@ -270,7 +270,8 @@ def pinching_constants(hs, plan=geom.SamplePlan(points=400)):
         for ci, u in pts[:nsig]:
             man = induced_metric_manifold(hs, ci)
             Hf = mean_curvature_field(hs, ci)
-            _, _, hess = geom.scalar_jets(man.chart(), Hf, u, 2)
+            _, _, hess = geom.scalar_jets(geom.point_geometry(man.chart(), u),
+                                          Hf, 2)
             w = np.linalg.eigvalsh(0.5 * (hess + hess.T))
             sigma = max(sigma, float(np.sum(w) - w[0]))
         sigma = float(sigma)

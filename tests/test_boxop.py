@@ -59,7 +59,7 @@ class TestBochnerIdentity:
     CVALS = (0.0, 1.0, 7.3)
 
     def residuals(self, box, f, p):
-        return [boxop.bochner_residual(box, f, p, c) for c in self.CVALS]
+        return boxop.bochner_residual(box, f, p, self.CVALS)
 
     def test_flat_torus_metric_phi_exact(self, torus):
         box = boxop.laplacian_box(torus)
@@ -88,10 +88,27 @@ class TestBochnerIdentity:
         assert max(rs) < 1e-10
         assert max(rs) - min(rs) < 1e-12
 
+    def test_geometry_built_once_for_all_c(self, monkeypatch):
+        calls = []
+        metric_jets = geom.metric_jets
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return metric_jets(*args, **kwargs)
+
+        monkeypatch.setattr(geom, "metric_jets", counted)
+        m = geom.perturbed_torus(2)
+        box = boxop.BoxOperator(phi=geom.random_spd_trig_tensor(2, seed=8),
+                                manifold=m)
+        f = geom.trig_field(np.array([2.0, 1.0]), phase=1.1)
+        rs = boxop.bochner_residual(box, f, np.array([1.3, 0.4]), self.CVALS)
+        assert len(calls) == 1
+        assert [r.c for r in rs] == list(self.CVALS)
+
     def test_term_breakdown_keys(self, torus):
         box = boxop.laplacian_box(torus)
         f = geom.trig_field(np.array([1.0, 1.0]))
-        r = boxop.bochner_residual(box, f, np.array([0.2, 0.9]), 1.0)
+        r, = boxop.bochner_residual(box, f, np.array([0.2, 0.9]), (1.0,))
         expected = {"grad_f_grad_boxf", "phi_gradf_grad_lapf",
                     "hessian_square", "curvature", "c_trace_hessian",
                     "laplacian_phi", "divergence_difference",

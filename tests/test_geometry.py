@@ -16,7 +16,8 @@ def frame_riemann_constant_curvature(n, K):
 class TestCurvature:
     def test_flat_torus_curvature_vanishes(self):
         m = geom.flat_torus(2)
-        cb = geom.curvature_at(m, np.array([0.3, 1.1]))
+        cb = geom.curvature_at(
+            m, geom.point_geometry(m.chart(), np.array([0.3, 1.1])))
         assert np.max(np.abs(cb.riemann)) < 1e-12
         assert abs(cb.scalar) < 1e-12
 
@@ -24,7 +25,7 @@ class TestCurvature:
     def test_round_sphere_frame_components(self, n, K):
         m = geom.round_sphere(n, K)
         p = np.full(n, 0.21)
-        cb = geom.curvature_at(m, p)
+        cb = geom.curvature_at(m, geom.point_geometry(m.chart(), p))
         assert np.allclose(cb.riemann,
                            frame_riemann_constant_curvature(n, K), atol=1e-10)
         assert np.allclose(cb.ricci, (n - 1) * K * np.eye(n), atol=1e-10)
@@ -37,28 +38,33 @@ class TestCurvature:
         m = geom.round_sphere(n, K)
         p = np.array([0.4, -0.2, 0.7])
         chart = m.chart()
-        g, g_inv, E, Gamma, dGamma, Riem = geom.curvature_parts(chart, p)
+        geo = geom.point_geometry(chart, p)
+        Riem = geom.riemann_lowered(geo.g, geo.Gamma, geo.dGamma)
+        E = geo.frame
         Rf = np.einsum("abcd,ai,bj,ck,dl->ijkl", Riem, E, E, E, E)
         assert np.allclose(Rf, frame_riemann_constant_curvature(n, K),
                            atol=1e-8)
 
     def test_sectional_positive_on_sphere(self):
         m = geom.round_sphere(4, 1.0)
-        cb = geom.curvature_at(m, np.full(4, 0.1))
+        cb = geom.curvature_at(
+            m, geom.point_geometry(m.chart(), np.full(4, 0.1)))
         u = np.array([1.0, 0.2, 0.0, 0.0])
         v = np.array([0.0, 1.0, -0.3, 0.0])
         assert abs(cb.sectional(u, v) - 1.0) < 1e-10
 
     def test_sectional_degenerate_plane_raises(self):
         m = geom.round_sphere(3, 1.0)
-        cb = geom.curvature_at(m, np.full(3, 0.1))
+        cb = geom.curvature_at(
+            m, geom.point_geometry(m.chart(), np.full(3, 0.1)))
         u = np.array([1.0, 0.0, 0.0])
         with pytest.raises(DegeneratePlane):
             cb.sectional(u, 2.0 * u)
 
     def test_weyl_vanishes_on_sphere(self):
         m = geom.round_sphere(4, 1.0)
-        cb = geom.curvature_at(m, np.full(4, 0.3))
+        cb = geom.curvature_at(
+            m, geom.point_geometry(m.chart(), np.full(4, 0.3)))
         assert np.max(np.abs(cb.weyl)) < 1e-10
 
     def test_min_sectional_and_ricci_on_sphere(self):
@@ -83,8 +89,9 @@ class TestJets:
         chart = m.chart()
         f = geom.sphere_coordinate_field(m, 0)
         p = np.array([0.4, -0.1, 0.25])
-        _, fi, _, fijk = geom.scalar_jets(chart, f, p, 3)
-        Rf = geom.curvature_at(m, p).riemann
+        geo = geom.point_geometry(chart, p)
+        _, fi, _, fijk = geom.scalar_jets(geo, f, 3)
+        Rf = geom.curvature_at(m, geo).riemann
         lhs = fijk - fijk.transpose(0, 2, 1)
         rhs = np.einsum("m,mijk->ijk", fi, Rf)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
@@ -112,14 +119,15 @@ class TestJets:
                 - np.einsum("cbe,ac->eab", Gamma, H)).transpose(1, 2, 0)
         E = geom.orthonormal_frame(g)
         oracle = np.einsum("abc,ai,bj,ck->ijk", covH, E, E, E)
-        _, _, _, fijk = geom.scalar_jets(chart, f, p, 3)
+        _, _, _, fijk = geom.scalar_jets(geom.point_geometry(chart, p), f, 3)
         assert np.max(np.abs(fijk - oracle)) < 1e-8
 
     def test_tensor_jets_metric_is_parallel(self):
         m = geom.round_sphere(3, 1.0)
         chart = m.chart()
         p = np.array([0.2, 0.5, -0.3])
-        ph, p3 = geom.tensor_jets(chart, chart.metric, p, 1)
+        ph, p3 = geom.tensor_jets(geom.point_geometry(chart, p),
+                                  chart.metric, 1)
         assert np.allclose(ph, np.eye(3), atol=1e-12)
         assert np.max(np.abs(p3)) < 1e-10
 

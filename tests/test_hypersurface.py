@@ -65,7 +65,8 @@ class TestGaussEquation:
         man = hyp.induced_metric_manifold(hs, 0)
         u = np.array([0.3, -0.4])
         cb_gauss = hyp.gauss_intrinsic(hs, u)
-        cb_chart = geom.curvature_at(man, u)
+        cb_chart = geom.curvature_at(man,
+                                     geom.point_geometry(man.chart(), u))
         assert cb_gauss.scalar == pytest.approx(cb_chart.scalar, abs=1e-4)
 
 
@@ -118,8 +119,15 @@ class TestFieldsOnCharts:
             hs = hyp.parse_surface(name)
             man = hyp.induced_metric_manifold(hs, 0)
             P1 = hyp.newton1_field(hs, 0)
-            d = geom.tensor_divergence(P1, man, np.array([0.3, -0.4]))
+            geo = geom.point_geometry(man.chart(), np.array([0.3, -0.4]))
+            d = geom.tensor_divergence(geo, P1)
             assert np.max(np.abs(d)) < 1e-8
+
+    def test_induced_metric_manifold_is_sampled(self):
+        # the induced chart is sampled in its box; the unit sphere has ric = g
+        man = hyp.induced_metric_manifold(hyp.sphere_surface(1.0))
+        ric = geom.min_ricci(man, geom.SamplePlan(points=4))
+        assert ric == pytest.approx(1.0, abs=1e-4)
 
     def test_newton1_field_is_metric_on_unit_sphere(self):
         hs = hyp.sphere_surface(1.0)
