@@ -230,6 +230,7 @@ class PeriodicGrid:
 class AssembledOperator:
     K: sp.csr_matrix
     M: sp.csr_matrix
+    points: np.ndarray             # (N, d) node coordinates, row i = node i
     record: Dict[str, object] = field(default_factory=dict)
 
     @property
@@ -313,7 +314,7 @@ def _assemble_mesh(mesh, phi_provider):
     K, M = _sparse_pair(mesh.faces.astype(np.int32), Ke, Me, nv)
     rec = {"domain": "SurfaceMesh", "vertices": nv, "faces": nf,
            "phi": getattr(phi_provider, "label", "custom")}
-    return AssembledOperator(K=K, M=M, record=rec)
+    return AssembledOperator(K=K, M=M, points=mesh.vertices, record=rec)
 
 
 def _grid_element_tensors(h):
@@ -380,7 +381,7 @@ def _assemble_grid(grid, phi_provider):
     K, M = _sparse_pair(nodes.astype(np.int32), Ke, Me, grid.num_nodes)
     rec = {"domain": "PeriodicGrid", "shape": tuple(shape),
            "phi": getattr(phi_provider, "label", "custom")}
-    return AssembledOperator(K=K, M=M, record=rec)
+    return AssembledOperator(K=K, M=M, points=grid.node_points(), record=rec)
 
 
 def _post_checks(K):
@@ -545,14 +546,6 @@ def cotangent_stiffness(mesh):
 # ---------------------------------------------------------------------------
 # pointwise vs weak consistency
 
-def domain_points(domain):
-    if isinstance(domain, SurfaceMesh):
-        return domain.vertices
-    if isinstance(domain, PeriodicGrid):
-        return domain.node_points()
-    raise ConfigError("unknown domain %r" % type(domain).__name__)
-
-
 def domain_resolution(domain):
     """Representative mesh size h."""
     if isinstance(domain, SurfaceMesh):
@@ -567,9 +560,8 @@ def pointwise_vs_weak_consistency(domain, phi_provider, f_at, boxf_at):
     returns {'h', 'max_error', 'rel_error'}.
     """
     op = assemble(domain, phi_provider)
-    pts = domain_points(domain)
-    f = np.array([f_at(p) for p in pts])
-    b = np.array([boxf_at(p) for p in pts])
+    f = np.array([f_at(p) for p in op.points])
+    b = np.array([boxf_at(p) for p in op.points])
     w = spla.spsolve(op.M.tocsc(), op.K @ f)
     e = w + b
     err = float(np.max(np.abs(e)))

@@ -41,19 +41,22 @@ class ImmersionChart:
     sample_radius: float = 1.0
     fd_step: float = 1e-6
 
+    def jacobian(self, u):
+        """First derivatives (n, m) at u: analytic if given, else central
+        differences of the immersion."""
+        u = np.asarray(u, dtype=float)
+        if self.d_immersion is not None:
+            return np.asarray(self.d_immersion(u), dtype=float)
+        return geom.fd_derivative(self.immersion, u, self.fd_step)
+
     def jets(self, u):
         u = np.asarray(u, dtype=float)
         X = np.asarray(self.immersion(u), dtype=float)
-        if self.d_immersion is not None:
-            J = np.asarray(self.d_immersion(u), dtype=float)
-        else:
-            J = geom.fd_derivative(self.immersion, u, self.fd_step)
+        J = self.jacobian(u)
         if self.d2_immersion is not None:
             H2 = np.asarray(self.d2_immersion(u), dtype=float)
         else:
-            dfn = self.d_immersion if self.d_immersion is not None else (
-                lambda q: geom.fd_derivative(self.immersion, q, self.fd_step))
-            H2 = geom.fd_derivative(dfn, u, max(self.fd_step, 1e-5))
+            H2 = geom.fd_derivative(self.jacobian, u, max(self.fd_step, 1e-5))
         return X, J, H2
 
 
@@ -201,7 +204,7 @@ def induced_metric_manifold(hs, chart_idx=0, fd_step=1e-5):
     chart = hs.charts[chart_idx]
 
     def comp(u):
-        _, J, _ = chart.jets(u)
+        J = chart.jacobian(u)
         return J @ J.T
 
     r = chart.sample_radius

@@ -2,18 +2,22 @@
 
 The singular pencil (constants span the kernel of K) is handled by
 shift-inverted Lanczos on (K + eps*M)^{-1} M with a tiny regularization eps
-and explicit M-orthogonal deflation of the constant mode.  Round spheres have
-closed-form spectra for the Laplacian, the Schouten operator, and the
-linearized operator L1 of an umbilic geodesic sphere, used as oracles.
+and explicit M-orthogonal deflation of the constant mode.  K + eps*M is
+factored once, in a coordinate nested-dissection order of the nodes.  Round
+spheres have closed-form spectra for the Laplacian, the Schouten operator,
+and the linearized operator L1 of an umbilic geodesic sphere, used as
+oracles.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (FactorizationFailure, NoConvergence, SchoutenUndefined)
@@ -31,11 +35,60 @@ class EigenResult:
         return float(self.eigenvalues[0])
 
 
+# nested-dissection parts of at most this many nodes are not split further
+ND_LEAF = 64
+
+
+def _nested_dissection(A, points):
+    """Fill-reducing symmetric order of A's nodes: leaves first, separators
+    last.
+
+    Each part is split at the median of its widest coordinate.  The lower
+    side's endpoints of the edges that cross the cut (read from A's
+    sparsity, so a periodic grid's wrap-around plane is caught too) form the
+    separator, ordered after both sides, which are split again until they
+    hold at most ND_LEAF nodes.
+    """
+    pattern = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr),
+                            shape=A.shape)
+    upper = np.zeros(A.shape[0])          # 1 on the upper side of a cut
+    order = []
+    stack = [(np.arange(A.shape[0]), True)]
+    while stack:
+        idx, split = stack.pop()
+        split = split and idx.size > ND_LEAF
+        if split:
+            x = points[idx]
+            extent = np.ptp(x, axis=0)
+            axis = int(np.argmax(extent))
+            split = extent[axis] > 0.0
+        if not split:
+            order.append(idx)
+            continue
+        v = x[:, axis]
+        median = np.partition(v, v.size // 2)[v.size // 2]
+        low = v < median
+        if not low.any():
+            low = v <= median
+        lo, hi = idx[low], idx[~low]
+        upper[hi] = 1.0
+        cut = pattern[lo] @ upper > 0.0
+        upper[hi] = 0.0
+        # popped in reverse: lower side, upper side, then the separator
+        stack += [(lo[cut], False), (hi, True), (lo[~cut], True)]
+    return np.concatenate(order)
+
+
 def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
     """k smallest nonzero eigenvalues of K u = mu M u.
 
     K must be PSD with constants spanning its kernel and M SPD.  Constants
     are deflated by projecting the Lanczos iterates M-orthogonally to 1.
+    K + eps*M is factored once (SuperLU in the nested-dissection order of
+    ``op.points``); diagnostics report its ``fill`` (the nonzeros SuperLU
+    stores for L and U, ``SuperLU.nnz``: reading ``.L`` and ``.U`` would
+    copy the factor), ``factor_s`` (ordering plus factorization) and the
+    number of shift-invert ``solves``.
     """
     K, M = op.K.tocsc(), op.M.tocsc()
     N = K.shape[0]
@@ -52,9 +105,25 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
     rng = np.random.default_rng(seed)
     v0 = deflate(rng.standard_normal(N))
     want = min(k + 2, N - 2)
+    solves = 0
+
+    def shift_invert(x):  # (K + eps*M)^{-1} x through the permuted factor
+        nonlocal solves
+        solves += 1
+        y = np.empty(N)
+        y[perm] = lu.solve(np.ravel(x)[perm])
+        return y
+
+    t0 = time.perf_counter()
+    A = (K + eps * M).tocsr()
+    perm = _nested_dissection(A, op.points)
     try:
+        lu = spla.splu(A[perm][:, perm].tocsc(), permc_spec="NATURAL")
+        factor_s = time.perf_counter() - t0
         mu, U = spla.eigsh(K, k=want, M=M, sigma=-eps, which="LM", v0=v0,
-                           tol=min(tol, 1e-10), maxiter=5000)
+                           tol=min(tol, 1e-10), maxiter=5000,
+                           OPinv=spla.LinearOperator((N, N), shift_invert,
+                                                     dtype=float))
     except spla.ArpackNoConvergence as exc:
         raise NoConvergence("Lanczos did not converge: %s" % exc,
                             eigenvalues=getattr(exc, "eigenvalues", None),
@@ -87,7 +156,8 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
     idx = np.argsort(mu)
     mu, U, res = mu[idx], U[:, idx], res[idx]
     diag = {"shift": eps, "k": k, "seed": seed, "size": N,
-            "record": dict(op.record)}
+            "fill": int(lu.nnz), "factor_s": factor_s,
+            "solves": solves, "record": dict(op.record)}
     return EigenResult(eigenvalues=mu, eigenvectors=U, residuals=res,
                        diagnostics=diag)
 

@@ -50,6 +50,14 @@ class TestEig:
         assert json.loads(out)["eigenvalues"][0] == pytest.approx(2.0,
                                                                   abs=0.06)
 
+    def test_solver_counters(self, capsys):
+        code, out, _ = run(capsys, "--json", "eig", "--surface", "sphere:r=1",
+                           "--subdiv", "2", "--k", "1")
+        assert code == 0
+        diag = json.loads(out)["diagnostics"]
+        assert diag["fill"] > 0 and diag["factor_s"] >= 0.0
+        assert diag["solves"] > 0
+
     def test_torus_grid(self, capsys):
         code, out, _ = run(capsys, "--json", "eig", "--manifold",
                            "torus2:L=6.283185307179586",

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from spectra_bochner import discretize as dz, spectral as spec
+from spectra_bochner import discretize as dz, geometry as geom
+from spectra_bochner import spectral as spec
 from spectra_bochner.errors import NoConvergence, SchoutenUndefined
 
 
@@ -73,6 +75,7 @@ class TestSmallestNonzero:
         Ps = sp.csr_matrix(P)
         op2 = dz.AssembledOperator(K=Ps @ sphere_op.K @ Ps.T,
                                    M=Ps @ sphere_op.M @ Ps.T,
+                                   points=sphere_op.points[perm],
                                    record={"phi": "permuted"})
         r2 = spec.smallest_nonzero(op2, k=1)
         assert r2.mu1 == pytest.approx(sphere_result.mu1, rel=1e-10)
@@ -87,6 +90,7 @@ class TestSmallestNonzero:
         g = dz.PeriodicGrid(lengths=[1.0, 1.0], shape=(8, 8))
         op = dz.assemble(g, dz.metric_coefficient())
         trivial = dz.AssembledOperator(K=op.M.copy(), M=op.M.copy(),
+                                       points=op.points,
                                        record={"phi": "identity-pencil"})
         r = spec.smallest_nonzero(trivial, k=3)
         assert np.allclose(r.eigenvalues, 1.0, atol=1e-8)
@@ -109,6 +113,28 @@ class TestSmallestNonzero:
         r2 = (mus[1] - 2.0) / (mus[2] - 2.0)
         assert r == pytest.approx(4.0, abs=0.3)
         assert r2 == pytest.approx(4.0, abs=0.3)
+
+
+class TestNestedDissection:
+    @pytest.fixture(scope="class")
+    def torus_op(self):
+        m = geom.parse_manifold("torus3:perturb=sin")
+        chart = m.chart()
+        grid = dz.PeriodicGrid(lengths=chart.hi - chart.lo, shape=(18,) * 3,
+                               metric=chart.metric.comp)
+        return dz.assemble(grid, dz.grid_metric_coefficient(grid))
+
+    def test_order_is_permutation(self, sphere_op, torus_op):
+        for op in (sphere_op, torus_op):
+            perm = spec._nested_dissection(op.K.tocsr(), op.points)
+            assert np.array_equal(np.sort(perm), np.arange(op.size))
+
+    def test_fill_below_default_order(self, torus_op):
+        r = spec.smallest_nonzero(torus_op, k=1)
+        eps = r.diagnostics["shift"]
+        lu = spla.splu((torus_op.K + eps * torus_op.M).tocsc())
+        assert 0 < r.diagnostics["fill"] < lu.nnz
+        assert r.diagnostics["solves"] > 0
 
 
 class TestEigenpairPairingDefect:
