@@ -73,9 +73,6 @@ class SurfaceMesh:
         c = np.cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
         return 0.5 * np.linalg.norm(c, axis=1)
 
-    def face_barycenters(self):
-        return self.face_corners().mean(axis=1)
-
     def total_area(self):
         return float(self.face_areas().sum())
 

@@ -202,17 +202,17 @@ def metric_jets(chart, p, order=2):
 def orthonormal_frame(g):
     """Gram-Schmidt of the coordinate basis w.r.t. g, deterministic order.
 
-    Returns E with columns the frame vectors: E.T @ g @ E = I.
+    g may be a (..., n, n) stack.  Returns E with columns the frame vectors:
+    E.T @ g @ E = I.
     """
-    n = g.shape[0]
-    E = np.zeros((n, n))
-    for i in range(n):
-        v = np.zeros(n)
-        v[i] = 1.0
+    g = np.asarray(g, dtype=float)
+    E = np.zeros(g.shape)
+    for i in range(g.shape[-1]):
+        v = np.zeros(g.shape[:-1])
+        v[..., i] = 1.0
         for j in range(i):
-            v = v - (E[:, j] @ g @ v) * E[:, j]
-        nv = np.sqrt(v @ g @ v)
-        E[:, i] = v / nv
+            v = v - (E[..., None, :, j] @ g @ v[..., None])[..., 0] * E[..., j]
+        E[..., i] = v / np.sqrt(v[..., None, :] @ g @ v[..., None])[..., 0]
     return E
 
 

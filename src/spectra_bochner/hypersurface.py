@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,35 +29,28 @@ from .errors import ConfigError, DegenerateImmersion, NotConvex
 
 @dataclass(frozen=True)
 class ImmersionChart:
-    """Map u in R^n -> ambient point, with optional analytic jets.
+    """Stereographic chart of S^n composed with an ambient affine map.
 
-    ``d_immersion(u)`` has shape (n, m) (rows = partial directions);
-    ``d2_immersion(u)`` has shape (n, n, m).
+    u -> ambient @ x(u) + offset, where x(u) in R^{n+1} is the unit sphere
+    projected from the pole ``pole`` (+1 north, -1 south) and ``ambient``
+    is a constant (m, n+1) matrix.
     """
 
-    immersion: Callable[[np.ndarray], np.ndarray]
-    d_immersion: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    d2_immersion: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    pole: float
+    ambient: np.ndarray
+    offset: Optional[np.ndarray] = None
     sample_radius: float = 1.0
-    fd_step: float = 1e-6
 
-    def jacobian(self, u):
-        """First derivatives (n, m) at u: analytic if given, else central
-        differences of the immersion."""
-        u = np.asarray(u, dtype=float)
-        if self.d_immersion is not None:
-            return np.asarray(self.d_immersion(u), dtype=float)
-        return geom.fd_derivative(self.immersion, u, self.fd_step)
-
-    def jets(self, u):
-        u = np.asarray(u, dtype=float)
-        X = np.asarray(self.immersion(u), dtype=float)
-        J = self.jacobian(u)
-        if self.d2_immersion is not None:
-            H2 = np.asarray(self.d2_immersion(u), dtype=float)
-        else:
-            H2 = geom.fd_derivative(self.jacobian, u, max(self.fd_step, 1e-5))
-        return X, J, H2
+    def jets(self, U):
+        """Closed-form jets at U (..., n): X (..., m), the first derivatives
+        J (..., n, m) and the second derivatives H2 (..., n, n, m), partial
+        directions first."""
+        X, J, H2 = _unit_sphere_chart_jets(self.pole, U)
+        B = self.ambient.T
+        X = X @ B
+        if self.offset is not None:
+            X = X + self.offset
+        return X, J @ B, H2 @ B
 
 
 @dataclass(frozen=True)
@@ -83,28 +76,29 @@ class ImmersedHypersurface:
         for k in range(count):
             ci = k % ncharts
             r = self.charts[ci].sample_radius * math.sqrt(rng.uniform(0.02, 1.0))
-            ang = rng.uniform(0.0, 2.0 * np.pi, size=max(1, self.n - 1))
-            u = _disk_point(self.n, r, ang, rng)
-            pts.append((ci, u))
+            # never read: this draw only keeps the seeded stream of sample
+            # points, and so every sampled constant, where it is
+            rng.uniform(0.0, 2.0 * np.pi, size=max(1, self.n - 1))
+            pts.append((ci, _disk_point(self.n, r, rng)))
         return pts
 
 
-def _disk_point(n, r, ang, rng):
+def _disk_point(n, r, rng):
     v = rng.normal(size=n)
     v /= np.linalg.norm(v)
     return r * v
 
 
 def generalized_cross(vectors):
-    """Vector orthogonal to m-1 given vectors in R^m (cofactor expansion)."""
-    M = np.asarray(vectors, dtype=float)  # (m-1, m)
-    m = M.shape[1]
-    out = np.empty(m)
+    """Vector orthogonal to m-1 given vectors in R^m (cofactor expansion).
+
+    ``vectors`` is (..., m-1, m); the result is (..., m).
+    """
+    M = np.asarray(vectors, dtype=float)
+    m = M.shape[-1]
     cols = np.arange(m)
-    for i in range(m):
-        minor = M[:, cols != i]
-        out[i] = (-1.0) ** i * np.linalg.det(minor)
-    return out
+    return np.stack([(-1.0) ** i * np.linalg.det(M[..., cols != i])
+                     for i in range(m)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +106,13 @@ def generalized_cross(vectors):
 
 @dataclass(frozen=True)
 class ShapeData:
+    """Shape data at a chart point; a stack of points adds a leading axis."""
+
     A: np.ndarray          # symmetric shape operator in the orthonormal frame
-    H: float               # tr A (unnormalized mean curvature)
+    H: np.ndarray          # tr A (unnormalized mean curvature)
     P1: np.ndarray         # H I - A
-    normA2: float
-    S2: float              # sum_{i<j} h_i h_j = (H^2 - |A|^2)/2
+    normA2: np.ndarray
+    S2: np.ndarray         # sum_{i<j} h_i h_j = (H^2 - |A|^2)/2
     principal: np.ndarray  # ascending principal curvatures
     g: np.ndarray          # induced coordinate metric
     frame: np.ndarray      # orthonormal frame (columns, coordinates)
@@ -125,41 +121,47 @@ class ShapeData:
     point: np.ndarray      # ambient position
 
 
-def _raw_shape(hs, chart_idx, u):
-    chart = hs.charts[chart_idx]
-    X, J, H2 = chart.jets(u)
-    g = J @ J.T
-    w = np.linalg.eigvalsh(g)
-    if w[0] <= 1e-12 * max(1.0, w[-1]):
-        raise DegenerateImmersion("induced metric singular at %r" % (u,))
-    if hs.kappa > 0.0:
-        span = np.vstack([J, X / np.linalg.norm(X)])
-    else:
-        span = J
-    nu = generalized_cross(span)
-    nn = np.linalg.norm(nu)
-    if nn == 0.0:
-        raise DegenerateImmersion("immersion not regular at %r" % (u,))
-    nu = nu / nn
-    h = np.einsum("abm,m->ab", H2, nu)
-    return X, g, h, nu
+def _dot(x, y):
+    """x . y over the last axis, rounded like a 1-D ``x @ y`` (the
+    reason is given in _unit_sphere_chart_jets)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def shape_at(hs, u, chart_idx=0):
-    """Shape operator data at a chart point."""
-    X, g, h, nu = _raw_shape(hs, chart_idx, u)
-    s = hs.sign(chart_idx)
-    h = s * h
-    nu = s * nu
+    """Shape operator data at a chart point u (n,) or a stack u (P, n)."""
+    u = np.asarray(u, dtype=float)
+    U = u.reshape(-1, hs.n)
+    X, J, H2 = hs.charts[chart_idx].jets(U)
+    g = J @ np.swapaxes(J, -1, -2)
+    w = np.linalg.eigvalsh(g)
+    bad = w[:, 0] <= 1e-12 * np.maximum(1.0, w[:, -1])
+    if bad.any():
+        raise DegenerateImmersion("induced metric singular at %r"
+                                  % (U[np.argmax(bad)],))
+    if hs.kappa > 0.0:
+        X1 = X / np.sqrt(_dot(X, X))[:, None]
+        span = np.concatenate([J, X1[:, None, :]], axis=1)
+    else:
+        span = J
+    nu = generalized_cross(span)
+    nn = np.sqrt(_dot(nu, nu))
+    if (nn == 0.0).any():
+        raise DegenerateImmersion("immersion not regular at %r"
+                                  % (U[np.argmax(nn == 0.0)],))
+    nu = hs.sign(chart_idx) * nu / nn[:, None]
+    h = np.einsum("pabm,pm->pab", H2, nu)
     E = geom.orthonormal_frame(g)
-    A = E.T @ h @ E
-    A = 0.5 * (A + A.T)
-    lam = np.linalg.eigvalsh(A)
-    H = float(np.trace(A))
-    normA2 = float(np.sum(A * A))
-    return ShapeData(A=A, H=H, P1=H * np.eye(hs.n) - A, normA2=normA2,
-                     S2=0.5 * (H ** 2 - normA2), principal=lam, g=g,
-                     frame=E, h=h, normal=nu, point=X)
+    A = np.swapaxes(E, -1, -2) @ h @ E
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    H = np.trace(A, axis1=-2, axis2=-1)
+    normA2 = np.sum(A * A, axis=(-2, -1))
+    fields = dict(A=A, H=H, P1=H[:, None, None] * np.eye(hs.n) - A,
+                  normA2=normA2, S2=0.5 * (H ** 2 - normA2),
+                  principal=np.linalg.eigvalsh(A), g=g, frame=E, h=h,
+                  normal=nu, point=X)
+    lead = u.shape[:-1]
+    return ShapeData(**{k: v.reshape(lead + v.shape[1:])
+                        for k, v in fields.items()})
 
 
 def gauss_intrinsic(hs, u, chart_idx=0):
@@ -204,11 +206,17 @@ def induced_metric_manifold(hs, chart_idx=0, fd_step=1e-5):
     chart = hs.charts[chart_idx]
 
     def comp(u):
-        J = chart.jacobian(u)
+        _, J, _ = chart.jets(u)
         return J @ J.T
 
+    def dcomp(u):  # d_c g_ab = H2_ca . J_b + J_a . H2_cb
+        _, J, H2 = chart.jets(u)
+        HJ = H2 @ J.T
+        return HJ + np.swapaxes(HJ, 1, 2)
+
     r = chart.sample_radius
-    g = geom.SymmetricTensorField(comp=comp, fd_step=fd_step, name="induced")
+    g = geom.SymmetricTensorField(comp=comp, dcomp=dcomp, fd_step=fd_step,
+                                  name="induced")
     c = geom.Chart(lo=np.full(hs.n, -r), hi=np.full(hs.n, r), metric=g)
     return geom.ChartManifold(dim=hs.n, charts=(c,),
                               atlas_kind=geom.ATLAS_CHART_PATCH,
@@ -252,16 +260,17 @@ def pinching_constants(hs, plan=geom.SamplePlan(points=400)):
     """
     rng = np.random.default_rng(plan.seed)
     pts = hs.sample_points(plan.points, rng)
-    lo, hi = np.inf, -np.inf
-    Hvals = []
-    for ci, u in pts:
-        lam = shape_at(hs, u, ci).principal
-        if lam[0] <= 0.0:
-            raise NotConvex("principal curvature %g <= 0 at %r" % (lam[0], u))
-        lo = min(lo, float(lam[0]))
-        hi = max(hi, float(lam[-1]))
-        Hvals.append(float(np.sum(lam)))
-    Hvals = np.asarray(Hvals)
+    cis = np.array([ci for ci, _ in pts])
+    U = np.array([u for _, u in pts])
+    lam = np.empty((len(pts), hs.n))
+    for ci in range(len(hs.charts)):
+        lam[cis == ci] = shape_at(hs, U[cis == ci], ci).principal
+    bad = lam[:, 0] <= 0.0
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NotConvex("principal curvature %g <= 0 at %r" % (lam[k, 0], U[k]))
+    lo, hi = float(np.min(lam[:, 0])), float(np.max(lam[:, -1]))
+    Hvals = np.sum(lam, axis=1)
     hscale = max(1.0, float(np.max(np.abs(Hvals))))
     constant_H = float(np.max(Hvals) - np.min(Hvals)) <= 1e-8 * hscale
 
@@ -285,49 +294,42 @@ def pinching_constants(hs, plan=geom.SamplePlan(points=400)):
 # ---------------------------------------------------------------------------
 # builders
 
-def _unit_sphere_chart_jets(n, pole, u, order=2):
-    """Jets of the stereographic parametrization of S^n in R^{n+1}.
+def _unit_sphere_chart_jets(pole, U):
+    """Jets of the stereographic parametrization of S^n in R^{n+1} at the
+    points U (..., n): X (..., n+1), J (..., n, n+1), H2 (..., n, n, n+1).
 
     pole = +1 projects from the north pole (u = 0 maps to the south pole),
-    pole = -1 from the south pole.
+    pole = -1 from the south pole.  The first n coordinates are u w(|u|^2)
+    and the last is pole + v(|u|^2), with w(s) = 2/(1+s), v(s) = -pole w(s).
     """
-    ud = geom._inv_power_derivs(2.0, 1.0, order=order)
-    comps = []
-    for a in range(n):
-        comps.append(geom._coord_radial_jets(a, ud, u, order))
-    vd = geom._inv_power_derivs(-2.0 * pole, 1.0, order=order)
-    last = geom._radial_scalar_jets(vd, u, order)
-    last = [last[0] + pole] + list(last[1:])
-    comps.append(last)
-    X = np.array([c[0] for c in comps])
-    J = np.stack([np.atleast_1d(c[1]) for c in comps], axis=-1)
-    H2 = np.stack([c[2] for c in comps], axis=-1)
+    U = np.asarray(U, dtype=float)
+    eye = np.eye(U.shape[-1])
+    q = 1.0 + _dot(U, U)[..., None, None]
+    # q^2 and q^3 by Python's float pow (libm), not numpy's vectorized
+    # power, which rounds differently in the last bit: sigma is a nested
+    # finite difference of H that magnifies such a change about 1e10 times
+    q2, q3 = (np.reshape([v ** k for v in q.ravel().tolist()], q.shape)
+              for k in (2.0, 3.0))
+    w = [2.0 / q, -2.0 / q2, 4.0 / q3]   # d^k w / ds^k
+    uu = U[..., :, None] * U[..., None, :]
+    # derivatives of F(u) = w(|u|^2): dF (..., n, 1), d2F (..., n, n)
+    dF = 2.0 * w[1] * U[..., :, None]
+    d2F = 4.0 * w[2] * uu + 2.0 * w[1] * eye
+    X = np.concatenate([U * w[0][..., 0], pole - pole * w[0][..., 0]], axis=-1)
+    # d_c (u_a w) = delta_ca w + u_a d_c w;  the last coordinate: -pole d_c w
+    J = np.concatenate([eye * w[0] + dF * U[..., None, :], -pole * dF], axis=-1)
+    # d_c d_d (u_a w) = delta_ca d_d w + delta_da d_c w + u_a d_cd w
+    dFe = dF[..., None, :, :] * eye[:, None, :]
+    H2 = np.concatenate([dFe + np.swapaxes(dFe, -3, -2)
+                         + d2F[..., None] * U[..., None, None, :],
+                         -pole * d2F[..., None]], axis=-1)
     return X, J, H2
 
 
-def _scaled_sphere_charts(n, scale, ambient_map=None, offset=None):
-    """Two stereographic charts composed with a linear ambient map + offset."""
-    charts = []
-    for pole in (1.0, -1.0):
-        def imm(u, pole=pole):
-            X, _, _ = _unit_sphere_chart_jets(n, pole, u)
-            Y = ambient_map(X) if ambient_map else scale * X
-            return Y + offset if offset is not None else Y
-
-        def dimm(u, pole=pole):
-            _, J, _ = _unit_sphere_chart_jets(n, pole, u)
-            return np.stack([ambient_map(r) if ambient_map else scale * r
-                             for r in J])
-
-        def d2imm(u, pole=pole):
-            _, _, H2 = _unit_sphere_chart_jets(n, pole, u)
-            rows = [[ambient_map(H2[a, b]) if ambient_map else scale * H2[a, b]
-                     for b in range(n)] for a in range(n)]
-            return np.asarray(rows)
-
-        charts.append(ImmersionChart(immersion=imm, d_immersion=dimm,
-                                     d2_immersion=d2imm, sample_radius=1.0))
-    return charts
+def _sphere_charts(ambient, offset=None):
+    """Two stereographic charts composed with u -> ambient @ x + offset."""
+    return [ImmersionChart(pole=pole, ambient=ambient, offset=offset)
+            for pole in (1.0, -1.0)]
 
 
 def _orient_for_positive_H(n, kappa, charts, name):
@@ -343,14 +345,14 @@ def _orient_for_positive_H(n, kappa, charts, name):
 
 def sphere_surface(r=1.0, n=2):
     """Round n-sphere of radius r in R^{n+1} (A = I/r with inward normal)."""
-    charts = _scaled_sphere_charts(n, float(r))
+    charts = _sphere_charts(float(r) * np.eye(n + 1))
     return _orient_for_positive_H(n, 0.0, charts, "sphere:r=%g" % r)
 
 
 def ellipsoid_surface(a1=1.0, a2=1.0, c=1.1):
     """Ellipsoid x^2/a1^2 + y^2/a2^2 + z^2/c^2 = 1 in R^3."""
     D = np.diag([float(a1), float(a2), float(c)])
-    charts = _scaled_sphere_charts(2, 1.0, ambient_map=lambda v: D @ v)
+    charts = _sphere_charts(D)
     return _orient_for_positive_H(2, 0.0, charts,
                                   "ellipsoid:%g,%g,%g" % (a1, a2, c))
 
@@ -364,12 +366,10 @@ def geodesic_sphere_surface(kappa=1.0, alpha=1.0, n=2):
     theta = math.atan2(rk, alpha)  # cot(theta) = alpha / sqrt(kappa)
     st, ct = math.sin(theta), math.cos(theta)
 
-    def amb(v):
-        return np.concatenate([st * v / rk, [0.0]])
-
+    ambient = np.vstack([st / rk * np.eye(n + 1), np.zeros(n + 1)])
     offset = np.zeros(n + 2)
     offset[-1] = ct / rk
-    charts = _scaled_sphere_charts(n, 1.0, ambient_map=amb, offset=offset)
+    charts = _sphere_charts(ambient, offset)
     return _orient_for_positive_H(
         n, kappa, charts, "geodesic-sphere:kappa=%g,alpha=%g" % (kappa, alpha))
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (FactorizationFailure, NoConvergence, SchoutenUndefined)
@@ -49,9 +48,7 @@ def _nested_dissection(A, points):
     separator, ordered after both sides, which are split again until they
     hold at most ND_LEAF nodes.
     """
-    pattern = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr),
-                            shape=A.shape)
-    upper = np.zeros(A.shape[0])          # 1 on the upper side of a cut
+    upper = np.zeros(A.shape[0], dtype=bool)   # the upper side of a cut
     order = []
     stack = [(np.arange(A.shape[0]), True)]
     while stack:
@@ -71,9 +68,14 @@ def _nested_dissection(A, points):
         if not low.any():
             low = v <= median
         lo, hi = idx[low], idx[~low]
-        upper[hi] = 1.0
-        cut = pattern[lo] @ upper > 0.0
-        upper[hi] = 0.0
+        # a node of lo is cut if its row has an entry in hi; the rows are
+        # run together (none is empty: each holds its diagonal)
+        count = A.indptr[lo + 1] - A.indptr[lo]
+        first = np.cumsum(count) - count
+        run = np.arange(count.sum()) + np.repeat(A.indptr[lo] - first, count)
+        upper[hi] = True
+        cut = np.logical_or.reduceat(upper[A.indices[run]], first)
+        upper[hi] = False
         # popped in reverse: lower side, upper side, then the separator
         stack += [(lo[cut], False), (hi, True), (lo[~cut], True)]
     return np.concatenate(order)

@@ -1,9 +1,12 @@
+import re
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectra_bochner import geometry as geom, hypersurface as hyp
-from spectra_bochner.errors import ConfigError, NotConvex
+from spectra_bochner.errors import ConfigError, DegenerateImmersion, NotConvex
 
 
 class TestShapeOperator:
@@ -47,6 +50,43 @@ class TestShapeOperator:
         sd = hyp.shape_at(gs, np.array([0.2, 0.6]))
         assert np.allclose(sd.A, 2.0 * np.eye(2), atol=1e-9)
         assert np.linalg.norm(sd.point) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestStackedShape:
+    @pytest.mark.parametrize("spec,semiaxes", [
+        ("sphere:r=2", (2.0, 2.0, 2.0)),
+        ("ellipsoid:1,1.3,0.8", (1.0, 1.3, 0.8)),
+        ("geodesic-sphere:kappa=1,alpha=2", None)])
+    def test_stack_matches_points(self, spec, semiaxes):
+        hs = hyp.parse_surface(spec)
+        pts = hs.sample_points(50, np.random.default_rng(17))
+        for ci in (0, 1):
+            U = np.array([u for c, u in pts if c == ci])
+            assert U.shape == (25, 2)
+            sd = hyp.shape_at(hs, U, ci)
+            for k, u in enumerate(U):
+                one = hyp.shape_at(hs, u, ci)
+                for f in fields(sd):
+                    stacked, single = getattr(sd, f.name), getattr(one, f.name)
+                    assert stacked.shape[1:] == np.shape(single)
+                    assert np.max(np.abs(stacked[k] - single)) <= 1e-12
+            if semiaxes is None:  # umbilic, A = alpha I
+                assert np.allclose(sd.A, 2.0 * np.eye(2), atol=1e-9)
+                continue
+            A3, _, B = hyp.ellipsoid_shape_operator(sd.point, semiaxes)
+            lam = np.linalg.eigvalsh(np.swapaxes(B, -1, -2) @ A3 @ B)
+            assert np.allclose(sd.principal, lam, atol=1e-7)
+
+    def test_singular_metric_names_first_bad_point(self):
+        # the unit sphere flattened onto z = 0 folds along |u| = 1
+        chart = hyp.ImmersionChart(pole=1.0, ambient=np.diag([1.0, 1.0, 0.0]))
+        hs = hyp.ImmersedHypersurface(n=2, kappa=0.0, charts=(chart,),
+                                      orient_signs=(1.0,))
+        U = np.array([[0.3, 0.1], [1.0, 0.0], [0.0, 1.0]])
+        hyp.shape_at(hs, U[0])
+        with pytest.raises(DegenerateImmersion,
+                           match=re.escape(repr(U[1]))):
+            hyp.shape_at(hs, U)
 
 
 class TestGaussEquation:
@@ -111,6 +151,29 @@ class TestPinchingConstants:
         hs = hyp.sphere_surface(1.0).flipped()
         with pytest.raises(NotConvex):
             hyp.pinching_constants(hs, geom.SamplePlan(points=10))
+
+    def test_nonconvex_names_first_sample(self):
+        # only chart 1 is inward, so sample 1 is the first offending one
+        hs = hyp.sphere_surface(1.0)
+        hs = replace(hs, orient_signs=(hs.orient_signs[0],
+                                       -hs.orient_signs[1]))
+        plan = geom.SamplePlan(points=10, seed=3)
+        first = hs.sample_points(10, np.random.default_rng(3))[1][1]
+        with pytest.raises(NotConvex, match=re.escape(repr(first))):
+            hyp.pinching_constants(hs, plan)
+
+    def test_constants_pinned(self):
+        # the constants as the per-point pass computed them before shape
+        # data was batched; sigma is a nested finite difference of H and is
+        # held to 1e-6
+        pc = hyp.pinching_constants(hyp.ellipsoid_surface(1.0, 1.0, 1.1),
+                                    geom.SamplePlan(points=400, seed=42))
+        assert pc.alpha == pytest.approx(
+            float.fromhex("0x1.a723fa47177aap-1"), rel=1e-14, abs=0.0)
+        assert pc.a == pytest.approx(
+            float.fromhex("0x1.51f3c9b24a1f4p+0"), rel=1e-14, abs=0.0)
+        assert pc.sigma == pytest.approx(
+            float.fromhex("0x1.fef45b57fd440p-2"), rel=1e-6, abs=0.0)
 
 
 class TestFieldsOnCharts:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from spectra_bochner import discretize as dz, geometry as geom
@@ -128,6 +129,41 @@ class TestNestedDissection:
         for op in (sphere_op, torus_op):
             perm = spec._nested_dissection(op.K.tocsr(), op.points)
             assert np.array_equal(np.sort(perm), np.arange(op.size))
+
+    @staticmethod
+    def reference_order(A, points):
+        """The same dissection with each separator read by a sparse row
+        slice of A's pattern times an indicator of the upper side."""
+        pattern = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr),
+                                shape=A.shape)
+        upper = np.zeros(A.shape[0])
+        order, stack = [], [(np.arange(A.shape[0]), True)]
+        while stack:
+            idx, split = stack.pop()
+            if split and idx.size > spec.ND_LEAF:
+                x = points[idx]
+                axis = int(np.argmax(np.ptp(x, axis=0)))
+                split = np.ptp(x[:, axis]) > 0.0
+            else:
+                split = False
+            if not split:
+                order.append(idx)
+                continue
+            v = x[:, axis]
+            median = np.partition(v, v.size // 2)[v.size // 2]
+            low = v < median if (v < median).any() else v <= median
+            lo, hi = idx[low], idx[~low]
+            upper[hi] = 1.0
+            cut = pattern[lo] @ upper > 0.0
+            upper[hi] = 0.0
+            stack += [(lo[cut], False), (hi, True), (lo[~cut], True)]
+        return np.concatenate(order)
+
+    def test_order_matches_reference(self, sphere_op, torus_op):
+        for op in (sphere_op, torus_op):
+            A = op.K.tocsr()
+            assert np.array_equal(spec._nested_dissection(A, op.points),
+                                  self.reference_order(A, op.points))
 
     def test_fill_below_default_order(self, torus_op):
         r = spec.smallest_nonzero(torus_op, k=1)
