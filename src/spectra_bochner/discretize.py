@@ -229,6 +229,9 @@ class AssembledOperator:
     M: sp.csr_matrix
     points: np.ndarray             # (N, d) node coordinates, row i = node i
     record: Dict[str, object] = field(default_factory=dict)
+    # periodic grids only: Fourier symbols (stiffness, mass) of the pencil
+    # with the cell-averaged coefficients, arrays of the grid's shape
+    symbols: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def size(self):
@@ -376,9 +379,29 @@ def _assemble_grid(grid, phi_provider):
     corners = lower[:, :, None] + bits.T[:, None, :]   # (n, C, 2^n)
     nodes = np.ravel_multi_index(tuple(corners), shape, mode="wrap")
     K, M = _sparse_pair(nodes.astype(np.int32), Ke, Me, grid.num_nodes)
+    symbols = _grid_symbols(shape, bits, np.stack(
+        [np.einsum("ab,abIJ->IJ", W.mean(axis=0), T), vol.mean() * Me_unit]))
     rec = {"domain": "PeriodicGrid", "shape": tuple(shape),
            "phi": getattr(phi_provider, "label", "custom")}
-    return AssembledOperator(K=K, M=M, points=grid.node_points(), record=rec)
+    return AssembledOperator(K=K, M=M, points=grid.node_points(), record=rec,
+                             symbols=symbols)
+
+
+def _grid_symbols(shape, bits, E0):
+    """Fourier symbols of constant-coefficient element matrices E0
+    (s, 2^n, 2^n) on a periodic grid.
+
+    The grid operator assembled from one element matrix E0 for every cell
+    maps the mode exp(i theta.j) to lambda(theta) times itself, with
+    lambda(theta) = sum_ab E0[a, b] exp(i theta.(bits_b - bits_a)) and
+    theta_j = 2 pi k_j / s_j, in numpy.fft's order of k.  Returns one
+    real array of the grid's shape per element matrix.
+    """
+    theta = np.meshgrid(*[2.0 * np.pi * np.arange(s) / s for s in shape],
+                        indexing="ij")
+    phase = np.exp(1j * np.einsum("j...,aj->...a", np.array(theta), bits))
+    lam = np.einsum("...a,sab,...b->s...", phase.conj(), E0, phase).real
+    return tuple(lam)
 
 
 def _post_checks(K):

@@ -61,8 +61,9 @@ def newton_inequality_trials(cfg=TrialConfig()):
     Defects are normalized by tr B; violations counted below -1e-10.  The
     equality detector asserts A ~ (tr AB / tr B) I whenever the normalized
     defect drops below 1e-10; false positives are counted (must stay zero).
-    Each trial's A, Gaussian Q seed and eigenvalues come from the stream in
-    trial order, up to QA_BATCH trials at a time; each such chunk is then
+    Up to QA_BATCH trials at a time, the stream gives every trial a
+    dim_hi x dim_hi A and Gaussian Q seed and dim_hi eigenvalues, of which
+    a trial of dimension n uses the leading n; each such chunk is then
     evaluated per dimension with one stacked QR.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -74,13 +75,9 @@ def newton_inequality_trials(cfg=TrialConfig()):
     m = cfg.dim_hi
     for start in range(0, cfg.trials, QA_BATCH):
         chunk = dims[start:start + QA_BATCH]
-        As = np.zeros((chunk.size, m, m))     # zero-padded draws
-        Gs = np.zeros((chunk.size, m, m))
-        lams = np.zeros((chunk.size, m))
-        for t, n in enumerate(chunk):
-            As[t, :n, :n] = rng.uniform(-1.0, 1.0, size=(n, n))
-            Gs[t, :n, :n] = rng.standard_normal((n, n))
-            lams[t, :n] = rng.uniform(cfg.eig_lo, cfg.eig_hi, size=n)
+        As = rng.uniform(-1.0, 1.0, size=(chunk.size, m, m))
+        Gs = rng.standard_normal((chunk.size, m, m))
+        lams = rng.uniform(cfg.eig_lo, cfg.eig_hi, size=(chunk.size, m))
         for n in np.unique(chunk):
             sel = chunk == n
             A = As[sel, :n, :n]
@@ -129,37 +126,34 @@ def qa_bound_trials(cfg=TrialConfig(), kappa_sign="positive", planted=False):
     Q(A) is a polynomial in A, so it diagonalizes simultaneously with A and
     diagonal A covers the general case.  ``planted=True`` draws the
     eigenvalues outside the claimed [alpha, a*alpha] band (negative control;
-    the suite must then report violations).  Each trial's draws come from
-    the stream in trial order; Q(A) is then evaluated per dimension, up
-    to QA_BATCH trials at a time.
+    the suite must then report violations).  The stream gives whole arrays
+    in turn: dimensions, alpha, a, kappa, then dim_hi eigenvalues per
+    trial, of which a trial of dimension n uses the leading n.  Q(A) is
+    then evaluated per dimension, up to QA_BATCH trials at a time.
     """
     if kappa_sign not in ("positive", "negative"):
         raise ConfigError("kappa_sign must be 'positive' or 'negative'")
     rng = np.random.default_rng(cfg.seed + (0 if kappa_sign == "positive"
                                             else 1))
-    dims = np.empty(cfg.trials, dtype=int)
-    draws = np.empty((cfg.trials, 3))            # alpha, a, kappa
-    h = np.zeros((cfg.trials, cfg.dim_hi))       # eigenvalues, zero-padded
-    for t in range(cfg.trials):
-        n = int(rng.integers(max(cfg.dim_lo, 2), cfg.dim_hi + 1))
-        alpha = rng.uniform(0.2, 2.0)
-        a = rng.uniform(1.0, 2.0)
-        if kappa_sign == "positive":
-            kappa = rng.uniform(1e-6, 2.0)
-        else:
-            kappa = rng.uniform(-2.0, 0.0)
-        if planted:
-            h[t, :n] = rng.uniform(0.5 * alpha, 2.0 * a * alpha, size=n)
-        else:
-            h[t, :n] = rng.uniform(alpha, a * alpha, size=n)
-        dims[t] = n
-        draws[t] = alpha, a, kappa
+    size = cfg.trials
+    dims = rng.integers(max(cfg.dim_lo, 2), cfg.dim_hi + 1, size=size)
+    alphas = rng.uniform(0.2, 2.0, size=size)
+    aas = rng.uniform(1.0, 2.0, size=size)
+    if kappa_sign == "positive":
+        kappas = rng.uniform(1e-6, 2.0, size=size)
+    else:
+        kappas = rng.uniform(-2.0, 0.0, size=size)
+    if planted:
+        lo, hi = 0.5 * alphas, 2.0 * aas * alphas
+    else:
+        lo, hi = alphas, aas * alphas
+    h = rng.uniform(lo[:, None], hi[:, None], size=(size, cfg.dim_hi))
     violations = 0
     worst = np.inf
     for n in np.unique(dims):
         group = np.flatnonzero(dims == n)
         for sel in np.split(group, np.arange(QA_BATCH, group.size, QA_BATCH)):
-            alpha, a, kappa = draws[sel].T
+            alpha, a, kappa = alphas[sel], aas[sel], kappas[sel]
             Q = hyp.q_polynomial(h[sel, :n, None] * np.eye(n), kappa)
             defect = (np.min(np.diagonal(Q, axis1=1, axis2=2), axis=1)
                       - qa_lower_bound(n, alpha, a, kappa)) / alpha ** 3

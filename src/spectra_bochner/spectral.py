@@ -1,25 +1,30 @@
 """First nonzero eigenvalue of K u = mu M u, plus closed-form sphere spectra.
 
-The singular pencil (constants span the kernel of K) is handled by
-shift-inverted Lanczos on (K + eps*M)^{-1} M with a tiny regularization eps
-and explicit M-orthogonal deflation of the constant mode.  K + eps*M is
-factored once, in a coordinate nested-dissection order of the nodes.  Round
-spheres have closed-form spectra for the Laplacian, the Schouten operator,
-and the linearized operator L1 of an umbilic geodesic sphere, used as
-oracles.
+The pencil is singular (constants span the kernel of K).  Periodic grids are
+solved by LOBPCG constrained M-orthogonal to the constants and
+preconditioned through the FFT by the pencil with cell-averaged
+coefficients; nothing is factored and no shift enters their mu1.  Every
+other operator is solved by shift-inverted Lanczos on (K + eps*M)^{-1} M
+with a tiny regularization eps and explicit M-orthogonal deflation of the
+constant mode, K + eps*M factored once in a coordinate nested-dissection
+order of the nodes.  Round spheres have closed-form spectra for the
+Laplacian, the Schouten operator, and the linearized operator L1 of an
+umbilic geodesic sphere, used as oracles.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .errors import (FactorizationFailure, NoConvergence, SchoutenUndefined)
+from .errors import (ConfigError, FactorizationFailure, NoConvergence,
+                     SchoutenUndefined)
 
 
 @dataclass(frozen=True)
@@ -81,31 +86,19 @@ def _nested_dissection(A, points):
     return np.concatenate(order)
 
 
-def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
-    """k smallest nonzero eigenvalues of K u = mu M u.
+# LOBPCG iterations per run, and runs from the block the last one returned
+LOBPCG_MAXITER = 1000
+LOBPCG_RUNS = 4
 
-    K must be PSD with constants spanning its kernel and M SPD.  Constants
-    are deflated by projecting the Lanczos iterates M-orthogonally to 1.
-    K + eps*M is factored once (SuperLU in the nested-dissection order of
-    ``op.points``); diagnostics report its ``fill`` (the nonzeros SuperLU
-    stores for L and U, ``SuperLU.nnz``: reading ``.L`` and ``.U`` would
-    copy the factor), ``factor_s`` (ordering plus factorization) and the
-    number of shift-invert ``solves``.
-    """
-    K, M = op.K.tocsc(), op.M.tocsc()
+
+def _shift_invert_lanczos(op, K, M, k, tol, rng, scale, m1, vol):
+    """(mu, U, stats) from shift-inverted Lanczos on the factored K + eps*M:
+    k + 2 Ritz pairs, the constant mode among them.  The start vector is
+    M-orthogonal to the constants (m1 = M 1, vol = 1'M1)."""
     N = K.shape[0]
-    scale = abs(K).sum() / max(1.0, abs(M).sum())
     eps = 1e-8 * scale
-
-    ones = np.ones(N)
-    m1 = M @ ones
-    vol = float(ones @ m1)
-
-    def deflate(x):
-        return x - (float(m1 @ x) / vol) * ones
-
-    rng = np.random.default_rng(seed)
-    v0 = deflate(rng.standard_normal(N))
+    v0 = rng.standard_normal(N)
+    v0 -= float(m1 @ v0) / vol
     want = min(k + 2, N - 2)
     solves = 0
 
@@ -132,6 +125,93 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
                             residuals=None) from exc
     except RuntimeError as exc:
         raise FactorizationFailure(str(exc)) from exc
+    return mu, U, {"shift": eps, "fill": int(lu.nnz), "factor_s": factor_s,
+                   "solves": solves}
+
+
+def _lobpcg_fft(K, M, symbols, k, tol, rng, scale, vol):
+    """(mu, U, stats) from LOBPCG on K u = mu M u, M-orthogonal to the
+    constants, preconditioned by the inverse of the cell-averaged pencil's
+    stiffness (its Fourier symbol; the mass symbol on the constant mode).
+
+    Convergence asks ||K x - mu M x|| <= tol * scale * sqrt(vol / N) of
+    every M-normalized column x: scale * vol / N estimates ||K|| and
+    sqrt(N / vol) the 2-norm of x.  scipy locks a column once it is below
+    its tolerance and does not check it again, and later Rayleigh-Ritz
+    steps can lift a locked column above it (seen at k >= 2 in the 4-fold
+    mu1 cluster of the perturbed 3-torus).  So the residuals are checked
+    here, and a new run starts from the block the last one returned, with
+    scipy's tolerance a tenth of the last run's.
+    """
+    stiff, mass = symbols
+    shape, N = stiff.shape, K.shape[0]
+    if 5 * k >= N:   # scipy's lobpcg would turn to a dense solver
+        raise ConfigError("k = %d is too large for LOBPCG on %d nodes"
+                          % (k, N))
+    t0 = time.perf_counter()
+    half = stiff[..., :shape[-1] // 2 + 1].copy()
+    half.flat[0] = mass.flat[0]
+    axes = tuple(range(len(shape)))
+
+    def precondition(x):
+        xg = x.reshape(shape + (-1,))
+        y = np.fft.irfftn(np.fft.rfftn(xg, axes=axes) / half[..., None],
+                          s=shape, axes=axes)
+        return y.reshape(x.shape)
+
+    P = spla.LinearOperator((N, N), matvec=precondition,
+                            matmat=precondition, dtype=float)
+    X = rng.standard_normal((N, k))
+    limit = tol * scale * math.sqrt(vol / N)
+    setup_s = time.perf_counter() - t0
+    history = []
+    for run in range(LOBPCG_RUNS):
+        with warnings.catch_warnings():   # unconverged runs are caught below
+            warnings.simplefilter("ignore")
+            mu, X, hist = spla.lobpcg(K, X, B=M, M=P, Y=np.ones((N, 1)),
+                                      tol=limit * 0.1 ** run,
+                                      maxiter=LOBPCG_MAXITER,
+                                      largest=False,
+                                      retResidualNormsHistory=True)
+        history += [float(np.max(r)) for r in hist]
+        res = np.linalg.norm(K @ X - (M @ X) * mu, axis=0)
+        if np.max(res) <= limit:
+            return mu, X, {"iterations": len(history), "setup_s": setup_s,
+                           "residual_history": history}
+    raise NoConvergence("LOBPCG did not converge in %d iterations: residuals "
+                        "%s above %.3g" % (len(history), res.tolist(), limit),
+                        eigenvalues=mu, residuals=res)
+
+
+def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
+    """k smallest nonzero eigenvalues of K u = mu M u.
+
+    K must be PSD with constants spanning its kernel and M SPD.  The solver
+    follows the domain kind, named by ``diagnostics["solver"]``:
+    ``"lobpcg-fft"`` on periodic grids (``op.symbols`` set), reporting
+    ``iterations``, ``setup_s`` and the block's largest residual per
+    iteration (``residual_history``); ``"splu-shift-invert"`` otherwise,
+    reporting the ``shift`` eps, the ``fill`` of K + eps*M's factor (the
+    nonzeros SuperLU stores for L and U, ``SuperLU.nnz``: reading ``.L``
+    and ``.U`` would copy the factor), ``factor_s`` (ordering plus
+    factorization) and the number of shift-invert ``solves``.
+    """
+    K, M = op.K.tocsc(), op.M.tocsc()
+    N = K.shape[0]
+    scale = abs(K).sum() / max(1.0, abs(M).sum())
+
+    ones = np.ones(N)
+    m1 = M @ ones
+    vol = float(ones @ m1)
+
+    rng = np.random.default_rng(seed)
+    if op.symbols is None:
+        solver = "splu-shift-invert"
+        mu, U, stats = _shift_invert_lanczos(op, K, M, k, tol, rng, scale,
+                                             m1, vol)
+    else:
+        solver = "lobpcg-fft"
+        mu, U, stats = _lobpcg_fft(K, M, op.symbols, k, tol, rng, scale, vol)
     idx = np.argsort(mu)
     mu, U = mu[idx], U[:, idx]
     # drop the constant mode: dominant M-overlap with 1, eigenvalue near 0
@@ -157,9 +237,8 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
     mu = np.array([float(U[:, j] @ (K @ U[:, j])) for j in range(k)])
     idx = np.argsort(mu)
     mu, U, res = mu[idx], U[:, idx], res[idx]
-    diag = {"shift": eps, "k": k, "seed": seed, "size": N,
-            "fill": int(lu.nnz), "factor_s": factor_s,
-            "solves": solves, "record": dict(op.record)}
+    diag = {"solver": solver, "k": k, "seed": seed, "size": N, **stats,
+            "record": dict(op.record)}
     return EigenResult(eigenvalues=mu, eigenvectors=U, residuals=res,
                        diagnostics=diag)
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,19 @@ class TestEig:
         assert code == 0
         assert json.loads(out)["eigenvalues"][0] == pytest.approx(1.0,
                                                                   abs=0.01)
+
+    def test_torus_grid_diagnostics(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no solver warning may surface
+            code, out, err = run(capsys, "--json", "eig", "--manifold",
+                                 "torus2:L=6.283185307179586",
+                                 "--resolution", "32", "--k", "1")
+        assert code == 0 and err == ""
+        diag = json.loads(out)["diagnostics"]
+        assert diag["solver"] == "lobpcg-fft"
+        assert diag["iterations"] == len(diag["residual_history"]) > 0
+        assert diag["setup_s"] >= 0.0
+        assert "fill" not in diag and "shift" not in diag
 
     def test_missing_domain(self, capsys):
         code, _, err = run(capsys, "eig")

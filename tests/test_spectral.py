@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as sl
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from spectra_bochner import discretize as dz, geometry as geom
 from spectra_bochner import spectral as spec
-from spectra_bochner.errors import NoConvergence, SchoutenUndefined
+from spectra_bochner.errors import (ConfigError, NoConvergence,
+                                   SchoutenUndefined)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +54,12 @@ class TestSmallestNonzero:
         assert r.eigenvalues[2] - r.eigenvalues[0] < 1e-6
         assert r.eigenvalues[3] > 5.5
         assert np.max(r.residuals) < 1e-8
+
+    def test_mesh_solver_diagnostics(self, sphere_result):
+        diag = sphere_result.diagnostics
+        assert diag["solver"] == "splu-shift-invert"
+        assert diag["fill"] > 0 and diag["solves"] > 0 and diag["shift"] > 0
+        assert "iterations" not in diag
 
     def test_m_orthonormal_eigenvectors(self, sphere_op, sphere_result):
         U = sphere_result.eigenvectors
@@ -116,17 +124,91 @@ class TestSmallestNonzero:
         assert r2 == pytest.approx(4.0, abs=0.3)
 
 
-class TestNestedDissection:
-    @pytest.fixture(scope="class")
-    def torus_op(self):
-        m = geom.parse_manifold("torus3:perturb=sin")
-        chart = m.chart()
-        grid = dz.PeriodicGrid(lengths=chart.hi - chart.lo, shape=(18,) * 3,
-                               metric=chart.metric.comp)
-        return dz.assemble(grid, dz.grid_metric_coefficient(grid))
+def torus_grid_op(res):
+    chart = geom.parse_manifold("torus3:perturb=sin").chart()
+    grid = dz.PeriodicGrid(lengths=chart.hi - chart.lo, shape=(res,) * 3,
+                           metric=chart.metric.comp)
+    return dz.assemble(grid, dz.grid_metric_coefficient(grid))
 
-    def test_order_is_permutation(self, sphere_op, torus_op):
-        for op in (sphere_op, torus_op):
+
+@pytest.fixture(scope="module")
+def torus18_op():
+    return torus_grid_op(18)
+
+
+class TestGridSolver:
+    @pytest.mark.parametrize("lengths,shape", [
+        ([2 * np.pi, 3.0], (7, 5)),
+        ([2 * np.pi] * 3, (6, 6, 6)),
+    ])
+    def test_symbols_are_flat_spectrum(self, lengths, shape):
+        # a flat grid has constant coefficients, so stiffness over mass
+        # symbol is the whole discrete spectrum
+        op = dz.assemble(dz.PeriodicGrid(lengths=lengths, shape=shape),
+                         dz.metric_coefficient())
+        stiff, mass = op.symbols
+        assert stiff.shape == mass.shape == shape
+        dense = sl.eigh(op.K.toarray(), op.M.toarray(), eigvals_only=True)
+        ratio = np.sort((stiff / mass).ravel())
+        assert np.max(np.abs(ratio - dense)) <= 1e-12 * dense[-1]
+
+    def test_meshes_carry_no_symbols(self, sphere_op):
+        assert sphere_op.symbols is None
+
+    # mu1 recorded for these grids by the shift-invert solver
+    @pytest.mark.parametrize("res,recorded", [(6, 1.0867453285340072),
+                                              (8, 1.0449199065803503)])
+    def test_perturbed_torus_matches_dense(self, res, recorded):
+        op = torus_grid_op(res)
+        r = spec.smallest_nonzero(op, k=1)
+        assert r.diagnostics["solver"] == "lobpcg-fft"
+        dense = sl.eigh(op.K.toarray(), op.M.toarray(), eigvals_only=True)
+        assert abs(dense[0]) < 1e-10
+        assert r.mu1 == pytest.approx(dense[1], rel=1e-10)
+        assert r.mu1 == pytest.approx(recorded, rel=1e-10)
+
+    def test_unconverged_block_raises(self, monkeypatch):
+        op = torus_grid_op(6)
+
+        def stalled(A, X, B=None, M=None, Y=None, tol=None, maxiter=None,
+                    largest=True, retResidualNormsHistory=False):
+            # scipy warns and returns its best block when it stops short
+            mu = np.full(X.shape[1], 1.2)
+            return mu, X, [np.ones(X.shape[1])] * maxiter
+
+        monkeypatch.setattr(spec.spla, "lobpcg", stalled)
+        with pytest.raises(NoConvergence) as info:
+            spec.smallest_nonzero(op, k=2)
+        assert np.array_equal(info.value.eigenvalues, [1.2, 1.2])
+        assert info.value.residuals.shape == (2,)
+        assert np.min(info.value.residuals) > 1e-6
+
+    def test_lifted_locked_column_reruns(self, torus18_op, monkeypatch):
+        # at this start block scipy's first run returns a column above the
+        # tolerance, which it had locked earlier; a second run converges
+        calls = []
+        lobpcg = spec.spla.lobpcg
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["tol"])
+            return lobpcg(*args, **kwargs)
+
+        monkeypatch.setattr(spec.spla, "lobpcg", counted)
+        r = spec.smallest_nonzero(torus18_op, k=2, seed=[1000, 5])
+        assert len(calls) == 2 and calls[1] < calls[0]
+        assert r.diagnostics["residual_history"][-1] <= calls[0]
+        assert np.allclose(r.eigenvalues, 1.0028150121556432, rtol=1e-10)
+
+    def test_block_too_large_for_grid(self):
+        op = dz.assemble(dz.PeriodicGrid(lengths=[1.0, 1.0], shape=(3, 3)),
+                         dz.metric_coefficient())
+        with pytest.raises(ConfigError):
+            spec.smallest_nonzero(op, k=2)
+
+
+class TestNestedDissection:
+    def test_order_is_permutation(self, sphere_op, torus18_op):
+        for op in (sphere_op, torus18_op):
             perm = spec._nested_dissection(op.K.tocsr(), op.points)
             assert np.array_equal(np.sort(perm), np.arange(op.size))
 
@@ -159,18 +241,21 @@ class TestNestedDissection:
             stack += [(lo[cut], False), (hi, True), (lo[~cut], True)]
         return np.concatenate(order)
 
-    def test_order_matches_reference(self, sphere_op, torus_op):
-        for op in (sphere_op, torus_op):
+    def test_order_matches_reference(self, sphere_op, torus18_op):
+        for op in (sphere_op, torus18_op):
             A = op.K.tocsr()
             assert np.array_equal(spec._nested_dissection(A, op.points),
                                   self.reference_order(A, op.points))
 
-    def test_fill_below_default_order(self, torus_op):
-        r = spec.smallest_nonzero(torus_op, k=1)
-        eps = r.diagnostics["shift"]
-        lu = spla.splu((torus_op.K + eps * torus_op.M).tocsc())
-        assert 0 < r.diagnostics["fill"] < lu.nnz
-        assert r.diagnostics["solves"] > 0
+    def test_fill_below_default_order(self, torus18_op):
+        # grids are solved without a factorization, so the 18^3 torus's
+        # K + eps*M is ordered and factored here as the mesh path would
+        K, M = torus18_op.K, torus18_op.M
+        A = (K + 1e-8 * abs(K).sum() / abs(M).sum() * M).tocsr()
+        perm = spec._nested_dissection(A, torus18_op.points)
+        fill = spla.splu(A[perm][:, perm].tocsc(), permc_spec="NATURAL").nnz
+        lu = spla.splu(A.tocsc())
+        assert 0 < fill < lu.nnz
 
 
 class TestEigenpairPairingDefect:
