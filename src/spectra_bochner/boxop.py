@@ -39,7 +39,8 @@ def schouten_box(m, fd_step=1e-4):
 
 @dataclass(frozen=True)
 class BochnerResidual:
-    """Term-by-term evaluation of the generalized Bochner identity."""
+    """Term-by-term evaluation of the generalized Bochner identity; lhs,
+    the rhs terms and the residual are (P,) arrays for a stack of P points."""
 
     c: float
     lhs: float
@@ -68,12 +69,11 @@ def divergence_form_defect(box, f, p, fd_step=1e-5):
     chart = box.chart
     geo = geom.point_geometry(chart, p)
 
-    def vec(q):
-        g = chart.metric.comp(q)
-        g_inv = np.linalg.inv(g)
+    def vec(q):  # coordinate components of phi(grad f) at the points q
+        g_inv = np.linalg.inv(geom.metric_jets(chart, q, 0)[0])
         _, df = f.partials(q, 1)
-        ph = box.phi.comp(q)
-        return g_inv @ ph @ g_inv @ df  # coordinate components of phi(grad f)
+        ph = box.phi.partials(q, 0)[0]
+        return (g_inv @ ph @ g_inv @ df[..., None])[..., 0]
 
     dV = geom.fd_derivative(vec, geo.p, fd_step)
     div_composite = float(np.trace(dV)
@@ -90,7 +90,9 @@ def bochner_residual(box, f, p, cvals):
     """Evaluate every term of the generalized Bochner identity at p, once
     per value of c in ``cvals``; returns one BochnerResidual per c.
 
-    The jets and the curvature are evaluated once.  The identity holds for
+    ``p`` is a point (n,) or a stack (P, n); every field of a
+    BochnerResidual is then a float or a (P,) array.  The jets and the
+    curvature are evaluated once, for the whole stack.  The identity holds for
     every real c: its two c-terms, ``c_trace_hessian`` and the c part of
     ``divergence_difference``, are the same contraction
     c * sum phi_mmij f_i f_j with opposite signs, so the residuals
@@ -104,45 +106,49 @@ def bochner_residual(box, f, p, cvals):
     except (TypeError, ValueError) as exc:
         raise InsufficientSmoothness(str(exc)) from exc
     Rf = geom.curvature_at(box.manifold, geo).riemann
-    ric = np.einsum("mkjk->mj", Rf)
+    ric = np.einsum("...mkjk->...mj", Rf)
 
     # lhs: 0.5 box(|grad f|^2), Hessian of |grad f|^2 expanded by Leibniz
-    u_jk = 2.0 * (np.einsum("ij,ik->jk", fij, fij)
-                  + np.einsum("i,ijk->jk", fi, f3))
-    lhs = 0.5 * float(np.sum(ph * u_jk))
+    u_jk = 2.0 * (np.einsum("...ij,...ik->...jk", fij, fij)
+                  + np.einsum("...i,...ijk->...jk", fi, f3))
+    lhs = 0.5 * np.einsum("...jk,...jk->...", ph, u_jk)
 
-    grad_box = np.einsum("ijk,ij->k", p3, fij) + np.einsum("ij,ijk->k", ph, f3)
-    grad_lap = np.einsum("iik->k", f3)
+    grad_box = (np.einsum("...ijk,...ij->...k", p3, fij)
+                + np.einsum("...ij,...ijk->...k", ph, f3))
+    grad_lap = np.einsum("...iik->...k", f3)
+    p3_skew = p3 - np.swapaxes(p3, -1, -2)
 
-    trace_c = float(np.einsum("mmij,i,j->", p4, fi, fi))
-    div_ikkj = np.einsum("i,j,ikkj->", fi, fi, p4)
-    div_kkij = np.einsum("i,j,kkij->", fi, fi, p4)
+    trace_c = np.einsum("...mmij,...i,...j->...", p4, fi, fi)
+    div_ikkj = np.einsum("...i,...j,...ikkj->...", fi, fi, p4)
+    div_kkij = np.einsum("...i,...j,...kkij->...", fi, fi, p4)
     # the c-terms are filled in per c below; the key order fixes the
     # order of the rhs sum
     terms = {
-        "grad_f_grad_boxf": float(fi @ grad_box),
-        "phi_gradf_grad_lapf": float(np.einsum("kj,j,k->", ph, fi, grad_lap)),
-        "hessian_square": 2.0 * float(np.einsum("ij,jk,ki->", ph, fij, fij)),
-        "curvature": 2.0 * float(np.einsum("i,j,im,mj->", fi, fi, ph, ric)),
+        "grad_f_grad_boxf": np.einsum("...k,...k->...", fi, grad_box),
+        "phi_gradf_grad_lapf": np.einsum("...kj,...j,...k->...",
+                                         ph, fi, grad_lap),
+        "hessian_square": 2.0 * np.einsum("...ij,...jk,...ki->...",
+                                          ph, fij, fij),
+        "curvature": 2.0 * np.einsum("...i,...j,...im,...mj->...",
+                                     fi, fi, ph, ric),
         "c_trace_hessian": None,
-        "laplacian_phi": -float(np.einsum("i,j,ijkk->", fi, fi, p4)),
+        "laplacian_phi": -np.einsum("...i,...j,...ijkk->...", fi, fi, p4),
         "divergence_difference": None,
         # div-form group 1: sum_k ( f_i f_j (phi_jik - phi_jki) )_k
-        "divform_codazzi": float(
-            np.einsum("ik,j,jik->", fij, fi, p3 - p3.transpose(0, 2, 1))
-            + np.einsum("i,jk,jik->", fi, fij, p3 - p3.transpose(0, 2, 1))
-            + np.einsum("i,j,jikk->", fi, fi, p4)
-            - np.einsum("i,j,jkik->", fi, fi, p4)),
+        "divform_codazzi": (
+            np.einsum("...ik,...j,...jik->...", fij, fi, p3_skew)
+            + np.einsum("...i,...jk,...jik->...", fi, fij, p3_skew)
+            + np.einsum("...i,...j,...jikk->...", fi, fi, p4)
+            - np.einsum("...i,...j,...jkik->...", fi, fi, p4)),
         # div-form group 2: -sum_k ( f_j phi_ij f_ik )_k
-        "divform_flux": -float(
-            np.einsum("jk,ij,ik->", fij, ph, fij)
-            + np.einsum("j,ijk,ik->", fi, p3, fij)
-            + np.einsum("j,ij,ikk->", fi, ph, f3)),
+        "divform_flux": -(np.einsum("...jk,...ij,...ik->...", fij, ph, fij)
+                          + np.einsum("...j,...ijk,...ik->...", fi, p3, fij)
+                          + np.einsum("...j,...ij,...ikk->...", fi, ph, f3)),
     }
     out = []
     for c in cvals:
         terms_c = dict(terms, c_trace_hessian=c * trace_c,
-                       divergence_difference=float(div_ikkj - c * div_kkij))
+                       divergence_difference=div_ikkj - c * div_kkij)
         rhs = sum(terms_c.values())
         out.append(BochnerResidual(c=float(c), lhs=lhs, rhs_terms=terms_c,
                                    residual=abs(lhs - rhs)))

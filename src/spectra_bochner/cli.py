@@ -69,13 +69,11 @@ def cmd_verify(args):
         cvals = [float(c) for c in args.c.split(",")]
         rng = np.random.default_rng(args.seed)
         pts = m.sample_points(args.samples, rng)
-        rows = []
-        worst = 0.0
-        for p in pts:
-            rs = [r.residual for r in boxop.bochner_residual(box, f, p, cvals)]
-            worst = max(worst, max(rs))
-            rows.append({"point": [round(float(x), 6) for x in p],
-                         "residuals": rs})
+        rs = np.array([r.residual
+                       for r in boxop.bochner_residual(box, f, pts, cvals)])
+        worst = float(np.max(rs, initial=0.0))
+        rows = [{"point": [round(float(x), 6) for x in p],
+                 "residuals": rs[:, i].tolist()} for i, p in enumerate(pts)]
         payload = {"manifold": args.manifold, "phi": args.phi,
                    "cvals": cvals, "samples": args.samples,
                    "max_residual": worst,

@@ -182,11 +182,16 @@ def scaled_mesh(mesh, scale):
 
 @dataclass(frozen=True)
 class PeriodicGrid:
-    """Tensor-product periodic grid on the box prod [0, L_i)."""
+    """Tensor-product periodic grid on the box prod [0, L_i).
+
+    ``metric`` maps a stack of points (..., n) to the coordinate metrics
+    (..., n, n) there (a constant may ignore the point axes); assembly calls
+    it once with every cell center.  None is the flat metric.
+    """
 
     lengths: np.ndarray            # (n,)
     shape: Tuple[int, ...]         # nodes per axis
-    metric: Optional[Callable[[np.ndarray], np.ndarray]] = None  # p -> (n,n)
+    metric: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "lengths",
@@ -358,10 +363,9 @@ def _assemble_grid(grid, phi_provider):
     T, Me_unit = _grid_element_tensors(grid.steps)
     lower = np.indices(shape).reshape(n, -1)     # cell corners, C order
     centers = (lower.T + 0.5) * grid.steps
-    if grid.metric is None:
-        G = np.broadcast_to(np.eye(n), (len(centers), n, n))
-    else:  # a pointwise callable p -> (n, n): one call per cell center
-        G = np.array([grid.metric(c) for c in centers], dtype=float)
+    G = np.broadcast_to(np.eye(n) if grid.metric is None
+                        else np.asarray(grid.metric(centers), dtype=float),
+                        (len(centers), n, n))
     spd = np.linalg.eigvalsh(G)[:, 0] > 0.0
     if not np.all(spd):
         raise DegenerateElement("grid metric not SPD at %r"

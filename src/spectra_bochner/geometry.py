@@ -34,20 +34,44 @@ DEFAULT_FD_STEP = 1e-5
 # finite differences
 
 def fd_derivative(fn, p, step):
-    """Central-difference derivative of an array-valued function of a point.
+    """Central-difference derivative of an array-valued function of points.
 
-    Returns an array of shape (n,) + shape(fn(p)); axis 0 is the partial
-    derivative direction.
+    ``p`` is a point (n,) or a stack (..., n), and ``fn`` maps a stack of
+    points to the stack of its values; the 2n shifted copies of ``p`` go to
+    ``fn`` in one call.  Returns an array of shape p.shape[:-1] + (n,) +
+    shape(value); the axis after the point axes is the partial derivative
+    direction.
     """
     p = np.asarray(p, dtype=float)
-    n = p.size
-    rows = []
-    for a in range(n):
-        dp = np.zeros(n)
-        dp[a] = step
-        rows.append((np.asarray(fn(p + dp), dtype=float)
-                     - np.asarray(fn(p - dp), dtype=float)) / (2.0 * step))
-    return np.stack(rows, axis=0)
+    n = p.shape[-1]
+    shifts = step * np.array([1.0, -1.0])[:, None, None] * np.eye(n)
+    vals = np.asarray(fn(p + shifts.reshape((2, n) + (1,) * (p.ndim - 1) + (n,))),
+                      dtype=float)
+    return np.moveaxis((vals[0] - vals[1]) / (2.0 * step), 0, p.ndim - 1)
+
+
+def _partials(callbacks, p, order, rank, fd_step):
+    """Values and plain partials of orders 0..order at the points p (..., n).
+
+    ``callbacks[k]`` maps (..., n) points to the order-k partials, an array
+    of rank ``rank + k`` per point; a callback that ignores the point axes
+    is broadcast over them, and a missing one is replaced by central
+    differences of the order below (the highest order with a step of at
+    least 1e-4).
+    """
+    p = np.asarray(p, dtype=float)
+    n = p.shape[-1]
+    fns = []
+    for k, cb in enumerate(callbacks[: order + 1]):
+        if cb is not None:
+            shape = (n,) * (rank + k)
+            fns.append(lambda q, cb=cb, shape=shape: np.broadcast_to(
+                np.asarray(cb(q), dtype=float), q.shape[:-1] + shape))
+        else:
+            step = fd_step if k < len(callbacks) - 1 else max(fd_step, 1e-4)
+            fns.append(lambda q, fn=fns[-1], step=step:
+                       fd_derivative(fn, q, step))
+    return [fn(p) for fn in fns]
 
 
 # ---------------------------------------------------------------------------
@@ -57,41 +81,36 @@ def fd_derivative(fn, p, step):
 class ScalarField:
     """Smooth function on a chart with partial-derivative access.
 
-    ``grad``/``hess``/``third`` are plain partial derivatives in chart
-    coordinates (not covariant); missing callbacks fall back to central
+    Every callback maps a stack of chart points (..., n) to the stack of
+    its values: ``eval`` to (...), ``grad``/``hess``/``third`` to the plain
+    partial derivatives (..., n), (..., n, n), (..., n, n, n) in chart
+    coordinates (not covariant).  Missing callbacks fall back to central
     differences of the previous level.
     """
 
-    eval: Callable[[np.ndarray], float]
+    eval: Callable[[np.ndarray], np.ndarray]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
     third: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fd_step: float = DEFAULT_FD_STEP
 
     def partials(self, p, order):
-        p = np.asarray(p, dtype=float)
-        g = self.grad if self.grad is not None else (
-            lambda q: fd_derivative(lambda r: self.eval(r), q, self.fd_step))
-        out = [float(self.eval(p)), np.asarray(g(p), dtype=float)]
-        if order >= 2:
-            h = self.hess if self.hess is not None else (
-                lambda q: fd_derivative(g, q, self.fd_step))
-            out.append(np.asarray(h(p), dtype=float))
-        if order >= 3:
-            hfn = self.hess if self.hess is not None else (
-                lambda q: fd_derivative(g, q, self.fd_step))
-            t = self.third if self.third is not None else (
-                lambda q: fd_derivative(hfn, q, max(self.fd_step, 1e-4)))
-            out.append(np.asarray(t(p), dtype=float))
-        return tuple(out[: order + 1])
+        """(value, d f, d2 f[, d3 f]) up to ``order`` at a point or a stack;
+        the value of a single point is a float."""
+        out = _partials((self.eval, self.grad, self.hess, self.third), p,
+                        order, 0, self.fd_step)
+        out[0] = out[0][()]
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class SymmetricTensorField:
     """Symmetric (0,2)-tensor field given by coordinate components.
 
-    ``comp(p)`` is the n x n symmetric matrix phi_ab in chart coordinates;
-    ``dcomp``/``d2comp`` are its plain partial derivatives with the derivative
-    axes FIRST (dcomp[c, a, b] = d_c phi_ab).  Covariant derivatives with the
+    ``comp(p)`` maps chart points (..., n) to the symmetric matrices phi_ab
+    (..., n, n) in chart coordinates; ``dcomp``/``d2comp`` are its plain
+    partial derivatives with the derivative axes FIRST after the point axes
+    (dcomp[..., c, a, b] = d_c phi_ab).  Covariant derivatives with the
     paper-facing last-index convention are produced by ``tensor_jets``.
     """
 
@@ -102,23 +121,23 @@ class SymmetricTensorField:
     name: str = "custom"
 
     def partials(self, p, order):
-        p = np.asarray(p, dtype=float)
-        m = np.asarray(self.comp(p), dtype=float)
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m - m.T)) > 1e-12 * scale:
-            raise ValueError("tensor field components are not symmetric at %r" % (p,))
-        out = [m]
-        if order >= 1:
-            d = self.dcomp if self.dcomp is not None else (
-                lambda q: fd_derivative(self.comp, q, self.fd_step))
-            out.append(np.asarray(d(p), dtype=float))
-        if order >= 2:
-            dfn = self.dcomp if self.dcomp is not None else (
-                lambda q: fd_derivative(self.comp, q, self.fd_step))
-            d2 = self.d2comp if self.d2comp is not None else (
-                lambda q: fd_derivative(dfn, q, max(self.fd_step, 1e-4)))
-            out.append(np.asarray(d2(p), dtype=float))
-        return tuple(out[: order + 1])
+        """(phi, d phi[, d2 phi]) up to ``order`` at a point or a stack."""
+        out = _partials((self.comp, self.dcomp, self.d2comp), p, order, 2,
+                        self.fd_step)
+        m = out[0]
+        scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+        asym = np.max(np.abs(m - np.swapaxes(m, -1, -2)), axis=(-2, -1))
+        bad = np.ravel(asym > 1e-12 * scale)
+        if bad.any():
+            raise ValueError("tensor field components are not symmetric at %r"
+                             % (_point(p, np.argmax(bad)),))
+        return tuple(out)
+
+
+def _point(p, k):
+    """Point k of the stack p (..., n), counted in C order."""
+    p = np.asarray(p, dtype=float)
+    return p.reshape(-1, p.shape[-1])[k]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +195,7 @@ class ChartManifold:
                 if u[-1] > 0.8:
                     continue
                 pts.append(u[:-1] / (1.0 - u[-1]))
-            return np.asarray(pts)
+            return np.reshape(pts, (count, self.dim))
         raise ConfigError("no sampling strategy for atlas kind %r" % self.atlas_kind)
 
 
@@ -189,13 +208,20 @@ class SamplePlan:
 
 # ---------------------------------------------------------------------------
 # pointwise metric machinery
+#
+# Every function here takes one chart point (n,) or a stack of points
+# (..., n) and returns arrays with the same leading axes; the arithmetic is
+# the same for both.
 
 def metric_jets(chart, p, order=2):
+    """(g, dg[, d2g]) at the points p; names the first point where g is
+    not positive definite."""
     g, *rest = chart.metric.partials(p, order)
-    w = np.linalg.eigvalsh(g)
-    if w[0] <= 0.0:
+    w = np.ravel(np.linalg.eigvalsh(g)[..., 0])
+    if (w <= 0.0).any():
+        k = np.argmax(w <= 0.0)
         raise NonPositiveMetric("metric not positive definite at %r (min eig %g)"
-                                % (p, w[0]))
+                                % (_point(p, k), w[k]))
     return (g, *rest)
 
 
@@ -216,6 +242,22 @@ def orthonormal_frame(g):
     return E
 
 
+def _to_frame(T, E):
+    """Frame components T_ij.. = sum T_ab.. E_ai E_bj .. of the trailing
+    coordinate axes of T, for frames E (..., n, n).
+
+    One axis is rotated per step (a matrix product with E, after which the
+    new frame axis moves to the front), so a rank-r tensor costs r products
+    of n^r work each instead of one n^(2r) sum.
+    """
+    lead, n = E.shape[:-2], E.shape[-1]
+    r = T.ndim - len(lead)
+    for _ in range(r):
+        T = np.moveaxis((T.reshape(lead + (n ** (r - 1), n)) @ E)
+                        .reshape(T.shape), -1, len(lead))
+    return T
+
+
 def _lowered(dg):
     """low[..., d, a, b] = 0.5 (d_a g_db + d_b g_da - d_d g_ab) over the
     last three axes of dg (dg[..., c, a, b] = d_c g_ab)."""
@@ -223,39 +265,39 @@ def _lowered(dg):
 
 
 def christoffel(g_inv, dg):
-    """Gamma[c, a, b] = 0.5 g^{cd} (d_a g_db + d_b g_da - d_d g_ab)."""
-    return np.einsum("cd,dab->cab", g_inv, _lowered(dg))
+    """Gamma[..., c, a, b] = 0.5 g^{cd} (d_a g_db + d_b g_da - d_d g_ab)."""
+    return np.einsum("...cd,...dab->...cab", g_inv, _lowered(dg))
 
 
 def christoffel_derivative(g, g_inv, dg, d2g):
-    """dGamma[e, c, a, b] = d_e Gamma^c_ab."""
-    dg_inv = -np.einsum("cm,emn,nd->ecd", g_inv, dg, g_inv)
-    return (np.einsum("ecd,dab->ecab", dg_inv, _lowered(dg))
-            + np.einsum("cd,edab->ecab", g_inv, _lowered(d2g)))
+    """dGamma[..., e, c, a, b] = d_e Gamma^c_ab."""
+    dg_inv = -np.einsum("...cm,...emn,...nd->...ecd", g_inv, dg, g_inv)
+    return (np.einsum("...ecd,...dab->...ecab", dg_inv, _lowered(dg))
+            + np.einsum("...cd,...edab->...ecab", g_inv, _lowered(d2g)))
 
 
 def riemann_lowered(g, Gamma, dGamma):
     """Coordinate Riemann components in the package convention.
 
-    R[a, b, c, d] with constant-curvature model K (g_ac g_bd - g_ad g_bc);
+    R[..., a, b, c, d] with constant-curvature model K (g_ac g_bd - g_ad g_bc);
     contraction g^{bd} R[a, b, c, d] ... is handled by callers in frame form.
     """
     # R^e_{cab} of the Levi-Civita connection
-    Rup = (np.einsum("aebc->ecab", dGamma)
-           - np.einsum("beac->ecab", dGamma)
-           + np.einsum("eaf,fbc->ecab", Gamma, Gamma)
-           - np.einsum("ebf,fac->ecab", Gamma, Gamma))
-    Rstd = np.einsum("de,ecab->abcd", g, Rup)
+    Rup = (np.einsum("...aebc->...ecab", dGamma)
+           - np.einsum("...beac->...ecab", dGamma)
+           + np.einsum("...eaf,...fbc->...ecab", Gamma, Gamma)
+           - np.einsum("...ebf,...fac->...ecab", Gamma, Gamma))
+    Rstd = np.einsum("...de,...ecab->...abcd", g, Rup)
     # Sign fixed so the round sphere gives R[a,b,c,d] ~ K (g_ac g_bd - g_ad g_bc)
     return -Rstd
 
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """Metric data at one chart point, shared by every jet and curvature
-    query there: g, its inverse, the orthonormal frame (columns), the
-    Christoffel symbols Gamma[c, a, b] and their derivatives
-    dGamma[e, c, a, b] = d_e Gamma^c_ab."""
+    """Metric data at a chart point or a stack of points, shared by every
+    jet and curvature query there: g, its inverse, the orthonormal frame
+    (columns), the Christoffel symbols Gamma[c, a, b] and their derivatives
+    dGamma[e, c, a, b] = d_e Gamma^c_ab, each after the point axes of p."""
 
     p: np.ndarray
     g: np.ndarray
@@ -266,7 +308,8 @@ class PointGeometry:
 
 
 def point_geometry(chart, p):
-    """Build the geometry of ``chart`` at ``p`` from one metric jet."""
+    """Build the geometry of ``chart`` at ``p`` (n,) or (..., n) from one
+    metric jet."""
     p = np.asarray(p, dtype=float)
     g, dg, d2g = metric_jets(chart, p, 2)
     g_inv = np.linalg.inv(g)
@@ -280,7 +323,8 @@ def point_geometry(chart, p):
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """Pointwise curvature data in the deterministic orthonormal frame."""
+    """Curvature data in the deterministic orthonormal frame, at one point
+    or, with leading point axes on every field, at a stack of points."""
 
     n: int
     g: np.ndarray                  # coordinate metric at the point
@@ -292,7 +336,8 @@ class CurvatureBundle:
     weyl: Optional[np.ndarray]      # frame W_ijkl, None for n == 2
 
     def sectional(self, u, v):
-        """K(u, v) for coordinate vectors u, v (positive on the round sphere)."""
+        """K(u, v) for coordinate vectors u, v at a single point (positive
+        on the round sphere)."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         gu = self.g @ u
@@ -310,14 +355,15 @@ class CurvatureBundle:
 
 
 def _bundle_from_frame_riemann(n, g, E, Rf):
-    ric = np.einsum("ikjk->ij", Rf)
-    R = float(np.trace(ric))
+    ric = np.einsum("...ikjk->...ij", Rf)
+    R = np.trace(ric, axis1=-2, axis2=-1)
     if n >= 3:
-        S = ric - R / (2.0 * (n - 1)) * np.eye(n)
+        S = ric - (R / (2.0 * (n - 1)))[..., None, None] * np.eye(n)
         d = np.eye(n)
-        W = Rf - (np.einsum("ik,jl->ijkl", S, d) - np.einsum("il,jk->ijkl", S, d)
-                  + np.einsum("jl,ik->ijkl", S, d) - np.einsum("jk,il->ijkl", S, d)
-                  ) / (n - 2.0)
+        W = Rf - (np.einsum("...ik,jl->...ijkl", S, d)
+                  - np.einsum("...il,jk->...ijkl", S, d)
+                  + np.einsum("...jl,ik->...ijkl", S, d)
+                  - np.einsum("...jk,il->...ijkl", S, d)) / (n - 2.0)
     else:
         S = None
         W = None
@@ -326,16 +372,16 @@ def _bundle_from_frame_riemann(n, g, E, Rf):
 
 
 def curvature_at(m, geo):
-    """Full curvature bundle of m at the point of ``geo``."""
+    """Full curvature bundle of m at the point(s) of ``geo``."""
     n = m.dim
     g, E = geo.g, geo.frame
     if m.atlas_kind == ATLAS_ANALYTIC_SPHERE:
         K = m.constant_curvature
         d = np.eye(n)
         Rf = K * (np.einsum("ik,jl->ijkl", d, d) - np.einsum("il,jk->ijkl", d, d))
-        return _bundle_from_frame_riemann(n, g, E, Rf)
-    Riem = riemann_lowered(g, geo.Gamma, geo.dGamma)
-    Rf = np.einsum("abcd,ai,bj,ck,dl->ijkl", Riem, E, E, E, E)
+        Rf = np.broadcast_to(Rf, g.shape[:-2] + Rf.shape)
+    else:
+        Rf = _to_frame(riemann_lowered(g, geo.Gamma, geo.dGamma), E)
     return _bundle_from_frame_riemann(n, g, E, Rf)
 
 
@@ -343,65 +389,65 @@ def curvature_at(m, geo):
 # covariant jets of fields
 
 def scalar_jets(geo, f, order=2):
-    """Frame covariant derivatives of f at the point of ``geo``.
+    """Frame covariant derivatives of f at the point(s) of ``geo``.
 
-    Returns (value, f_i, f_ij[, f_ijk]); the LAST frame index is the
-    outermost covariant-derivative direction.
+    Returns (value, f_i, f_ij[, f_ijk]), each after the point axes; the
+    LAST frame index is the outermost covariant-derivative direction.
     """
     parts = f.partials(geo.p, order)
     Gamma, E = geo.Gamma, geo.frame
     val, df = parts[0], parts[1]
-    out = [val, df @ E]
+    out = [val, _to_frame(df, E)]
     if order >= 2:
         d2f = parts[2]
-        H = d2f - np.einsum("cab,c->ab", Gamma, df)
-        out.append(np.einsum("ab,ai,bj->ij", H, E, E))
+        H = d2f - np.einsum("...cab,...c->...ab", Gamma, df)
+        out.append(_to_frame(H, E))
     if order >= 3:
         d3f = parts[3]
-        dH = (d3f - np.einsum("ecab,c->eab", geo.dGamma, df)
-              - np.einsum("cab,ec->eab", Gamma, d2f))
-        T3 = (dH - np.einsum("cea,cb->eab", Gamma, H)
-              - np.einsum("ceb,ac->eab", Gamma, H))
-        out.append(np.einsum("cab,ai,bj,ck->ijk", T3, E, E, E))
+        dH = (d3f - np.einsum("...ecab,...c->...eab", geo.dGamma, df)
+              - np.einsum("...cab,...ec->...eab", Gamma, d2f))
+        T3 = (dH - np.einsum("...cea,...cb->...eab", Gamma, H)
+              - np.einsum("...ceb,...ac->...eab", Gamma, H))
+        out.append(_to_frame(np.einsum("...cab->...abc", T3), E))
     return tuple(out)
 
 
 def tensor_jets(geo, phi, order=1):
-    """Frame covariant derivatives of a symmetric 2-tensor at the point of
-    ``geo``.
+    """Frame covariant derivatives of a symmetric 2-tensor at the point(s)
+    of ``geo``.
 
-    Returns (phi_ij[, phi_ijk[, phi_ijkl]]); derivative indices come last,
-    with phi_ijkl = (nabla_l nabla_k phi)(e_i, e_j).
+    Returns (phi_ij[, phi_ijk[, phi_ijkl]]), each after the point axes;
+    derivative indices come last, with phi_ijkl = (nabla_l nabla_k phi)(e_i, e_j).
     """
     parts = phi.partials(geo.p, order)
     Gamma, E = geo.Gamma, geo.frame
     ph = parts[0]
-    out = [np.einsum("ab,ai,bj->ij", ph, E, E)]
+    out = [_to_frame(ph, E)]
     if order >= 1:
         dph = parts[1]
-        T1 = (dph - np.einsum("eca,eb->cab", Gamma, ph)
-              - np.einsum("ecb,ae->cab", Gamma, ph))
-        out.append(np.einsum("cab,ai,bj,ck->ijk", T1, E, E, E))
+        T1 = (dph - np.einsum("...eca,...eb->...cab", Gamma, ph)
+              - np.einsum("...ecb,...ae->...cab", Gamma, ph))
+        out.append(_to_frame(np.einsum("...cab->...abc", T1), E))
     if order >= 2:
         d2ph = parts[2]
         dGamma = geo.dGamma
         dT1 = (d2ph
-               - np.einsum("deca,eb->dcab", dGamma, ph)
-               - np.einsum("eca,deb->dcab", Gamma, dph)
-               - np.einsum("decb,ae->dcab", dGamma, ph)
-               - np.einsum("ecb,dae->dcab", Gamma, dph))
+               - np.einsum("...deca,...eb->...dcab", dGamma, ph)
+               - np.einsum("...eca,...deb->...dcab", Gamma, dph)
+               - np.einsum("...decb,...ae->...dcab", dGamma, ph)
+               - np.einsum("...ecb,...dae->...dcab", Gamma, dph))
         T2 = (dT1
-              - np.einsum("edc,eab->dcab", Gamma, T1)
-              - np.einsum("eda,ceb->dcab", Gamma, T1)
-              - np.einsum("edb,cae->dcab", Gamma, T1))
-        out.append(np.einsum("dcab,ai,bj,ck,dl->ijkl", T2, E, E, E, E))
+              - np.einsum("...edc,...eab->...dcab", Gamma, T1)
+              - np.einsum("...eda,...ceb->...dcab", Gamma, T1)
+              - np.einsum("...edb,...cae->...dcab", Gamma, T1))
+        out.append(_to_frame(np.einsum("...dcab->...abcd", T2), E))
     return tuple(out)
 
 
 def tensor_divergence(geo, phi):
     """(div phi)_i = sum_j phi_ijj in the orthonormal frame."""
     _, T1 = tensor_jets(geo, phi, 1)
-    return np.einsum("ijj->i", T1)
+    return np.einsum("...ijj->...i", T1)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +461,7 @@ def min_sectional(m, plan=SamplePlan()):
     pts = m.sample_points(plan.points, rng)
     n = m.dim
     best = np.inf
-    for p in pts:
-        Rf = curvature_at(m, point_geometry(m.chart(), p)).riemann
+    for Rf in curvature_at(m, point_geometry(m.chart(), pts)).riemann:
         # axis-aligned frame pairs
         for i in range(n):
             for j in range(i + 1, n):
@@ -434,11 +479,8 @@ def min_ricci(m, plan=SamplePlan()):
         return float((m.dim - 1) * m.constant_curvature)
     rng = np.random.default_rng(plan.seed)
     pts = m.sample_points(plan.points, rng)
-    best = np.inf
-    for p in pts:
-        ric = curvature_at(m, point_geometry(m.chart(), p)).ricci
-        best = min(best, float(np.linalg.eigvalsh(ric)[0]))
-    return float(best)
+    ric = curvature_at(m, point_geometry(m.chart(), pts)).ricci
+    return float(np.min(np.linalg.eigvalsh(ric)[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +493,7 @@ def metric_field(m):
 def _coordinate_ricci(b):
     """Coordinate components of the frame Ricci tensor of a bundle."""
     Einv = np.linalg.inv(b.frame)
-    return Einv.T @ b.ricci @ Einv
+    return np.swapaxes(Einv, -1, -2) @ b.ricci @ Einv
 
 
 def ricci_tensor_field(m, fd_step=1e-4):
@@ -521,7 +563,8 @@ def schouten_tensor_field(m, fd_step=1e-4, formal=False):
 
     def comp(p):
         b = curvature_at(m, point_geometry(chart, p))
-        return _coordinate_ricci(b) - b.scalar / (2.0 * (n - 1)) * b.g
+        return (_coordinate_ricci(b)
+                - (b.scalar / (2.0 * (n - 1)))[..., None, None] * b.g)
 
     return SymmetricTensorField(comp=comp, fd_step=fd_step, name="schouten")
 
@@ -536,7 +579,7 @@ def einstein_tensor_field(m, fd_step=1e-4):
 
     def comp(p):
         b = curvature_at(m, point_geometry(chart, p))
-        return b.scalar / 2.0 * b.g - _coordinate_ricci(b)
+        return (b.scalar / 2.0)[..., None, None] * b.g - _coordinate_ricci(b)
 
     return SymmetricTensorField(comp=comp, fd_step=fd_step, name="einstein")
 
@@ -551,9 +594,9 @@ def divergence_identity_suite(m, samples=20, seed=7, fd_step=1e-4):
     rng = np.random.default_rng(seed)
     pts = m.sample_points(samples, rng)
     n = m.dim
-    geos = [point_geometry(m.chart(), p) for p in pts]
+    geo = point_geometry(m.chart(), pts)
 
-    Rs = [curvature_at(m, geo).scalar for geo in geos]
+    Rs = curvature_at(m, geo).scalar
     r_spread = float(np.max(Rs) - np.min(Rs))
     r_scale = max(1.0, float(np.max(np.abs(Rs))))
     r_constant = r_spread <= 1e-6 * r_scale
@@ -566,27 +609,24 @@ def divergence_identity_suite(m, samples=20, seed=7, fd_step=1e-4):
         # item 1: div(ric - c I) = 0 for constant R (any constant c)
         c = 0.5 * float(np.mean(Rs)) / n
         sc = add_tensor_fields(ric, scale_tensor_field(metric_field(m), -c), "S_c")
-        report["item1_div_ric_minus_cI"] = float(max(
-            np.max(np.abs(tensor_divergence(geo, sc))) for geo in geos))
+        report["item1_div_ric_minus_cI"] = float(
+            np.max(np.abs(tensor_divergence(geo, sc))))
     else:
         report["item1_div_ric_minus_cI"] = None
         report["item1_flag"] = "R_not_constant"
 
     # item 2: div((R/2) g - ric) = 0 (contracted Bianchi)
     E = einstein_tensor_field(m, fd_step)
-    report["item2_div_einstein"] = float(max(
-        np.max(np.abs(tensor_divergence(geo, E))) for geo in geos))
+    report["item2_div_einstein"] = float(
+        np.max(np.abs(tensor_divergence(geo, E))))
 
     # item 5: div S = grad(tr S)  (formal Schouten used when n == 2)
     S = schouten_tensor_field(m, fd_step, formal=True)
     Rfield = scalar_curvature_field(m, fd_step)
     coef = (n - 2) / (2.0 * (n - 1))
-    defect5 = 0.0
-    for geo in geos:
-        div = tensor_divergence(geo, S)
-        gradR = scalar_jets(geo, Rfield, 1)[1]
-        defect5 = max(defect5, float(np.max(np.abs(div - coef * gradR))))
-    report["item5_div_schouten"] = defect5
+    div = tensor_divergence(geo, S)
+    gradR = scalar_jets(geo, Rfield, 1)[1]
+    report["item5_div_schouten"] = float(np.max(np.abs(div - coef * gradR)))
     return report
 
 
@@ -614,22 +654,20 @@ def perturbed_torus(n=2, eps=0.1, L=2.0 * np.pi, analytic=True, fd_step=1e-4):
     """g = (1 + eps sin(2 pi x1 / L)) * delta on the L-periodic box [0, L)^n."""
     k = 2.0 * np.pi / L   # exactly 1.0 for the default period
 
-    def conf(p):
-        return 1.0 + eps * np.sin(k * p[0])
-
     eye = np.eye(n)
 
     def comp(p):
-        return conf(p) * eye
+        return (1.0 + eps * np.sin(k * p[..., 0]))[..., None, None] * eye
 
     def dcomp(p):
-        d = np.zeros((n, n, n))
-        d[0] = eps * k * np.cos(k * p[0]) * eye
+        d = np.zeros(p.shape[:-1] + (n, n, n))
+        d[..., 0, :, :] = (eps * k * np.cos(k * p[..., 0]))[..., None, None] * eye
         return d
 
     def d2comp(p):
-        d = np.zeros((n, n, n, n))
-        d[0, 0] = -eps * k ** 2 * np.sin(k * p[0]) * eye
+        d = np.zeros(p.shape[:-1] + (n, n, n, n))
+        d[..., 0, 0, :, :] = ((-eps * k ** 2 * np.sin(k * p[..., 0]))[..., None, None]
+                              * eye)
         return d
 
     if analytic:
@@ -642,41 +680,42 @@ def perturbed_torus(n=2, eps=0.1, L=2.0 * np.pi, analytic=True, fd_step=1e-4):
 
 
 def _radial_scalar_jets(wd, x, order):
-    """Partial derivatives of F(x) = w(|x|^2) from derivatives wd of w in s."""
+    """Partial derivatives of F(x) = w(|x|^2) from derivatives wd of w in s,
+    at the points x (..., n)."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    s = float(x @ x)
-    w = [f(s) for f in wd]
-    out = [w[0], 2.0 * w[1] * x]
+    eye = np.eye(x.shape[-1])
+    s = np.einsum("...a,...a->...", x, x)[..., None]
+    w = [f(s) for f in wd]     # (..., 1)
+    xx = x[..., :, None] * x[..., None, :]
+    out = [w[0][..., 0], 2.0 * w[1] * x]
     if order >= 2:
-        out.append(4.0 * w[2] * np.outer(x, x) + 2.0 * w[1] * np.eye(n))
+        out.append(4.0 * w[2][..., None] * xx + 2.0 * w[1][..., None] * eye)
     if order >= 3:
-        t = 8.0 * w[3] * np.einsum("a,b,c->abc", x, x, x)
-        eye = np.eye(n)
-        t += 4.0 * w[2] * (np.einsum("ab,c->abc", eye, x)
-                           + np.einsum("ac,b->abc", eye, x)
-                           + np.einsum("bc,a->abc", eye, x))
-        out.append(t)
+        out.append(8.0 * w[3][..., None, None] * (xx[..., None] * x[..., None, None, :])
+                   + 4.0 * w[2][..., None, None] * (
+                       eye[:, :, None] * x[..., None, None, :]
+                       + eye[:, None, :] * x[..., None, :, None]
+                       + x[..., :, None, None] * eye))
     return out
 
 
 def _coord_radial_jets(a, wd, x, order):
-    """Partial derivatives of F(x) = x_a * w(|x|^2)."""
+    """Partial derivatives of F(x) = x_a * w(|x|^2) at the points x (..., n)."""
     x = np.asarray(x, dtype=float)
-    n = x.size
     base = _radial_scalar_jets(wd, x, order)  # jets of w itself
     w, dw = base[0], base[1]
-    ea = np.zeros(n)
-    ea[a] = 1.0
-    out = [x[a] * w, ea * w + x[a] * dw]
+    ea = np.eye(x.shape[-1])[a]
+    xa = x[..., a, None, None, None]
+    out = [x[..., a] * w, ea * w[..., None] + xa[..., 0, 0] * dw]
     if order >= 2:
         d2w = base[2]
-        out.append(np.outer(ea, dw) + np.outer(dw, ea) + x[a] * d2w)
+        out.append(ea[:, None] * dw[..., None, :] + dw[..., :, None] * ea
+                   + xa[..., 0] * d2w)
     if order >= 3:
         d2w, d3w = base[2], base[3]
-        t = (np.einsum("a,bc->abc", ea, d2w) + np.einsum("b,ac->abc", ea, d2w)
-             + np.einsum("c,ab->abc", ea, d2w) + x[a] * d3w)
-        out.append(t)
+        out.append(ea[:, None, None] * d2w[..., None, :, :]
+                   + ea[:, None] * d2w[..., :, None, :]
+                   + d2w[..., None] * ea + xa * d3w)
     return out
 
 
@@ -702,13 +741,13 @@ def round_sphere(n=4, K=1.0):
     eye = np.eye(n)
 
     def comp(p):
-        return _radial_scalar_jets(wd, p, 0)[0] * eye
+        return _radial_scalar_jets(wd, p, 0)[0][..., None, None] * eye
 
     def dcomp(p):
-        return np.einsum("c,ab->cab", _radial_scalar_jets(wd, p, 1)[1], eye)
+        return _radial_scalar_jets(wd, p, 1)[1][..., None, None] * eye
 
     def d2comp(p):
-        return np.einsum("dc,ab->dcab", _radial_scalar_jets(wd, p, 2)[2], eye)
+        return _radial_scalar_jets(wd, p, 2)[2][..., None, None] * eye
 
     g = SymmetricTensorField(comp, dcomp, d2comp, name="sphere-metric")
     chart = Chart(lo=np.full(n, -np.inf), hi=np.full(n, np.inf), metric=g)
@@ -745,16 +784,18 @@ def trig_field(wavevec, phase=0.0, amplitude=1.0, kind="cos"):
     k = np.asarray(wavevec, dtype=float)
     if kind == "sin":
         phase = phase - np.pi / 2.0
+    kk = np.outer(k, k)
+    kkk = np.einsum("a,b,c->abc", k, k, k)
 
     def level(p, order):
-        arg = float(k @ p) + phase + order * np.pi / 2.0
+        arg = np.asarray(p, dtype=float) @ k + phase + order * np.pi / 2.0
         return amplitude * np.cos(arg)
 
     return ScalarField(
         eval=lambda p: level(p, 0),
-        grad=lambda p: level(p, 1) * k,
-        hess=lambda p: level(p, 2) * np.outer(k, k),
-        third=lambda p: level(p, 3) * np.einsum("a,b,c->abc", k, k, k),
+        grad=lambda p: level(p, 1)[..., None] * k,
+        hess=lambda p: level(p, 2)[..., None, None] * kk,
+        third=lambda p: level(p, 3)[..., None, None, None] * kkk,
     )
 
 
@@ -774,7 +815,7 @@ def random_spd_trig_tensor(n, seed=0, base_scale=1.0, wobble=0.2):
     ph = 0.5 * (ph + ph.T)
 
     def wave(p, order):
-        arg = np.einsum("abc,c->ab", kvec, np.asarray(p, float)) + ph \
+        arg = np.einsum("abc,...c->...ab", kvec, np.asarray(p, float)) + ph \
             + order * np.pi / 2.0
         return amp * np.cos(arg)
 
@@ -782,10 +823,10 @@ def random_spd_trig_tensor(n, seed=0, base_scale=1.0, wobble=0.2):
         return C + wave(p, 0)
 
     def dcomp(p):
-        return np.einsum("ab,abc->cab", wave(p, 1), kvec)
+        return np.einsum("...ab,abc->...cab", wave(p, 1), kvec)
 
     def d2comp(p):
-        return np.einsum("ab,abc,abd->dcab", wave(p, 2), kvec, kvec)
+        return np.einsum("...ab,abc,abd->...dcab", wave(p, 2), kvec, kvec)
 
     return SymmetricTensorField(comp, dcomp, d2comp, name="random-spd")
 

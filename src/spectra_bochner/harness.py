@@ -201,7 +201,8 @@ def _suite_test_function(m, seed=0):
 
 def bochner_suite(samples=200, cvals=(0.0, 1.0, 7.3), seed=42):
     """Residuals of the generalized Bochner identity over the standard grid
-    of (manifold, phi) cases, each point evaluated once for all of cvals.
+    of (manifold, phi) cases, each case evaluated once, as one stack of
+    points, for all of cvals.
 
     The identity is c-independent: its two c-terms are the same contraction
     sum phi_mmij f_i f_j with opposite signs, so ``max_c_spread`` (the
@@ -215,16 +216,12 @@ def bochner_suite(samples=200, cvals=(0.0, 1.0, 7.3), seed=42):
             phi = _suite_phi(m, kind, seed=seed)
             box = boxop.BoxOperator(phi=phi, manifold=m)
             f = _suite_test_function(m, seed=seed + 1)
-            max_res = 0.0
-            max_spread = 0.0
-            for p in pts:
-                rs = [r.residual
-                      for r in boxop.bochner_residual(box, f, p, cvals)]
-                max_res = max(max_res, max(rs))
-                max_spread = max(max_spread, max(rs) - min(rs))
+            rs = np.array([r.residual
+                           for r in boxop.bochner_residual(box, f, pts, cvals)])
             cases.append({"manifold": mname, "phi": kind,
-                          "max_residual": max_res,
-                          "max_c_spread": max_spread,
+                          "max_residual": float(np.max(rs, initial=0.0)),
+                          "max_c_spread": float(np.max(np.ptp(rs, axis=0),
+                                                       initial=0.0)),
                           "points": len(pts)})
     return {"cases": cases, "cvals": list(cvals), "seed": seed,
             "max_residual": max(c["max_residual"] for c in cases),
@@ -243,13 +240,9 @@ def divergence_suite(samples=20, seed=7):
         hs = hyp.parse_surface(sname)
         man = hyp.induced_metric_manifold(hs, 0)
         P1 = hyp.newton1_field(hs, 0)
-        worst = 0.0
-        for ci, u in hs.sample_points(samples, rng):
-            if ci != 0:
-                continue
-            d = geom.tensor_divergence(geom.point_geometry(man.chart(), u), P1)
-            worst = max(worst, float(np.max(np.abs(d))))
-        out["div_p1"][sname] = worst
+        U = np.array([u for ci, u in hs.sample_points(samples, rng) if ci == 0])
+        d = geom.tensor_divergence(geom.point_geometry(man.chart(), U), P1)
+        out["div_p1"][sname] = float(np.max(np.abs(d)))
     defects = []
     for rep in out["manifolds"].values():
         defects.extend(v for k, v in rep.items()

@@ -207,12 +207,12 @@ def induced_metric_manifold(hs, chart_idx=0, fd_step=1e-5):
 
     def comp(u):
         _, J, _ = chart.jets(u)
-        return J @ J.T
+        return J @ np.swapaxes(J, -1, -2)
 
     def dcomp(u):  # d_c g_ab = H2_ca . J_b + J_a . H2_cb
         _, J, H2 = chart.jets(u)
-        HJ = H2 @ J.T
-        return HJ + np.swapaxes(HJ, 1, 2)
+        HJ = H2 @ np.swapaxes(J, -1, -2)[..., None, :, :]
+        return HJ + np.swapaxes(HJ, -1, -2)
 
     r = chart.sample_radius
     g = geom.SymmetricTensorField(comp=comp, dcomp=dcomp, fd_step=fd_step,
@@ -228,7 +228,7 @@ def newton1_field(hs, chart_idx=0, fd_step=1e-5):
 
     def comp(u):
         sd = shape_at(hs, u, chart_idx)
-        return sd.H * sd.g - sd.h
+        return sd.H[..., None, None] * sd.g - sd.h
 
     return geom.SymmetricTensorField(comp=comp, fd_step=fd_step, name="newton1")
 
@@ -277,16 +277,15 @@ def pinching_constants(hs, plan=geom.SamplePlan(points=400)):
     if constant_H:
         sigma = 0.0
     else:
-        sigma = -np.inf
         nsig = min(len(pts), max(40, plan.points // 4))
-        for ci, u in pts[:nsig]:
-            man = induced_metric_manifold(hs, ci)
-            Hf = mean_curvature_field(hs, ci)
-            _, _, hess = geom.scalar_jets(geom.point_geometry(man.chart(), u),
-                                          Hf, 2)
-            w = np.linalg.eigvalsh(0.5 * (hess + hess.T))
-            sigma = max(sigma, float(np.sum(w) - w[0]))
-        sigma = float(sigma)
+        hess = np.empty((nsig, hs.n, hs.n))
+        for ci in np.unique(cis[:nsig]):
+            sel = cis[:nsig] == ci
+            geo = geom.point_geometry(induced_metric_manifold(hs, ci).chart(),
+                                      U[:nsig][sel])
+            hess[sel] = geom.scalar_jets(geo, mean_curvature_field(hs, ci), 2)[2]
+        w = np.linalg.eigvalsh(0.5 * (hess + np.swapaxes(hess, -1, -2)))
+        sigma = float(np.max(np.sum(w, axis=-1) - w[:, 0]))
     return PinchingConstants(alpha=lo, a=hi / lo, sigma=sigma,
                              constant_H=constant_H)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spectra_bochner import boxop, geometry as geom
+from spectra_bochner import boxop, geometry as geom, harness as hz
 from spectra_bochner.errors import NotPositiveDefinite
 
 
@@ -141,3 +141,61 @@ class TestHessianTraceDefect:
         f = geom.trig_field(np.array([1.0, 0.0]))
         with pytest.raises(NotPositiveDefinite):
             boxop.hessian_trace_defect(box, f, np.array([0.1, 0.1]))
+
+
+SUITE_CASES = [(m, kind) for m in ("flat-torus2", "perturbed-torus2", "sphere4")
+               for kind in ("metric", "schouten", "random-spd")]
+
+
+class TestStackedPoints:
+    """One call on a (P, n) stack gives what P single-point calls give."""
+
+    @staticmethod
+    def case(mname, kind):
+        if mname == "torus3:perturb=sin":   # Schouten by finite differences
+            m = geom.parse_manifold(mname)
+            phi = geom.schouten_tensor_field(m)
+        else:
+            m = dict(hz._suite_manifolds())[mname]
+            phi = hz._suite_phi(m, kind, seed=42)
+        f = hz._suite_test_function(m, seed=43)
+        return m, phi, f, m.sample_points(4, np.random.default_rng(5))
+
+    @staticmethod
+    def check(stacked, per_point, scale=None):
+        per_point = np.array(per_point)
+        assert np.shape(stacked) == per_point.shape
+        if scale is None:
+            scale = np.max(np.abs(per_point))
+        assert np.max(np.abs(stacked - per_point)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("mname,kind",
+                             SUITE_CASES + [("torus3:perturb=sin", "schouten")])
+    def test_stack_matches_points(self, mname, kind):
+        m, phi, f, pts = self.case(mname, kind)
+        geo = geom.point_geometry(m.chart(), pts)
+        singles = [geom.point_geometry(m.chart(), p) for p in pts]
+        for name in ("g", "g_inv", "frame", "Gamma", "dGamma"):
+            self.check(getattr(geo, name), [getattr(s, name) for s in singles])
+        for jets, order in ((geom.scalar_jets, 3), (geom.tensor_jets, 2)):
+            field = f if jets is geom.scalar_jets else phi
+            per = zip(*[jets(s, field, order) for s in singles])
+            for got, want in zip(jets(geo, field, order), per):
+                self.check(got, want)
+        cb = geom.curvature_at(m, geo)
+        cbs = [geom.curvature_at(m, s) for s in singles]
+        for name in ("riemann", "ricci", "scalar"):
+            self.check(getattr(cb, name), [getattr(c, name) for c in cbs])
+
+        box, cvals = boxop.BoxOperator(phi=phi, manifold=m), (0.0, 1.0, 7.3)
+        stacked = boxop.bochner_residual(box, f, pts, cvals)
+        per = [boxop.bochner_residual(box, f, p, cvals) for p in pts]
+        for k, r in enumerate(stacked):
+            rs = [pr[k] for pr in per]
+            scale = max(np.max(np.abs([x.lhs for x in rs])),
+                        max(np.max(np.abs([x.rhs_terms[t] for x in rs]))
+                            for t in r.rhs_terms))
+            self.check(r.lhs, [x.lhs for x in rs], scale)
+            self.check(r.residual, [x.residual for x in rs], scale)
+            for t, v in r.rhs_terms.items():
+                self.check(v, [x.rhs_terms[t] for x in rs], scale)

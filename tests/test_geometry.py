@@ -74,6 +74,19 @@ class TestCurvature:
 
 
 class TestJets:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_to_frame_matches_einsum(self, rank):
+        # oracle: one multi-operand einsum, e.g. "abcd,ai,bj,ck,dl->ijkl"
+        rng = np.random.default_rng(rank)
+        T = rng.normal(size=(3,) + (4,) * rank)
+        E = rng.normal(size=(3, 4, 4))
+        src, dst = "abcd"[:rank], "ijkl"[:rank]
+        spec = ",".join(["p" + src] + ["p" + a + i for a, i in zip(src, dst)])
+        oracle = np.einsum(spec + "->p" + dst, T, *[E] * rank)
+        tol = 1e-12 * np.max(np.abs(oracle))
+        assert np.max(np.abs(geom._to_frame(T, E) - oracle)) <= tol
+        assert np.max(np.abs(geom._to_frame(T[1], E[1]) - oracle[1])) <= tol
+
     def test_orthonormal_frame(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -107,7 +120,7 @@ class TestJets:
             parts = f.partials(q, 2)
             g, dg = geom.metric_jets(chart, q, 1)
             Gamma = geom.christoffel(np.linalg.inv(g), dg)
-            return parts[2] - np.einsum("cab,c->ab", Gamma, parts[1])
+            return parts[2] - np.einsum("...cab,...c->...ab", Gamma, parts[1])
 
         h = 1e-5
         g, dg = geom.metric_jets(chart, p, 1)
@@ -144,7 +157,7 @@ class TestJets:
         wd = geom._inv_power_derivs(3.0, 2.0, order=3)
         x = np.array([0.4, -0.6, 0.1])
         val, g1, h1, t1 = geom._radial_scalar_jets(wd, x, 3)
-        fn = lambda q: wd[0](float(q @ q))
+        fn = lambda q: wd[0](np.sum(q * q, axis=-1))
         assert np.allclose(g1, geom.fd_derivative(fn, x, 1e-6), atol=1e-8)
 
 
@@ -188,6 +201,16 @@ class TestFieldsAndErrors:
         chart = geom.Chart(lo=np.zeros(2), hi=np.ones(2), metric=bad)
         with pytest.raises(NonPositiveMetric):
             geom.metric_jets(chart, np.array([0.5, 0.5]), 0)
+
+    def test_nonpositive_metric_names_first_bad_point(self):
+        # g = (x1 - 0.5) I: negative at the last two points of the stack
+        bad = geom.SymmetricTensorField(
+            comp=lambda p: (p[..., 0] - 0.5)[..., None, None] * np.eye(2))
+        chart = geom.Chart(lo=np.zeros(2), hi=np.ones(2), metric=bad)
+        pts = np.array([[0.9, 0.1], [0.7, 0.2], [0.25, 0.3], [0.1, 0.4]])
+        with pytest.raises(NonPositiveMetric,
+                           match=r"0\.25, 0\.3.*min eig -0\.25"):
+            geom.point_geometry(chart, pts)
 
     def test_parse_manifold(self):
         m = geom.parse_manifold("torus2:L=6.283185307179586")

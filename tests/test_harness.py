@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectra_bochner import harness as hz, hypersurface as hyp
+from spectra_bochner import boxop, harness as hz, hypersurface as hyp
 
 
 class TestTraceInequality:
@@ -70,6 +70,20 @@ class TestQaBound:
 
 
 class TestSuites:
+    def test_bochner_suite_one_residual_call_per_case(self, monkeypatch):
+        shapes = []
+        bochner_residual = boxop.bochner_residual
+
+        def counted(box, f, p, cvals):
+            shapes.append(np.shape(p))
+            return bochner_residual(box, f, p, cvals)
+
+        monkeypatch.setattr(boxop, "bochner_residual", counted)
+        rep = hz.bochner_suite(samples=3)
+        assert len(shapes) == len(rep["cases"]) == 9
+        assert all(s[0] == 3 for s in shapes)
+        assert all(c["points"] == 3 for c in rep["cases"])
+
     def test_bochner_suite_small(self):
         rep = hz.bochner_suite(samples=5)
         assert rep["max_residual"] <= 1e-8
