@@ -803,6 +803,8 @@ def random_spd_trig_tensor(n, seed=0, base_scale=1.0, wobble=0.2):
     """Random smooth SPD tensor field: constant SPD part plus entrywise waves.
 
     The constant part dominates the oscillation so positivity holds globally.
+    Entry ab oscillates along an integer wave vector (the upper triangle's,
+    mirrored), so the field is 2 pi-periodic in every coordinate.
     """
     rng = np.random.default_rng(seed)
     L = rng.normal(size=(n, n)) * base_scale
@@ -810,7 +812,8 @@ def random_spd_trig_tensor(n, seed=0, base_scale=1.0, wobble=0.2):
     amp = wobble * base_scale ** 2 * rng.uniform(0.2, 1.0, size=(n, n))
     amp = 0.5 * (amp + amp.T)
     kvec = rng.integers(1, 3, size=(n, n, n)).astype(float)
-    kvec = 0.5 * (kvec + kvec.transpose(1, 0, 2))
+    upper = np.triu(np.ones((n, n), dtype=bool))[:, :, None]
+    kvec = np.where(upper, kvec, kvec.transpose(1, 0, 2))
     ph = rng.uniform(0, 2 * np.pi, size=(n, n))
     ph = 0.5 * (ph + ph.T)
 

@@ -250,6 +250,18 @@ class TestFieldsAndErrors:
             # dcomp convention: [c, a, b] = d_c phi_ab
             assert np.allclose(phi.dcomp(p), d_fd, atol=1e-7)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_spd_tensor_is_periodic(self, n):
+        # a field on the 2 pi-torus: phi and its partials repeat under
+        # p -> p + 2 pi e_k
+        p = np.random.default_rng(n).uniform(0, 2 * np.pi, size=(5, n))
+        for seed in range(5):
+            phi = geom.random_spd_trig_tensor(n, seed=seed)
+            for k in range(n):
+                shifted = phi.partials(p + 2 * np.pi * np.eye(n)[k], 2)
+                for got, want in zip(shifted, phi.partials(p, 2)):
+                    assert np.max(np.abs(got - want)) < 1e-12
+
     @given(st.integers(min_value=2, max_value=5), st.integers())
     @settings(max_examples=20, deadline=None)
     def test_christoffel_symmetric_lower(self, n, seed):
