@@ -3,7 +3,9 @@
 Metric jets, Christoffel symbols, curvature tensors (Riemann, Ricci, scalar,
 sectional, Schouten, Weyl) and covariant derivatives of scalar functions and
 symmetric 2-tensors, all evaluated pointwise in a deterministic orthonormal
-frame.
+frame.  The pointwise functions take one chart point (n,) or a stack of
+points (..., n), by one code path, and return arrays after the same leading
+axes.
 
 Index conventions (fixed once, used everywhere):
 
@@ -45,8 +47,8 @@ def fd_derivative(fn, p, step):
     p = np.asarray(p, dtype=float)
     n = p.shape[-1]
     shifts = step * np.array([1.0, -1.0])[:, None, None] * np.eye(n)
-    vals = np.asarray(fn(p + shifts.reshape((2, n) + (1,) * (p.ndim - 1) + (n,))),
-                      dtype=float)
+    shifts = shifts.reshape((2, n) + (1,) * (p.ndim - 1) + (n,))
+    vals = np.asarray(fn(p + shifts), dtype=float)
     return np.moveaxis((vals[0] - vals[1]) / (2.0 * step), 0, p.ndim - 1)
 
 
@@ -208,10 +210,6 @@ class SamplePlan:
 
 # ---------------------------------------------------------------------------
 # pointwise metric machinery
-#
-# Every function here takes one chart point (n,) or a stack of points
-# (..., n) and returns arrays with the same leading axes; the arithmetic is
-# the same for both.
 
 def metric_jets(chart, p, order=2):
     """(g, dg[, d2g]) at the points p; names the first point where g is
@@ -417,7 +415,8 @@ def tensor_jets(geo, phi, order=1):
     of ``geo``.
 
     Returns (phi_ij[, phi_ijk[, phi_ijkl]]), each after the point axes;
-    derivative indices come last, with phi_ijkl = (nabla_l nabla_k phi)(e_i, e_j).
+    derivative indices come last, with
+    phi_ijkl = (nabla_l nabla_k phi)(e_i, e_j).
     """
     parts = phi.partials(geo.p, order)
     Gamma, E = geo.Gamma, geo.frame
@@ -661,13 +660,14 @@ def perturbed_torus(n=2, eps=0.1, L=2.0 * np.pi, analytic=True, fd_step=1e-4):
 
     def dcomp(p):
         d = np.zeros(p.shape[:-1] + (n, n, n))
-        d[..., 0, :, :] = (eps * k * np.cos(k * p[..., 0]))[..., None, None] * eye
+        d1 = eps * k * np.cos(k * p[..., 0])
+        d[..., 0, :, :] = d1[..., None, None] * eye
         return d
 
     def d2comp(p):
         d = np.zeros(p.shape[:-1] + (n, n, n, n))
-        d[..., 0, 0, :, :] = ((-eps * k ** 2 * np.sin(k * p[..., 0]))[..., None, None]
-                              * eye)
+        d2 = -eps * k ** 2 * np.sin(k * p[..., 0])
+        d[..., 0, 0, :, :] = d2[..., None, None] * eye
         return d
 
     if analytic:
@@ -684,18 +684,19 @@ def _radial_scalar_jets(wd, x, order):
     at the points x (..., n)."""
     x = np.asarray(x, dtype=float)
     eye = np.eye(x.shape[-1])
-    s = np.einsum("...a,...a->...", x, x)[..., None]
-    w = [f(s) for f in wd]     # (..., 1)
+    w = [f(np.einsum("...a,...a->...", x, x)) for f in wd]
     xx = x[..., :, None] * x[..., None, :]
-    out = [w[0][..., 0], 2.0 * w[1] * x]
+    out = [w[0], 2.0 * w[1][..., None] * x]
     if order >= 2:
-        out.append(4.0 * w[2][..., None] * xx + 2.0 * w[1][..., None] * eye)
+        out.append(4.0 * w[2][..., None, None] * xx
+                   + 2.0 * w[1][..., None, None] * eye)
     if order >= 3:
-        out.append(8.0 * w[3][..., None, None] * (xx[..., None] * x[..., None, None, :])
-                   + 4.0 * w[2][..., None, None] * (
-                       eye[:, :, None] * x[..., None, None, :]
-                       + eye[:, None, :] * x[..., None, :, None]
-                       + x[..., :, None, None] * eye))
+        out.append(8.0 * w[3][..., None, None, None]
+                   * (xx[..., None] * x[..., None, None, :])
+                   + 4.0 * w[2][..., None, None, None]
+                   * (eye[:, :, None] * x[..., None, None, :]
+                      + eye[:, None, :] * x[..., None, :, None]
+                      + x[..., :, None, None] * eye))
     return out
 
 
@@ -705,17 +706,17 @@ def _coord_radial_jets(a, wd, x, order):
     base = _radial_scalar_jets(wd, x, order)  # jets of w itself
     w, dw = base[0], base[1]
     ea = np.eye(x.shape[-1])[a]
-    xa = x[..., a, None, None, None]
-    out = [x[..., a] * w, ea * w[..., None] + xa[..., 0, 0] * dw]
+    xa = x[..., a]
+    out = [xa * w, ea * w[..., None] + xa[..., None] * dw]
     if order >= 2:
         d2w = base[2]
         out.append(ea[:, None] * dw[..., None, :] + dw[..., :, None] * ea
-                   + xa[..., 0] * d2w)
+                   + xa[..., None, None] * d2w)
     if order >= 3:
         d2w, d3w = base[2], base[3]
         out.append(ea[:, None, None] * d2w[..., None, :, :]
                    + ea[:, None] * d2w[..., :, None, :]
-                   + d2w[..., None] * ea + xa * d3w)
+                   + d2w[..., None] * ea + xa[..., None, None, None] * d3w)
     return out
 
 
