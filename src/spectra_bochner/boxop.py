@@ -53,11 +53,12 @@ class BochnerResidual:
 
 
 def apply(box, f, p):
-    """box(f)(p) = tr(phi Hess f) in the orthonormal frame."""
+    """box(f)(p) = tr(phi Hess f) in the orthonormal frame, at a point or
+    at each point of a (P, n) stack."""
     geo = geom.point_geometry(box.chart, p)
     _, _, fij = geom.scalar_jets(geo, f, 2)
     phi_ij = geom.tensor_jets(geo, box.phi, 0)[0]
-    return float(np.sum(phi_ij * fij))
+    return np.sum(phi_ij * fij, axis=(-2, -1))
 
 
 def divergence_form_defect(box, f, p, fd_step=1e-5):

@@ -177,8 +177,8 @@ class TestStackedPoints:
         singles = [geom.point_geometry(m.chart(), p) for p in pts]
         for name in ("g", "g_inv", "frame", "Gamma", "dGamma"):
             self.check(getattr(geo, name), [getattr(s, name) for s in singles])
-        for jets, order in ((geom.scalar_jets, 3), (geom.tensor_jets, 2)):
-            field = f if jets is geom.scalar_jets else phi
+        for jets, field, order in ((geom.scalar_jets, f, 3),
+                                   (geom.tensor_jets, phi, 2)):
             per = zip(*[jets(s, field, order) for s in singles])
             for got, want in zip(jets(geo, field, order), per):
                 self.check(got, want)
@@ -188,6 +188,8 @@ class TestStackedPoints:
             self.check(getattr(cb, name), [getattr(c, name) for c in cbs])
 
         box, cvals = boxop.BoxOperator(phi=phi, manifold=m), (0.0, 1.0, 7.3)
+        self.check(boxop.apply(box, f, pts),
+                   [boxop.apply(box, f, p) for p in pts])
         stacked = boxop.bochner_residual(box, f, pts, cvals)
         per = [boxop.bochner_residual(box, f, p, cvals) for p in pts]
         for k, r in enumerate(stacked):
