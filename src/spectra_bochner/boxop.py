@@ -62,7 +62,8 @@ def apply(box, f, p):
 
 
 def divergence_form_defect(box, f, p, fd_step=1e-5):
-    """|box(f) - (div(phi grad f) - <div phi, grad f>)| at p.
+    """|box(f) - (div(phi grad f) - <div phi, grad f>)| at a point p (n,)
+    or at each point of a (P, n) stack.
 
     The divergence of the composite vector field phi(grad f) is taken by
     central differences of the composite, so the two routes are independent.
@@ -77,14 +78,15 @@ def divergence_form_defect(box, f, p, fd_step=1e-5):
         return (g_inv @ ph @ g_inv @ df[..., None])[..., 0]
 
     dV = geom.fd_derivative(vec, geo.p, fd_step)
-    div_composite = float(np.trace(dV)
-                          + np.einsum("aab,b->", geo.Gamma, vec(geo.p)))
+    div_composite = (np.trace(dV, axis1=-2, axis2=-1)
+                     + np.einsum("...aab,...b->...", geo.Gamma, vec(geo.p)))
 
     _, fi, fij = geom.scalar_jets(geo, f, 2)
     phi_ij, dphi = geom.tensor_jets(geo, box.phi, 1)
-    boxf = float(np.sum(phi_ij * fij))
-    divphi = np.einsum("ijj->i", dphi)
-    return abs(boxf - (div_composite - float(divphi @ fi)))
+    boxf = np.sum(phi_ij * fij, axis=(-2, -1))
+    divphi = np.einsum("...ijj->...i", dphi)
+    return np.abs(boxf - (div_composite
+                          - np.einsum("...i,...i->...", divphi, fi)))
 
 
 def bochner_residual(box, f, p, cvals):
@@ -157,14 +159,17 @@ def bochner_residual(box, f, p, cvals):
 
 
 def hessian_trace_defect(box, f, p):
-    """sum phi_ij f_jk f_ki - (box f)^2 / tr(phi); nonnegative when phi > 0."""
+    """sum phi_ij f_jk f_ki - (box f)^2 / tr(phi) at a point p (n,) or at
+    each point of a (P, n) stack; nonnegative when phi > 0.  Names the
+    first point where phi is not positive definite."""
     geo = geom.point_geometry(box.chart, p)
     _, _, fij = geom.scalar_jets(geo, f, 2)
     ph = geom.tensor_jets(geo, box.phi, 0)[0]
-    w = np.linalg.eigvalsh(ph)
-    if w[0] <= 0.0:
+    w = np.ravel(np.linalg.eigvalsh(ph)[..., 0])
+    if (w <= 0.0).any():
+        k = np.argmax(w <= 0.0)
         raise NotPositiveDefinite("phi not positive definite at %r (min eig %g)"
-                                  % (p, w[0]))
-    quad = float(np.einsum("ij,jk,ki->", ph, fij, fij))
-    boxf = float(np.sum(ph * fij))
-    return quad - boxf ** 2 / float(np.trace(ph))
+                                  % (geom._point(p, k), w[k]))
+    quad = np.einsum("...ij,...jk,...ki->...", ph, fij, fij)
+    boxf = np.sum(ph * fij, axis=(-2, -1))
+    return quad - boxf ** 2 / np.trace(ph, axis1=-2, axis2=-1)

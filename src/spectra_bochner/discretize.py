@@ -5,9 +5,11 @@ int <phi(grad psi_a), grad psi_b> dM, so the generalized eigenproblem reads
 K u = mu M u with K the phi-weighted stiffness and M the consistent mass.
 Coefficients are taken constant per face/cell (barycentric quadrature); for
 phi = g the mesh stiffness reproduces the classical cotangent weights, which
-serves as an independent oracle.  Assembly is batched: frames, element
-matrices and COO triplets are built for all elements at once, and a
-coefficient provider is called once per mesh or grid with whole arrays.
+serves as an independent oracle.  Assembly is batched: frames and element
+matrices are built for all elements at once, and a coefficient provider is
+called once per mesh or grid with whole arrays.  Meshes sum COO triplets;
+periodic grids, whose sparsity pattern is the closed-form {-1, 0, 1}^n
+stencil, sum each element entry into its stencil slot.
 """
 
 from __future__ import annotations
@@ -358,7 +360,10 @@ def _grid_element_tensors(h):
     return T, Me
 
 
-def _assemble_grid(grid, phi_provider):
+def _grid_elements(grid, phi_provider):
+    """Element stiffness and mass matrices (C, 2^n, 2^n) of a grid's cells,
+    cell c with lower corner node c, and the pair with cell-averaged
+    coefficients (2, 2^n, 2^n)."""
     n, shape = grid.dim, grid.shape
     T, Me_unit = _grid_element_tensors(grid.steps)
     lower = np.indices(shape).reshape(n, -1)     # cell corners, C order
@@ -375,36 +380,98 @@ def _assemble_grid(grid, phi_provider):
     vol = np.sqrt(np.linalg.det(G))
     ginv = np.linalg.inv(G)
     W = vol[:, None, None] * (ginv @ phi @ ginv)  # raised index, weighted
-    Ke = np.einsum("cab,abIJ->cIJ", W, T)
+    Ke = (W.reshape(-1, n * n) @ T.reshape(n * n, -1)).reshape(
+        (-1,) + Me_unit.shape)
     Ke = 0.5 * (Ke + Ke.transpose(0, 2, 1))
     Me = vol[:, None, None] * Me_unit
-    # corner k of a cell sits at offset bits(k), the last axis fastest
+    return Ke, Me, np.stack([np.einsum("ab,abIJ->IJ", W.mean(axis=0), T),
+                             vol.mean() * Me_unit])
+
+
+def _assemble_grid(grid, phi_provider):
+    """Grid K and M by stencil slots, plus the Fourier symbols of the pencil
+    with cell-averaged coefficients.
+
+    With at least 3 nodes per axis, node i couples to exactly the 3^n
+    distinct nodes at offsets {-1, 0, 1}^n, so the CSR pattern is known in
+    closed form (``_grid_pattern``).  Entry (a, b) of cell c's element
+    matrix lands in stencil slot node(c, a) * 3^n + d[a, b], d[a, b] the
+    stencil index of the offset bits_b - bits_a between the two corners;
+    K and M are one ``np.bincount`` over the slots each, then put in the
+    pattern's sorted order.
+    """
+    n, shape, N = grid.dim, grid.shape, grid.num_nodes
+    Ke, Me, E0 = _grid_elements(grid, phi_provider)
+    # corner k of a cell sits at offset bits(k), the last axis fastest; the
+    # stencil {-1, 0, 1}^n is ravelled the same way
     bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    corners = lower[:, :, None] + bits.T[:, None, :]   # (n, C, 2^n)
-    nodes = np.ravel_multi_index(tuple(corners), shape, mode="wrap")
-    K, M = _sparse_pair(nodes.astype(np.int32), Ke, Me, grid.num_nodes)
-    symbols = _grid_symbols(shape, bits, np.stack(
-        [np.einsum("ab,abIJ->IJ", W.mean(axis=0), T), vol.mean() * Me_unit]))
+    d = (bits - bits[:, None] + 1) @ 3 ** np.arange(n - 1, -1, -1)
+    lower = np.indices(shape).reshape(n, -1, 1)
+    nodes = np.ravel_multi_index(tuple(lower + bits.T[:, None, :]), shape,
+                                 mode="wrap")                   # (C, 2^n)
+    slot = (nodes[:, :, None] * 3 ** n + d).ravel()
+    indices, order = _grid_pattern(shape)
+    indptr = np.arange(0, N * 3 ** n + 1, 3 ** n, dtype=np.int32)
+
+    def csr(E):   # its own index arrays: scipy sorts indices in place
+        data = np.bincount(slot, E.ravel(), minlength=N * 3 ** n)[order]
+        return sp.csr_matrix((data, indices.copy(), indptr.copy()),
+                             shape=(N, N))
+
+    K, M = csr(Ke), csr(Me)
+    _post_checks(K)
     rec = {"domain": "PeriodicGrid", "shape": tuple(shape),
            "phi": getattr(phi_provider, "label", "custom")}
     return AssembledOperator(K=K, M=M, points=grid.node_points(), record=rec,
-                             symbols=symbols)
+                             symbols=_grid_symbols(shape, d, E0))
 
 
-def _grid_symbols(shape, bits, E0):
+def _grid_pattern(shape):
+    """Column indices of a periodic grid's CSR pattern, rows sorted, and
+    for each of its entries the stencil slot i * 3^n + (stencil index of
+    the offset) it holds.
+
+    Row i's columns are the nodes i + o, o in {-1, 0, 1}^n, wrapped per
+    axis.  A column ravels its per-axis coordinates, the first axis most
+    significant, so a row sorts by sorting each axis's three wrapped
+    coordinates on its own.  Both arrays are outer sums over the axes, laid
+    out (i_1, o_1, ..., i_n, o_n) and then transposed to rows (i_1, ..,
+    i_n) of entries (o_1, .., o_n).
+    """
+    n, N = len(shape), int(np.prod(shape))
+    cols = slots = np.zeros((), dtype=np.int32)
+    for s in shape:
+        wrapped = (np.arange(s, dtype=np.int32)[:, None]
+                   + np.arange(-1, 2, dtype=np.int32)) % s
+        order = np.argsort(wrapped, axis=1).astype(np.int32)
+        cols = np.add.outer(cols * s, np.take_along_axis(wrapped, order, 1))
+        slots = np.add.outer(slots * 3, order)
+    rows_first = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+    slots = (slots.transpose(rows_first).reshape(N, -1)
+             + 3 ** n * np.arange(N)[:, None])
+    return cols.transpose(rows_first).ravel(), slots.ravel()
+
+
+def _grid_symbols(shape, d, E0):
     """Fourier symbols of constant-coefficient element matrices E0
     (s, 2^n, 2^n) on a periodic grid.
 
     The grid operator assembled from one element matrix E0 for every cell
-    maps the mode exp(i theta.j) to lambda(theta) times itself, with
-    lambda(theta) = sum_ab E0[a, b] exp(i theta.(bits_b - bits_a)) and
-    theta_j = 2 pi k_j / s_j, in numpy.fft's order of k.  Returns one
-    real array of the grid's shape per element matrix.
+    is a circulant whose stencil at offset o sums the E0[a, b] with
+    bits_b - bits_a = o (stencil index d[a, b]).  It maps the mode
+    exp(i theta.j) to lambda(theta) times itself, lambda the stencil's
+    discrete Fourier transform, theta_j = 2 pi k_j / s_j in numpy.fft's
+    order of k; the stencil is symmetric, so lambda is real.  Returns one
+    array of the grid's shape per element matrix.
     """
-    theta = np.meshgrid(*[2.0 * np.pi * np.arange(s) / s for s in shape],
-                        indexing="ij")
-    phase = np.exp(1j * np.einsum("j...,aj->...a", np.array(theta), bits))
-    lam = np.einsum("...a,sab,...b->s...", phase.conj(), E0, phase).real
+    n = len(shape)
+    stencil = np.indices((3,) * n).reshape(n, -1) - 1   # d's offsets
+    at = np.ravel_multi_index(tuple(stencil), shape, mode="wrap")
+    S = np.zeros((len(E0), int(np.prod(shape))))
+    S[:, at] = [np.bincount(d.ravel(), e.ravel(), minlength=3 ** n)
+                for e in E0]
+    lam = np.fft.fftn(S.reshape((-1,) + tuple(shape)),
+                      axes=tuple(range(1, n + 1))).real
     return tuple(lam)
 
 

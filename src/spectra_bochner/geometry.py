@@ -249,10 +249,11 @@ def _to_frame(T, E):
     of n^r work each instead of one n^(2r) sum.
     """
     lead, n = E.shape[:-2], E.shape[-1]
-    r = T.ndim - len(lead)
+    L, r = len(lead), T.ndim - len(lead)
+    front = tuple(range(L)) + (L + r - 1,) + tuple(range(L, L + r - 1))
     for _ in range(r):
-        T = np.moveaxis((T.reshape(lead + (n ** (r - 1), n)) @ E)
-                        .reshape(T.shape), -1, len(lead))
+        T = (T.reshape(lead + (n ** (r - 1), n)) @ E).reshape(
+            T.shape).transpose(front)
     return T
 
 

@@ -3,7 +3,8 @@
 The pencil is singular (constants span the kernel of K).  Periodic grids are
 solved by LOBPCG constrained M-orthogonal to the constants and
 preconditioned through the FFT by the pencil with cell-averaged
-coefficients; nothing is factored and no shift enters their mu1.  Every
+coefficients, shifted by 0.9 times that pencil's mu1 (read off its Fourier
+symbols); nothing is factored and no shift enters their mu1.  Every
 other operator is solved by shift-inverted Lanczos on (K + eps*M)^{-1} M
 with a tiny regularization eps and explicit M-orthogonal deflation of the
 constant mode, K + eps*M factored once in a coordinate nested-dissection
@@ -89,6 +90,9 @@ def _nested_dissection(A, points):
 # LOBPCG iterations per run, and runs from the block the last one returned
 LOBPCG_MAXITER = 1000
 LOBPCG_RUNS = 4
+# the grid preconditioner's shift sigma, as a fraction of the averaged
+# pencil's mu1
+LOBPCG_SHIFT = 0.9
 
 
 def _shift_invert_lanczos(op, K, M, k, tol, rng, scale, m1, vol):
@@ -129,27 +133,27 @@ def _shift_invert_lanczos(op, K, M, k, tol, rng, scale, m1, vol):
                    "solves": solves}
 
 
-def _lobpcg_fft(K, M, symbols, k, tol, rng, scale, vol):
-    """(mu, U, stats) from LOBPCG on K u = mu M u, M-orthogonal to the
-    constants, preconditioned by the inverse of the cell-averaged pencil's
-    stiffness (its Fourier symbol; the mass symbol on the constant mode).
+def _fft_preconditioner(symbols):
+    """(P, sigma, nu1): the inverse of the shifted cell-averaged pencil
+    stiff - sigma * mass, applied through the FFT, from its Fourier symbols.
 
-    Convergence asks ||K x - mu M x|| <= tol * scale * sqrt(vol / N) of
-    every M-normalized column x: scale * vol / N estimates ||K|| and
-    sqrt(N / vol) the 2-norm of x.  scipy locks a column once it is below
-    its tolerance and does not check it again, and later Rayleigh-Ritz
-    steps can lift a locked column above it (seen at k >= 2 in the 4-fold
-    mu1 cluster of the perturbed 3-torus).  So the residuals are checked
-    here, and a new run starts from the block the last one returned, with
-    scipy's tolerance a tenth of the last run's.
+    nu1, the smallest stiff / mass ratio off the constant mode, is the
+    averaged pencil's exact mu1, and sigma = LOBPCG_SHIFT * nu1 sits below
+    it, so every symbol but the constant mode's is at least
+    (nu1 - sigma) * mass > 0; the constant mode keeps the mass symbol.  P
+    is therefore SPD, as LOBPCG requires.  Against the unshifted inverse,
+    P weights a mode of symbol ratio nu by nu / (nu - sigma), 10 on the
+    averaged pencil's first mode and near 1 high in the spectrum, which
+    widens the relative gap between mu1 and the modes above it that sets
+    LOBPCG's iteration count.
     """
     stiff, mass = symbols
-    shape, N = stiff.shape, K.shape[0]
-    if 5 * k >= N:   # scipy's lobpcg would turn to a dense solver
-        raise ConfigError("k = %d is too large for LOBPCG on %d nodes"
-                          % (k, N))
-    t0 = time.perf_counter()
-    half = stiff[..., :shape[-1] // 2 + 1].copy()
+    shape, N = stiff.shape, stiff.size
+    ratio = stiff / mass
+    ratio.flat[0] = np.inf
+    nu1 = float(ratio.min())
+    sigma = LOBPCG_SHIFT * nu1
+    half = (stiff - sigma * mass)[..., :shape[-1] // 2 + 1]
     half.flat[0] = mass.flat[0]
     axes = tuple(range(len(shape)))
 
@@ -161,6 +165,28 @@ def _lobpcg_fft(K, M, symbols, k, tol, rng, scale, vol):
 
     P = spla.LinearOperator((N, N), matvec=precondition,
                             matmat=precondition, dtype=float)
+    return P, sigma, nu1
+
+
+def _lobpcg_fft(K, M, symbols, k, tol, rng, scale, vol):
+    """(mu, U, stats) from LOBPCG on K u = mu M u, M-orthogonal to the
+    constants, preconditioned by ``_fft_preconditioner``.
+
+    Convergence asks ||K x - mu M x|| <= tol * scale * sqrt(vol / N) of
+    every M-normalized column x: scale * vol / N estimates ||K|| and
+    sqrt(N / vol) the 2-norm of x.  scipy locks a column once it is below
+    its tolerance and does not check it again, and later Rayleigh-Ritz
+    steps can lift a locked column above it (seen at k >= 2 in the 4-fold
+    mu1 cluster of the perturbed 3-torus).  So the residuals are checked
+    here, and a new run starts from the block the last one returned, with
+    scipy's tolerance a tenth of the last run's.
+    """
+    N = K.shape[0]
+    if 5 * k >= N:   # scipy's lobpcg would turn to a dense solver
+        raise ConfigError("k = %d is too large for LOBPCG on %d nodes"
+                          % (k, N))
+    t0 = time.perf_counter()
+    P, sigma, nu1 = _fft_preconditioner(symbols)
     X = rng.standard_normal((N, k))
     limit = tol * scale * math.sqrt(vol / N)
     setup_s = time.perf_counter() - t0
@@ -177,7 +203,8 @@ def _lobpcg_fft(K, M, symbols, k, tol, rng, scale, vol):
         res = np.linalg.norm(K @ X - (M @ X) * mu, axis=0)
         if np.max(res) <= limit:
             return mu, X, {"iterations": len(history), "setup_s": setup_s,
-                           "residual_history": history}
+                           "residual_history": history,
+                           "preconditioner_shift": sigma, "nu1": nu1}
     raise NoConvergence("LOBPCG did not converge in %d iterations: residuals "
                         "%s above %.3g" % (len(history), res.tolist(), limit),
                         eigenvalues=mu, residuals=res)
@@ -189,14 +216,18 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
     K must be PSD with constants spanning its kernel and M SPD.  The solver
     follows the domain kind, named by ``diagnostics["solver"]``:
     ``"lobpcg-fft"`` on periodic grids (``op.symbols`` set), reporting
-    ``iterations``, ``setup_s`` and the block's largest residual per
-    iteration (``residual_history``); ``"splu-shift-invert"`` otherwise,
+    ``iterations``, ``setup_s``, the block's largest residual per
+    iteration (``residual_history``), the averaged pencil's mu1 ``nu1``
+    and the preconditioner's shift sigma (``preconditioner_shift``);
+    ``"splu-shift-invert"`` otherwise,
     reporting the ``shift`` eps, the ``fill`` of K + eps*M's factor (the
     nonzeros SuperLU stores for L and U, ``SuperLU.nnz``: reading ``.L``
     and ``.U`` would copy the factor), ``factor_s`` (ordering plus
     factorization) and the number of shift-invert ``solves``.
     """
-    K, M = op.K.tocsc(), op.M.tocsc()
+    K, M = op.K, op.M
+    if op.symbols is None:   # the factorization path works in CSC
+        K, M = K.tocsc(), M.tocsc()
     N = K.shape[0]
     scale = abs(K).sum() / max(1.0, abs(M).sum())
 

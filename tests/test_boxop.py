@@ -201,3 +201,28 @@ class TestStackedPoints:
             self.check(r.residual, [x.residual for x in rs], scale)
             for t, v in r.rhs_terms.items():
                 self.check(v, [x.rhs_terms[t] for x in rs], scale)
+
+    @pytest.mark.parametrize("mname,kind", SUITE_CASES)
+    def test_identity_defects_stack_matches_points(self, mname, kind):
+        m, phi, f, pts = self.case(mname, kind)
+        box = boxop.BoxOperator(phi=phi, manifold=m)
+        # both defects cancel terms of the size of box f (squared)
+        scale = max(1.0, np.max(np.abs(boxop.apply(box, f, pts))))
+        self.check(boxop.divergence_form_defect(box, f, pts),
+                   [boxop.divergence_form_defect(box, f, p) for p in pts],
+                   scale)
+        if kind != "schouten" or mname == "sphere4":   # phi > 0 here
+            self.check(boxop.hessian_trace_defect(box, f, pts),
+                       [boxop.hessian_trace_defect(box, f, p) for p in pts],
+                       scale ** 2)
+
+    def test_stack_names_first_indefinite_point(self, torus):
+        # phi = cos(x1) I is indefinite at points 1 and 2, first at x1 = 2
+        phi = geom.SymmetricTensorField(
+            comp=lambda p: np.cos(p[..., 0])[..., None, None] * np.eye(2))
+        box = boxop.BoxOperator(phi=phi, manifold=torus)
+        f = geom.trig_field(np.array([1.0, 0.0]))
+        pts = np.array([[0.1, 0.1], [2.0, 0.3], [3.0, 0.5]])
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"min eig %g\)" % np.cos(2.0)):
+            boxop.hessian_trace_defect(box, f, pts)

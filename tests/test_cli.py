@@ -79,6 +79,7 @@ class TestEig:
         assert diag["iterations"] == len(diag["residual_history"]) > 0
         assert diag["setup_s"] >= 0.0
         assert "fill" not in diag and "shift" not in diag
+        assert 0.0 < diag["preconditioner_shift"] < diag["nu1"]
 
     def test_missing_domain(self, capsys):
         code, _, err = run(capsys, "eig")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spectra_bochner import discretize as dz
+from spectra_bochner import discretize as dz, geometry as geom
 from spectra_bochner.errors import (ConfigError, DegenerateElement,
                                     NonSymmetricCoefficient)
 
@@ -162,6 +162,64 @@ class TestGrid:
             dz.PeriodicGrid(lengths=[1.0], shape=(4, 4))
         with pytest.raises(ConfigError):
             dz.PeriodicGrid(lengths=[1.0, 1.0], shape=(2, 4))
+
+
+def coo_reference(grid, Ke, Me):
+    """K and M summed from COO triplets of the element matrices, cell c
+    with lower corner node c and corner k at offset bits(k)."""
+    n, N = grid.dim, grid.num_nodes
+    lower = np.indices(grid.shape).reshape(n, -1)
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    nodes = np.ravel_multi_index(tuple(lower[:, :, None]
+                                       + bits.T[:, None, :]),
+                                 grid.shape, mode="wrap")
+    rows = np.repeat(nodes, 2 ** n, axis=1).ravel()
+    cols = np.tile(nodes, (1, 2 ** n)).ravel()
+    return [sp.coo_matrix((E.ravel(), (rows, cols)), shape=(N, N)).tocsr()
+            for E in (Ke, Me)]
+
+
+def torus3_grid(res):
+    chart = geom.parse_manifold("torus3:perturb=sin").chart()
+    return dz.PeriodicGrid(lengths=chart.hi - chart.lo, shape=(res,) * 3,
+                           metric=chart.metric.comp)
+
+
+class TestGridStencilAssembly:
+    @pytest.mark.parametrize("grid,provider", [
+        (dz.PeriodicGrid(lengths=[2 * np.pi, 3.0], shape=(7, 5)),
+         dz.nondivergence_free_coefficient()),
+        # 3 nodes on an axis: the -1 and +1 offsets wrap to the same side
+        (dz.PeriodicGrid(lengths=[1.0, 2.0, 3.0], shape=(3, 4, 5)),
+         dz.nondivergence_free_coefficient()),
+        (torus3_grid(18), None),
+    ], ids=["2d-7x5", "3d-3x4x5", "torus3-18"])
+    def test_matches_coo_reference(self, grid, provider):
+        provider = provider or dz.grid_metric_coefficient(grid)
+        op = dz.assemble(grid, provider)
+        Ke, Me, _ = dz._grid_elements(grid, provider)
+        stencil = 3 ** grid.dim
+        for A, ref in zip((op.K, op.M), coo_reference(grid, Ke, Me)):
+            assert A.has_canonical_format
+            assert A.nnz == ref.nnz == stencil * grid.num_nodes
+            assert np.array_equal(A.indptr, ref.indptr)
+            assert np.array_equal(A.indices, ref.indices)
+            assert abs(A - ref).max() <= 1e-15 * abs(ref).max()
+
+    def test_mass_survives_stiffness_edits(self):
+        # scipy sorts a CSR matrix's indices in place (K - K.T does), so K
+        # and M must not share index arrays
+        op = dz.assemble(dz.PeriodicGrid(lengths=[1.0, 2.0, 3.0],
+                                         shape=(3, 4, 5)),
+                         dz.nondivergence_free_coefficient())
+        M0 = op.M.copy()
+        for a, b in ((op.K.indices, op.M.indices), (op.K.indptr, op.M.indptr)):
+            assert not np.shares_memory(a, b)
+        op.K.sort_indices()
+        op.K - op.K.T
+        assert np.array_equal(op.M.indices, M0.indices)
+        assert np.array_equal(op.M.indptr, M0.indptr)
+        assert np.array_equal(op.M.data, M0.data)
 
 
 class TestConsistency:

@@ -186,6 +186,7 @@ class TestGridSolver:
     def test_lifted_locked_column_reruns(self, torus18_op, monkeypatch):
         # at this start block scipy's first run returns a column above the
         # tolerance, which it had locked earlier; a second run converges
+        # (8 of the start blocks [1000, 0..39] rerun at k = 2)
         calls = []
         lobpcg = spec.spla.lobpcg
 
@@ -194,10 +195,32 @@ class TestGridSolver:
             return lobpcg(*args, **kwargs)
 
         monkeypatch.setattr(spec.spla, "lobpcg", counted)
-        r = spec.smallest_nonzero(torus18_op, k=2, seed=[1000, 5])
+        r = spec.smallest_nonzero(torus18_op, k=2, seed=[1000, 1])
         assert len(calls) == 2 and calls[1] < calls[0]
         assert r.diagnostics["residual_history"][-1] <= calls[0]
         assert np.allclose(r.eigenvalues, 1.0028150121556432, rtol=1e-10)
+
+    @pytest.mark.parametrize("op", [
+        torus_grid_op(6),
+        dz.assemble(dz.PeriodicGrid(lengths=[2 * np.pi] * 2, shape=(12, 10)),
+                    dz.nondivergence_free_coefficient()),
+    ], ids=["torus3-sin-6", "nondivfree-12x10"])
+    def test_shifted_preconditioner_is_spd(self, op):
+        P, sigma, nu1 = spec._fft_preconditioner(op.symbols)
+        assert sigma == spec.LOBPCG_SHIFT * nu1 > 0.0
+        D = P @ np.eye(op.size)
+        assert np.max(np.abs(D - D.T)) <= 1e-12 * np.max(np.abs(D))
+        assert np.linalg.eigvalsh(D)[0] > 0.0
+
+    def test_shifted_preconditioner_iterations(self, torus18_op):
+        # the unshifted preconditioner took a median of 34 iterations here
+        its = []
+        for j in range(5):
+            r = spec.smallest_nonzero(torus18_op, k=1, seed=[1000, j])
+            its.append(r.diagnostics["iterations"])
+            # the benchmark's recorded mu1 of the 18^3 grid
+            assert abs(r.mu1 - 1.0028150121556432) <= 1e-12
+        assert np.median(its) <= 22
 
     def test_block_too_large_for_grid(self):
         op = dz.assemble(dz.PeriodicGrid(lengths=[1.0, 1.0], shape=(3, 3)),
