@@ -114,21 +114,23 @@ class SurfaceMesh:
         if ncomp > 1:
             raise DegenerateElement("mesh has %d connected components"
                                     % ncomp)
-        areas = self.face_areas()
+        P = self.face_corners()
+        E = P[:, [1, 2, 0]] - P           # edge k runs from corner k to k + 1
+        areas = 0.5 * np.linalg.norm(np.cross(E[:, 0], E[:, 2]), axis=1)
         mean_area = float(areas.mean())
         if np.min(areas) < MIN_AREA_FRACTION * mean_area:
             raise DegenerateElement("face area %g below %g of mean"
                                     % (np.min(areas), MIN_AREA_FRACTION))
-        P = self.face_corners()
-        for k in range(3):
-            u = P[:, (k + 1) % 3] - P[:, k]
-            v = P[:, (k + 2) % 3] - P[:, k]
-            cosang = np.einsum("fi,fi->f", u, v) / (
-                np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-            ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-            if np.min(ang) < MIN_ANGLE_DEG:
-                raise DegenerateElement("min triangle angle %.3f deg < %g deg"
-                                        % (np.min(ang), MIN_ANGLE_DEG))
+        # the angle at corner k lies between edge k and the reversed edge
+        # k - 1; it is below MIN_ANGLE_DEG where its cosine is above
+        L = np.einsum("fki,fki->fk", E, E)
+        cos = -np.einsum("fki,fki->fk", E, E[:, [2, 0, 1]]) / np.sqrt(
+            L * L[:, [2, 0, 1]])
+        max_cos = float(np.max(cos))
+        if max_cos > math.cos(math.radians(MIN_ANGLE_DEG)):
+            angle = math.degrees(math.acos(min(max_cos, 1.0)))
+            raise DegenerateElement("min triangle angle %.3f deg < %g deg"
+                                    % (angle, MIN_ANGLE_DEG))
 
 
 def icosphere(subdiv=0, radius=1.0):
@@ -145,32 +147,31 @@ def icosphere(subdiv=0, radius=1.0):
         [t, 0, -1], [t, 0, 1], [-t, 0, -1], [-t, 0, 1],
     ], dtype=float)
     verts /= np.linalg.norm(verts, axis=1, keepdims=True)
-    faces = [
+    faces = np.array([
         (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
         (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    verts = [v for v in verts]
+    ], dtype=np.int64)
     for _ in range(subdiv):
-        cache: Dict[Tuple[int, int], int] = {}
-
-        def midpoint(a, b):
-            key = (min(a, b), max(a, b))
-            if key not in cache:
-                m = verts[a] + verts[b]
-                m /= np.linalg.norm(m)
-                verts.append(m)
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    V = radius * np.asarray(verts)
-    return SurfaceMesh(vertices=V, faces=np.asarray(faces))
+        # the edges ab, bc, ca of each face in turn; each undirected edge
+        # gets one midpoint vertex, numbered by its first occurrence
+        nv = len(verts)
+        a, b = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+        _, first, inverse = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        m = verts[a[first[order]]] + verts[b[first[order]]]
+        # each norm rounded as the 1-D dot product np.linalg.norm takes
+        m /= np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0])
+        verts = np.concatenate([verts, m])
+        ab, bc, ca = (nv + rank[inverse]).reshape(-1, 3).T
+        x, y, z = faces.T
+        faces = np.stack([x, ab, ca, y, bc, ab, z, ca, bc, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
+    return SurfaceMesh(vertices=radius * verts, faces=faces)
 
 
 def scaled_mesh(mesh, scale):
@@ -371,14 +372,14 @@ def _grid_elements(grid, phi_provider):
     G = np.broadcast_to(np.eye(n) if grid.metric is None
                         else np.asarray(grid.metric(centers), dtype=float),
                         (len(centers), n, n))
-    spd = np.linalg.eigvalsh(G)[:, 0] > 0.0
+    pivots, ginv = _pivots_and_inverse(G)
+    spd = np.all(pivots > 0.0, axis=1)
     if not np.all(spd):
         raise DegenerateElement("grid metric not SPD at %r"
                                 % (centers[np.argmin(spd)].tolist(),))
     phi = _check_sym_coeff(phi_provider(centers, G), G.shape,
                            lambda c: "cell %r" % (lower[:, c].tolist(),))
-    vol = np.sqrt(np.linalg.det(G))
-    ginv = np.linalg.inv(G)
+    vol = np.sqrt(np.prod(pivots, axis=1))
     W = vol[:, None, None] * (ginv @ phi @ ginv)  # raised index, weighted
     Ke = (W.reshape(-1, n * n) @ T.reshape(n * n, -1)).reshape(
         (-1,) + Me_unit.shape)
@@ -386,6 +387,28 @@ def _grid_elements(grid, phi_provider):
     Me = vol[:, None, None] * Me_unit
     return Ke, Me, np.stack([np.einsum("ab,abIJ->IJ", W.mean(axis=0), T),
                              vol.mean() * Me_unit])
+
+
+def _pivots_and_inverse(G):
+    """Pivots and inverses of a stack (C, n, n) of symmetric matrices by
+    Gauss-Jordan elimination on [G | I] without row exchanges.
+
+    A symmetric matrix is positive definite exactly when all n pivots are
+    positive, and its determinant is their product.  After a pivot that is
+    not positive, that matrix's later pivots and its inverse are not
+    meaningful (they may hold inf or nan).
+    """
+    n = G.shape[-1]
+    A = np.concatenate([G, np.broadcast_to(np.eye(n), G.shape)], axis=2)
+    pivots = np.empty(G.shape[:2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n):
+            pivots[:, k] = A[:, k, k]
+            A[:, k] /= pivots[:, k, None]
+            f = A[:, :, k].copy()
+            f[:, k] = 0.0
+            A -= f[:, :, None] * A[:, None, k]
+    return pivots, A[:, :, n:]
 
 
 def _assemble_grid(grid, phi_provider):
@@ -545,13 +568,27 @@ def ellipsoid_newton1_coefficient(semiaxes):
         BsT = Bs.transpose(0, 2, 1)
         P1s = BsT @ (H * tangent - A3) @ Bs
         # exact in-plane rotation aligning the face basis with the surface
-        # tangent basis (umbilic surfaces then restrict to alpha*I exactly);
-        # the polar factor U Vt is unique, so the batched SVD's signs agree
-        U, _, Vt = np.linalg.svd(BsT @ B)
-        R = U @ Vt
+        # tangent basis (umbilic surfaces then restrict to alpha*I exactly)
+        R = _polar_2x2(BsT @ B)
         return R.transpose(0, 2, 1) @ P1s @ R
 
     return _labelled(provider, "newton1:ellipsoid:%g,%g,%g" % tuple(d))
+
+
+def _polar_2x2(X):
+    """Orthogonal polar factor U Vt of a stack (F, 2, 2) of matrices
+    [[a, b], [c, d]] with SVD U S Vt, in closed form.
+
+    For det >= 0 it is the rotation [[p, q], [-q, p]] with (p, q) along
+    (a + d, b - c); otherwise the reflection [[p, q], [q, -p]] with (p, q)
+    along (a - d, b + c).
+    """
+    a, b, c, d = X[:, 0, 0], X[:, 0, 1], X[:, 1, 0], X[:, 1, 1]
+    s = np.where(a * d - b * c >= 0.0, 1.0, -1.0)
+    p, q = a + s * d, b - s * c
+    r = np.hypot(p, q)
+    p, q = p / r, q / r
+    return np.stack([p, q, -s * q, s * p], axis=1).reshape(-1, 2, 2)
 
 
 def mesh_newton1_coefficient(mesh):

@@ -14,7 +14,53 @@ def ico3():
     return dz.icosphere(3, 1.0)
 
 
+def icosphere_reference(subdiv):
+    """Vertices and faces of the icosphere by one dict lookup per face edge
+    (independent route): each edge's midpoint is appended on first use."""
+    base = dz.icosphere(0)
+    verts, faces = list(base.vertices), [tuple(f) for f in base.faces]
+    for _ in range(subdiv):
+        cache = {}
+
+        def midpoint(a, b):
+            key = (min(a, b), max(a, b))
+            if key not in cache:
+                m = verts[a] + verts[b]
+                m /= np.linalg.norm(m)
+                verts.append(m)
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = new_faces
+    return np.asarray(verts), np.asarray(faces)
+
+
+def pillow(angle_deg):
+    """Closed two-face mesh: one right triangle, front and back, whose
+    smallest angle is ``angle_deg``."""
+    t = np.tan(np.radians(angle_deg))
+    v = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, t, 0.0]])
+    return dz.SurfaceMesh(vertices=v, faces=np.array([[0, 1, 2], [0, 2, 1]]))
+
+
 class TestIcosphere:
+    @pytest.mark.parametrize("sub", range(6))
+    def test_matches_reference_construction(self, sub):
+        m = dz.icosphere(sub)
+        verts, faces = icosphere_reference(sub)
+        assert np.array_equal(m.faces, faces)
+        assert np.array_equal(m.vertices, verts)
+
+    @pytest.mark.parametrize("sub", range(1, 6))
+    def test_levels_nest(self, sub):
+        coarse, fine = dz.icosphere(sub - 1), dz.icosphere(sub)
+        assert np.array_equal(fine.vertices[:coarse.num_vertices],
+                              coarse.vertices)
+
     def test_base_combinatorics(self):
         m = dz.icosphere(0)
         assert m.num_vertices == 12
@@ -73,6 +119,12 @@ class TestMeshValidation:
         with pytest.raises(DegenerateElement, match="same orientation"):
             dz.SurfaceMesh(vertices=m.vertices, faces=f)
 
+    def test_min_angle_boundary(self):
+        with pytest.raises(DegenerateElement,
+                           match=r"min triangle angle 0\.900 deg < 1 deg"):
+            pillow(0.9)
+        assert pillow(1.1).num_faces == 2
+
 
 class TestAssembly:
     def test_cotangent_oracle(self, ico3):
@@ -123,6 +175,13 @@ class TestAssembly:
         with pytest.raises(NonSymmetricCoefficient):
             dz.assemble(ico3, bad)
 
+    def test_polar_factor_matches_svd(self):
+        X = np.random.default_rng(5).standard_normal((1000, 2, 2))
+        X[0] = [[0.0, 1.0], [1.0, 0.0]]       # a reflection, det = -1
+        assert 100 < np.sum(np.linalg.det(X) < 0) < 900
+        U, _, Vt = np.linalg.svd(X)
+        assert np.max(np.abs(dz._polar_2x2(X) - U @ Vt)) <= 1e-15
+
     def test_provenance_record(self, ico3):
         op = dz.assemble(ico3, dz.metric_coefficient())
         assert op.record["phi"] == "metric"
@@ -156,6 +215,43 @@ class TestGrid:
         op = dz.assemble(g, dz.grid_metric_coefficient(g))
         ones = np.ones(op.size)
         assert float(ones @ (op.M @ ones)) == pytest.approx(4.0)
+
+    def test_metric_indefinite_in_one_cell_rejected(self):
+        # steps 1, so cell (i, j) has centre (i + 0.5, j + 0.5)
+        def metric(p):
+            G = np.tile(np.eye(2), (len(p), 1, 1))
+            G[np.all(p == [2.5, 1.5], axis=1)] = [[1.0, 2.0], [2.0, 1.0]]
+            return G
+
+        g = dz.PeriodicGrid(lengths=[4.0, 5.0], shape=(4, 5), metric=metric)
+        with pytest.raises(DegenerateElement,
+                           match=r"not SPD at \[2\.5, 1\.5\]"):
+            dz.assemble(g, dz.grid_metric_coefficient(g))
+
+    def test_first_indefinite_cell_named(self):
+        # the first cell, diag(1, -1, -1), fails at its second pivot with a
+        # positive determinant; a later one fails at its first pivot
+        def metric(p):
+            G = np.tile(np.eye(3), (len(p), 1, 1))
+            G[np.all(p == [0.5, 1.5, 0.5], axis=1)] = np.diag([1, -1, -1])
+            G[np.all(p == [2.5, 0.5, 0.5], axis=1), 0, 0] = 0.0
+            return G
+
+        g = dz.PeriodicGrid(lengths=[3.0, 3.0, 3.0], shape=(3, 3, 3),
+                            metric=metric)
+        with pytest.raises(DegenerateElement,
+                           match=r"not SPD at \[0\.5, 1\.5, 0\.5\]"):
+            dz.assemble(g, dz.grid_metric_coefficient(g))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pivots_and_inverse(self, n):
+        A = np.random.default_rng(n).standard_normal((50, n, n))
+        G = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(n)
+        pivots, Ginv = dz._pivots_and_inverse(G)
+        assert np.all(pivots > 0.0)
+        assert np.allclose(np.prod(pivots, axis=1), np.linalg.det(G),
+                           rtol=1e-12, atol=0.0)
+        assert np.allclose(Ginv, np.linalg.inv(G), rtol=1e-10, atol=1e-12)
 
     def test_bad_dimensions(self):
         with pytest.raises(ConfigError):
