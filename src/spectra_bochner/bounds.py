@@ -125,8 +125,9 @@ def compare(bound_input, mu1, error_estimate=0.0, analytic=True):
     """Build a BoundReport comparing a computed/analytic mu1 to the bound.
 
     Equality tolerance: 1e-6 relative for analytic values, 3x the supplied
-    refinement error estimate otherwise.  ViolationSuspected only fires when
-    the margin is below minus the error estimate.
+    refinement error estimate otherwise.  A margin within the tolerance is
+    EqualityCase, a larger positive one InequalityHolds, and a margin below
+    minus the tolerance ViolationSuspected.
     """
     inp = bound_input
     if isinstance(inp, SchoutenBoundInput):
@@ -145,10 +146,8 @@ def compare(bound_input, mu1, error_estimate=0.0, analytic=True):
         verdict = VERDICT_EQUALITY
     elif margin > 0.0:
         verdict = VERDICT_INEQUALITY
-    elif margin < -max(float(error_estimate), 0.0):
-        verdict = VERDICT_VIOLATION
     else:
-        verdict = VERDICT_INEQUALITY  # within discretization noise of zero
+        verdict = VERDICT_VIOLATION
     notes = {"error_estimate": float(error_estimate), "analytic": analytic}
     return BoundReport(bound_value=bound, computed_mu1=mu1, margin=margin,
                        verdict=verdict, tolerance=tol,

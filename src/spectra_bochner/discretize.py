@@ -86,6 +86,24 @@ class SurfaceMesh:
 
     # -- validation --------------------------------------------------------
     def validate(self):
+        """Every check: the face array's topology, then the geometry."""
+        self._check_topology()
+        self._check_geometry()
+
+    @classmethod
+    def _sharing_faces(cls, mesh, vertices):
+        """A mesh on new vertices that shares ``mesh``'s validated face
+        array; only the geometric checks run again."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "vertices",
+                           np.ascontiguousarray(vertices, dtype=float))
+        object.__setattr__(new, "faces", mesh.faces)
+        new._check_geometry()
+        return new
+
+    def _check_topology(self):
+        """Index triples in range, consistently oriented, closed, using every
+        vertex and connected: properties of the faces and the vertex count."""
         F = self.faces
         if F.ndim != 2 or F.shape[1] != 3:
             raise DegenerateElement("faces must be index triples")
@@ -114,20 +132,27 @@ class SurfaceMesh:
         if ncomp > 1:
             raise DegenerateElement("mesh has %d connected components"
                                     % ncomp)
+
+    def _check_geometry(self):
+        """Face areas and corner angles.  Both tests are negated
+        comparisons, so a nan area or cosine fails them."""
         P = self.face_corners()
         E = P[:, [1, 2, 0]] - P           # edge k runs from corner k to k + 1
+        L = np.einsum("fki,fki->fk", E, E)
         areas = 0.5 * np.linalg.norm(np.cross(E[:, 0], E[:, 2]), axis=1)
-        mean_area = float(areas.mean())
-        if np.min(areas) < MIN_AREA_FRACTION * mean_area:
-            raise DegenerateElement("face area %g below %g of mean"
-                                    % (np.min(areas), MIN_AREA_FRACTION))
+        # an absolute scale, which is 0 (and fails every area) when all
+        # faces have collapsed
+        min_area = float(np.min(areas))
+        if not min_area > MIN_AREA_FRACTION * float(np.mean(np.sqrt(L))) ** 2:
+            raise DegenerateElement("face area %g below %g of the squared "
+                                    "mean edge length"
+                                    % (min_area, MIN_AREA_FRACTION))
         # the angle at corner k lies between edge k and the reversed edge
         # k - 1; it is below MIN_ANGLE_DEG where its cosine is above
-        L = np.einsum("fki,fki->fk", E, E)
         cos = -np.einsum("fki,fki->fk", E, E[:, [2, 0, 1]]) / np.sqrt(
             L * L[:, [2, 0, 1]])
         max_cos = float(np.max(cos))
-        if max_cos > math.cos(math.radians(MIN_ANGLE_DEG)):
+        if not max_cos <= math.cos(math.radians(MIN_ANGLE_DEG)):
             angle = math.degrees(math.acos(min(max_cos, 1.0)))
             raise DegenerateElement("min triangle angle %.3f deg < %g deg"
                                     % (angle, MIN_ANGLE_DEG))
@@ -175,9 +200,10 @@ def icosphere(subdiv=0, radius=1.0):
 
 
 def scaled_mesh(mesh, scale):
-    """Apply a per-axis scaling (e.g. sphere -> ellipsoid)."""
-    return SurfaceMesh(vertices=mesh.vertices * np.asarray(scale, float),
-                       faces=mesh.faces)
+    """Apply a per-axis scaling (e.g. sphere -> ellipsoid).  The copy shares
+    the mesh's validated faces, so only its geometry is checked again."""
+    return SurfaceMesh._sharing_faces(mesh,
+                                      mesh.vertices * np.asarray(scale, float))
 
 
 # ---------------------------------------------------------------------------

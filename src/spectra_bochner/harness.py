@@ -240,7 +240,8 @@ def divergence_suite(samples=20, seed=7):
         hs = hyp.parse_surface(sname)
         man = hyp.induced_metric_manifold(hs, 0)
         P1 = hyp.newton1_field(hs, 0)
-        U = np.array([u for ci, u in hs.sample_points(samples, rng) if ci == 0])
+        cis, U = hs.sample_points(samples, rng)
+        U = U[cis == 0]
         d = geom.tensor_divergence(geom.point_geometry(man.chart(), U), P1)
         out["div_p1"][sname] = float(np.max(np.abs(d)))
     defects = []
@@ -297,7 +298,11 @@ def sphere_equality_suite():
 def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=(4, 5), seed=42,
                       sample_points=400):
     """FEM mu1(L1) on the ellipsoid against the bound from sampled
-    pinching constants; refinement across the given subdivision levels."""
+    pinching constants; refinement across the given subdivision levels,
+    which must increase."""
+    if any(b <= a for a, b in zip(subdivs, subdivs[1:])):
+        raise ConfigError("subdivisions must increase, got %r"
+                          % (tuple(subdivs),))
     ax = [float(v) for v in semiaxes]
     surf = hyp.ellipsoid_surface(*ax)
     pc = hyp.pinching_constants(surf, geom.SamplePlan(points=sample_points,
@@ -313,9 +318,14 @@ def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=(4, 5), seed=42,
         mus.append(r.mu1)
         levels.append({"subdiv": sub, "h": mesh.mean_edge_length(),
                        "mu1": r.mu1, "residual": float(r.residuals[0])})
-    # O(h^2) scheme: successive difference over (4^1 - 1) estimates the
-    # finest-level discretization error
-    err_est = (abs(mus[-1] - mus[-2]) / 3.0) if len(mus) > 1 else abs(mus[-1])
+    # O(h^2) scheme with h halved per subdivision: the last difference over
+    # 4^d - 1, d the last step in subdivisions, estimates the finest-level
+    # discretization error
+    if len(mus) > 1:
+        d = subdivs[-1] - subdivs[-2]
+        err_est = abs(mus[-1] - mus[-2]) / (4.0 ** d - 1.0)
+    else:
+        err_est = abs(mus[-1])
     rep = bd.compare(inp, mus[-1], error_estimate=err_est, analytic=False)
     for lv in levels:
         lv["bound"] = rep.bound_value

@@ -70,23 +70,21 @@ class ImmersedHypersurface:
         return replace(self, flip_normal=not self.flip_normal)
 
     def sample_points(self, count, rng):
-        """(chart_idx, u) pairs spread over the charts' sample disks."""
-        pts = []
-        ncharts = len(self.charts)
-        for k in range(count):
-            ci = k % ncharts
-            r = self.charts[ci].sample_radius * math.sqrt(rng.uniform(0.02, 1.0))
-            # never read: this draw only keeps the seeded stream of sample
-            # points, and so every sampled constant, where it is
-            rng.uniform(0.0, 2.0 * np.pi, size=max(1, self.n - 1))
-            pts.append((ci, _disk_point(self.n, r, rng)))
-        return pts
+        """Sample points over the charts' disks as whole arrays.
 
-
-def _disk_point(n, r, rng):
-    v = rng.normal(size=n)
-    v /= np.linalg.norm(v)
-    return r * v
+        Returns (chart_idx (count,), U (count, n)): point k lies in chart
+        k mod ncharts, in a uniform direction at radius
+        sample_radius * sqrt(r), r uniform on [0.02, 1).  The stream is one
+        draw of the radii and one of the directions, so a seed gives other
+        points, and other sampled constants, than the earlier per-point
+        draws did.
+        """
+        chart_idx = np.arange(count) % len(self.charts)
+        r = rng.uniform(0.02, 1.0, size=count)
+        v = rng.normal(size=(count, self.n))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        radius = np.array([c.sample_radius for c in self.charts])
+        return chart_idx, (radius[chart_idx] * np.sqrt(r))[:, None] * v
 
 
 def generalized_cross(vectors):
@@ -256,13 +254,13 @@ def pinching_constants(hs, plan=geom.SamplePlan(points=400)):
     alpha = min sampled principal curvature, a = max/alpha; sigma is the max
     over sampled (p, v) of tr(Hess H | v-perp), which reduces to
     Delta H - min eigenvalue of Hess H.  Constant-H surfaces short-circuit to
-    sigma = 0.
+    sigma = 0.  The points are one whole-array draw of ``sample_points``
+    seeded by ``plan.seed`` (so the constants of a seed differ from those
+    of the earlier per-point draws); sigma is taken over the first
+    max(40, points // 4) of them.
     """
-    rng = np.random.default_rng(plan.seed)
-    pts = hs.sample_points(plan.points, rng)
-    cis = np.array([ci for ci, _ in pts])
-    U = np.array([u for _, u in pts])
-    lam = np.empty((len(pts), hs.n))
+    cis, U = hs.sample_points(plan.points, np.random.default_rng(plan.seed))
+    lam = np.empty((len(cis), hs.n))
     for ci in range(len(hs.charts)):
         lam[cis == ci] = shape_at(hs, U[cis == ci], ci).principal
     bad = lam[:, 0] <= 0.0
@@ -277,7 +275,7 @@ def pinching_constants(hs, plan=geom.SamplePlan(points=400)):
     if constant_H:
         sigma = 0.0
     else:
-        nsig = min(len(pts), max(40, plan.points // 4))
+        nsig = min(len(cis), max(40, plan.points // 4))
         hess = np.empty((nsig, hs.n, hs.n))
         for ci in np.unique(cis[:nsig]):
             sel = cis[:nsig] == ci

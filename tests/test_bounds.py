@@ -126,6 +126,29 @@ class TestCompare:
         rep = bd.compare(inp, 3.5, error_estimate=0.01, analytic=False)
         assert rep.verdict == bd.VERDICT_VIOLATION
 
+    @pytest.mark.parametrize("excess", [1e-9, 1e-3, 0.5, 10.0])
+    @pytest.mark.parametrize("err", [None, 0.0, 0.004])
+    def test_margin_below_tolerance_is_violation(self, err, excess):
+        # every negative margin beyond the tolerance, analytic (err None)
+        # or against a refinement error estimate
+        inp = bd.NewtonBoundInput(2, 0.0, 1.0, 1.0, 0.0)   # bound 2
+        if err is None:
+            tol = 1e-6 * 2.0
+            rep = bd.compare(inp, 2.0 - tol * (1.0 + excess))
+        else:
+            tol = 3.0 * err
+            rep = bd.compare(inp, 2.0 - tol - excess, error_estimate=err,
+                             analytic=False)
+        assert rep.tolerance == pytest.approx(tol)
+        assert rep.margin < -rep.tolerance
+        assert rep.verdict == bd.VERDICT_VIOLATION
+
+    def test_nan_error_estimate_is_not_inequality(self):
+        inp = bd.NewtonBoundInput(2, 0.0, 1.0, 1.0, 0.0)
+        rep = bd.compare(inp, 1.9, error_estimate=float("nan"),
+                         analytic=False)
+        assert rep.verdict == bd.VERDICT_VIOLATION
+
     def test_small_negative_margin_within_noise(self):
         inp = bd.NewtonBoundInput(2, 0.0, 1.0, 1.0, 0.0)
         rep = bd.compare(inp, 1.999, error_estimate=0.005, analytic=False)

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,37 @@ class TestMeshValidation:
                            match=r"min triangle angle 0\.900 deg < 1 deg"):
             pillow(0.9)
         assert pillow(1.1).num_faces == 2
+
+    def test_all_faces_zero_area_rejected(self):
+        # every face on three coincident points: the area scale must not be
+        # relative to the (zero) mean area, and the 0/0 cosines must not be
+        # reached
+        v = np.ones((3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateElement, match="face area 0 below"):
+                dz.SurfaceMesh(vertices=v,
+                               faces=np.array([[0, 1, 2], [0, 2, 1]]))
+
+    def test_nonfinite_vertex_rejected(self):
+        m = dz.icosphere(1)
+        v = m.vertices.copy()
+        v[0] = np.nan
+        with pytest.raises(DegenerateElement, match="face area nan"):
+            dz.SurfaceMesh(vertices=v, faces=m.faces)
+
+    def test_scaled_copy_checks_geometry(self):
+        # the copy shares the validated faces; its own geometry is checked
+        with pytest.raises(DegenerateElement, match="face area"):
+            dz.scaled_mesh(dz.icosphere(1), (1.0, 1.0, 0.0))
+        with pytest.raises(DegenerateElement, match="min triangle angle"):
+            dz.scaled_mesh(dz.icosphere(1), (1.0, 1.0, 1e-3))
+
+    def test_scaled_copy_shares_faces(self):
+        m = dz.icosphere(2)
+        e = dz.scaled_mesh(m, (1.0, 1.0, 1.1))
+        assert e.faces is m.faces
+        assert np.array_equal(e.vertices, m.vertices * [1.0, 1.0, 1.1])
 
 
 class TestAssembly:

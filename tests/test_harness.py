@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectra_bochner import boxop, harness as hz, hypersurface as hyp
+from spectra_bochner import boxop, discretize as dz, harness as hz
+from spectra_bochner import hypersurface as hyp
+from spectra_bochner.errors import ConfigError
 
 
 class TestTraceInequality:
@@ -129,3 +131,36 @@ class TestSuites:
         cfg = hz.load_config(str(p))
         assert cfg.getint("solver", "seed") == 7
         assert cfg.getint("suites", "trials") == 100
+
+
+class TestEllipsoidCompare:
+    def test_topology_once_per_face_array(self, monkeypatch):
+        # each rung's icosphere is checked in full; its scaled copy shares
+        # the face array and repeats only the geometric checks
+        seen = {"_check_topology": [], "_check_geometry": []}
+        for name, meshes in seen.items():
+            def counted(self, _check=getattr(dz.SurfaceMesh, name),
+                        _meshes=meshes):
+                _meshes.append(self)
+                return _check(self)
+            monkeypatch.setattr(dz.SurfaceMesh, name, counted)
+        hz.ellipsoid_compare((1.0, 1.0, 1.1), (1, 2, 3))
+        topo, geo = seen["_check_topology"], seen["_check_geometry"]
+        faces = [m.faces for m in topo]
+        assert [len(f) for f in faces] == [80, 320, 1280]
+        assert len(geo) == 6 and len({id(m) for m in geo}) == 6
+        for f in faces:
+            assert sum(m.faces is f for m in geo) == 2
+
+    @pytest.mark.parametrize("subdivs,factor", [((1, 2, 3), 3.0),
+                                                ((3, 5), 15.0)])
+    def test_error_estimate_factor(self, subdivs, factor):
+        # O(h^2) with h halved per subdivision: 4^d - 1 for a step of d
+        rep = hz.ellipsoid_compare((1.0, 1.0, 1.0), subdivs)
+        mus = [lv["mu1"] for lv in rep["levels"]]
+        assert rep["error_estimate"] == abs(mus[-1] - mus[-2]) / factor
+
+    @pytest.mark.parametrize("subdivs", [(3, 3), (4, 2)])
+    def test_subdivisions_must_increase(self, subdivs):
+        with pytest.raises(ConfigError, match="must increase"):
+            hz.ellipsoid_compare((1.0, 1.0, 1.0), subdivs)

@@ -36,7 +36,7 @@ class TestShapeOperator:
         ax = [1.0, 1.3, 0.8]
         e = hyp.ellipsoid_surface(*ax)
         rng = np.random.default_rng(6)
-        for ci, u in e.sample_points(25, rng):
+        for ci, u in zip(*e.sample_points(25, rng)):
             sd = hyp.shape_at(e, u, ci)
             A3, nu, B = hyp.ellipsoid_shape_operator(sd.point, ax)
             lam = np.sort(np.linalg.eigvalsh(B.T @ A3 @ B))
@@ -59,9 +59,9 @@ class TestStackedShape:
         ("geodesic-sphere:kappa=1,alpha=2", None)])
     def test_stack_matches_points(self, spec, semiaxes):
         hs = hyp.parse_surface(spec)
-        pts = hs.sample_points(50, np.random.default_rng(17))
+        cis, pts = hs.sample_points(50, np.random.default_rng(17))
         for ci in (0, 1):
-            U = np.array([u for c, u in pts if c == ci])
+            U = pts[cis == ci]
             assert U.shape == (25, 2)
             sd = hyp.shape_at(hs, U, ci)
             for k, u in enumerate(U):
@@ -158,22 +158,62 @@ class TestPinchingConstants:
         hs = replace(hs, orient_signs=(hs.orient_signs[0],
                                        -hs.orient_signs[1]))
         plan = geom.SamplePlan(points=10, seed=3)
-        first = hs.sample_points(10, np.random.default_rng(3))[1][1]
+        _, U = hs.sample_points(10, np.random.default_rng(3))
+        first = U[1]
         with pytest.raises(NotConvex, match=re.escape(repr(first))):
             hyp.pinching_constants(hs, plan)
 
     def test_constants_pinned(self):
-        # the constants as the per-point pass computed them before shape
-        # data was batched; sigma is a nested finite difference of H and is
-        # held to 1e-6
+        # the constants of the whole-array sample stream of seed 42; sigma
+        # is a nested finite difference of H and is held to 1e-6
         pc = hyp.pinching_constants(hyp.ellipsoid_surface(1.0, 1.0, 1.1),
                                     geom.SamplePlan(points=400, seed=42))
         assert pc.alpha == pytest.approx(
-            float.fromhex("0x1.a723fa47177aap-1"), rel=1e-14, abs=0.0)
+            float.fromhex("0x1.a7245d0e87415p-1"), rel=1e-14, abs=0.0)
         assert pc.a == pytest.approx(
-            float.fromhex("0x1.51f3c9b24a1f4p+0"), rel=1e-14, abs=0.0)
+            float.fromhex("0x1.511a440b3c38ep+0"), rel=1e-14, abs=0.0)
         assert pc.sigma == pytest.approx(
-            float.fromhex("0x1.fef45b57fd440p-2"), rel=1e-6, abs=0.0)
+            float.fromhex("0x1.fefe4f0ddc88ap-2"), rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("spec", ["ellipsoid:1,1,1.1",
+                                      "ellipsoid:1,1.3,0.8"])
+    def test_constants_match_point_by_point_pass(self, spec):
+        # the batched pass against one shape_at call per sample point of
+        # the same stream, whatever that stream is
+        hs = hyp.parse_surface(spec)
+        plan = geom.SamplePlan(points=400, seed=42)
+        pc = hyp.pinching_constants(hs, plan)
+        cis, U = hs.sample_points(plan.points,
+                                  np.random.default_rng(plan.seed))
+        lam = np.array([hyp.shape_at(hs, u, ci).principal
+                        for ci, u in zip(cis, U)])
+        alpha = float(np.min(lam[:, 0]))
+        assert pc.alpha == pytest.approx(alpha, rel=1e-14, abs=0.0)
+        assert pc.a == pytest.approx(float(np.max(lam[:, -1])) / alpha,
+                                     rel=1e-14, abs=0.0)
+
+
+class TestSamplePoints:
+    @pytest.mark.parametrize("spec", ["sphere:r=2", "ellipsoid:1,1.3,0.8",
+                                      "geodesic-sphere:kappa=1,alpha=2"])
+    @pytest.mark.parametrize("count", [1, 7, 400])
+    def test_charts_alternate_and_radii_in_range(self, spec, count):
+        hs = hyp.parse_surface(spec)
+        cis, U = hs.sample_points(count, np.random.default_rng(5))
+        assert cis.shape == (count,) and U.shape == (count, hs.n)
+        assert np.array_equal(cis, np.arange(count) % len(hs.charts))
+        radius = np.array([c.sample_radius for c in hs.charts])[cis]
+        r = np.linalg.norm(U, axis=1)
+        assert np.all(r >= np.sqrt(0.02) * radius * (1.0 - 1e-15))
+        assert np.all(r < radius)
+
+    def test_custom_sample_radius(self):
+        hs = hyp.sphere_surface(1.0)
+        charts = (replace(hs.charts[0], sample_radius=0.5),) + hs.charts[1:]
+        hs = replace(hs, charts=charts)
+        cis, U = hs.sample_points(200, np.random.default_rng(8))
+        r = np.linalg.norm(U, axis=1)
+        assert np.all(r[cis == 0] < 0.5) and np.max(r[cis == 1]) > 0.5
 
 
 class TestFieldsOnCharts:

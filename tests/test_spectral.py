@@ -184,20 +184,27 @@ class TestGridSolver:
         assert np.min(info.value.residuals) > 1e-6
 
     def test_lifted_locked_column_reruns(self, torus18_op, monkeypatch):
-        # at this start block scipy's first run returns a column above the
-        # tolerance, which it had locked earlier; a second run converges.
-        # Which blocks rerun depends on the last bits of K: 4 of the start
-        # blocks [1000, 0..39] at k = 2 (8 with the metric inverses that
-        # LAPACK's inv gave), block 7 with both
+        # scipy locks a column once it is below the tolerance and can lift
+        # it above later (seen at k >= 2, where which start blocks do it
+        # depends on the last bits of K); the stub makes the first run
+        # return such a column, and a second run from that block must
+        # converge.  With one column no lock can lift it again, so the
+        # second run is the last at every start block
         calls = []
         lobpcg = spec.spla.lobpcg
 
-        def counted(*args, **kwargs):
+        def lifted_once(*args, **kwargs):
             calls.append(kwargs["tol"])
-            return lobpcg(*args, **kwargs)
+            mu, X, hist = lobpcg(*args, **kwargs)
+            if len(calls) == 1:   # lift the column: a relative kick of 1e-4
+                kick = np.random.default_rng(0).standard_normal(X.shape)
+                X = X + 1e-4 * np.linalg.norm(X) / np.linalg.norm(kick) * kick
+                K, M = torus18_op.K, torus18_op.M
+                assert np.linalg.norm(K @ X - (M @ X) * mu) > kwargs["tol"]
+            return mu, X, hist
 
-        monkeypatch.setattr(spec.spla, "lobpcg", counted)
-        r = spec.smallest_nonzero(torus18_op, k=2, seed=[1000, 7])
+        monkeypatch.setattr(spec.spla, "lobpcg", lifted_once)
+        r = spec.smallest_nonzero(torus18_op, k=1, seed=[1000, 7])
         assert len(calls) == 2 and calls[1] < calls[0]
         assert r.diagnostics["residual_history"][-1] <= calls[0]
         assert np.allclose(r.eigenvalues, 1.0028150121556432, rtol=1e-10)
