@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import DenominatorNonpositive, DimensionTooSmall
 
 VERDICT_EQUALITY = "EqualityCase"
@@ -66,13 +68,6 @@ class NewtonBoundInput:
     convexity_checked: bool = True
 
     @property
-    def c_kappa(self):
-        n, al = self.n, self.alpha
-        if self.kappa > 0.0:
-            return 2.0 * self.kappa * (n - 1.0) ** 2 * al
-        return 2.0 * self.kappa * (n - 1.0) ** 2 * self.a * al
-
-    @property
     def hypotheses_ok(self):
         return (self.convexity_checked and self.alpha > 0.0
                 and self.a >= 1.0 and self.n * self.a > 1.0)
@@ -101,6 +96,18 @@ def schouten_bound(n, R, K0, L0):
     return ((inp.n - 2.0) / (2.0 * (inp.n - 1.0))) * (inp.R / den) * inp.gamma
 
 
+def l1_core(n, alpha, a, kappa):
+    """2(n-1) alpha^3 (n - a^2) + C_kappa: the L1 bound's bracket without
+    sigma, and the claimed lower bound on the diagonal of Q(A).  Elementwise
+    on arrays; a scalar kappa branches in Python, so floats give a float."""
+    ck = 2.0 * kappa * (n - 1.0) ** 2
+    if np.ndim(kappa):
+        ck = np.where(kappa > 0.0, ck * alpha, ck * a * alpha)
+    else:
+        ck = ck * alpha if kappa > 0.0 else ck * a * alpha
+    return 2.0 * (n - 1.0) * alpha ** 3 * (n - a ** 2) + ck
+
+
 def newton_bound(n, kappa, alpha, a, sigma):
     """Evaluate the L1 lower bound; kappa's sign selects the variant."""
     inp = NewtonBoundInput(n=int(n), kappa=float(kappa), alpha=float(alpha),
@@ -111,8 +118,8 @@ def newton_bound(n, kappa, alpha, a, sigma):
         raise ValueError("a must be >= 1")
     if inp.n * inp.a <= 1.0:
         raise ValueError("n*a must exceed 1")
-    n_, al, a_ = inp.n, inp.alpha, inp.a
-    core = 2.0 * (n_ - 1.0) * al ** 3 * (n_ - a_ ** 2) + inp.c_kappa - inp.sigma
+    n_, a_ = inp.n, inp.a
+    core = l1_core(n_, inp.alpha, a_, inp.kappa) - inp.sigma
     return 0.5 * (n_ * a_ / (n_ * a_ - 1.0)) * core
 
 

@@ -33,8 +33,8 @@ def laplacian_box(m):
     return BoxOperator(phi=geom.metric_field(m), manifold=m)
 
 
-def schouten_box(m, fd_step=1e-4):
-    return BoxOperator(phi=geom.schouten_tensor_field(m, fd_step), manifold=m)
+def schouten_box(m):
+    return BoxOperator(phi=geom.schouten_tensor_field(m), manifold=m)
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,13 @@ def apply(box, f, p):
     return np.sum(phi_ij * fij, axis=(-2, -1))
 
 
-def divergence_form_defect(box, f, p, fd_step=1e-5):
+def divergence_form_defect(box, f, p):
     """|box(f) - (div(phi grad f) - <div phi, grad f>)| at a point p (n,)
     or at each point of a (P, n) stack.
 
     The divergence of the composite vector field phi(grad f) is taken by
-    central differences of the composite, so the two routes are independent.
+    central differences of the composite (step geometry.DEFAULT_FD_STEP), so
+    the two routes are independent.
     """
     chart = box.chart
     geo = geom.point_geometry(chart, p)
@@ -77,7 +78,7 @@ def divergence_form_defect(box, f, p, fd_step=1e-5):
         ph = box.phi.partials(q, 0)[0]
         return (g_inv @ ph @ g_inv @ df[..., None])[..., 0]
 
-    dV = geom.fd_derivative(vec, geo.p, fd_step)
+    dV = geom.fd_derivative(vec, geo.p, geom.DEFAULT_FD_STEP)
     div_composite = (np.trace(dV, axis1=-2, axis2=-1)
                      + np.einsum("...aab,...b->...", geo.Gamma, vec(geo.p)))
 

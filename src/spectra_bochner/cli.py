@@ -22,6 +22,7 @@ from . import boxop
 from . import discretize as dz
 from . import geometry as geom
 from . import harness as hz
+from . import hypersurface as hyp
 from . import spectral as spec
 from .errors import (ConfigError, NoConvergence, FactorizationFailure,
                      SpectraError)
@@ -94,6 +95,14 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 # eig
 
+def _mesh_semiaxes(spec):
+    """Semiaxes of the surface a spec names, if it can be meshed."""
+    ax = hyp.parse_surface(spec).semiaxes
+    if ax is None:
+        raise ConfigError("cannot mesh surface %r" % spec)
+    return ax
+
+
 def _eig_domain(args):
     if args.mesh:
         mesh = dz.read_off(args.mesh)
@@ -103,15 +112,7 @@ def _eig_domain(args):
             provider = dz.metric_coefficient()
         return mesh, provider
     if args.surface:
-        name, _, rest = args.surface.partition(":")
-        if name == "sphere":
-            opts = dict(kv.split("=") for kv in rest.split(",") if kv)
-            r = float(opts.get("r", 1.0))
-            ax = [r, r, r]
-        elif name == "ellipsoid":
-            ax = [float(v) for v in rest.split(",")]
-        else:
-            raise ConfigError("cannot mesh surface %r" % args.surface)
+        ax = _mesh_semiaxes(args.surface)
         mesh = dz.scaled_mesh(dz.icosphere(args.subdiv), ax)
         if args.operator == "newton1":
             provider = dz.ellipsoid_newton1_coefficient(ax)
@@ -224,11 +225,8 @@ def _parse_refine(txt):
 
 def cmd_report(args):
     subdivs = _parse_refine(args.refine)
-    name, _, rest = args.surface.partition(":")
-    if name != "ellipsoid":
-        raise ConfigError("report compare supports ellipsoid surfaces")
-    ax = tuple(float(v) for v in rest.split(","))
-    rep = hz.ellipsoid_compare(semiaxes=ax, subdivs=subdivs, seed=args.seed)
+    rep = hz.ellipsoid_compare(semiaxes=_mesh_semiaxes(args.surface),
+                               subdivs=subdivs, seed=args.seed)
     if args.json:
         _emit(rep, True)
     else:

@@ -558,18 +558,10 @@ def metric_coefficient(scale=1.0):
     return _labelled(provider, "metric" if s == 1.0 else "metric*%g" % s)
 
 
-def grid_metric_coefficient(grid, scale=1.0):
-    """phi = scale * g in coordinates for a (possibly curved) grid metric.
-
-    The provider returns scale times the cell metrics that assembly on
-    ``grid`` passes it.
-    """
-    s = float(scale)
-
-    def provider(_centers, G):
-        return s * G
-
-    return _labelled(provider, "metric" if s == 1.0 else "metric*%g" % s)
+def grid_metric_coefficient(grid):
+    """phi = g in coordinates for a (possibly curved) grid metric: the
+    provider returns the cell metrics that assembly on ``grid`` passes it."""
+    return _labelled(lambda _centers, G: G, "metric")
 
 
 def ellipsoid_newton1_coefficient(semiaxes):
@@ -660,16 +652,15 @@ def vertex_normals(mesh):
     return out
 
 
-def nondivergence_free_coefficient(amplitude=1.0):
+def nondivergence_free_coefficient():
     """Smooth SPD phi with nonzero divergence (negative control)."""
-    a = float(amplitude)
 
     def provider(q, X):
         k = X.shape[-1]
         phi = np.tile(np.eye(k), (len(q), 1, 1))
-        phi[:, 0, 0] += 0.5 * a * (1.0 + np.sin(q[:, 0]))
+        phi[:, 0, 0] += 0.5 * (1.0 + np.sin(q[:, 0]))
         if k > 1:
-            phi[:, 0, 1] = phi[:, 1, 0] = 0.25 * a * np.cos(q[:, 0] + q[:, -1])
+            phi[:, 0, 1] = phi[:, 1, 0] = 0.25 * np.cos(q[:, 0] + q[:, -1])
         return phi
 
     return _labelled(provider, "nondivfree")
@@ -772,13 +763,3 @@ def write_off(mesh, path):
             fh.write("%.17g %.17g %.17g\n" % tuple(v))
         for f in mesh.faces:
             fh.write("3 %d %d %d\n" % tuple(f))
-
-
-def export_matrix(mat, path):
-    """Coordinate text format: `i j value`, 1-based indices, sorted."""
-    coo = sp.coo_matrix(mat)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for k in order:
-            fh.write("%d %d %.17g\n" % (coo.row[k] + 1, coo.col[k] + 1,
-                                        coo.data[k]))

@@ -64,11 +64,3 @@ class DimensionTooSmall(SpectraError):
 
 class ConfigError(SpectraError):
     """Config file / spec string could not be parsed."""
-
-
-class SuiteFailure(SpectraError):
-    """A named verification suite failed; carries the failing assertions."""
-
-    def __init__(self, message, failures=None):
-        super().__init__(message)
-        self.failures = list(failures or [])

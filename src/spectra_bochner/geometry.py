@@ -22,6 +22,8 @@ Index conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -204,7 +206,6 @@ class ChartManifold:
 @dataclass(frozen=True)
 class SamplePlan:
     points: int = 200
-    planes_per_point: int = 8
     seed: int = 42
 
 
@@ -453,24 +454,25 @@ def tensor_divergence(geo, phi):
 # ---------------------------------------------------------------------------
 # curvature extremum sampling
 
+# random planes per sample point of min_sectional
+SECTIONAL_PLANES = 8
+
+
 def min_sectional(m, plan=SamplePlan()):
-    """Sampled lower bound K0 of the sectional curvature."""
+    """Sampled lower bound K0 of the sectional curvature: the least frame
+    R_ijij and R(u, v, u, v) over SECTIONAL_PLANES orthonormal pairs per
+    point, the QR factors of one normal draw after the points."""
     if m.atlas_kind == ATLAS_ANALYTIC_SPHERE:
         return float(m.constant_curvature)
     rng = np.random.default_rng(plan.seed)
     pts = m.sample_points(plan.points, rng)
     n = m.dim
-    best = np.inf
-    for Rf in curvature_at(m, point_geometry(m.chart(), pts)).riemann:
-        # axis-aligned frame pairs
-        for i in range(n):
-            for j in range(i + 1, n):
-                best = min(best, Rf[i, j, i, j])
-        for _ in range(plan.planes_per_point):
-            q, _ = np.linalg.qr(rng.normal(size=(n, 2)))
-            u, v = q[:, 0], q[:, 1]
-            best = min(best, float(np.einsum("ijkl,i,j,k,l->", Rf, u, v, u, v)))
-    return float(best)
+    Rf = curvature_at(m, point_geometry(m.chart(), pts)).riemann
+    i, j = np.triu_indices(n, 1)
+    Q, _ = np.linalg.qr(rng.normal(size=(len(pts), SECTIONAL_PLANES, n, 2)))
+    u, v = Q[..., 0], Q[..., 1]
+    sampled = np.einsum("pijkl,psi,psj,psk,psl->ps", Rf, u, v, u, v)
+    return float(min(np.min(Rf[:, i, j, i, j]), np.min(sampled)))
 
 
 def min_ricci(m, plan=SamplePlan()):
@@ -650,7 +652,7 @@ def flat_torus(n=2, lengths=None):
                          name="torus%d" % n)
 
 
-def perturbed_torus(n=2, eps=0.1, L=2.0 * np.pi, analytic=True, fd_step=1e-4):
+def perturbed_torus(n=2, eps=0.1, L=2.0 * np.pi):
     """g = (1 + eps sin(2 pi x1 / L)) * delta on the L-periodic box [0, L)^n."""
     k = 2.0 * np.pi / L   # exactly 1.0 for the default period
 
@@ -671,10 +673,7 @@ def perturbed_torus(n=2, eps=0.1, L=2.0 * np.pi, analytic=True, fd_step=1e-4):
         d[..., 0, 0, :, :] = d2[..., None, None] * eye
         return d
 
-    if analytic:
-        g = SymmetricTensorField(comp, dcomp, d2comp, name="perturbed")
-    else:
-        g = SymmetricTensorField(comp, fd_step=fd_step, name="perturbed-fd")
+    g = SymmetricTensorField(comp, dcomp, d2comp, name="perturbed")
     chart = Chart(lo=np.zeros(n), hi=np.full(n, float(L)), metric=g)
     return ChartManifold(dim=n, charts=(chart,), atlas_kind=ATLAS_PERIODIC_BOX,
                          name="perturbed-torus%d" % n)
@@ -781,17 +780,15 @@ def sphere_coordinate_field(m, axis):
     )
 
 
-def trig_field(wavevec, phase=0.0, amplitude=1.0, kind="cos"):
-    """amplitude * cos(k . x + phase) with closed-form partials of all orders."""
+def trig_field(wavevec, phase=0.0):
+    """cos(k . x + phase) with closed-form partials of all orders."""
     k = np.asarray(wavevec, dtype=float)
-    if kind == "sin":
-        phase = phase - np.pi / 2.0
     kk = np.outer(k, k)
     kkk = np.einsum("a,b,c->abc", k, k, k)
 
     def level(p, order):
-        arg = np.asarray(p, dtype=float) @ k + phase + order * np.pi / 2.0
-        return amplitude * np.cos(arg)
+        return np.cos(np.asarray(p, dtype=float) @ k + phase
+                      + order * np.pi / 2.0)
 
     return ScalarField(
         eval=lambda p: level(p, 0),
@@ -801,7 +798,7 @@ def trig_field(wavevec, phase=0.0, amplitude=1.0, kind="cos"):
     )
 
 
-def random_spd_trig_tensor(n, seed=0, base_scale=1.0, wobble=0.2):
+def random_spd_trig_tensor(n, seed=0):
     """Random smooth SPD tensor field: constant SPD part plus entrywise waves.
 
     The constant part dominates the oscillation so positivity holds globally.
@@ -809,9 +806,9 @@ def random_spd_trig_tensor(n, seed=0, base_scale=1.0, wobble=0.2):
     mirrored), so the field is 2 pi-periodic in every coordinate.
     """
     rng = np.random.default_rng(seed)
-    L = rng.normal(size=(n, n)) * base_scale
-    C = L @ L.T + n * base_scale ** 2 * np.eye(n)
-    amp = wobble * base_scale ** 2 * rng.uniform(0.2, 1.0, size=(n, n))
+    L = rng.normal(size=(n, n))
+    C = L @ L.T + n * np.eye(n)
+    amp = 0.2 * rng.uniform(0.2, 1.0, size=(n, n))
     amp = 0.5 * (amp + amp.T)
     kvec = rng.integers(1, 3, size=(n, n, n)).astype(float)
     upper = np.triu(np.ones((n, n), dtype=bool))[:, :, None]
@@ -839,27 +836,66 @@ def random_spd_trig_tensor(n, seed=0, base_scale=1.0, wobble=0.2):
 # ---------------------------------------------------------------------------
 # spec-string parsing
 
-def parse_manifold(spec):
-    """Parse strings like 'torus2:L=6.2831853,perturb=sin' or 'sphere:n=4,K=1'."""
-    spec = spec.strip()
-    head, _, rest = spec.partition(":")
-    opts = {}
-    if rest:
-        for item in rest.split(","):
-            if not item:
-                continue
-            key, _, val = item.partition("=")
-            opts[key.strip()] = val.strip()
+def spec_float(val):
+    """A finite float from a spec value."""
+    if not math.isfinite(x := float(val)):
+        raise ValueError("%r is not a finite number" % val)
+    return x
+
+
+def parse_spec(spec, grammar, what):
+    """Build what a spec string 'head:v1,v2,key=value' names.
+
+    ``grammar`` maps a regular expression for the head to (count, keys,
+    build).  build gets the head's groups, ``count`` positional
+    ``spec_float``s and the keys as keywords, each value through its
+    converter in ``keys``.  Whitespace is ignored.  Anything else, or a
+    ValueError from a converter or build, raises ConfigError naming the
+    spec.
+    """
+    head, _, rest = "".join(spec.split()).partition(":")
+    for pattern, (count, keys, build) in grammar.items():
+        if match := re.fullmatch(pattern, head):
+            break
+    else:
+        raise ConfigError("unknown %s spec %r" % (what, spec))
+    values, opts = [], {}
     try:
-        if head.startswith("torus"):
-            n = int(head[len("torus"):] or opts.get("n", 2))
-            L = float(opts.get("L", 2.0 * np.pi))
-            if opts.get("perturb") == "sin":
-                eps = float(opts.get("eps", 0.1))
-                return perturbed_torus(n=n, eps=eps, L=L)
-            return flat_torus(n=n, lengths=np.full(n, L))
-        if head == "sphere":
-            return round_sphere(n=int(opts.get("n", 2)), K=float(opts.get("K", 1.0)))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("bad manifold spec %r: %s" % (spec, exc)) from exc
-    raise ConfigError("unknown manifold spec %r" % spec)
+        for item in rest.split(",") if rest else []:
+            key, eq, val = item.partition("=")
+            if not eq:
+                values.append(spec_float(item))
+            elif key in keys and key not in opts:
+                opts[key] = keys[key](val)
+            else:
+                raise ValueError("unknown or repeated key %r" % key)
+        if len(values) != count:
+            raise ValueError("%d positional values, expected %d"
+                             % (len(values), count))
+        return build(*match.groups(), *values, **opts)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError("bad %s spec %r: %s" % (what, spec, exc)) from exc
+
+
+def _spec_torus(n, L=2.0 * np.pi, perturb=None, eps=None):
+    n = int(n)
+    if perturb == "sin":
+        return perturbed_torus(n=n, eps=0.1 if eps is None else eps, L=L)
+    if perturb is not None or eps is not None:
+        raise ValueError("perturb takes sin only, and eps needs perturb=sin")
+    return flat_torus(n=n, lengths=np.full(n, L))
+
+
+MANIFOLD_GRAMMAR = {
+    r"torus(\d+)": (0, {"L": spec_float, "perturb": str, "eps": spec_float},
+                    _spec_torus),
+    "sphere": (0, {"n": int, "K": spec_float},
+               lambda n=2, K=1.0: round_sphere(n=n, K=K)),
+}
+
+
+def parse_manifold(spec):
+    """Build the manifold of a spec: 'torusN:L=,perturb=sin,eps=' (the flat
+    N-torus of period L, or with perturb=sin the conformally perturbed one)
+    or 'sphere:n=,K=' (the round n-sphere of curvature K)."""
+    return parse_spec(spec, MANIFOLD_GRAMMAR, "manifold")

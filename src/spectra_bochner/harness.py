@@ -7,8 +7,7 @@ the seed recorded in every report.  The two pointwise inequalities exercised:
   equality iff A is a multiple of the identity;
 * the cubic-polynomial bound: if 0 < alpha I <= A <= a alpha I then every
   diagonal entry of Q(A) (see hypersurface.q_polynomial) is at least
-  2(n-1) alpha^3 (n - a^2) + 2 kappa (n-1)^2 alpha   (kappa > 0)
-  or the a-weighted variant 2 kappa (n-1)^2 a alpha  (kappa <= 0).
+  bounds.l1_core(n, alpha, a, kappa).
 """
 
 from __future__ import annotations
@@ -40,16 +39,19 @@ EXIT_NUMERICAL = 3
 @dataclass(frozen=True)
 class TrialConfig:
     trials: int = 100_000
-    dim_lo: int = 2
-    dim_hi: int = 8
     seed: int = 42
-    eig_lo: float = 0.1
-    eig_hi: float = 10.0
 
 
 # trials per batched evaluation (trace and Q(A) trials): bounds the
 # (batch, n, n) draws and temporaries
 QA_BATCH = 2048
+# trial dimensions are drawn from DIM_LO..DIM_HI, and the eigenvalues of
+# the trace trials' SPD B from [EIG_LO, EIG_HI)
+DIM_LO, DIM_HI = 2, 8
+EIG_LO, EIG_HI = 0.1, 10.0
+# the values of c of bochner_suite, and the two FD steps of fd_order_study
+CVALS = (0.0, 1.0, 7.3)
+FD_STEPS = (2e-3, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -62,22 +64,22 @@ def newton_inequality_trials(cfg=TrialConfig()):
     equality detector asserts A ~ (tr AB / tr B) I whenever the normalized
     defect drops below 1e-10; false positives are counted (must stay zero).
     Up to QA_BATCH trials at a time, the stream gives every trial a
-    dim_hi x dim_hi A and Gaussian Q seed and dim_hi eigenvalues, of which
+    DIM_HI x DIM_HI A and Gaussian Q seed and DIM_HI eigenvalues, of which
     a trial of dimension n uses the leading n; each such chunk is then
     evaluated per dimension with one stacked QR.
     """
     rng = np.random.default_rng(cfg.seed)
-    dims = rng.integers(cfg.dim_lo, cfg.dim_hi + 1, size=cfg.trials)
+    dims = rng.integers(DIM_LO, DIM_HI + 1, size=cfg.trials)
     violations = 0
     worst = np.inf
     equality_hits = 0
     false_positives = 0
-    m = cfg.dim_hi
+    m = DIM_HI
     for start in range(0, cfg.trials, QA_BATCH):
         chunk = dims[start:start + QA_BATCH]
         As = rng.uniform(-1.0, 1.0, size=(chunk.size, m, m))
         Gs = rng.standard_normal((chunk.size, m, m))
-        lams = rng.uniform(cfg.eig_lo, cfg.eig_hi, size=(chunk.size, m))
+        lams = rng.uniform(EIG_LO, EIG_HI, size=(chunk.size, m))
         for n in np.unique(chunk):
             sel = chunk == n
             A = As[sel, :n, :n]
@@ -113,13 +115,6 @@ def trace_inequality_defect(A, B):
 # ---------------------------------------------------------------------------
 # Q(A) bound trials
 
-def qa_lower_bound(n, alpha, a, kappa):
-    """Claimed lower bound on the diagonal of Q(A); elementwise on arrays."""
-    ck = np.where(kappa > 0.0, 2.0 * kappa * (n - 1.0) ** 2 * alpha,
-                  2.0 * kappa * (n - 1.0) ** 2 * a * alpha)
-    return 2.0 * (n - 1.0) * alpha ** 3 * (n - a ** 2) + ck
-
-
 def qa_bound_trials(cfg=TrialConfig(), kappa_sign="positive", planted=False):
     """Diagonal-A trials of the Q(A) lower bound.
 
@@ -127,7 +122,7 @@ def qa_bound_trials(cfg=TrialConfig(), kappa_sign="positive", planted=False):
     diagonal A covers the general case.  ``planted=True`` draws the
     eigenvalues outside the claimed [alpha, a*alpha] band (negative control;
     the suite must then report violations).  The stream gives whole arrays
-    in turn: dimensions, alpha, a, kappa, then dim_hi eigenvalues per
+    in turn: dimensions, alpha, a, kappa, then DIM_HI eigenvalues per
     trial, of which a trial of dimension n uses the leading n.  Q(A) is
     then evaluated per dimension, up to QA_BATCH trials at a time.
     """
@@ -136,7 +131,7 @@ def qa_bound_trials(cfg=TrialConfig(), kappa_sign="positive", planted=False):
     rng = np.random.default_rng(cfg.seed + (0 if kappa_sign == "positive"
                                             else 1))
     size = cfg.trials
-    dims = rng.integers(max(cfg.dim_lo, 2), cfg.dim_hi + 1, size=size)
+    dims = rng.integers(DIM_LO, DIM_HI + 1, size=size)
     alphas = rng.uniform(0.2, 2.0, size=size)
     aas = rng.uniform(1.0, 2.0, size=size)
     if kappa_sign == "positive":
@@ -147,7 +142,7 @@ def qa_bound_trials(cfg=TrialConfig(), kappa_sign="positive", planted=False):
         lo, hi = 0.5 * alphas, 2.0 * aas * alphas
     else:
         lo, hi = alphas, aas * alphas
-    h = rng.uniform(lo[:, None], hi[:, None], size=(size, cfg.dim_hi))
+    h = rng.uniform(lo[:, None], hi[:, None], size=(size, DIM_HI))
     violations = 0
     worst = np.inf
     for n in np.unique(dims):
@@ -156,7 +151,7 @@ def qa_bound_trials(cfg=TrialConfig(), kappa_sign="positive", planted=False):
             alpha, a, kappa = alphas[sel], aas[sel], kappas[sel]
             Q = hyp.q_polynomial(h[sel, :n, None] * np.eye(n), kappa)
             defect = (np.min(np.diagonal(Q, axis1=1, axis2=2), axis=1)
-                      - qa_lower_bound(n, alpha, a, kappa)) / alpha ** 3
+                      - bd.l1_core(n, alpha, a, kappa)) / alpha ** 3
             worst = min(worst, float(np.min(defect)))
             violations += int(np.sum(defect < -1e-10))
     return {"trials": cfg.trials, "kappa_sign": kappa_sign,
@@ -199,10 +194,10 @@ def _suite_test_function(m, seed=0):
     return geom.trig_field(wave, phase=float(rng.uniform(0, 2 * np.pi)))
 
 
-def bochner_suite(samples=200, cvals=(0.0, 1.0, 7.3), seed=42):
+def bochner_suite(samples=200, seed=42):
     """Residuals of the generalized Bochner identity over the standard grid
     of (manifold, phi) cases, each case evaluated once, as one stack of
-    points, for all of cvals.
+    points, for all of CVALS.
 
     The identity is c-independent: its two c-terms are the same contraction
     sum phi_mmij f_i f_j with opposite signs, so ``max_c_spread`` (the
@@ -217,13 +212,13 @@ def bochner_suite(samples=200, cvals=(0.0, 1.0, 7.3), seed=42):
             box = boxop.BoxOperator(phi=phi, manifold=m)
             f = _suite_test_function(m, seed=seed + 1)
             rs = np.array([r.residual
-                           for r in boxop.bochner_residual(box, f, pts, cvals)])
+                           for r in boxop.bochner_residual(box, f, pts, CVALS)])
             cases.append({"manifold": mname, "phi": kind,
                           "max_residual": float(np.max(rs, initial=0.0)),
                           "max_c_spread": float(np.max(np.ptp(rs, axis=0),
                                                        initial=0.0)),
                           "points": len(pts)})
-    return {"cases": cases, "cvals": list(cvals), "seed": seed,
+    return {"cases": cases, "cvals": list(CVALS), "seed": seed,
             "max_residual": max(c["max_residual"] for c in cases),
             "max_c_spread": max(c["max_c_spread"] for c in cases)}
 
@@ -253,13 +248,13 @@ def divergence_suite(samples=20, seed=7):
     return out
 
 
-def fd_order_study(fd_steps=(2e-3, 1e-3), samples=10, seed=7):
-    """Divergence-identity defects at two FD step sizes on the perturbed
+def fd_order_study(samples=10, seed=7):
+    """Divergence-identity defects at the two FD_STEPS on the perturbed
     3-torus (in 2 dimensions the Einstein tensor vanishes identically, so
     3 dimensions are needed for a nontrivial truncation error); central
     differences halve the step -> defect ratio ~ 4."""
     reports = []
-    for h in fd_steps:
+    for h in FD_STEPS:
         m = geom.perturbed_torus(3)
         rep = geom.divergence_identity_suite(m, samples=samples, seed=seed,
                                              fd_step=h)
@@ -267,7 +262,7 @@ def fd_order_study(fd_steps=(2e-3, 1e-3), samples=10, seed=7):
     key = "item2_div_einstein"
     r0, r1 = reports[0]["report"][key], reports[1]["report"][key]
     ratio = r0 / max(r1, 1e-300)
-    order = float(np.log(ratio) / np.log(fd_steps[0] / fd_steps[1]))
+    order = float(np.log(ratio) / np.log(FD_STEPS[0] / FD_STEPS[1]))
     return {"levels": reports, "order_key": key, "observed_order": order}
 
 
@@ -295,18 +290,16 @@ def sphere_equality_suite():
     return {"results": results, "all_equality": ok}
 
 
-def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=(4, 5), seed=42,
-                      sample_points=400):
-    """FEM mu1(L1) on the ellipsoid against the bound from sampled
-    pinching constants; refinement across the given subdivision levels,
-    which must increase."""
+def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=(4, 5), seed=42):
+    """FEM mu1(L1) on the ellipsoid against the bound from pinching
+    constants sampled at 400 points; refinement across the given
+    subdivision levels, which must increase."""
     if any(b <= a for a, b in zip(subdivs, subdivs[1:])):
         raise ConfigError("subdivisions must increase, got %r"
                           % (tuple(subdivs),))
     ax = [float(v) for v in semiaxes]
     surf = hyp.ellipsoid_surface(*ax)
-    pc = hyp.pinching_constants(surf, geom.SamplePlan(points=sample_points,
-                                                      seed=seed))
+    pc = hyp.pinching_constants(surf, geom.SamplePlan(points=400, seed=seed))
     inp = bd.NewtonBoundInput(n=2, kappa=0.0, alpha=pc.alpha, a=pc.a,
                               sigma=pc.sigma)
     levels = []
@@ -347,20 +340,24 @@ SUITE_NAMES = ("bochner", "divergence", "newton", "qa", "sphere-equality",
                "ellipsoid-compare")
 
 
+CONFIG_DEFAULTS = {"solver": {"seed": "42"},
+                   "suites": {"trials": "100000", "samples": "200",
+                              "subdivs": "4,5"}}
+
+
 def load_config(path=None):
-    """Flat key = value config with [manifold], [solver], [suites] sections."""
+    """Flat key = value config: the sections and keys of CONFIG_DEFAULTS,
+    and nothing else."""
     cp = configparser.ConfigParser()
-    cp["manifold"] = {}
-    cp["solver"] = {"seed": "42", "tol": "1e-9"}
-    cp["suites"] = {"names": "", "trials": "100000", "samples": "200",
-                    "subdivs": "4,5"}
+    cp.read_dict(CONFIG_DEFAULTS)
     if path is not None:
-        read = cp.read(path)
-        if not read:
+        if not cp.read(path):
             raise ConfigError("cannot read config file %r" % path)
-        extra = set(cp.sections()) - {"manifold", "solver", "suites"}
+        extra = [name for name in cp.sections() if name not in CONFIG_DEFAULTS]
+        extra += ["[%s] %s" % (name, key) for name in CONFIG_DEFAULTS
+                  for key in cp[name] if key not in CONFIG_DEFAULTS[name]]
         if extra:
-            raise ConfigError("unknown config sections: %s" % sorted(extra))
+            raise ConfigError("unknown config sections or keys: %s" % extra)
     return cp
 
 

@@ -62,6 +62,16 @@ class ImmersedHypersurface:
     flip_normal: bool = False
     name: str = ""
 
+    @property
+    def semiaxes(self):
+        """Semiaxes of an axis-aligned ellipsoid in R^3, a sphere included:
+        the surfaces that discretize can mesh.  None for any other."""
+        B = self.charts[0].ambient
+        if self.charts[0].offset is None and B.shape == (3, 3) \
+                and not np.any(B - np.diag(np.diag(B))):
+            return tuple(np.diag(B).tolist())
+        return None
+
     def sign(self, chart_idx):
         s = self.orient_signs[chart_idx]
         return -s if self.flip_normal else s
@@ -162,23 +172,6 @@ def shape_at(hs, u, chart_idx=0):
                         for k, v in fields.items()})
 
 
-def gauss_intrinsic(hs, u, chart_idx=0):
-    """Intrinsic curvature bundle from the Gauss equation.
-
-    Frame components: R_ijkl = kappa (d_ik d_jl - d_il d_jk)
-    + A_ik A_jl - A_il A_jk (umbilic A = alpha I gives constant curvature
-    kappa + alpha^2).
-    """
-    sd = shape_at(hs, u, chart_idx)
-    n = hs.n
-    d = np.eye(n)
-    A = sd.A
-    Rf = (hs.kappa * (np.einsum("ik,jl->ijkl", d, d)
-                      - np.einsum("il,jk->ijkl", d, d))
-          + np.einsum("ik,jl->ijkl", A, A) - np.einsum("il,jk->ijkl", A, A))
-    return geom._bundle_from_frame_riemann(n, sd.g, sd.frame, Rf)
-
-
 def q_polynomial(sd, kappa):
     """Q(A) = 2A^3 - 3H A^2 + (2H^2 - |A|^2 - kappa(n-2)) A + kappa(2n-3) H I.
 
@@ -199,7 +192,7 @@ def q_polynomial(sd, kappa):
 # ---------------------------------------------------------------------------
 # induced-metric chart views
 
-def induced_metric_manifold(hs, chart_idx=0, fd_step=1e-5):
+def induced_metric_manifold(hs, chart_idx=0):
     """ChartManifold carrying the pullback metric g(u) = J J^T of a chart."""
     chart = hs.charts[chart_idx]
 
@@ -213,27 +206,25 @@ def induced_metric_manifold(hs, chart_idx=0, fd_step=1e-5):
         return HJ + np.swapaxes(HJ, -1, -2)
 
     r = chart.sample_radius
-    g = geom.SymmetricTensorField(comp=comp, dcomp=dcomp, fd_step=fd_step,
-                                  name="induced")
+    g = geom.SymmetricTensorField(comp=comp, dcomp=dcomp, name="induced")
     c = geom.Chart(lo=np.full(hs.n, -r), hi=np.full(hs.n, r), metric=g)
     return geom.ChartManifold(dim=hs.n, charts=(c,),
                               atlas_kind=geom.ATLAS_CHART_PATCH,
                               name=(hs.name or "surface") + "-induced")
 
 
-def newton1_field(hs, chart_idx=0, fd_step=1e-5):
+def newton1_field(hs, chart_idx=0):
     """P1 as a coordinate (0,2) tensor field on a chart: H g_ab - h_ab."""
 
     def comp(u):
         sd = shape_at(hs, u, chart_idx)
         return sd.H[..., None, None] * sd.g - sd.h
 
-    return geom.SymmetricTensorField(comp=comp, fd_step=fd_step, name="newton1")
+    return geom.SymmetricTensorField(comp=comp, name="newton1")
 
 
-def mean_curvature_field(hs, chart_idx=0, fd_step=1e-5):
-    return geom.ScalarField(eval=lambda u: shape_at(hs, u, chart_idx).H,
-                            fd_step=fd_step)
+def mean_curvature_field(hs, chart_idx=0):
+    return geom.ScalarField(eval=lambda u: shape_at(hs, u, chart_idx).H)
 
 
 # ---------------------------------------------------------------------------
@@ -371,26 +362,19 @@ def geodesic_sphere_surface(kappa=1.0, alpha=1.0, n=2):
         n, kappa, charts, "geodesic-sphere:kappa=%g,alpha=%g" % (kappa, alpha))
 
 
+SURFACE_GRAMMAR = {
+    "sphere": (0, {"r": geom.spec_float}, sphere_surface),
+    "ellipsoid": (3, {}, ellipsoid_surface),
+    "geodesic-sphere": (0, {"kappa": geom.spec_float,
+                            "alpha": geom.spec_float},
+                        geodesic_sphere_surface),
+}
+
+
 def parse_surface(spec):
-    """Parse 'sphere:r=1', 'ellipsoid:1,1,1.1', 'geodesic-sphere:kappa=1,alpha=2'."""
-    spec = spec.strip()
-    head, _, rest = spec.partition(":")
-    try:
-        if head == "sphere":
-            opts = dict(kv.split("=") for kv in rest.split(",") if kv)
-            return sphere_surface(r=float(opts.get("r", 1.0)))
-        if head == "ellipsoid":
-            vals = [float(v) for v in rest.split(",")]
-            if len(vals) != 3:
-                raise ValueError("need three semiaxes")
-            return ellipsoid_surface(*vals)
-        if head == "geodesic-sphere":
-            opts = dict(kv.split("=") for kv in rest.split(",") if kv)
-            return geodesic_sphere_surface(kappa=float(opts.get("kappa", 1.0)),
-                                           alpha=float(opts.get("alpha", 1.0)))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("bad surface spec %r: %s" % (spec, exc)) from exc
-    raise ConfigError("unknown surface spec %r" % spec)
+    """Build the surface of a spec: 'sphere:r=', 'ellipsoid:a,b,c' or
+    'geodesic-sphere:kappa=,alpha='."""
+    return geom.parse_spec(spec, SURFACE_GRAMMAR, "surface")
 
 
 def ellipsoid_shape_operator(point, semiaxes):

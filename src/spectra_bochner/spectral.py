@@ -300,19 +300,3 @@ def analytic_sphere_spectrum(n, K, operator=OP_LAPLACIAN, modes=3,
         lam = ks * (ks + n - 1) * (alpha ** 2 + kappa)
         return (n - 1.0) * alpha * lam
     raise ValueError("unknown operator %r" % operator)
-
-
-def eigenpair_pairing_defect(op_phi, result, op_g, mode=0):
-    """Normalized defect of the discrete pairing identity.
-
-    For an eigenpair (mu, u) of the phi-pencil, the continuum identity
-    int <phi(grad f), grad(Delta f)> = -mu int |grad f|^2 discretizes to
-    u^T K_phi M^{-1} K_g u = mu u^T K_g u.
-    """
-    u = result.eigenvectors[:, mode]
-    mu = float(result.eigenvalues[mode])
-    Kg, Kp, M = op_g.K, op_phi.K, op_phi.M.tocsc()
-    w = spla.spsolve(M, Kg @ u)
-    lhs = float((Kp @ u) @ w)
-    rhs = mu * float(u @ (Kg @ u))
-    return abs(lhs - rhs) / max(abs(rhs), 1e-300)

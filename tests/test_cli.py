@@ -85,6 +85,13 @@ class TestEig:
         code, _, err = run(capsys, "eig")
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["sphere:r", "sphere:radius=2",
+                                      "geodesic-sphere:kappa=1,alpha=2"])
+    def test_bad_or_unmeshable_surface(self, capsys, spec):
+        code, _, err = run(capsys, "eig", "--surface", spec, "--subdiv", "1")
+        assert code == 2
+        assert err.startswith("config error:") and spec in err
+
     def test_mesh_off_newton1_second_order(self, capsys, tmp_path):
         # discrete P1 from vertex normals on the sphere of radius r, where
         # P1 = I/r and mu1(L1) = 2/r^3; measured errors 5.8e-3, 1.4e-3,
@@ -161,3 +168,19 @@ class TestReport:
         assert lines[0] == "h,mu1,bound,margin,verdict"
         assert len(lines) == 3
         assert all(line.endswith("InequalityHolds") for line in lines[1:])
+
+    def test_compare_sphere(self, capsys):
+        code, out, _ = run(capsys, "--json", "report", "compare",
+                           "--surface", "sphere:r=1", "--refine", "1..2")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["semiaxes"] == [1.0, 1.0, 1.0]
+        assert rep["verdict"] == "EqualityCase"
+
+    @pytest.mark.parametrize("spec", ["ellipsoid:1,1", "cube:1",
+                                      "geodesic-sphere:kappa=1,alpha=2"])
+    def test_compare_bad_surface(self, capsys, spec):
+        code, _, err = run(capsys, "report", "compare", "--surface", spec,
+                           "--refine", "1..2")
+        assert code == 2
+        assert err.startswith("config error:") and spec in err

@@ -414,12 +414,3 @@ class TestIO:
             fh.write("PLY\n3 1 0\n")
         with pytest.raises(ConfigError):
             dz.read_off(path)
-
-    def test_matrix_export_format(self, tmp_path):
-        A = sp.csr_matrix(np.array([[1.5, 0.0], [2.0, -3.0]]))
-        path = os.path.join(tmp_path, "A.txt")
-        dz.export_matrix(A, path)
-        lines = open(path).read().splitlines()
-        assert lines[0].split() == ["1", "1", "1.5"]
-        assert lines[1].split()[:2] == ["2", "1"]
-        assert lines[2].split()[:2] == ["2", "2"]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +73,25 @@ class TestCurvature:
         m = geom.round_sphere(4, 2.0)
         assert geom.min_sectional(m) == pytest.approx(2.0, abs=1e-12)
         assert geom.min_ricci(m) == pytest.approx(6.0, abs=1e-12)
+
+    def test_min_sectional_matches_per_plane_loop(self):
+        # oracle: the same draws, one QR and one contraction per plane
+        m, plan = geom.perturbed_torus(3), geom.SamplePlan(points=50, seed=5)
+        rng = np.random.default_rng(plan.seed)
+        pts = m.sample_points(plan.points, rng)
+        Rf = geom.curvature_at(m, geom.point_geometry(m.chart(), pts)).riemann
+        G = rng.normal(size=(plan.points, geom.SECTIONAL_PLANES, 3, 2))
+        planes = []
+        for R, gs in zip(Rf, G):
+            for g in gs:
+                q, _ = np.linalg.qr(g)
+                planes.append(np.einsum("ijkl,i,j,k,l->", R,
+                                        q[:, 0], q[:, 1], q[:, 0], q[:, 1]))
+        axis = min(R[i, j, i, j] for R in Rf for i in range(3)
+                   for j in range(i + 1, 3))
+        got = geom.min_sectional(m, plan)
+        assert got == pytest.approx(min(axis, min(planes)), abs=1e-12)
+        assert got <= axis
 
 
 class TestJets:
@@ -219,6 +240,14 @@ class TestFieldsAndErrors:
         assert s.dim == 4 and s.constant_curvature == 1.0
         with pytest.raises(ConfigError):
             geom.parse_manifold("klein-bottle:x=1")
+
+    @pytest.mark.parametrize("bad", [
+        "torus2:L=3,perturb=cos", "torus2:Lx=3", "torus2:L",
+        "torus2:eps=0.2", "torus2:L=3,L=4", "torus:L=3", "sphere:n=1",
+        "sphere:n=4.5", "sphere:K=inf"])
+    def test_parse_manifold_rejects(self, bad):
+        with pytest.raises(ConfigError, match=re.escape(repr(bad))):
+            geom.parse_manifold(bad)
 
     def test_perturbed_torus_period(self):
         m = geom.parse_manifold("torus2:L=3,perturb=sin,eps=0.2")

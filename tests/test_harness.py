@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectra_bochner import boxop, discretize as dz, harness as hz
+from spectra_bochner import bounds as bd, boxop, discretize as dz
+from spectra_bochner import harness as hz
 from spectra_bochner import hypersurface as hyp
 from spectra_bochner.errors import ConfigError
 
@@ -47,7 +48,7 @@ class TestTraceInequality:
 class TestQaBound:
     def test_hand_computed_point(self):
         Q = hyp.q_polynomial(np.diag([1.0, 1.1, 1.2]), 1.0)
-        assert hz.qa_lower_bound(3, 1.0, 1.2, 1.0) == pytest.approx(14.24)
+        assert bd.l1_core(3, 1.0, 1.2, 1.0) == pytest.approx(14.24)
         assert float(np.min(np.diag(Q))) >= 14.24
 
     def test_umbilic_equality(self):
@@ -56,8 +57,7 @@ class TestQaBound:
             Q = hyp.q_polynomial(alpha * np.eye(n), kappa)
             expect = 2.0 * (n - 1) ** 2 * alpha * (alpha ** 2 + kappa)
             assert float(np.min(np.diag(Q))) == pytest.approx(expect)
-            assert hz.qa_lower_bound(n, alpha, 1.0, kappa) == pytest.approx(
-                expect)
+            assert bd.l1_core(n, alpha, 1.0, kappa) == pytest.approx(expect)
 
     @pytest.mark.parametrize("sign", ["positive", "negative"])
     def test_trials_clean(self, sign):
@@ -124,6 +124,16 @@ class TestSuites:
         p.write_text("[nonsense]\nx = 1\n")
         code, summary = hz.run_suite(["sphere-equality"], str(p))
         assert code == hz.EXIT_CONFIG
+
+    @pytest.mark.parametrize("text", ["[suites]\ntrails = 5\n",
+                                      "[solver]\ntol = 1e-3\n",
+                                      "[manifold]\n",
+                                      "[DEFAULT]\nseed = 1\n"])
+    def test_config_rejects_unknown_key(self, tmp_path, text):
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match="unknown config"):
+            hz.load_config(str(p))
 
     def test_config_overrides(self, tmp_path):
         p = tmp_path / "ok.cfg"

@@ -9,6 +9,24 @@ from spectra_bochner import geometry as geom, hypersurface as hyp
 from spectra_bochner.errors import ConfigError, DegenerateImmersion, NotConvex
 
 
+def gauss_intrinsic(hs, u, chart_idx=0):
+    """Intrinsic curvature bundle from the Gauss equation (independent
+    route to the chart curvature).
+
+    Frame components: R_ijkl = kappa (d_ik d_jl - d_il d_jk)
+    + A_ik A_jl - A_il A_jk (umbilic A = alpha I gives constant curvature
+    kappa + alpha^2).
+    """
+    sd = hyp.shape_at(hs, u, chart_idx)
+    n = hs.n
+    d = np.eye(n)
+    A = sd.A
+    Rf = (hs.kappa * (np.einsum("ik,jl->ijkl", d, d)
+                      - np.einsum("il,jk->ijkl", d, d))
+          + np.einsum("ik,jl->ijkl", A, A) - np.einsum("il,jk->ijkl", A, A))
+    return geom._bundle_from_frame_riemann(n, sd.g, sd.frame, Rf)
+
+
 class TestShapeOperator:
     @pytest.mark.parametrize("r", [1.0, 2.0, 0.5])
     def test_round_sphere_umbilic(self, r):
@@ -92,19 +110,19 @@ class TestStackedShape:
 class TestGaussEquation:
     def test_unit_sphere_intrinsic_curvature(self):
         hs = hyp.sphere_surface(r=1.0)
-        cb = hyp.gauss_intrinsic(hs, np.array([0.3, -0.4]))
+        cb = gauss_intrinsic(hs, np.array([0.3, -0.4]))
         assert cb.scalar == pytest.approx(2.0, abs=1e-9)
 
     def test_geodesic_sphere_curvature_is_kappa_plus_alpha2(self):
         gs = hyp.geodesic_sphere_surface(kappa=1.0, alpha=2.0)
-        cb = hyp.gauss_intrinsic(gs, np.array([0.2, 0.6]))
+        cb = gauss_intrinsic(gs, np.array([0.2, 0.6]))
         assert cb.scalar == pytest.approx(2.0 * (1.0 + 4.0), abs=1e-9)
 
     def test_cross_validate_against_chart_curvature(self):
         hs = hyp.sphere_surface(r=1.0)
         man = hyp.induced_metric_manifold(hs, 0)
         u = np.array([0.3, -0.4])
-        cb_gauss = hyp.gauss_intrinsic(hs, u)
+        cb_gauss = gauss_intrinsic(hs, u)
         cb_chart = geom.curvature_at(man,
                                      geom.point_geometry(man.chart(), u))
         assert cb_gauss.scalar == pytest.approx(cb_chart.scalar, abs=1e-4)
@@ -249,10 +267,21 @@ class TestParsing:
 
     @pytest.mark.parametrize("bad", ["cube:1", "ellipsoid:1,2",
                                      "sphere:r=abc",
-                                     "geodesic-sphere:kappa=-1,alpha=2"])
+                                     "geodesic-sphere:kappa=-1,alpha=2",
+                                     "sphere:radius=2", "ellipsoid:1,1",
+                                     "ellipsoid:1,x,1", "ellipsoid:1,1,1,2",
+                                     "geodesic-sphere:k=3", "sphere:r=nan",
+                                     "sphere:2"])
     def test_bad_specs(self, bad):
         with pytest.raises(ConfigError):
             hyp.parse_surface(bad)
+
+    def test_semiaxes(self):
+        assert hyp.parse_surface("sphere:r=2").semiaxes == (2.0, 2.0, 2.0)
+        assert hyp.parse_surface("ellipsoid:1, 2,3").semiaxes == (1.0, 2.0,
+                                                                  3.0)
+        gs = hyp.parse_surface("geodesic-sphere:kappa=1,alpha=2")
+        assert gs.semiaxes is None
 
     def test_generalized_cross(self):
         v = hyp.generalized_cross([[1, 0, 0], [0, 1, 0]])

@@ -1,4 +1,5 @@
-"""Every import under src/ is used: an AST scan standing in for a linter."""
+"""Every import under src/ is used and every SpectraError subclass is raised
+or caught: AST scans standing in for a linter."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,51 @@ def test_scan_finds_an_unused_import(tmp_path):
     mod.write_text("import os\nimport numpy as np\nfrom typing import Dict\n"
                    "x: Dict = np.zeros(1)\n")
     assert unused_imports(mod) == [(1, "os")]
+
+
+def _name(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def unused_errors(paths):
+    """SpectraError subclasses defined in ``paths`` that no ``raise`` or
+    ``except`` there names."""
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    bases = {node.name: [_name(b) for b in node.bases]
+             for node in nodes if isinstance(node, ast.ClassDef)}
+
+    def is_error(name):
+        return name == "SpectraError" or any(is_error(b)
+                                             for b in bases.get(name, ()))
+
+    named = set()
+    for node in nodes:
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc
+            named.add(_name(exc.func if isinstance(exc, ast.Call) else exc))
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type
+            named.update(_name(t) for t in
+                         (types.elts if isinstance(types, ast.Tuple)
+                          else [types]))
+    return sorted(name for name in bases if name != "SpectraError"
+                  and is_error(name) and name not in named)
+
+
+def test_every_error_is_raised_or_caught():
+    assert unused_errors(MODULES) == []
+
+
+def test_scan_finds_an_unused_error(tmp_path):
+    (tmp_path / "errors.py").write_text(
+        "class SpectraError(Exception):\n    pass\n\n\n"
+        "class Raised(SpectraError):\n    pass\n\n\n"
+        "class Caught(Raised):\n    pass\n\n\n"
+        "class Planted(Raised):\n    pass\n\n\n"
+        "class Other(Exception):\n    pass\n")
+    (tmp_path / "mod.py").write_text(
+        "from . import errors\n\n\n"
+        "def f():\n    try:\n        raise errors.Raised('x')\n"
+        "    except (errors.Caught, KeyError):\n        pass\n")
+    assert unused_errors(sorted(tmp_path.glob("*.py"))) == ["Planted"]
