@@ -21,7 +21,7 @@ from .errors import InsufficientSmoothness, NotPositiveDefinite
 
 @dataclass(frozen=True)
 class BoxOperator:
-    phi: geom.SymmetricTensorField
+    phi: geom.Field
     manifold: geom.ChartManifold
 
     @property

@@ -67,7 +67,10 @@ def cmd_verify(args):
         phi = hz._suite_phi(m, args.phi, seed=args.seed)
         box = boxop.BoxOperator(phi=phi, manifold=m)
         f = hz._suite_test_function(m, seed=args.seed + 1)
-        cvals = [float(c) for c in args.c.split(",")]
+        try:
+            cvals = [geom.spec_float(c) for c in args.c.split(",")]
+        except ValueError as exc:
+            raise ConfigError("bad --c %r: %s" % (args.c, exc)) from exc
         rng = np.random.default_rng(args.seed)
         pts = m.sample_points(args.samples, rng)
         rs = np.array([r.residual
@@ -217,10 +220,14 @@ def cmd_proptest(args):
 # report
 
 def _parse_refine(txt):
-    if ".." in txt:
-        lo, hi = txt.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(s) for s in txt.split(","))
+    """Subdivision levels from 'lo..hi' or a comma list."""
+    try:
+        if ".." in txt:
+            lo, hi = txt.split("..")
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(s) for s in txt.split(","))
+    except ValueError as exc:
+        raise ConfigError("bad --refine %r: %s" % (txt, exc)) from exc
 
 
 def cmd_report(args):

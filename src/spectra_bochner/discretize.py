@@ -247,12 +247,6 @@ class PeriodicGrid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def node_index(self, multi):
-        idx = 0
-        for k, s in zip(multi, self.shape):
-            idx = idx * s + (k % s)
-        return idx
-
 
 # ---------------------------------------------------------------------------
 # assembled operators

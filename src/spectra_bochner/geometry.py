@@ -22,6 +22,7 @@ Index conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -54,87 +55,65 @@ def fd_derivative(fn, p, step):
     return np.moveaxis((vals[0] - vals[1]) / (2.0 * step), 0, p.ndim - 1)
 
 
-def _partials(callbacks, p, order, rank, fd_step):
-    """Values and plain partials of orders 0..order at the points p (..., n).
-
-    ``callbacks[k]`` maps (..., n) points to the order-k partials, an array
-    of rank ``rank + k`` per point; a callback that ignores the point axes
-    is broadcast over them, and a missing one is replaced by central
-    differences of the order below (the highest order with a step of at
-    least 1e-4).
-    """
-    p = np.asarray(p, dtype=float)
-    n = p.shape[-1]
-    fns = []
-    for k, cb in enumerate(callbacks[: order + 1]):
-        if cb is not None:
-            shape = (n,) * (rank + k)
-            fns.append(lambda q, cb=cb, shape=shape: np.broadcast_to(
-                np.asarray(cb(q), dtype=float), q.shape[:-1] + shape))
-        else:
-            step = fd_step if k < len(callbacks) - 1 else max(fd_step, 1e-4)
-            fns.append(lambda q, fn=fns[-1], step=step:
-                       fd_derivative(fn, q, step))
-    return [fn(p) for fn in fns]
-
-
 # ---------------------------------------------------------------------------
 # fields
 
 @dataclass(frozen=True)
-class ScalarField:
-    """Smooth function on a chart with partial-derivative access.
+class Field:
+    """Smooth scalar (rank 0) or symmetric 2-tensor (rank 2) field on a chart.
 
-    Every callback maps a stack of chart points (..., n) to the stack of
-    its values: ``eval`` to (...), ``grad``/``hess``/``third`` to the plain
-    partial derivatives (..., n), (..., n, n), (..., n, n, n) in chart
-    coordinates (not covariant).  Missing callbacks fall back to central
-    differences of the previous level.
+    ``jets(p, order)`` maps chart points p (..., n) to the list of the
+    plain partial derivatives of orders 0..k, for some k <= order, and
+    computes only those.  The order-j entry has the j derivative axes
+    FIRST after the point axes (jets[1][..., c, a, b] = d_c phi_ab).
+    ``partials`` fills in every order above k; covariant derivatives with
+    the paper-facing last-index convention are produced by
+    ``scalar_jets`` and ``tensor_jets``.
     """
 
-    eval: Callable[[np.ndarray], np.ndarray]
-    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    third: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = DEFAULT_FD_STEP
-
-    def partials(self, p, order):
-        """(value, d f, d2 f[, d3 f]) up to ``order`` at a point or a stack;
-        the value of a single point is a float."""
-        out = _partials((self.eval, self.grad, self.hess, self.third), p,
-                        order, 0, self.fd_step)
-        out[0] = out[0][()]
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class SymmetricTensorField:
-    """Symmetric (0,2)-tensor field given by coordinate components.
-
-    ``comp(p)`` maps chart points (..., n) to the symmetric matrices phi_ab
-    (..., n, n) in chart coordinates; ``dcomp``/``d2comp`` are its plain
-    partial derivatives with the derivative axes FIRST after the point axes
-    (dcomp[..., c, a, b] = d_c phi_ab).  Covariant derivatives with the
-    paper-facing last-index convention are produced by ``tensor_jets``.
-    """
-
-    comp: Callable[[np.ndarray], np.ndarray]
-    dcomp: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    d2comp: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jets: Callable[[np.ndarray, int], list]
+    rank: int = 0
     fd_step: float = DEFAULT_FD_STEP
     name: str = "custom"
 
+    def comp(self, p):
+        """The values at the points p, as ``jets`` gives them."""
+        return self.jets(p, 0)[0]
+
     def partials(self, p, order):
-        """(phi, d phi[, d2 phi]) up to ``order`` at a point or a stack."""
-        out = _partials((self.comp, self.dcomp, self.d2comp), p, order, 2,
-                        self.fd_step)
-        m = out[0]
-        scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
-        asym = np.max(np.abs(m - np.swapaxes(m, -1, -2)), axis=(-2, -1))
-        bad = np.ravel(asym > 1e-12 * scale)
-        if bad.any():
-            raise ValueError("tensor field components are not symmetric at %r"
-                             % (_point(p, np.argmax(bad)),))
+        """(value, d, d2[, d3]) up to ``order`` at a point or a stack.
+
+        Values that ignore the point axes are broadcast over them, and a
+        scalar's single-point value is a float.  Each order above the
+        callback's own is a central difference of the order below, with
+        step ``fd_step``, or at least 1e-4 for the highest order the
+        identities take (a scalar's third partials, a tensor's second).
+        """
+        p = np.asarray(p, dtype=float)
+        n = p.shape[-1]
+
+        def fit(v, q, k):
+            return np.broadcast_to(np.asarray(v, dtype=float),
+                                   q.shape[:-1] + (n,) * (self.rank + k))
+
+        out = [fit(v, p, k) for k, v in enumerate(self.jets(p, order))]
+        top = len(out) - 1
+        last = 3 if self.rank == 0 else 2
+        fn = lambda q: fit(self.jets(q, top)[top], q, top)
+        for k in range(top + 1, order + 1):
+            step = self.fd_step if k < last else max(self.fd_step, 1e-4)
+            fn = functools.partial(fd_derivative, fn, step=step)
+            out.append(fn(p))
+        if self.rank == 0:
+            out[0] = out[0][()]
+        else:
+            m = out[0]
+            scale = np.maximum(1.0, np.max(np.abs(m), axis=(-2, -1)))
+            asym = np.max(np.abs(m - np.swapaxes(m, -1, -2)), axis=(-2, -1))
+            bad = np.ravel(asym > 1e-12 * scale)
+            if bad.any():
+                raise ValueError("tensor field components are not symmetric "
+                                 "at %r" % (_point(p, np.argmax(bad)),))
         return tuple(out)
 
 
@@ -160,7 +139,7 @@ class Chart:
 
     lo: np.ndarray
     hi: np.ndarray
-    metric: SymmetricTensorField
+    metric: Field
 
     @property
     def dim(self):
@@ -185,7 +164,10 @@ class ChartManifold:
         return self.charts[idx]
 
     def sample_points(self, count, rng):
-        """Draw chart points covering the manifold (chart 0) or the patch."""
+        """Draw count >= 1 points covering the manifold (chart 0) or patch."""
+        if count < 1:
+            raise ConfigError("sample count must be at least 1, got %r"
+                              % count)
         c = self.chart()
         if self.atlas_kind in (ATLAS_PERIODIC_BOX, ATLAS_CHART_PATCH):
             return rng.uniform(c.lo, c.hi, size=(count, self.dim))
@@ -498,59 +480,49 @@ def _coordinate_ricci(b):
     return np.swapaxes(Einv, -1, -2) @ b.ricci @ Einv
 
 
-def ricci_tensor_field(m, fd_step=1e-4):
-    """Ricci as a coordinate tensor field (partials by FD of the components)."""
+def _curvature_field(m, name, fd_step, sphere_coef, of_bundle):
+    """The symmetric tensor field ``of_bundle(b)`` of the curvature bundle
+    b: on the analytic sphere ``sphere_coef(n, K)`` times the metric, on
+    any other manifold read off the bundle at each point (partials by FD
+    of the components)."""
     if m.atlas_kind == ATLAS_ANALYTIC_SPHERE:
         return scale_tensor_field(metric_field(m),
-                                  (m.dim - 1) * m.constant_curvature, name="ricci")
+                                  sphere_coef(m.dim, m.constant_curvature),
+                                  name=name)
     chart = m.chart()
+    return Field(lambda p, order: [of_bundle(curvature_at(
+        m, point_geometry(chart, p)))], rank=2, fd_step=fd_step, name=name)
 
-    def comp(p):
-        return _coordinate_ricci(curvature_at(m, point_geometry(chart, p)))
 
-    return SymmetricTensorField(comp=comp, fd_step=fd_step, name="ricci")
+def ricci_tensor_field(m, fd_step=1e-4):
+    """Ricci as a coordinate tensor field."""
+    return _curvature_field(m, "ricci", fd_step, lambda n, K: (n - 1) * K,
+                            _coordinate_ricci)
 
 
 def scalar_curvature_field(m, fd_step=1e-4):
     if m.atlas_kind == ATLAS_ANALYTIC_SPHERE:
         n = m.dim
-        Rconst = n * (n - 1) * m.constant_curvature
-        return ScalarField(eval=lambda p: Rconst,
-                           grad=lambda p: np.zeros(n),
-                           hess=lambda p: np.zeros((n, n)))
+        jets = [n * (n - 1) * m.constant_curvature, np.zeros(n),
+                np.zeros((n, n))]
+        return Field(lambda p, order: jets[:order + 1])
     chart = m.chart()
-
-    def scalar(p):
-        return curvature_at(m, point_geometry(chart, p)).scalar
-
-    return ScalarField(eval=scalar, fd_step=fd_step)
+    return Field(lambda p, order: [curvature_at(
+        m, point_geometry(chart, p)).scalar], fd_step=fd_step)
 
 
 def scale_tensor_field(phi, c, name=None):
     c = float(c)
-    return SymmetricTensorField(
-        comp=lambda p: c * np.asarray(phi.comp(p), dtype=float),
-        dcomp=(lambda p: c * np.asarray(phi.dcomp(p), dtype=float))
-        if phi.dcomp is not None else None,
-        d2comp=(lambda p: c * np.asarray(phi.d2comp(p), dtype=float))
-        if phi.d2comp is not None else None,
-        fd_step=phi.fd_step,
-        name=name or phi.name,
-    )
+    return Field(lambda p, order: [c * np.asarray(v, dtype=float)
+                                   for v in phi.jets(p, order)],
+                 rank=phi.rank, fd_step=phi.fd_step, name=name or phi.name)
 
 
 def add_tensor_fields(a, b, name="sum"):
-    both_d = a.dcomp is not None and b.dcomp is not None
-    both_d2 = a.d2comp is not None and b.d2comp is not None
-    return SymmetricTensorField(
-        comp=lambda p: np.asarray(a.comp(p), float) + np.asarray(b.comp(p), float),
-        dcomp=(lambda p: np.asarray(a.dcomp(p), float) + np.asarray(b.dcomp(p), float))
-        if both_d else None,
-        d2comp=(lambda p: np.asarray(a.d2comp(p), float)
-                + np.asarray(b.d2comp(p), float)) if both_d2 else None,
-        fd_step=min(a.fd_step, b.fd_step),
-        name=name,
-    )
+    return Field(lambda p, order: [np.asarray(u, float) + np.asarray(v, float)
+                                   for u, v in zip(a.jets(p, order),
+                                                   b.jets(p, order))],
+                 rank=a.rank, fd_step=min(a.fd_step, b.fd_step), name=name)
 
 
 def schouten_tensor_field(m, fd_step=1e-4, formal=False):
@@ -558,32 +530,19 @@ def schouten_tensor_field(m, fd_step=1e-4, formal=False):
     n = m.dim
     if n < 3 and not formal:
         raise SchoutenUndefined("Schouten tensor needs n >= 3")
-    if m.atlas_kind == ATLAS_ANALYTIC_SPHERE:
-        c = (n - 2) / 2.0 * m.constant_curvature
-        return scale_tensor_field(metric_field(m), c, name="schouten")
-    chart = m.chart()
-
-    def comp(p):
-        b = curvature_at(m, point_geometry(chart, p))
-        return (_coordinate_ricci(b)
-                - (b.scalar / (2.0 * (n - 1)))[..., None, None] * b.g)
-
-    return SymmetricTensorField(comp=comp, fd_step=fd_step, name="schouten")
+    return _curvature_field(
+        m, "schouten", fd_step, lambda n, K: (n - 2) / 2.0 * K,
+        lambda b: (_coordinate_ricci(b)
+                   - (b.scalar / (2.0 * (n - 1)))[..., None, None] * b.g))
 
 
 def einstein_tensor_field(m, fd_step=1e-4):
     """E = (R/2) g - ric (divergence free by contracted Bianchi)."""
-    if m.atlas_kind == ATLAS_ANALYTIC_SPHERE:
-        n = m.dim
-        c = n * (n - 1) * m.constant_curvature / 2.0 - (n - 1) * m.constant_curvature
-        return scale_tensor_field(metric_field(m), c, name="einstein")
-    chart = m.chart()
-
-    def comp(p):
-        b = curvature_at(m, point_geometry(chart, p))
-        return (b.scalar / 2.0)[..., None, None] * b.g - _coordinate_ricci(b)
-
-    return SymmetricTensorField(comp=comp, fd_step=fd_step, name="einstein")
+    return _curvature_field(
+        m, "einstein", fd_step,
+        lambda n, K: n * (n - 1) * K / 2.0 - (n - 1) * K,
+        lambda b: (b.scalar / 2.0)[..., None, None] * b.g
+        - _coordinate_ricci(b))
 
 
 def divergence_identity_suite(m, samples=20, seed=7, fd_step=1e-4):
@@ -636,13 +595,8 @@ def divergence_identity_suite(m, samples=20, seed=7, fd_step=1e-4):
 # built-in manifolds
 
 def _const_metric_field(n):
-    eye = np.eye(n)
-    return SymmetricTensorField(
-        comp=lambda p: eye,
-        dcomp=lambda p: np.zeros((n, n, n)),
-        d2comp=lambda p: np.zeros((n, n, n, n)),
-        name="flat",
-    )
+    jets = [np.eye(n), np.zeros((n, n, n)), np.zeros((n, n, n, n))]
+    return Field(lambda p, order: jets[:order + 1], rank=2, name="flat")
 
 
 def flat_torus(n=2, lengths=None):
@@ -658,35 +612,38 @@ def perturbed_torus(n=2, eps=0.1, L=2.0 * np.pi):
 
     eye = np.eye(n)
 
-    def comp(p):
-        return (1.0 + eps * np.sin(k * p[..., 0]))[..., None, None] * eye
+    def jets(p, order):
+        x = k * p[..., 0]
+        out = [(1.0 + eps * np.sin(x))[..., None, None] * eye]
+        if order >= 1:
+            d = np.zeros(p.shape[:-1] + (n, n, n))
+            d1 = eps * k * np.cos(x)
+            d[..., 0, :, :] = d1[..., None, None] * eye
+            out.append(d)
+        if order >= 2:
+            d = np.zeros(p.shape[:-1] + (n, n, n, n))
+            d2 = -eps * k ** 2 * np.sin(x)
+            d[..., 0, 0, :, :] = d2[..., None, None] * eye
+            out.append(d)
+        return out
 
-    def dcomp(p):
-        d = np.zeros(p.shape[:-1] + (n, n, n))
-        d1 = eps * k * np.cos(k * p[..., 0])
-        d[..., 0, :, :] = d1[..., None, None] * eye
-        return d
-
-    def d2comp(p):
-        d = np.zeros(p.shape[:-1] + (n, n, n, n))
-        d2 = -eps * k ** 2 * np.sin(k * p[..., 0])
-        d[..., 0, 0, :, :] = d2[..., None, None] * eye
-        return d
-
-    g = SymmetricTensorField(comp, dcomp, d2comp, name="perturbed")
+    g = Field(jets, rank=2, name="perturbed")
     chart = Chart(lo=np.zeros(n), hi=np.full(n, float(L)), metric=g)
     return ChartManifold(dim=n, charts=(chart,), atlas_kind=ATLAS_PERIODIC_BOX,
                          name="perturbed-torus%d" % n)
 
 
 def _radial_scalar_jets(wd, x, order):
-    """Partial derivatives of F(x) = w(|x|^2) from derivatives wd of w in s,
-    at the points x (..., n)."""
+    """Partial derivatives of orders 0..order (at most 3) of F(x) =
+    w(|x|^2) from derivatives wd of w in s, at the points x (..., n)."""
     x = np.asarray(x, dtype=float)
     eye = np.eye(x.shape[-1])
-    w = [f(np.einsum("...a,...a->...", x, x)) for f in wd]
+    s = np.einsum("...a,...a->...", x, x)
+    w = [f(s) for f in wd[:order + 1]]
     xx = x[..., :, None] * x[..., None, :]
-    out = [w[0], 2.0 * w[1][..., None] * x]
+    out = [w[0]]
+    if order >= 1:
+        out.append(2.0 * w[1][..., None] * x)
     if order >= 2:
         out.append(4.0 * w[2][..., None, None] * xx
                    + 2.0 * w[1][..., None, None] * eye)
@@ -701,19 +658,23 @@ def _radial_scalar_jets(wd, x, order):
 
 
 def _coord_radial_jets(a, wd, x, order):
-    """Partial derivatives of F(x) = x_a * w(|x|^2) at the points x (..., n)."""
+    """Partial derivatives of orders 0..order (at most 3) of F(x) =
+    x_a * w(|x|^2) at the points x (..., n)."""
     x = np.asarray(x, dtype=float)
     base = _radial_scalar_jets(wd, x, order)  # jets of w itself
-    w, dw = base[0], base[1]
     ea = np.eye(x.shape[-1])[a]
     xa = x[..., a]
-    out = [xa * w, ea * w[..., None] + xa[..., None] * dw]
+    w = base[0]
+    out = [xa * w]
+    if order >= 1:
+        dw = base[1]
+        out.append(ea * w[..., None] + xa[..., None] * dw)
     if order >= 2:
         d2w = base[2]
         out.append(ea[:, None] * dw[..., None, :] + dw[..., :, None] * ea
                    + xa[..., None, None] * d2w)
     if order >= 3:
-        d2w, d3w = base[2], base[3]
+        d3w = base[3]
         out.append(ea[:, None, None] * d2w[..., None, :, :]
                    + ea[:, None] * d2w[..., :, None, :]
                    + d2w[..., None] * ea + xa[..., None, None, None] * d3w)
@@ -738,19 +699,11 @@ def round_sphere(n=4, K=1.0):
     Metric g = (4/K) / (1 + |x|^2)^2 * delta.  Closed-form curvature is used
     for all curvature queries (the chart never needs finite differences).
     """
-    wd = _inv_power_derivs(4.0 / K, 2.0, order=2)
+    wd = _inv_power_derivs(4.0 / K, 2.0)
     eye = np.eye(n)
-
-    def comp(p):
-        return _radial_scalar_jets(wd, p, 0)[0][..., None, None] * eye
-
-    def dcomp(p):
-        return _radial_scalar_jets(wd, p, 1)[1][..., None, None] * eye
-
-    def d2comp(p):
-        return _radial_scalar_jets(wd, p, 2)[2][..., None, None] * eye
-
-    g = SymmetricTensorField(comp, dcomp, d2comp, name="sphere-metric")
+    g = Field(lambda p, order: [v[..., None, None] * eye for v in
+                                _radial_scalar_jets(wd, p, order)],
+              rank=2, name="sphere-metric")
     chart = Chart(lo=np.full(n, -np.inf), hi=np.full(n, np.inf), metric=g)
     return ChartManifold(dim=n, charts=(chart,), atlas_kind=ATLAS_ANALYTIC_SPHERE,
                          constant_curvature=float(K), name="sphere%d" % n)
@@ -764,38 +717,29 @@ def sphere_coordinate_field(m, axis):
     n = m.dim
     if axis < n:
         ud = _inv_power_derivs(2.0, 1.0, order=3)
-        return ScalarField(
-            eval=lambda p: _coord_radial_jets(axis, ud, p, 0)[0],
-            grad=lambda p: _coord_radial_jets(axis, ud, p, 1)[1],
-            hess=lambda p: _coord_radial_jets(axis, ud, p, 2)[2],
-            third=lambda p: _coord_radial_jets(axis, ud, p, 3)[3],
-        )
+        return Field(lambda p, order: _coord_radial_jets(axis, ud, p, order))
     # X_{n+1} = (s - 1)/(s + 1) = 1 - 2/(1+s)
     ud = _inv_power_derivs(-2.0, 1.0, order=3)
-    return ScalarField(
-        eval=lambda p: 1.0 + _radial_scalar_jets(ud, p, 0)[0],
-        grad=lambda p: _radial_scalar_jets(ud, p, 1)[1],
-        hess=lambda p: _radial_scalar_jets(ud, p, 2)[2],
-        third=lambda p: _radial_scalar_jets(ud, p, 3)[3],
-    )
+
+    def jets(p, order):
+        out = _radial_scalar_jets(ud, p, order)
+        out[0] = 1.0 + out[0]
+        return out
+
+    return Field(jets)
 
 
 def trig_field(wavevec, phase=0.0):
     """cos(k . x + phase) with closed-form partials of all orders."""
     k = np.asarray(wavevec, dtype=float)
-    kk = np.outer(k, k)
-    kkk = np.einsum("a,b,c->abc", k, k, k)
+    kpow = [1.0, k, np.outer(k, k), np.einsum("a,b,c->abc", k, k, k)]
 
-    def level(p, order):
-        return np.cos(np.asarray(p, dtype=float) @ k + phase
-                      + order * np.pi / 2.0)
+    def jets(p, order):
+        arg = np.asarray(p, dtype=float) @ k + phase
+        return [np.multiply.outer(np.cos(arg + j * np.pi / 2.0), kj)
+                for j, kj in enumerate(kpow[:order + 1])]
 
-    return ScalarField(
-        eval=lambda p: level(p, 0),
-        grad=lambda p: level(p, 1)[..., None] * k,
-        hess=lambda p: level(p, 2)[..., None, None] * kk,
-        third=lambda p: level(p, 3)[..., None, None, None] * kkk,
-    )
+    return Field(jets)
 
 
 def random_spd_trig_tensor(n, seed=0):
@@ -816,21 +760,18 @@ def random_spd_trig_tensor(n, seed=0):
     ph = rng.uniform(0, 2 * np.pi, size=(n, n))
     ph = 0.5 * (ph + ph.T)
 
-    def wave(p, order):
-        arg = np.einsum("abc,...c->...ab", kvec, np.asarray(p, float)) + ph \
-            + order * np.pi / 2.0
-        return amp * np.cos(arg)
+    def jets(p, order):
+        arg = np.einsum("abc,...c->...ab", kvec, np.asarray(p, float)) + ph
+        out = [C + amp * np.cos(arg)]
+        if order >= 1:
+            out.append(np.einsum("...ab,abc->...cab",
+                                 amp * np.cos(arg + np.pi / 2.0), kvec))
+        if order >= 2:
+            out.append(np.einsum("...ab,abc,abd->...dcab",
+                                 amp * np.cos(arg + np.pi), kvec, kvec))
+        return out
 
-    def comp(p):
-        return C + wave(p, 0)
-
-    def dcomp(p):
-        return np.einsum("...ab,abc->...cab", wave(p, 1), kvec)
-
-    def d2comp(p):
-        return np.einsum("...ab,abc,abd->...dcab", wave(p, 2), kvec, kvec)
-
-    return SymmetricTensorField(comp, dcomp, d2comp, name="random-spd")
+    return Field(jets, rank=2, name="random-spd")
 
 
 # ---------------------------------------------------------------------------

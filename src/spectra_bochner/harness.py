@@ -41,6 +41,11 @@ class TrialConfig:
     trials: int = 100_000
     seed: int = 42
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ConfigError("trials must be at least 1, got %r"
+                              % self.trials)
+
 
 # trials per batched evaluation (trace and Q(A) trials): bounds the
 # (batch, n, n) draws and temporaries
@@ -293,7 +298,9 @@ def sphere_equality_suite():
 def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=(4, 5), seed=42):
     """FEM mu1(L1) on the ellipsoid against the bound from pinching
     constants sampled at 400 points; refinement across the given
-    subdivision levels, which must increase."""
+    subdivision levels, at least one, which must increase."""
+    if not subdivs:
+        raise ConfigError("no subdivision levels")
     if any(b <= a for a, b in zip(subdivs, subdivs[1:])):
         raise ConfigError("subdivisions must increase, got %r"
                           % (tuple(subdivs),))
@@ -362,7 +369,8 @@ def load_config(path=None):
 
 
 def run_suite(names, config=None):
-    """Execute named suites; returns (exit_code, summary dict)."""
+    """Execute named suites; returns (exit_code, summary dict).  A
+    ConfigError, in the config or a suite's inputs, returns EXIT_CONFIG."""
     try:
         cp = config if isinstance(config, configparser.ConfigParser) \
             else load_config(config)
@@ -430,6 +438,8 @@ def run_suite(names, config=None):
                 if rep["verdict"] != bd.VERDICT_INEQUALITY:
                     failures.append("ellipsoid-compare: verdict %s"
                                     % rep["verdict"])
+        except ConfigError as exc:
+            return EXIT_CONFIG, {"error": "%s: %s" % (name, exc)}
         except SpectraError as exc:
             failures.append("%s: %s: %s" % (name, type(exc).__name__, exc))
             rep = {"error": str(exc), "error_type": type(exc).__name__}

@@ -39,7 +39,6 @@ class ImmersionChart:
     pole: float
     ambient: np.ndarray
     offset: Optional[np.ndarray] = None
-    sample_radius: float = 1.0
 
     def jets(self, U):
         """Closed-form jets at U (..., n): X (..., m), the first derivatives
@@ -80,21 +79,19 @@ class ImmersedHypersurface:
         return replace(self, flip_normal=not self.flip_normal)
 
     def sample_points(self, count, rng):
-        """Sample points over the charts' disks as whole arrays.
+        """Sample points over the charts' unit disks as whole arrays.
 
         Returns (chart_idx (count,), U (count, n)): point k lies in chart
-        k mod ncharts, in a uniform direction at radius
-        sample_radius * sqrt(r), r uniform on [0.02, 1).  The stream is one
-        draw of the radii and one of the directions, so a seed gives other
-        points, and other sampled constants, than the earlier per-point
-        draws did.
+        k mod ncharts, in a uniform direction at radius sqrt(r), r uniform
+        on [0.02, 1).  The stream is one draw of the radii and one of the
+        directions, so a seed gives other points, and other sampled
+        constants, than the earlier per-point draws did.
         """
         chart_idx = np.arange(count) % len(self.charts)
         r = rng.uniform(0.02, 1.0, size=count)
         v = rng.normal(size=(count, self.n))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        radius = np.array([c.sample_radius for c in self.charts])
-        return chart_idx, (radius[chart_idx] * np.sqrt(r))[:, None] * v
+        return chart_idx, np.sqrt(r)[:, None] * v
 
 
 def generalized_cross(vectors):
@@ -196,18 +193,16 @@ def induced_metric_manifold(hs, chart_idx=0):
     """ChartManifold carrying the pullback metric g(u) = J J^T of a chart."""
     chart = hs.charts[chart_idx]
 
-    def comp(u):
-        _, J, _ = chart.jets(u)
-        return J @ np.swapaxes(J, -1, -2)
-
-    def dcomp(u):  # d_c g_ab = H2_ca . J_b + J_a . H2_cb
+    def jets(u, order):  # d_c g_ab = H2_ca . J_b + J_a . H2_cb
         _, J, H2 = chart.jets(u)
-        HJ = H2 @ np.swapaxes(J, -1, -2)[..., None, :, :]
-        return HJ + np.swapaxes(HJ, -1, -2)
+        out = [J @ np.swapaxes(J, -1, -2)]
+        if order >= 1:
+            HJ = H2 @ np.swapaxes(J, -1, -2)[..., None, :, :]
+            out.append(HJ + np.swapaxes(HJ, -1, -2))
+        return out
 
-    r = chart.sample_radius
-    g = geom.SymmetricTensorField(comp=comp, dcomp=dcomp, name="induced")
-    c = geom.Chart(lo=np.full(hs.n, -r), hi=np.full(hs.n, r), metric=g)
+    g = geom.Field(jets, rank=2, name="induced")
+    c = geom.Chart(lo=np.full(hs.n, -1.0), hi=np.full(hs.n, 1.0), metric=g)
     return geom.ChartManifold(dim=hs.n, charts=(c,),
                               atlas_kind=geom.ATLAS_CHART_PATCH,
                               name=(hs.name or "surface") + "-induced")
@@ -216,15 +211,15 @@ def induced_metric_manifold(hs, chart_idx=0):
 def newton1_field(hs, chart_idx=0):
     """P1 as a coordinate (0,2) tensor field on a chart: H g_ab - h_ab."""
 
-    def comp(u):
+    def jets(u, order):
         sd = shape_at(hs, u, chart_idx)
-        return sd.H[..., None, None] * sd.g - sd.h
+        return [sd.H[..., None, None] * sd.g - sd.h]
 
-    return geom.SymmetricTensorField(comp=comp, name="newton1")
+    return geom.Field(jets, rank=2, name="newton1")
 
 
 def mean_curvature_field(hs, chart_idx=0):
-    return geom.ScalarField(eval=lambda u: shape_at(hs, u, chart_idx).H)
+    return geom.Field(lambda u, order: [shape_at(hs, u, chart_idx).H])
 
 
 # ---------------------------------------------------------------------------

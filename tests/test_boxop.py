@@ -27,7 +27,7 @@ class TestApply:
         box = boxop.laplacian_box(sphere4)
         f = geom.sphere_coordinate_field(sphere4, 2)
         p = np.array([0.3, -0.1, 0.2, 0.4])
-        assert boxop.apply(box, f, p) == pytest.approx(-4.0 * f.eval(p),
+        assert boxop.apply(box, f, p) == pytest.approx(-4.0 * f.comp(p),
                                                        abs=1e-10)
 
     def test_schouten_box_is_scaled_laplacian_on_sphere(self, sphere4):
@@ -218,8 +218,8 @@ class TestStackedPoints:
 
     def test_stack_names_first_indefinite_point(self, torus):
         # phi = cos(x1) I is indefinite at points 1 and 2, first at x1 = 2
-        phi = geom.SymmetricTensorField(
-            comp=lambda p: np.cos(p[..., 0])[..., None, None] * np.eye(2))
+        phi = geom.Field(lambda p, order: [
+            np.cos(p[..., 0])[..., None, None] * np.eye(2)], rank=2)
         box = boxop.BoxOperator(phi=phi, manifold=torus)
         f = geom.trig_field(np.array([1.0, 0.0]))
         pts = np.array([[0.1, 0.1], [2.0, 0.3], [3.0, 0.5]])

@@ -131,6 +131,20 @@ class TestVerify:
         assert code == 2
         assert "config error" in err
 
+    @pytest.mark.parametrize("cvals", ["1,x", ""])
+    def test_bad_c_list(self, capsys, cvals):
+        code, _, err = run(capsys, "verify", "bochner", "--c", cvals,
+                           "--samples", "2")
+        assert code == 2
+        assert err.startswith("config error:") and "--c" in err
+
+    @pytest.mark.parametrize("target", ["bochner", "divergence"])
+    def test_no_samples(self, capsys, target):
+        # zero points would pass having checked nothing
+        code, _, err = run(capsys, "verify", target, "--samples", "0")
+        assert code == 2
+        assert err.startswith("config error:")
+
 
 class TestCheckAndProptest:
     def test_check_mesh(self, capsys, tmp_path):
@@ -157,6 +171,25 @@ class TestCheckAndProptest:
                            "--trials", "500", "--planted")
         assert code == 0  # planted mode passes when violations ARE found
 
+    @pytest.mark.parametrize("which", ["newton", "qa"])
+    def test_proptest_no_trials(self, capsys, which):
+        code, _, err = run(capsys, "proptest", which, "--trials", "0")
+        assert code == 2
+        assert err.startswith("config error:")
+
+    @pytest.mark.parametrize("text,suite", [
+        ("[suites]\nsubdivs =\n", "ellipsoid-compare"),
+        ("[suites]\ntrials = 0\n", "newton"),
+        ("[suites]\ntrials = 0\n", "qa"),
+        ("[suites]\nsamples = 0\n", "bochner")])
+    def test_check_empty_config_values(self, capsys, tmp_path, text, suite):
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        code, out, _ = run(capsys, "--json", "--config", str(p), "check",
+                           "--suites", suite)
+        assert code == 2
+        assert json.loads(out)["error"].startswith(suite + ":")
+
 
 class TestReport:
     def test_compare_csv(self, capsys):
@@ -176,6 +209,12 @@ class TestReport:
         rep = json.loads(out)
         assert rep["semiaxes"] == [1.0, 1.0, 1.0]
         assert rep["verdict"] == "EqualityCase"
+
+    @pytest.mark.parametrize("refine", ["3..x", "5..3"])
+    def test_compare_bad_refine(self, capsys, refine):
+        code, _, err = run(capsys, "report", "compare", "--refine", refine)
+        assert code == 2
+        assert err.startswith("config error:")
 
     @pytest.mark.parametrize("spec", ["ellipsoid:1,1", "cube:1",
                                       "geodesic-sphere:kappa=1,alpha=2"])

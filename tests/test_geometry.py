@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectra_bochner import geometry as geom
+from spectra_bochner import geometry as geom, hypersurface as hyp
 from spectra_bochner.errors import (ConfigError, DegeneratePlane,
                                     NonPositiveMetric, SchoutenUndefined)
 
@@ -169,7 +169,7 @@ class TestJets:
         f = geom.trig_field(np.array([1.0, 2.0]), phase=0.3)
         p = np.array([0.7, -0.2])
         val, g1, h1, t1 = f.partials(p, 3)
-        g_fd = geom.fd_derivative(lambda q: f.eval(q), p, 1e-6)
+        g_fd = geom.fd_derivative(f.comp, p, 1e-6)
         assert np.allclose(g1, g_fd, atol=1e-8)
         h_fd = geom.fd_derivative(lambda q: f.partials(q, 1)[1], p, 1e-6)
         assert np.allclose(h1, h_fd, atol=1e-7)
@@ -218,15 +218,15 @@ class TestFieldsAndErrors:
             geom.schouten_tensor_field(geom.flat_torus(2))
 
     def test_nonpositive_metric_raises(self):
-        bad = geom.SymmetricTensorField(comp=lambda p: -np.eye(2))
+        bad = geom.Field(lambda p, order: [-np.eye(2)], rank=2)
         chart = geom.Chart(lo=np.zeros(2), hi=np.ones(2), metric=bad)
         with pytest.raises(NonPositiveMetric):
             geom.metric_jets(chart, np.array([0.5, 0.5]), 0)
 
     def test_nonpositive_metric_names_first_bad_point(self):
         # g = (x1 - 0.5) I: negative at the last two points of the stack
-        bad = geom.SymmetricTensorField(
-            comp=lambda p: (p[..., 0] - 0.5)[..., None, None] * np.eye(2))
+        bad = geom.Field(lambda p, order: [
+            (p[..., 0] - 0.5)[..., None, None] * np.eye(2)], rank=2)
         chart = geom.Chart(lo=np.zeros(2), hi=np.ones(2), metric=bad)
         pts = np.array([[0.9, 0.1], [0.7, 0.2], [0.25, 0.3], [0.1, 0.4]])
         with pytest.raises(NonPositiveMetric,
@@ -259,10 +259,11 @@ class TestFieldsAndErrors:
         for order, got in enumerate(c.metric.partials(p, 2)):
             shifted = c.metric.partials(p + [3.0, 0.0], 2)[order]
             assert np.allclose(got, shifted, atol=1e-12)
+        _, d, d2 = c.metric.jets(p, 2)
         d_fd = geom.fd_derivative(c.metric.comp, p, 1e-6)
-        assert np.allclose(c.metric.dcomp(p), d_fd, atol=1e-8)
-        d2_fd = geom.fd_derivative(c.metric.dcomp, p, 1e-6)
-        assert np.allclose(c.metric.d2comp(p), d2_fd, atol=1e-8)
+        assert np.allclose(d, d_fd, atol=1e-8)
+        d2_fd = geom.fd_derivative(lambda q: c.metric.jets(q, 1)[1], p, 1e-6)
+        assert np.allclose(d2, d2_fd, atol=1e-8)
         # the default period is 2 pi, as the spec without L
         q = geom.parse_manifold("torus3:perturb=sin").chart()
         assert np.array_equal(q.hi, np.full(3, 2 * np.pi))
@@ -276,8 +277,8 @@ class TestFieldsAndErrors:
             w = np.linalg.eigvalsh(phi.comp(p))
             assert w[0] > 0
             d_fd = geom.fd_derivative(phi.comp, p, 1e-6)
-            # dcomp convention: [c, a, b] = d_c phi_ab
-            assert np.allclose(phi.dcomp(p), d_fd, atol=1e-7)
+            # jets convention: [c, a, b] = d_c phi_ab
+            assert np.allclose(phi.jets(p, 1)[1], d_fd, atol=1e-7)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_random_spd_tensor_is_periodic(self, n):
@@ -297,8 +298,7 @@ class TestFieldsAndErrors:
         rng = np.random.default_rng(abs(seed) % 2 ** 32)
         phi = geom.random_spd_trig_tensor(n, seed=abs(seed) % 1000)
         p = rng.uniform(0, 2 * np.pi, size=n)
-        g = phi.comp(p)
-        dg = phi.dcomp(p)
+        g, dg = phi.jets(p, 1)
         Gamma = geom.christoffel(np.linalg.inv(g), dg)
         assert np.allclose(Gamma, Gamma.transpose(0, 2, 1), atol=1e-12)
 
@@ -310,3 +310,78 @@ class TestFieldsAndErrors:
         s = geom.round_sphere(2, 1.0)
         pts = s.sample_points(11, rng)
         assert pts.shape == (11, 2)
+
+
+def _builtin_fields():
+    """Every kind of field the package builds, by name, with the dimension
+    of its chart."""
+    t3, s4 = geom.perturbed_torus(3), geom.round_sphere(4, 1.0)
+    hs = hyp.ellipsoid_surface(1.2, 1.0, 0.9)
+    spd = geom.random_spd_trig_tensor(3, seed=4)
+    fields = {
+        "flat": (geom.flat_torus(3).chart().metric, 3),
+        "perturbed": (t3.chart().metric, 3),
+        "sphere-metric": (s4.chart().metric, 4),
+        "sphere-coordinate": (geom.sphere_coordinate_field(s4, 1), 4),
+        "sphere-height": (geom.sphere_coordinate_field(s4, 4), 4),
+        "trig": (geom.trig_field([1.0, 2.0, 1.0], phase=0.3), 3),
+        "random-spd": (spd, 3),
+        "induced": (hyp.induced_metric_manifold(hs, 1).chart().metric, 2),
+        "newton1": (hyp.newton1_field(hs, 0), 2),
+        "mean-curvature": (hyp.mean_curvature_field(hs, 1), 2),
+        "scaled": (geom.scale_tensor_field(spd, -0.7), 3),
+        "sum": (geom.add_tensor_fields(spd, geom.ricci_tensor_field(t3)), 3),
+    }
+    for m in (t3, s4):
+        for build in (geom.ricci_tensor_field, geom.schouten_tensor_field,
+                      geom.einstein_tensor_field,
+                      geom.scalar_curvature_field):
+            fields["%s-%s" % (build.__name__, m.name)] = (build(m), m.dim)
+    return fields
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFieldProtocol:
+    @pytest.mark.parametrize("name", sorted(_builtin_fields()))
+    def test_one_call_gives_every_lower_order(self, name):
+        # jets(p, k)[j] == jets(p, j)[j] bit for bit, so one call at the
+        # highest order serves every lower order
+        f, n = _builtin_fields()[name]
+        rng = np.random.default_rng(1)
+        for p in (0.4 * rng.uniform(-1, 1, size=n),
+                  0.4 * rng.uniform(-1, 1, size=(2, 3, n))):
+            jets = [f.jets(p, k) for k in range(4)]
+            for k in range(4):
+                assert 1 <= len(jets[k]) <= k + 1
+                for j in range(len(jets[k])):
+                    assert len(jets[j]) == j + 1
+                    assert same_bits(jets[k][j], jets[j][j]), (k, j)
+
+    @pytest.mark.parametrize("fd_step", [1e-3, 1e-5])
+    def test_value_only_field_is_the_nested_fd_chain(self, fd_step):
+        # orders above the callback's are central differences of the order
+        # below; the highest order the identities take (a scalar's third
+        # partials, a tensor's second) uses a step of at least 1e-4
+        k = np.array([1.0, 2.0, 1.0])
+        f = lambda q: np.cos(q @ k + 0.3)
+        phi = geom.random_spd_trig_tensor(3, seed=2).comp
+        top = max(fd_step, 1e-4)
+        df = lambda q: geom.fd_derivative(f, q, fd_step)
+        d2f = lambda q: geom.fd_derivative(df, q, fd_step)
+        dphi = lambda q: geom.fd_derivative(phi, q, fd_step)
+        scalar = geom.Field(lambda q, order: [f(q)], fd_step=fd_step)
+        tensor = geom.Field(lambda q, order: [phi(q)], rank=2,
+                            fd_step=fd_step)
+        rng = np.random.default_rng(0)
+        for p in (rng.uniform(0, 1, size=3), rng.uniform(0, 1, size=(4, 3))):
+            want_f = [f(p), df(p), d2f(p), geom.fd_derivative(d2f, p, top)]
+            want_phi = [phi(p), dphi(p), geom.fd_derivative(dphi, p, top)]
+            for got, want in ((scalar.partials(p, 3), want_f),
+                              (tensor.partials(p, 2), want_phi)):
+                assert len(got) == len(want)
+                assert all(same_bits(g, w) for g, w in zip(got, want))
+        assert isinstance(scalar.partials(np.zeros(3), 0)[0], float)

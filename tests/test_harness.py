@@ -174,3 +174,7 @@ class TestEllipsoidCompare:
     def test_subdivisions_must_increase(self, subdivs):
         with pytest.raises(ConfigError, match="must increase"):
             hz.ellipsoid_compare((1.0, 1.0, 1.0), subdivs)
+
+    def test_no_subdivisions(self):
+        with pytest.raises(ConfigError, match="no subdivision levels"):
+            hz.ellipsoid_compare((1.0, 1.0, 1.0), ())

@@ -220,18 +220,9 @@ class TestSamplePoints:
         cis, U = hs.sample_points(count, np.random.default_rng(5))
         assert cis.shape == (count,) and U.shape == (count, hs.n)
         assert np.array_equal(cis, np.arange(count) % len(hs.charts))
-        radius = np.array([c.sample_radius for c in hs.charts])[cis]
         r = np.linalg.norm(U, axis=1)
-        assert np.all(r >= np.sqrt(0.02) * radius * (1.0 - 1e-15))
-        assert np.all(r < radius)
-
-    def test_custom_sample_radius(self):
-        hs = hyp.sphere_surface(1.0)
-        charts = (replace(hs.charts[0], sample_radius=0.5),) + hs.charts[1:]
-        hs = replace(hs, charts=charts)
-        cis, U = hs.sample_points(200, np.random.default_rng(8))
-        r = np.linalg.norm(U, axis=1)
-        assert np.all(r[cis == 0] < 0.5) and np.max(r[cis == 1]) > 0.5
+        assert np.all(r >= np.sqrt(0.02) * (1.0 - 1e-15))
+        assert np.all(r < 1.0)
 
 
 class TestFieldsOnCharts:
