@@ -21,6 +21,8 @@ def main():
     ap.add_argument("--coefficient", choices=["newton1", "metric"],
                     default="newton1")
     args = ap.parse_args()
+    if any(b <= a for a, b in zip(args.levels, args.levels[1:])):
+        ap.error("--levels must increase")
 
     provider = (dz.ellipsoid_newton1_coefficient([1.0, 1.0, 1.0])
                 if args.coefficient == "newton1" else dz.metric_coefficient())
@@ -45,7 +47,9 @@ def main():
               f"{mu:>16.12f} {mu - 2.0:>12.3e} {order:>7} {dt:>7.1f}")
 
     if len(mus) >= 2:
-        extrap = mus[-1] + (mus[-1] - mus[-2]) / 3.0
+        # h halves per level, and the error is O(h^2)
+        d = args.levels[-1] - args.levels[-2]
+        extrap = mus[-1] + (mus[-1] - mus[-2]) / (4.0 ** d - 1.0)
         print(f"\nRichardson extrapolation: {extrap:.12f} "
               f"(analytic value 2; relative gap {abs(extrap - 2) / 2:.2e})")
 

@@ -23,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DenominatorNonpositive, DimensionTooSmall
+from .errors import (ConfigError, DenominatorNonpositive, DimensionTooSmall,
+                     NotConvex)
 
 VERDICT_EQUALITY = "EqualityCase"
 VERDICT_INEQUALITY = "InequalityHolds"
@@ -69,8 +70,8 @@ class NewtonBoundInput:
 
     @property
     def hypotheses_ok(self):
-        return (self.convexity_checked and self.alpha > 0.0
-                and self.a >= 1.0 and self.n * self.a > 1.0)
+        # alpha > 0, a >= 1 and n*a > 1 are enforced by newton_bound
+        return self.convexity_checked
 
 
 @dataclass(frozen=True)
@@ -109,15 +110,18 @@ def l1_core(n, alpha, a, kappa):
 
 
 def newton_bound(n, kappa, alpha, a, sigma):
-    """Evaluate the L1 lower bound; kappa's sign selects the variant."""
+    """Evaluate the L1 lower bound; kappa's sign selects the variant.
+    Raises NotConvex for alpha <= 0, ConfigError for a < 1 and
+    DenominatorNonpositive for n*a <= 1."""
     inp = NewtonBoundInput(n=int(n), kappa=float(kappa), alpha=float(alpha),
                            a=float(a), sigma=float(sigma))
     if inp.alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+        raise NotConvex("L1 bound needs alpha > 0, got %g" % inp.alpha)
     if inp.a < 1.0:
-        raise ValueError("a must be >= 1")
+        raise ConfigError("L1 bound needs a >= 1, got %g" % inp.a)
     if inp.n * inp.a <= 1.0:
-        raise ValueError("n*a must exceed 1")
+        raise DenominatorNonpositive("n*a - 1 = %g <= 0"
+                                     % (inp.n * inp.a - 1.0))
     n_, a_ = inp.n, inp.a
     core = l1_core(n_, inp.alpha, a_, inp.kappa) - inp.sigma
     return 0.5 * (n_ * a_ / (n_ * a_ - 1.0)) * core

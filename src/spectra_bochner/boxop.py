@@ -16,7 +16,7 @@ from typing import Dict
 import numpy as np
 
 from . import geometry as geom
-from .errors import InsufficientSmoothness, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 
 
 @dataclass(frozen=True)
@@ -103,12 +103,9 @@ def bochner_residual(box, f, p, cvals):
     |lhs - sum(rhs)| of different c differ by rounding only.  Requires
     third partials of f and second partials of phi.
     """
-    try:
-        geo = geom.point_geometry(box.chart, p)
-        _, fi, fij, f3 = geom.scalar_jets(geo, f, 3)
-        ph, p3, p4 = geom.tensor_jets(geo, box.phi, 2)
-    except (TypeError, ValueError) as exc:
-        raise InsufficientSmoothness(str(exc)) from exc
+    geo = geom.point_geometry(box.chart, p)
+    _, fi, fij, f3 = geom.scalar_jets(geo, f, 3)
+    ph, p3, p4 = geom.tensor_jets(geo, box.phi, 2)
     Rf = geom.curvature_at(box.manifold, geo).riemann
     ric = np.einsum("...mkjk->...mj", Rf)
 

@@ -9,28 +9,20 @@ class NonPositiveMetric(SpectraError):
     """Metric failed the positive-definiteness check at a sample/stencil point."""
 
 
-class DegeneratePlane(SpectraError):
-    """Sectional curvature requested for linearly dependent vectors."""
-
-
 class DegenerateImmersion(SpectraError):
     """Induced metric of an immersion is singular at the evaluation point."""
 
 
 class NotConvex(SpectraError):
-    """A sampled principal curvature is non-positive."""
+    """A sampled principal curvature, or a bound's alpha, is non-positive."""
 
 
 class NotPositiveDefinite(SpectraError):
     """Coefficient tensor is not positive definite where required."""
 
 
-class InsufficientSmoothness(SpectraError):
-    """Derivative mode cannot deliver the derivative order requested."""
-
-
 class NonSymmetricCoefficient(SpectraError):
-    """Coefficient provider returned a non-symmetric matrix."""
+    """A coefficient provider or tensor field gave a non-symmetric matrix."""
 
 
 class DegenerateElement(SpectraError):
@@ -55,7 +47,7 @@ class SchoutenUndefined(SpectraError):
 
 
 class DenominatorNonpositive(SpectraError):
-    """R - 2*L0 <= 0: the Schouten bound is undefined."""
+    """A bound's denominator (R - 2*L0, n*a - 1) is <= 0: it is undefined."""
 
 
 class DimensionTooSmall(SpectraError):

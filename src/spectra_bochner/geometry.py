@@ -1,11 +1,11 @@
 """Chart-based intrinsic Riemannian geometry.
 
-Metric jets, Christoffel symbols, curvature tensors (Riemann, Ricci, scalar,
-sectional, Schouten, Weyl) and covariant derivatives of scalar functions and
-symmetric 2-tensors, all evaluated pointwise in a deterministic orthonormal
-frame.  The pointwise functions take one chart point (n,) or a stack of
-points (..., n), by one code path, and return arrays after the same leading
-axes.
+Metric jets, Christoffel symbols, curvature (Riemann, Ricci and scalar
+curvature; the Ricci and Schouten tensor fields) and covariant derivatives
+of scalar functions and symmetric 2-tensors, all evaluated pointwise in a
+deterministic orthonormal frame.  The pointwise functions take one chart
+point (n,) or a stack of points (..., n), by one code path, and return
+arrays after the same leading axes.
 
 Index conventions (fixed once, used everywhere):
 
@@ -30,7 +30,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegeneratePlane, NonPositiveMetric, SchoutenUndefined
+from .errors import (ConfigError, NonPositiveMetric, NonSymmetricCoefficient,
+                     SchoutenUndefined)
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -88,6 +89,8 @@ class Field:
         callback's own is a central difference of the order below, with
         step ``fd_step``, or at least 1e-4 for the highest order the
         identities take (a scalar's third partials, a tensor's second).
+        A rank-2 value that is not symmetric raises
+        NonSymmetricCoefficient naming the first such point.
         """
         p = np.asarray(p, dtype=float)
         n = p.shape[-1]
@@ -112,8 +115,9 @@ class Field:
             asym = np.max(np.abs(m - np.swapaxes(m, -1, -2)), axis=(-2, -1))
             bad = np.ravel(asym > 1e-12 * scale)
             if bad.any():
-                raise ValueError("tensor field components are not symmetric "
-                                 "at %r" % (_point(p, np.argmax(bad)),))
+                raise NonSymmetricCoefficient(
+                    "tensor field components are not symmetric at %r"
+                    % (_point(p, np.argmax(bad)),))
         return tuple(out)
 
 
@@ -308,53 +312,15 @@ class CurvatureBundle:
     """Curvature data in the deterministic orthonormal frame, at one point
     or, with leading point axes on every field, at a stack of points."""
 
-    n: int
     g: np.ndarray                  # coordinate metric at the point
     frame: np.ndarray              # columns = frame vectors (coordinates)
     riemann: np.ndarray            # frame R_ijkl
     ricci: np.ndarray              # frame ric_ij
-    scalar: float
-    schouten: Optional[np.ndarray]  # frame S_ij, None for n == 2
-    weyl: Optional[np.ndarray]      # frame W_ijkl, None for n == 2
-
-    def sectional(self, u, v):
-        """K(u, v) for coordinate vectors u, v at a single point (positive
-        on the round sphere)."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        gu = self.g @ u
-        gv = self.g @ v
-        area2 = (u @ gu) * (v @ gv) - (u @ gv) ** 2
-        if area2 <= 1e-14 * max(1.0, (u @ gu) * (v @ gv)):
-            raise DegeneratePlane("sectional curvature of a degenerate plane")
-        # convert to frame components once
-        Einv = np.linalg.inv(self.frame)
-        uf = Einv @ u
-        vf = Einv @ v
-        num = np.einsum("ijkl,i,j,k,l->", self.riemann, uf, vf, uf, vf)
-        den = (uf @ uf) * (vf @ vf) - (uf @ vf) ** 2
-        return num / den
-
-
-def _bundle_from_frame_riemann(n, g, E, Rf):
-    ric = np.einsum("...ikjk->...ij", Rf)
-    R = np.trace(ric, axis1=-2, axis2=-1)
-    if n >= 3:
-        S = ric - (R / (2.0 * (n - 1)))[..., None, None] * np.eye(n)
-        d = np.eye(n)
-        W = Rf - (np.einsum("...ik,jl->...ijkl", S, d)
-                  - np.einsum("...il,jk->...ijkl", S, d)
-                  + np.einsum("...jl,ik->...ijkl", S, d)
-                  - np.einsum("...jk,il->...ijkl", S, d)) / (n - 2.0)
-    else:
-        S = None
-        W = None
-    return CurvatureBundle(n=n, g=g, frame=E, riemann=Rf, ricci=ric,
-                           scalar=R, schouten=S, weyl=W)
+    scalar: np.ndarray             # R = tr ric
 
 
 def curvature_at(m, geo):
-    """Full curvature bundle of m at the point(s) of ``geo``."""
+    """Curvature bundle of m at the point(s) of ``geo``."""
     n = m.dim
     g, E = geo.g, geo.frame
     if m.atlas_kind == ATLAS_ANALYTIC_SPHERE:
@@ -364,7 +330,9 @@ def curvature_at(m, geo):
         Rf = np.broadcast_to(Rf, g.shape[:-2] + Rf.shape)
     else:
         Rf = _to_frame(riemann_lowered(g, geo.Gamma, geo.dGamma), E)
-    return _bundle_from_frame_riemann(n, g, E, Rf)
+    ric = np.einsum("...ikjk->...ij", Rf)
+    return CurvatureBundle(g=g, frame=E, riemann=Rf, ricci=ric,
+                           scalar=np.trace(ric, axis1=-2, axis2=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -500,29 +468,11 @@ def ricci_tensor_field(m, fd_step=1e-4):
                             _coordinate_ricci)
 
 
-def scalar_curvature_field(m, fd_step=1e-4):
-    if m.atlas_kind == ATLAS_ANALYTIC_SPHERE:
-        n = m.dim
-        jets = [n * (n - 1) * m.constant_curvature, np.zeros(n),
-                np.zeros((n, n))]
-        return Field(lambda p, order: jets[:order + 1])
-    chart = m.chart()
-    return Field(lambda p, order: [curvature_at(
-        m, point_geometry(chart, p)).scalar], fd_step=fd_step)
-
-
 def scale_tensor_field(phi, c, name=None):
     c = float(c)
     return Field(lambda p, order: [c * np.asarray(v, dtype=float)
                                    for v in phi.jets(p, order)],
                  rank=phi.rank, fd_step=phi.fd_step, name=name or phi.name)
-
-
-def add_tensor_fields(a, b, name="sum"):
-    return Field(lambda p, order: [np.asarray(u, float) + np.asarray(v, float)
-                                   for u, v in zip(a.jets(p, order),
-                                                   b.jets(p, order))],
-                 rank=a.rank, fd_step=min(a.fd_step, b.fd_step), name=name)
 
 
 def schouten_tensor_field(m, fd_step=1e-4, formal=False):
@@ -536,19 +486,18 @@ def schouten_tensor_field(m, fd_step=1e-4, formal=False):
                    - (b.scalar / (2.0 * (n - 1)))[..., None, None] * b.g))
 
 
-def einstein_tensor_field(m, fd_step=1e-4):
-    """E = (R/2) g - ric (divergence free by contracted Bianchi)."""
-    return _curvature_field(
-        m, "einstein", fd_step,
-        lambda n, K: n * (n - 1) * K / 2.0 - (n - 1) * K,
-        lambda b: (b.scalar / 2.0)[..., None, None] * b.g
-        - _coordinate_ricci(b))
-
-
 def divergence_identity_suite(m, samples=20, seed=7, fd_step=1e-4):
-    """Pointwise defects for the divergence identities of ric-c I, the
-    Einstein tensor, div P1 is checked in the hypersurface module, and
-    div S = grad(tr S).
+    """Pointwise defects of the contracted Bianchi identities at sampled
+    points, read off one order-1 jet of the Ricci field (div P1 is checked
+    in the hypersurface module):
+
+    * item 1, div(ric - c g) = div ric = 0 for constant R (any constant c,
+      as nabla g = 0);
+    * item 2, div((R/2) g - ric) = grad R / 2 - div ric = 0, the Einstein
+      tensor, with grad R = sum_i ric_iik since the trace commutes with
+      nabla;
+    * item 5, div S = (n-2)/(2(n-1)) grad R for the Schouten field S of the
+      Bochner suites (formal when n == 2), from S's own jet.
 
     Returns a JSON-friendly dict of max defects with hypothesis flags.
     """
@@ -556,38 +505,28 @@ def divergence_identity_suite(m, samples=20, seed=7, fd_step=1e-4):
     pts = m.sample_points(samples, rng)
     n = m.dim
     geo = point_geometry(m.chart(), pts)
+    ric, T1 = tensor_jets(geo, ricci_tensor_field(m, fd_step), 1)
+    Rs = np.trace(ric, axis1=-2, axis2=-1)
+    gradR = np.einsum("...iik->...k", T1)
+    div_ric = np.einsum("...ijj->...i", T1)
 
-    Rs = curvature_at(m, geo).scalar
     r_spread = float(np.max(Rs) - np.min(Rs))
     r_scale = max(1.0, float(np.max(np.abs(Rs))))
     r_constant = r_spread <= 1e-6 * r_scale
 
     report = {"manifold": m.name or m.atlas_kind, "n": n,
               "R_constant": bool(r_constant), "R_spread": r_spread}
-
-    ric = ricci_tensor_field(m, fd_step)
     if r_constant:
-        # item 1: div(ric - c I) = 0 for constant R (any constant c)
-        c = 0.5 * float(np.mean(Rs)) / n
-        sc = add_tensor_fields(ric, scale_tensor_field(metric_field(m), -c), "S_c")
-        report["item1_div_ric_minus_cI"] = float(
-            np.max(np.abs(tensor_divergence(geo, sc))))
+        report["item1_div_ric_minus_cI"] = float(np.max(np.abs(div_ric)))
     else:
         report["item1_div_ric_minus_cI"] = None
         report["item1_flag"] = "R_not_constant"
-
-    # item 2: div((R/2) g - ric) = 0 (contracted Bianchi)
-    E = einstein_tensor_field(m, fd_step)
     report["item2_div_einstein"] = float(
-        np.max(np.abs(tensor_divergence(geo, E))))
-
-    # item 5: div S = grad(tr S)  (formal Schouten used when n == 2)
+        np.max(np.abs(0.5 * gradR - div_ric)))
     S = schouten_tensor_field(m, fd_step, formal=True)
-    Rfield = scalar_curvature_field(m, fd_step)
     coef = (n - 2) / (2.0 * (n - 1))
-    div = tensor_divergence(geo, S)
-    gradR = scalar_jets(geo, Rfield, 1)[1]
-    report["item5_div_schouten"] = float(np.max(np.abs(div - coef * gradR)))
+    report["item5_div_schouten"] = float(
+        np.max(np.abs(tensor_divergence(geo, S) - coef * gradR)))
     return report
 
 

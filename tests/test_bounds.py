@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectra_bochner import bounds as bd, spectral as spec
-from spectra_bochner.errors import DenominatorNonpositive, DimensionTooSmall
+from spectra_bochner.errors import (ConfigError, DenominatorNonpositive,
+                                    DimensionTooSmall, NotConvex)
 
 
 class TestSchoutenBound:
@@ -92,10 +93,12 @@ class TestNewtonBound:
                                    abs=1e-9 * max(1.0, abs(b0)))
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotConvex, match="alpha > 0"):
             bd.newton_bound(2, 0.0, -1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="a >= 1"):
             bd.newton_bound(2, 0.0, 1.0, 0.9, 0.0)
+        with pytest.raises(DenominatorNonpositive, match="n\\*a - 1"):
+            bd.newton_bound(1, 0.0, 1.0, 1.0, 0.0)
 
 
 class TestCompare:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spectra_bochner import boxop, geometry as geom, harness as hz
-from spectra_bochner.errors import NotPositiveDefinite
+from spectra_bochner.errors import NonSymmetricCoefficient, NotPositiveDefinite
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +141,29 @@ class TestHessianTraceDefect:
         f = geom.trig_field(np.array([1.0, 0.0]))
         with pytest.raises(NotPositiveDefinite):
             boxop.hessian_trace_defect(box, f, np.array([0.1, 0.1]))
+
+
+class TestNonSymmetricPhi:
+    @pytest.mark.parametrize("entry", ["apply", "bochner_residual",
+                                       "tensor_divergence"])
+    def test_named_error_at_first_bad_point(self, torus, entry):
+        # phi = [[2, 0.3 x1], [0, 2]] is symmetric only where x1 = 0
+        phi = geom.Field(lambda p, order: [
+            2.0 * np.eye(2) + 0.3 * p[..., 0, None, None]
+            * np.array([[0.0, 1.0], [0.0, 0.0]])], rank=2)
+        box = boxop.BoxOperator(phi=phi, manifold=torus)
+        f = geom.trig_field(np.array([1.0, 0.0]))
+        pts = np.array([[0.0, 0.1], [0.5, 0.2], [0.7, 0.3]])
+        calls = {
+            "apply": lambda: boxop.apply(box, f, pts),
+            "bochner_residual": lambda: boxop.bochner_residual(
+                box, f, pts, [0.0]),
+            "tensor_divergence": lambda: geom.tensor_divergence(
+                geom.point_geometry(torus.chart(), pts), phi),
+        }
+        with pytest.raises(NonSymmetricCoefficient,
+                           match=r"not symmetric at array\(\[0\.5, 0\.2\]\)"):
+            calls[entry]()
 
 
 SUITE_CASES = [(m, kind) for m in ("flat-torus2", "perturbed-torus2", "sphere4")

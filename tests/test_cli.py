@@ -32,6 +32,15 @@ class TestBound:
                            "--R", "12", "--K0", "1", "--L0", "6")
         assert code == 1  # DenominatorNonpositive is a SpectraError
 
+    @pytest.mark.parametrize("alpha,a,code,line", [
+        ("-1", "1", 1, "failure: L1 bound needs alpha > 0, got -1"),
+        ("1", "0.5", 2, "config error: L1 bound needs a >= 1, got 0.5"),
+    ])
+    def test_bad_l1_inputs_named(self, capsys, alpha, a, code, line):
+        got, out, err = run(capsys, "bound", "l1", "--n", "2", "--kappa",
+                            "0", "--alpha", alpha, "--a", a, "--sigma", "0")
+        assert (got, out, err) == (code, "", line + "\n")
+
 
 class TestEig:
     def test_surface_sphere(self, capsys):

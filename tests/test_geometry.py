@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectra_bochner import geometry as geom, hypersurface as hyp
-from spectra_bochner.errors import (ConfigError, DegeneratePlane,
-                                    NonPositiveMetric, SchoutenUndefined)
+from spectra_bochner.errors import (ConfigError, NonPositiveMetric,
+                                    SchoutenUndefined)
 
 
 def frame_riemann_constant_curvature(n, K):
@@ -48,26 +48,32 @@ class TestCurvature:
                            atol=1e-8)
 
     def test_sectional_positive_on_sphere(self):
+        # K(u, v) = R(u, v, u, v) / area^2 in frame components
         m = geom.round_sphere(4, 1.0)
         cb = geom.curvature_at(
             m, geom.point_geometry(m.chart(), np.full(4, 0.1)))
-        u = np.array([1.0, 0.2, 0.0, 0.0])
-        v = np.array([0.0, 1.0, -0.3, 0.0])
-        assert abs(cb.sectional(u, v) - 1.0) < 1e-10
-
-    def test_sectional_degenerate_plane_raises(self):
-        m = geom.round_sphere(3, 1.0)
-        cb = geom.curvature_at(
-            m, geom.point_geometry(m.chart(), np.full(3, 0.1)))
-        u = np.array([1.0, 0.0, 0.0])
-        with pytest.raises(DegeneratePlane):
-            cb.sectional(u, 2.0 * u)
+        Einv = np.linalg.inv(cb.frame)
+        u = Einv @ np.array([1.0, 0.2, 0.0, 0.0])
+        v = Einv @ np.array([0.0, 1.0, -0.3, 0.0])
+        num = np.einsum("ijkl,i,j,k,l->", cb.riemann, u, v, u, v)
+        assert abs(num / ((u @ u) * (v @ v) - (u @ v) ** 2) - 1.0) < 1e-10
 
     def test_weyl_vanishes_on_sphere(self):
-        m = geom.round_sphere(4, 1.0)
+        # the generic coordinate route on the sphere's chart: its Riemann,
+        # Ricci and scalar curvature leave no Weyl part
+        n, s = 4, geom.round_sphere(4, 1.0)
+        m = geom.ChartManifold(dim=n, charts=s.charts,
+                               atlas_kind=geom.ATLAS_CHART_PATCH)
         cb = geom.curvature_at(
-            m, geom.point_geometry(m.chart(), np.full(4, 0.3)))
-        assert np.max(np.abs(cb.weyl)) < 1e-10
+            m, geom.point_geometry(m.chart(), np.full(n, 0.3)))
+        S = cb.ricci - cb.scalar / (2.0 * (n - 1)) * np.eye(n)
+        d = np.eye(n)
+        W = cb.riemann - (np.einsum("ik,jl->ijkl", S, d)
+                          - np.einsum("il,jk->ijkl", S, d)
+                          + np.einsum("jl,ik->ijkl", S, d)
+                          - np.einsum("jk,il->ijkl", S, d)) / (n - 2.0)
+        assert np.max(np.abs(cb.riemann)) > 0.1
+        assert np.max(np.abs(W)) < 1e-8
 
     def test_min_sectional_and_ricci_on_sphere(self):
         m = geom.round_sphere(4, 2.0)
@@ -211,6 +217,24 @@ class TestDivergenceIdentities:
         assert rep["item2_div_einstein"] < 1e-7
         assert rep["item5_div_schouten"] < 1e-7
 
+    def test_one_ricci_jet_and_one_schouten_jet(self, monkeypatch):
+        # the Ricci and the Schouten field each take one curvature bundle
+        # at the sample points and one on their shifted copies
+        shapes = []
+        curvature_at = geom.curvature_at
+
+        def counted(m, geo):
+            shapes.append(geo.p.shape)
+            return curvature_at(m, geo)
+
+        monkeypatch.setattr(geom, "curvature_at", counted)
+        rep = geom.divergence_identity_suite(geom.perturbed_torus(3),
+                                             samples=20)
+        assert sorted(shapes) == [(2, 3, 20, 3)] * 2 + [(20, 3)] * 2
+        assert {"R_constant", "R_spread", "item1_div_ric_minus_cI",
+                "item1_flag", "item2_div_einstein",
+                "item5_div_schouten"} <= set(rep)
+
 
 class TestFieldsAndErrors:
     def test_schouten_undefined_in_dim2(self):
@@ -330,12 +354,9 @@ def _builtin_fields():
         "newton1": (hyp.newton1_field(hs, 0), 2),
         "mean-curvature": (hyp.mean_curvature_field(hs, 1), 2),
         "scaled": (geom.scale_tensor_field(spd, -0.7), 3),
-        "sum": (geom.add_tensor_fields(spd, geom.ricci_tensor_field(t3)), 3),
     }
     for m in (t3, s4):
-        for build in (geom.ricci_tensor_field, geom.schouten_tensor_field,
-                      geom.einstein_tensor_field,
-                      geom.scalar_curvature_field):
+        for build in (geom.ricci_tensor_field, geom.schouten_tensor_field):
             fields["%s-%s" % (build.__name__, m.name)] = (build(m), m.dim)
     return fields
 

@@ -24,7 +24,9 @@ def gauss_intrinsic(hs, u, chart_idx=0):
     Rf = (hs.kappa * (np.einsum("ik,jl->ijkl", d, d)
                       - np.einsum("il,jk->ijkl", d, d))
           + np.einsum("ik,jl->ijkl", A, A) - np.einsum("il,jk->ijkl", A, A))
-    return geom._bundle_from_frame_riemann(n, sd.g, sd.frame, Rf)
+    ric = np.einsum("ikjk->ij", Rf)
+    return geom.CurvatureBundle(g=sd.g, frame=sd.frame, riemann=Rf,
+                                ricci=ric, scalar=np.trace(ric))
 
 
 class TestShapeOperator:

@@ -1,12 +1,14 @@
-"""Every import under src/ is used and every SpectraError subclass is raised
-or caught: AST scans standing in for a linter."""
+"""Every import under src/ is used, every SpectraError subclass is raised
+or caught, and every public function is called outside the tests: AST scans
+standing in for a linter."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 MODULES = sorted(SRC.rglob("*.py"))
 
 
@@ -84,3 +86,66 @@ def test_scan_finds_an_unused_error(tmp_path):
         "def f():\n    try:\n        raise errors.Raised('x')\n"
         "    except (errors.Caught, KeyError):\n        pass\n")
     assert unused_errors(sorted(tmp_path.glob("*.py"))) == ["Planted"]
+
+
+def public_defs(path):
+    """Qualified names of the module-level functions and class methods of
+    ``path`` whose names do not start with an underscore."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = []
+    for node in tree.body:
+        if isinstance(node, funcs):
+            out.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            out.extend("%s.%s" % (node.name, f.name) for f in node.body
+                       if isinstance(f, funcs))
+    return [q for q in out if not q.rsplit(".", 1)[-1].startswith("_")]
+
+
+def dead_api(defined, users):
+    """'module.name' of each public function or method defined in
+    ``defined`` whose name no Name or attribute in ``users`` carries."""
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in users]
+    used = {_name(node) for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted("%s.%s" % (path.stem, q) for path in defined
+                  for q in public_defs(path)
+                  if q.rsplit(".", 1)[-1] not in used)
+
+
+# Public API that only the tests call: the identity checks and oracles
+# listed in ROADMAP 5(c), min_sectional, and fd_order_study, the one
+# finite-difference cross-check of the divergence identities.
+TEST_ONLY = [
+    "bounds.SchoutenBoundInput.lambda0", "bounds.sphere_equality_value",
+    "boxop.apply", "boxop.divergence_form_defect",
+    "boxop.hessian_trace_defect", "boxop.laplacian_box",
+    "boxop.schouten_box", "discretize.cotangent_stiffness",
+    "discretize.nondivergence_free_coefficient", "discretize.observed_order",
+    "discretize.pointwise_vs_weak_consistency", "discretize.write_off",
+    "geometry.min_ricci", "geometry.min_sectional", "harness.fd_order_study",
+    "harness.trace_inequality_defect",
+    "hypersurface.ImmersedHypersurface.flipped",
+]
+
+
+def test_no_dead_public_api():
+    users = MODULES + sorted((ROOT / "scripts").rglob("*.py")) \
+        + sorted((ROOT / "specbench").rglob("*.py"))
+    assert dead_api(MODULES, users) == sorted(TEST_ONLY)
+
+
+def test_scan_finds_an_unused_function(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def used():\n    pass\n\n\n"
+        "def _private():\n    pass\n\n\n"
+        "def planted():\n    return used()\n\n\n"
+        "class C:\n    def __init__(self):\n        pass\n\n"
+        "    def run(self):\n        pass\n\n"
+        "    def idle(self):\n        pass\n")
+    (tmp_path / "user.py").write_text(
+        "from mod import C, used\n\nused()\nC().run()\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert dead_api([tmp_path / "mod.py"], paths) == ["mod.C.idle",
+                                                      "mod.planted"]
