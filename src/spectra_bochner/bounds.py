@@ -18,6 +18,7 @@ Two bounds are implemented:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -84,10 +85,26 @@ class BoundReport:
     hypotheses_ok: bool
     notes: dict = field(default_factory=dict)
 
+    @property
+    def vacuous(self):
+        """A bound <= 0 says nothing: mu1 > 0 holds on any closed manifold,
+        so every verdict against it is trivially true."""
+        return self.bound_value <= 0.0
+
+
+def _check_finite(what, **values):
+    """ConfigError naming the first value that is nan or infinite."""
+    for name, val in values.items():
+        if not math.isfinite(val):
+            raise ConfigError("%s needs finite inputs, got %s=%r"
+                              % (what, name, val))
+
 
 def schouten_bound(n, R, K0, L0):
-    """Evaluate the Schouten-operator lower bound."""
+    """Evaluate the Schouten-operator lower bound.  Raises ConfigError for
+    a non-finite input."""
     inp = SchoutenBoundInput(n=int(n), R=float(R), K0=float(K0), L0=float(L0))
+    _check_finite("Schouten bound", R=inp.R, K0=inp.K0, L0=inp.L0)
     if inp.n < 4:
         raise DimensionTooSmall("Schouten bound requires n >= 4, got %d"
                                 % inp.n)
@@ -111,10 +128,12 @@ def l1_core(n, alpha, a, kappa):
 
 def newton_bound(n, kappa, alpha, a, sigma):
     """Evaluate the L1 lower bound; kappa's sign selects the variant.
-    Raises NotConvex for alpha <= 0, ConfigError for a < 1 and
-    DenominatorNonpositive for n*a <= 1."""
+    Raises ConfigError for a non-finite input or a < 1, NotConvex for
+    alpha <= 0 and DenominatorNonpositive for n*a <= 1."""
     inp = NewtonBoundInput(n=int(n), kappa=float(kappa), alpha=float(alpha),
                            a=float(a), sigma=float(sigma))
+    _check_finite("L1 bound", kappa=inp.kappa, alpha=inp.alpha, a=inp.a,
+                  sigma=inp.sigma)
     if inp.alpha <= 0.0:
         raise NotConvex("L1 bound needs alpha > 0, got %g" % inp.alpha)
     if inp.a < 1.0:

@@ -242,6 +242,10 @@ def cmd_report(args):
             print("%.6g,%.10g,%.10g,%.10g,%s"
                   % (lv["h"], lv["mu1"], lv["bound"], lv["margin"],
                      lv["verdict"]))
+        if rep["vacuous"]:
+            print("vacuous: the bound %.10g is <= 0, so every verdict "
+                  "against it is trivially true" % rep["bound"],
+                  file=sys.stderr)
     return EXIT_PASS if rep["verdict"] in (bd.VERDICT_INEQUALITY,
                                            bd.VERDICT_EQUALITY) \
         else EXIT_ASSERTION

@@ -5,15 +5,18 @@ int <phi(grad psi_a), grad psi_b> dM, so the generalized eigenproblem reads
 K u = mu M u with K the phi-weighted stiffness and M the consistent mass.
 Coefficients are taken constant per face/cell (barycentric quadrature); for
 phi = g the mesh stiffness reproduces the classical cotangent weights, which
-serves as an independent oracle.  Assembly is batched: frames and element
-matrices are built for all elements at once, and a coefficient provider is
-called once per mesh or grid with whole arrays.  Meshes sum COO triplets;
-periodic grids, whose sparsity pattern is the closed-form {-1, 0, 1}^n
-stencil, sum each element entry into its stencil slot.
+serves as an independent oracle.  Assembly is batched, and a coefficient
+provider is called once per mesh or grid with whole arrays.  Meshes build
+the element matrices of all faces at once and sum COO triplets.  Periodic
+grids, whose sparsity pattern is the closed-form {-1, 0, 1}^n stencil, form
+no element matrices: K and M are summed straight into each node's stencil
+slots from per-cell coefficients and closed-form per-corner tables.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
@@ -273,13 +276,16 @@ def _check_sym_coeff(phi, shape, where, tol=1e-10):
     if phi.shape != shape:
         raise ConfigError("coefficient provider returned shape %r, "
                           "expected %r" % (phi.shape, shape))
-    phiT = phi.transpose(0, 2, 1)
+    iu, ju = np.triu_indices(shape[-1], 1)       # each off-diagonal pair
     scale = np.maximum(1.0, np.max(np.abs(phi), axis=(1, 2)))
-    bad = np.max(np.abs(phi - phiT), axis=(1, 2)) > tol * scale
+    bad = np.max(np.abs(phi[:, iu, ju] - phi[:, ju, iu]), axis=1,
+                 initial=0.0) > tol * scale
     if np.any(bad):
         raise NonSymmetricCoefficient("coefficient not symmetric at %s"
                                       % where(int(np.argmax(bad))))
-    return 0.5 * (phi + phiT)
+    sym = phi + phi.transpose(0, 2, 1)
+    sym *= 0.5
+    return sym
 
 
 def _sparse_pair(nodes, Ke, Me, n):
@@ -346,47 +352,34 @@ def _assemble_mesh(mesh, phi_provider):
 
 
 def _grid_element_tensors(h):
-    """Per-axis 1D element matrices and their tensor products.
-
-    Returns T with T[a, b] the (2^n, 2^n) element matrix of
-    int d_a N_I d_b N_J over one cell (unit coefficient), plus the element
-    mass matrix.
+    """Unit-coefficient element integrals of one cell, corner a at offset
+    bits_a from the lower corner (the last axis fastest): T[(alpha, beta),
+    a, b] = int d_alpha N_a d_beta N_b, (n*n, 2^n, 2^n), and the element
+    mass matrix int N_a N_b, (2^n, 2^n).  Each is the Kronecker product of
+    one 2x2 one-axis matrix per axis, taken for all (alpha, beta) at once.
     """
     n = len(h)
+    D1 = np.array([[-0.5, 0.5], [-0.5, 0.5]])   # int N_i N_j' dt
     M1 = [np.array([[hk / 3.0, hk / 6.0], [hk / 6.0, hk / 3.0]]) for hk in h]
     S1 = [np.array([[1.0, -1.0], [-1.0, 1.0]]) / hk for hk in h]
-    D1 = np.array([[-0.5, 0.5], [-0.5, 0.5]])  # int N_i N_j' dt
-
-    def tensor(mats):
-        out = np.array([[1.0]])
-        for m in mats:
-            out = np.kron(out, m)
-        return out
-
-    T = np.empty((n, n, 2 ** n, 2 ** n))
-    for a in range(n):
-        for b in range(n):
-            mats = []
-            for ax in range(n):
-                if ax == a and ax == b:
-                    mats.append(S1[ax])
-                elif ax == a:
-                    mats.append(D1.T)   # derivative on the first index
-                elif ax == b:
-                    mats.append(D1)     # derivative on the second index
-                else:
-                    mats.append(M1[ax])
-            T[a, b] = tensor(mats)
-    Me = tensor(M1)
-    return T, Me
+    axes = np.empty((n, n, n, 2, 2))            # [alpha, beta, axis]
+    for a, b, ax in itertools.product(range(n), repeat=3):
+        axes[a, b, ax] = (S1[ax] if ax == a == b
+                          else D1.T if ax == a   # derivative on index a
+                          else D1 if ax == b     # derivative on index b
+                          else M1[ax])
+    T = np.ones((n, n, 1, 1))
+    for ax in range(n):   # Kronecker products over the last two axes
+        T = (T[:, :, :, None, :, None] * axes[:, :, ax, None, :, None, :]
+             ).reshape(n, n, 2 ** (ax + 1), 2 ** (ax + 1))
+    return T.reshape(n * n, 2 ** n, 2 ** n), functools.reduce(np.kron, M1)
 
 
-def _grid_elements(grid, phi_provider):
-    """Element stiffness and mass matrices (C, 2^n, 2^n) of a grid's cells,
-    cell c with lower corner node c, and the pair with cell-averaged
-    coefficients (2, 2^n, 2^n)."""
+def _grid_coefficients(grid, phi_provider):
+    """Raised-index weighted coefficients W = vol G^-1 phi G^-1 (C, n*n)
+    and volumes vol (C,) of a grid's cells, cell c with lower corner node
+    c; G is the coordinate metric at the cell centre."""
     n, shape = grid.dim, grid.shape
-    T, Me_unit = _grid_element_tensors(grid.steps)
     lower = np.indices(shape).reshape(n, -1)     # cell corners, C order
     centers = (lower.T + 0.5) * grid.steps
     G = np.broadcast_to(np.eye(n) if grid.metric is None
@@ -400,99 +393,190 @@ def _grid_elements(grid, phi_provider):
     phi = _check_sym_coeff(phi_provider(centers, G), G.shape,
                            lambda c: "cell %r" % (lower[:, c].tolist(),))
     vol = np.sqrt(np.prod(pivots, axis=1))
-    W = vol[:, None, None] * (ginv @ phi @ ginv)  # raised index, weighted
-    Ke = (W.reshape(-1, n * n) @ T.reshape(n * n, -1)).reshape(
-        (-1,) + Me_unit.shape)
-    Ke = 0.5 * (Ke + Ke.transpose(0, 2, 1))
-    Me = vol[:, None, None] * Me_unit
-    return Ke, Me, np.stack([np.einsum("ab,abIJ->IJ", W.mean(axis=0), T),
-                             vol.mean() * Me_unit])
+    W = ginv @ phi @ ginv
+    W *= vol[:, None, None]
+    return W.reshape(len(vol), n * n), vol
 
 
 def _pivots_and_inverse(G):
-    """Pivots and inverses of a stack (C, n, n) of symmetric matrices by
-    Gauss-Jordan elimination on [G | I] without row exchanges.
+    """Pivots (C, n) and inverses (C, n, n) of a stack of symmetric
+    matrices by Gauss-Jordan elimination without row exchanges.
 
     A symmetric matrix is positive definite exactly when all n pivots are
     positive, and its determinant is their product.  After a pivot that is
     not positive, that matrix's later pivots and its inverse are not
-    meaningful (they may hold inf or nan).
+    meaningful (they may hold inf or nan).  The work array is laid out
+    (n, n, C), so each row operation runs over contiguous memory, and the
+    inverse is built in place: column k, once reduced to e_k, holds column
+    k of the inverse.
     """
     n = G.shape[-1]
-    A = np.concatenate([G, np.broadcast_to(np.eye(n), G.shape)], axis=2)
-    pivots = np.empty(G.shape[:2])
+    A = np.array(G.transpose(1, 2, 0), dtype=float, order="C")
+    pivots = np.empty((n, G.shape[0]))
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(n):
-            pivots[:, k] = A[:, k, k]
-            A[:, k] /= pivots[:, k, None]
-            f = A[:, :, k].copy()
-            f[:, k] = 0.0
-            A -= f[:, :, None] * A[:, None, k]
-    return pivots, A[:, :, n:]
+            pivots[k] = A[k, k]
+            A[k, k] = 1.0
+            A[k] /= pivots[k]
+            for i in range(n):
+                if i != k:
+                    f = A[i, k].copy()
+                    A[i, k] = 0.0
+                    A[i] -= f * A[k]
+    return pivots.T, A.transpose(2, 0, 1)
+
+
+# tolerance of the stiffness symmetry test on the slot sums, relative to
+# their largest magnitude: the sums of a slot and of its transpose partner
+# hold the same cell terms in another order, so they differ by round-off
+# (at most 7e-17 on the test grids), while a wrong corner-to-slot mapping
+# moves them by 1e-3 or more
+SLOT_SYM_TOL = 1e-12
 
 
 def _assemble_grid(grid, phi_provider):
-    """Grid K and M by stencil slots, plus the Fourier symbols of the pencil
-    with cell-averaged coefficients.
+    """Grid K and M summed straight into stencil slots, plus the Fourier
+    symbols of the pencil with cell-averaged coefficients.
 
     With at least 3 nodes per axis, node i couples to exactly the 3^n
     distinct nodes at offsets {-1, 0, 1}^n, so the CSR pattern is known in
-    closed form (``_grid_pattern``).  Entry (a, b) of cell c's element
-    matrix lands in stencil slot node(c, a) * 3^n + d[a, b], d[a, b] the
-    stencil index of the offset bits_b - bits_a between the two corners;
-    K and M are one ``np.bincount`` over the slots each, then put in the
-    pattern's sorted order.
+    closed form (``_grid_pattern``) and no per-cell element matrix is
+    formed.  Node i is corner a of cell i - bits_a, so corner a's row of
+    every cell's stiffness element matrix is T[:, a]^T @ roll_{bits_a}(W^T),
+    which lands in the slots d[a, b] of the offsets bits_b - bits_a
+    (``_stiffness_slots``; these slots are stencil-major, (3^n, N)).  A
+    slot's sum and its transpose partner's hold the same terms in another
+    order: they must agree to SLOT_SYM_TOL, and K is then their mean, so it
+    is exactly symmetric.  Mass slots, (N, 3^n), are separable box sums of
+    the cell volumes (``_mass_slots``).  Each row is then put in sorted
+    column order in place (``_sort_rows``).
     """
     n, shape, N = grid.dim, grid.shape, grid.num_nodes
-    Ke, Me, E0 = _grid_elements(grid, phi_provider)
-    # corner k of a cell sits at offset bits(k), the last axis fastest; the
+    W, vol = _grid_coefficients(grid, phi_provider)
+    T, Me_unit = _grid_element_tensors(grid.steps)
+    # corner a of a cell sits at offset bits[a], the last axis fastest; the
     # stencil {-1, 0, 1}^n is ravelled the same way
     bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     d = (bits - bits[:, None] + 1) @ 3 ** np.arange(n - 1, -1, -1)
-    lower = np.indices(shape).reshape(n, -1, 1)
-    nodes = np.ravel_multi_index(tuple(lower + bits.T[:, None, :]), shape,
-                                 mode="wrap")                   # (C, 2^n)
-    slot = (nodes[:, :, None] * 3 ** n + d).ravel()
-    indices, order = _grid_pattern(shape)
+    K = _stiffness_slots(W, T, bits, d, shape)
+    scale = max(K.max(), -K.min())
+    if _symmetrize_slots(K, shape) > SLOT_SYM_TOL * scale:
+        raise NonSymmetricCoefficient("assembled stiffness not symmetric")
+    # |K| slot by slot: no (3^n, N) temporary
+    _check_row_sums(K.sum(axis=0), sum(np.abs(slot) for slot in K))
+    K = np.ascontiguousarray(K.T)
+    M = _mass_slots(vol, grid.steps, shape)
+    _sort_rows(K, shape)
+    _sort_rows(M, shape)
+    indices = _grid_pattern(shape)
     indptr = np.arange(0, N * 3 ** n + 1, 3 ** n, dtype=np.int32)
-
-    def csr(E):   # its own index arrays: scipy sorts indices in place
-        data = np.bincount(slot, E.ravel(), minlength=N * 3 ** n)[order]
-        return sp.csr_matrix((data, indices.copy(), indptr.copy()),
-                             shape=(N, N))
-
-    K, M = csr(Ke), csr(Me)
-    _post_checks(K)
+    # K and M get their own index arrays: scipy sorts indices in place
+    K = sp.csr_matrix((K.ravel(), indices, indptr), shape=(N, N))
+    M = sp.csr_matrix((M.ravel(), indices.copy(), indptr.copy()),
+                      shape=(N, N))
     rec = {"domain": "PeriodicGrid", "shape": tuple(shape),
            "phi": getattr(phi_provider, "label", "custom")}
+    E0 = np.stack([np.einsum("ab,abIJ->IJ", W.mean(axis=0).reshape(n, n),
+                             T.reshape((n, n) + Me_unit.shape)),
+                   vol.mean() * Me_unit])
     return AssembledOperator(K=K, M=M, points=grid.node_points(), record=rec,
                              symbols=_grid_symbols(shape, d, E0))
 
 
+def _roll_grid(X, shift, shape):
+    """An array (..., C) over a grid's cells or nodes rolled over the grid
+    axes: entry i of the result is entry i - shift, wrapped per axis."""
+    n = len(shape)
+    return np.roll(X.reshape(X.shape[:-1] + tuple(shape)), shift,
+                   axis=tuple(range(-n, 0))).reshape(X.shape)
+
+
+def _stiffness_slots(W, T, bits, d, shape):
+    """The stiffness slot sums, stencil-major (3^n, C): for each corner a,
+    row a of every cell's element matrix, T[:, a]^T @ roll_{bits_a}(W^T),
+    added into the slots d[a].  Each slot is a contiguous row."""
+    Wt = np.ascontiguousarray(W.T)                     # (n*n, C)
+    out = np.zeros((3 ** len(shape), W.shape[0]))
+    for a, shift in enumerate(bits):
+        out[d[a]] += T[:, a].T @ _roll_grid(Wt, tuple(shift), shape)
+    return out
+
+
+def _symmetrize_slots(S, shape):
+    """Replace each entry (s, i) of a stencil-major slot array S (3^n, N)
+    and its transpose partner (3^n - 1 - s, i + o_s) by their mean, in
+    place, o_s the offset of stencil index s; returns the largest
+    |difference| seen.  Both entries of a pair get the same float, so the
+    matrix is exactly symmetric; the centre slot is its own partner."""
+    n = len(shape)
+    offsets = np.indices((3,) * n).reshape(n, -1).T - 1
+    asym = 0.0
+    for s in range(3 ** n // 2):
+        mine = S[s]
+        # entry i holds the partner of entry (s, i)
+        theirs = _roll_grid(S[-1 - s], tuple(-offsets[s]), shape)
+        asym = max(asym, float(np.max(np.abs(mine - theirs))))
+        mine += theirs
+        mine *= 0.5
+        S[-1 - s] = _roll_grid(mine, tuple(offsets[s]), shape)
+    return asym
+
+
+def _mass_slots(vol, h, shape):
+    """Consistent-mass slot sums (N, 3^n).
+
+    Node i couples to i + o with weight prod_k (h_k / 3 if o_k = 0, else
+    h_k / 6) times the summed volume of the cells holding both nodes: on
+    axis k the cells i_k - 1 and i_k if o_k = 0, else the one cell
+    min(i_k, i_k + o_k).  The sums are taken one axis at a time, appending
+    that axis's stencil axis; a slot and its transpose partner then go
+    through the same additions, so M is exactly symmetric.
+    """
+    V = vol.reshape(shape)
+    for k in range(len(shape)):
+        back = np.roll(V, 1, axis=k)             # the cell i_k - 1
+        V = np.stack([back, back + V, V], axis=-1)
+    V *= functools.reduce(np.multiply.outer, [[hk / 6.0, hk / 3.0, hk / 6.0]
+                                              for hk in h])
+    return V.reshape(len(vol), -1)
+
+
 def _grid_pattern(shape):
-    """Column indices of a periodic grid's CSR pattern, rows sorted, and
-    for each of its entries the stencil slot i * 3^n + (stencil index of
-    the offset) it holds.
+    """Column indices of a periodic grid's CSR pattern, rows sorted.
 
     Row i's columns are the nodes i + o, o in {-1, 0, 1}^n, wrapped per
     axis.  A column ravels its per-axis coordinates, the first axis most
     significant, so a row sorts by sorting each axis's three wrapped
-    coordinates on its own.  Both arrays are outer sums over the axes, laid
-    out (i_1, o_1, ..., i_n, o_n) and then transposed to rows (i_1, ..,
-    i_n) of entries (o_1, .., o_n).
+    coordinates on its own.  The indices are a mixed-radix sum over the
+    axes, built in place in the layout (i_1, .., i_n, o_1, .., o_n).
     """
-    n, N = len(shape), int(np.prod(shape))
-    cols = slots = np.zeros((), dtype=np.int32)
-    for s in shape:
+    n = len(shape)
+    cols = np.zeros(tuple(shape) + (3,) * n, dtype=np.int32)
+    for k, s in enumerate(shape):
         wrapped = (np.arange(s, dtype=np.int32)[:, None]
                    + np.arange(-1, 2, dtype=np.int32)) % s
-        order = np.argsort(wrapped, axis=1).astype(np.int32)
-        cols = np.add.outer(cols * s, np.take_along_axis(wrapped, order, 1))
-        slots = np.add.outer(slots * 3, order)
-    rows_first = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-    slots = (slots.transpose(rows_first).reshape(N, -1)
-             + 3 ** n * np.arange(N)[:, None])
-    return cols.transpose(rows_first).ravel(), slots.ravel()
+        axes = [1] * (2 * n)
+        axes[k], axes[n + k] = s, 3
+        cols *= s
+        cols += np.sort(wrapped, axis=1).reshape(axes)
+    return cols.ravel()
+
+
+def _sort_rows(S, shape):
+    """Put each row of a slot array S (N, 3^n) in its sorted column order
+    (``_grid_pattern``), in place.
+
+    On axis k the offsets -1, 0, 1 reach the coordinates i_k - 1, i_k,
+    i_k + 1, already in order, except at the first node, where they sort
+    as 0, 1, -1, and at the last, where they sort as 1, -1, 0 (at least 3
+    nodes keep these apart); so only those two slabs move.
+    """
+    n = len(shape)
+    V = S.reshape(tuple(shape) + (3,) * n)
+    for k in range(n):
+        for i, perm in ((0, [1, 2, 0]), (-1, [2, 0, 1])):
+            slab = (slice(None),) * k + (i,)
+            V[slab] = V[slab].take(perm, axis=n - 1 + k)
 
 
 def _grid_symbols(shape, d, E0):
@@ -518,15 +602,19 @@ def _grid_symbols(shape, d, E0):
     return tuple(lam)
 
 
+def _check_row_sums(rs, row_abs):
+    """Stiffness row sums ``rs`` must vanish relative to the rows' absolute
+    sums ``row_abs``: constants span the kernel."""
+    if np.max(np.abs(rs) / np.maximum(row_abs, 1e-300)) > 1e-10:
+        raise DegenerateElement("stiffness row sums do not vanish")
+
+
 def _post_checks(K):
     asym = (K - K.T).tocoo()
     if asym.nnz and np.max(np.abs(asym.data)) > 0.0:
         raise NonSymmetricCoefficient("assembled stiffness not symmetric")
-    ones = np.ones(K.shape[0])
-    rs = K @ ones
-    row_norm = np.maximum(np.asarray(abs(K).sum(axis=1)).ravel(), 1e-300)
-    if np.max(np.abs(rs) / row_norm) > 1e-10:
-        raise DegenerateElement("stiffness row sums do not vanish")
+    _check_row_sums(K @ np.ones(K.shape[0]),
+                    np.asarray(abs(K).sum(axis=1)).ravel())
 
 
 # ---------------------------------------------------------------------------

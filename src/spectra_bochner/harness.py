@@ -336,8 +336,8 @@ def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=(4, 5), seed=42):
                                          "sigma": pc.sigma,
                                          "constant_H": pc.constant_H},
             "levels": levels, "error_estimate": err_est,
-            "bound": rep.bound_value, "mu1": mus[-1],
-            "margin": rep.margin, "verdict": rep.verdict}
+            "bound": rep.bound_value, "vacuous": rep.vacuous,
+            "mu1": mus[-1], "margin": rep.margin, "verdict": rep.verdict}
 
 
 # ---------------------------------------------------------------------------

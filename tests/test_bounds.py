@@ -100,8 +100,36 @@ class TestNewtonBound:
         with pytest.raises(DenominatorNonpositive, match="n\\*a - 1"):
             bd.newton_bound(1, 0.0, 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_inputs(self, bad):
+        # nan fails every <= test of the hypotheses, so it must be refused
+        # before them rather than give a nan bound
+        for i, name in enumerate(("kappa", "alpha", "a", "sigma")):
+            args = [0.0, 1.0, 1.0, 0.0]
+            args[i] = bad
+            with pytest.raises(ConfigError,
+                               match="L1 bound needs finite inputs, got %s="
+                               % name):
+                bd.newton_bound(2, *args)
+        for i, name in enumerate(("R", "K0", "L0")):
+            args = [12.0, 1.0, 3.0]
+            args[i] = bad
+            with pytest.raises(ConfigError, match="Schouten bound needs "
+                               "finite inputs, got %s=" % name):
+                bd.schouten_bound(4, *args)
+
 
 class TestCompare:
+    @pytest.mark.parametrize("mu1,bound_args,vacuous", [
+        (1.808, (2, 0.0, 0.83, 1.32, 0.5), True),    # bound < 0
+        (2.0, (2, 0.0, 1.0, 1.0, 0.0), False),       # the unit sphere, 2
+    ])
+    def test_vacuous_flag(self, mu1, bound_args, vacuous):
+        rep = bd.compare(bd.NewtonBoundInput(*bound_args), mu1,
+                         error_estimate=6e-4, analytic=False)
+        assert rep.vacuous is (rep.bound_value <= 0.0) is vacuous
+
     def test_analytic_equality(self):
         inp = bd.SchoutenBoundInput(4, 12.0, 1.0, 3.0)
         rep = bd.compare(inp, 4.0)

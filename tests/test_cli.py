@@ -41,6 +41,26 @@ class TestBound:
                             "0", "--alpha", alpha, "--a", a, "--sigma", "0")
         assert (got, out, err) == (code, "", line + "\n")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("kind,name,argv", [
+        ("l1", "alpha", ["--n", "2", "--kappa", "0", "--alpha", "{}",
+                         "--a", "1", "--sigma", "0"]),
+        ("l1", "kappa", ["--n", "2", "--kappa", "{}", "--alpha", "1",
+                         "--a", "1", "--sigma", "0"]),
+        ("schouten", "R", ["--n", "4", "--R", "{}", "--K0", "1",
+                           "--L0", "3"]),
+        ("schouten", "L0", ["--n", "4", "--R", "12", "--K0", "1",
+                            "--L0", "{}"]),
+    ])
+    def test_non_finite_inputs_refused(self, capsys, bad, kind, name, argv):
+        # these used to print "bound: nan" (or inf) and exit 0
+        got, out, err = run(capsys, "bound", kind,
+                            *[a.format(bad) for a in argv])
+        label = "L1" if kind == "l1" else "Schouten"
+        assert (got, out) == (2, "")
+        assert err == ("config error: %s bound needs finite inputs, got "
+                       "%s=%s\n" % (label, name, bad))
+
 
 class TestEig:
     def test_surface_sphere(self, capsys):
@@ -210,6 +230,19 @@ class TestReport:
         assert lines[0] == "h,mu1,bound,margin,verdict"
         assert len(lines) == 3
         assert all(line.endswith("InequalityHolds") for line in lines[1:])
+
+    @pytest.mark.parametrize("surface,refine,vacuous", [
+        ("ellipsoid:1,1,1.1", "3..4", True), ("sphere:r=1", "1..2", False)])
+    def test_compare_flags_vacuous_bound(self, capsys, surface, refine,
+                                         vacuous):
+        code, out, err = run(capsys, "--json", "report", "compare",
+                             "--surface", surface, "--refine", refine)
+        assert code == 0 and json.loads(out)["vacuous"] is vacuous
+        code, out, err = run(capsys, "report", "compare",
+                             "--surface", surface, "--refine", refine)
+        assert code == 0 and len(out.strip().splitlines()) == 3
+        assert err.startswith("vacuous: the bound -0.16") is vacuous
+        assert (err == "") is not vacuous
 
     def test_compare_sphere(self, capsys):
         code, out, _ = run(capsys, "--json", "report", "compare",

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -292,6 +293,51 @@ class TestGrid:
             dz.PeriodicGrid(lengths=[1.0, 1.0], shape=(2, 4))
 
 
+def grid_element_tensors(h):
+    """Per-axis 1D element matrices and their tensor products: T[a, b] is
+    the (2^n, 2^n) element matrix of int d_a N_I d_b N_J over one cell
+    (unit coefficient), and the element mass matrix."""
+    n = len(h)
+    M1 = [np.array([[hk / 3.0, hk / 6.0], [hk / 6.0, hk / 3.0]]) for hk in h]
+    S1 = [np.array([[1.0, -1.0], [-1.0, 1.0]]) / hk for hk in h]
+    D1 = np.array([[-0.5, 0.5], [-0.5, 0.5]])  # int N_i N_j' dt
+
+    def tensor(mats):
+        out = np.array([[1.0]])
+        for m in mats:
+            out = np.kron(out, m)
+        return out
+
+    T = np.empty((n, n, 2 ** n, 2 ** n))
+    for a in range(n):
+        for b in range(n):
+            T[a, b] = tensor([S1[ax] if ax == a == b
+                              else D1.T if ax == a   # derivative on index 1
+                              else D1 if ax == b     # derivative on index 2
+                              else M1[ax] for ax in range(n)])
+    return T, tensor(M1)
+
+
+def grid_elements_reference(grid, provider):
+    """Element stiffness and mass matrices (C, 2^n, 2^n) of a grid's cells,
+    cell c with lower corner node c (independent route: dense element
+    matrices, each symmetrized)."""
+    n = grid.dim
+    T, Me_unit = grid_element_tensors(grid.steps)
+    centers = (np.indices(grid.shape).reshape(n, -1).T + 0.5) * grid.steps
+    G = np.broadcast_to(np.eye(n) if grid.metric is None
+                        else np.asarray(grid.metric(centers), dtype=float),
+                        (len(centers), n, n))
+    pivots, ginv = dz._pivots_and_inverse(G)
+    phi = dz._check_sym_coeff(provider(centers, G), G.shape, str)
+    vol = np.sqrt(np.prod(pivots, axis=1))
+    W = vol[:, None, None] * (ginv @ phi @ ginv)  # raised index, weighted
+    Ke = (W.reshape(-1, n * n) @ T.reshape(n * n, -1)).reshape(
+        (-1,) + Me_unit.shape)
+    Ke = 0.5 * (Ke + Ke.transpose(0, 2, 1))
+    return Ke, vol[:, None, None] * Me_unit
+
+
 def coo_reference(grid, Ke, Me):
     """K and M summed from COO triplets of the element matrices, cell c
     with lower corner node c and corner k at offset bits(k)."""
@@ -313,6 +359,20 @@ def torus3_grid(res):
                            metric=chart.metric.comp)
 
 
+def skew_metric(p):
+    """A non-diagonal metric that varies along every axis, 2 pi periodic:
+    1.5 I + 0.3 (s c^T + c s^T) with s = sin p, c = cos p, whose
+    eigenvalues are at least 1.5 - 0.3 * 3 > 0."""
+    s, c = np.sin(p), np.cos(p)
+    return 1.5 * np.eye(p.shape[-1]) + 0.3 * (
+        s[..., :, None] * c[..., None, :] + c[..., :, None] * s[..., None, :])
+
+
+def skew_grid():
+    return dz.PeriodicGrid(lengths=[2 * np.pi] * 3, shape=(6, 7, 8),
+                           metric=skew_metric)
+
+
 class TestGridStencilAssembly:
     @pytest.mark.parametrize("grid,provider", [
         (dz.PeriodicGrid(lengths=[2 * np.pi, 3.0], shape=(7, 5)),
@@ -321,11 +381,15 @@ class TestGridStencilAssembly:
         (dz.PeriodicGrid(lengths=[1.0, 2.0, 3.0], shape=(3, 4, 5)),
          dz.nondivergence_free_coefficient()),
         (torus3_grid(18), None),
-    ], ids=["2d-7x5", "3d-3x4x5", "torus3-18"])
+        # non-diagonal varying metric: W is not exactly symmetric here
+        (skew_grid(), None),
+        (skew_grid(), dz.nondivergence_free_coefficient()),
+    ], ids=["2d-7x5", "3d-3x4x5", "torus3-18", "skew-6x7x8",
+            "skew-6x7x8-nondivfree"])
     def test_matches_coo_reference(self, grid, provider):
         provider = provider or dz.grid_metric_coefficient(grid)
         op = dz.assemble(grid, provider)
-        Ke, Me, _ = dz._grid_elements(grid, provider)
+        Ke, Me = grid_elements_reference(grid, provider)
         stencil = 3 ** grid.dim
         for A, ref in zip((op.K, op.M), coo_reference(grid, Ke, Me)):
             assert A.has_canonical_format
@@ -333,6 +397,57 @@ class TestGridStencilAssembly:
             assert np.array_equal(A.indptr, ref.indptr)
             assert np.array_equal(A.indices, ref.indices)
             assert abs(A - ref).max() <= 1e-15 * abs(ref).max()
+
+    @pytest.mark.parametrize("grid", [torus3_grid(18), skew_grid()],
+                             ids=["torus3-18", "skew-6x7x8"])
+    def test_exactly_symmetric(self, grid):
+        op = dz.assemble(grid, dz.grid_metric_coefficient(grid))
+        for A in (op.K, op.M):
+            assert (A != A.T).nnz == 0
+
+    @pytest.mark.parametrize("plant", ["rolled-wrong-way", "rows-swapped"])
+    def test_wrong_corner_mapping_rejected(self, plant, monkeypatch):
+        # corner 4 sits at offset (1, 0, 0): roll its cell coefficients
+        # (n*n, C) by (-1, 0, 0) instead, or swap the element-matrix rows
+        # of corners 0 and 4.  The torus metric varies along the first axis
+        # only, so only a first-axis error shows there.  The slot asymmetry
+        # then reads 1e-3 to 9e-2 of the largest slot, against at most
+        # 7e-17 with the right mapping
+        if plant == "rolled-wrong-way":
+            roll = dz._roll_grid
+
+            def planted(X, shift, shape):
+                wrong = X.ndim == 2 and shift == (1, 0, 0)
+                return roll(X, (-1, 0, 0) if wrong else shift, shape)
+
+            monkeypatch.setattr(dz, "_roll_grid", planted)
+        else:
+            tensors = dz._grid_element_tensors
+
+            def planted(h):
+                T, Me = tensors(h)
+                return T[:, [4, 1, 2, 3, 0, 5, 6, 7]], Me
+
+            monkeypatch.setattr(dz, "_grid_element_tensors", planted)
+        for grid in (torus3_grid(6), skew_grid()):
+            with pytest.raises(NonSymmetricCoefficient,
+                               match="assembled stiffness not symmetric"):
+                dz.assemble(grid, dz.grid_metric_coefficient(grid))
+
+    def test_allocation_peak(self):
+        # tracemalloc peak of one 18^3 assembly: 20.9 MB when K and M were
+        # summed from per-cell element matrices; the slot sums must stay
+        # at or below half of that
+        grid = torus3_grid(18)
+        provider = dz.grid_metric_coefficient(grid)
+        dz.assemble(grid, provider)
+        tracemalloc.start()
+        try:
+            dz.assemble(grid, provider)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20.9e6 / 2
 
     def test_mass_survives_stiffness_edits(self):
         # scipy sorts a CSR matrix's indices in place (K - K.T does), so K

@@ -178,3 +178,14 @@ class TestEllipsoidCompare:
     def test_no_subdivisions(self):
         with pytest.raises(ConfigError, match="no subdivision levels"):
             hz.ellipsoid_compare((1.0, 1.0, 1.0), ())
+
+    @pytest.mark.parametrize("semiaxes,subdivs,vacuous", [
+        ((1.0, 1.0, 1.1), (4, 5), True),    # bound -0.160 against 1.808
+        ((1.0, 1.0, 1.0), (1, 2), False),   # bound 2, the equality case
+    ])
+    def test_vacuous_flag(self, semiaxes, subdivs, vacuous):
+        rep = hz.ellipsoid_compare(semiaxes, subdivs)
+        assert rep["vacuous"] is vacuous
+        assert (rep["bound"] <= 0.0) is vacuous
+        if vacuous:
+            assert rep["bound"] == pytest.approx(-0.160, abs=1e-3)
