@@ -160,8 +160,8 @@ def cmd_bound(args):
         val = bd.schouten_bound(args.n, args.R, args.K0, args.L0)
         payload = {"bound": val, "n": args.n, "R": args.R,
                    "K0": args.K0, "L0": args.L0,
-                   "gamma": bd.SchoutenBoundInput(args.n, args.R, args.K0,
-                                                  args.L0).gamma}
+                   "gamma": bd.schouten_gamma(args.n, args.R, args.K0,
+                                              args.L0)}
     else:
         val = bd.newton_bound(args.n, args.kappa, args.alpha, args.a,
                               args.sigma)
@@ -246,6 +246,11 @@ def cmd_report(args):
             print("vacuous: the bound %.10g is <= 0, so every verdict "
                   "against it is trivially true" % rep["bound"],
                   file=sys.stderr)
+        order = rep["observed_order"]
+        print("extrapolated_mu1: %.10g, observed_order: %s"
+              % (rep["extrapolated_mu1"],
+                 "none" if order is None else "%.4g" % order),
+              file=sys.stderr)
     return EXIT_PASS if rep["verdict"] in (bd.VERDICT_INEQUALITY,
                                            bd.VERDICT_EQUALITY) \
         else EXIT_ASSERTION

@@ -271,13 +271,18 @@ class AssembledOperator:
 
 def _check_sym_coeff(phi, shape, where, tol=1e-10):
     """Symmetric part of a (E, k, k) coefficient stack; names the first
-    element (``where(e)``) whose matrix is not symmetric."""
+    element (``where(e)``) whose matrix is not finite or not symmetric."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != shape:
         raise ConfigError("coefficient provider returned shape %r, "
                           "expected %r" % (phi.shape, shape))
     iu, ju = np.triu_indices(shape[-1], 1)       # each off-diagonal pair
+    # max propagates nan and inf, so scale is finite iff the matrix is
     scale = np.maximum(1.0, np.max(np.abs(phi), axis=(1, 2)))
+    finite = np.isfinite(scale)
+    if not np.all(finite):
+        raise NonSymmetricCoefficient("coefficient not finite at %s"
+                                      % where(int(np.argmin(finite))))
     bad = np.max(np.abs(phi[:, iu, ju] - phi[:, ju, iu]), axis=1,
                  initial=0.0) > tol * scale
     if np.any(bad):
@@ -813,12 +818,18 @@ def observed_order(reports, key="max_error"):
 # I/O
 
 def read_off(path):
-    with open(path, "r") as fh:
-        tokens = []
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
+    """SurfaceMesh of a triangle OFF file; ConfigError naming the path if
+    it cannot be read or parsed."""
+    try:
+        with open(path, "r") as fh:
+            tokens = []
+            for line in fh:
+                line = line.split("#", 1)[0].strip()
+                if line:
+                    tokens.extend(line.split())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("%s: cannot read OFF file: %s" % (path, exc)) \
+            from exc
     if not tokens or tokens[0] != "OFF":
         raise ConfigError("%s: missing OFF header" % path)
     it = iter(tokens[1:])
@@ -834,6 +845,8 @@ def read_off(path):
             faces.append([int(next(it)) for _ in range(3)])
     except StopIteration:
         raise ConfigError("%s: truncated OFF file" % path)
+    except ValueError as exc:
+        raise ConfigError("%s: bad OFF token: %s" % (path, exc)) from exc
     return SurfaceMesh(vertices=verts, faces=np.asarray(faces))
 
 

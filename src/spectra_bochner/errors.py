@@ -22,7 +22,8 @@ class NotPositiveDefinite(SpectraError):
 
 
 class NonSymmetricCoefficient(SpectraError):
-    """A coefficient provider or tensor field gave a non-symmetric matrix."""
+    """A coefficient provider or tensor field gave a non-symmetric or
+    non-finite matrix."""
 
 
 class DegenerateElement(SpectraError):

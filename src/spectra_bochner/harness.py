@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import time
 from dataclasses import dataclass
 from typing import List
@@ -276,21 +277,18 @@ def sphere_equality_suite():
     results = []
     for n in (4, 5, 6):
         mu = spec.analytic_sphere_spectrum(n, 1.0, spec.OP_SCHOUTEN, 1)[0]
-        inp = bd.SchoutenBoundInput(n=n, R=float(n * (n - 1)), K0=1.0,
-                                    L0=float(n - 1))
-        rep = bd.compare(inp, mu)
+        bound = bd.schouten_bound(n, n * (n - 1), 1.0, n - 1)
         results.append({"case": "schouten-S%d" % n, "mu1": mu,
-                        "bound": rep.bound_value, "verdict": rep.verdict})
+                        "bound": bound,
+                        "verdict": bd.compare(bound, mu).verdict})
     for (n, kappa, alpha) in [(2, 0.0, 1.0), (2, 0.0, 2.0), (3, 1.0, 1.0),
                               (2, -1.0, 2.0)]:
         mu = spec.analytic_sphere_spectrum(n, 1.0, spec.OP_NEWTON_L1, 1,
                                            alpha=alpha, kappa=kappa)[0]
-        inp = bd.NewtonBoundInput(n=n, kappa=kappa, alpha=alpha, a=1.0,
-                                  sigma=0.0)
-        rep = bd.compare(inp, mu)
+        bound = bd.newton_bound(n, kappa, alpha, 1.0, 0.0)
         results.append({"case": "newton-n%d-k%g-a%g" % (n, kappa, alpha),
-                        "mu1": mu, "bound": rep.bound_value,
-                        "verdict": rep.verdict})
+                        "mu1": mu, "bound": bound,
+                        "verdict": bd.compare(bound, mu).verdict})
     ok = all(r["verdict"] == bd.VERDICT_EQUALITY for r in results)
     return {"results": results, "all_equality": ok}
 
@@ -298,17 +296,25 @@ def sphere_equality_suite():
 def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=(4, 5), seed=42):
     """FEM mu1(L1) on the ellipsoid against the bound from pinching
     constants sampled at 400 points; refinement across the given
-    subdivision levels, at least one, which must increase."""
-    if not subdivs:
-        raise ConfigError("no subdivision levels")
+    subdivision levels, at least two, which must increase.
+
+    The scheme is O(h^2) and h halves per subdivision, so with d the last
+    step in subdivisions the last difference over 4^d - 1 estimates the
+    finest level's discretization error; every level's verdict is taken
+    against that estimate.  ``extrapolated_mu1`` is the Richardson value
+    from the last two levels.  ``observed_order`` is
+    log2(|mu_-2 - mu_-3| / |mu_-1 - mu_-2|) / d from the last three
+    levels, or None unless they are evenly spaced with distinct mu1."""
+    if len(subdivs) < 2:
+        raise ConfigError("a refinement study needs at least two "
+                          "subdivision levels, got %r" % (tuple(subdivs),))
     if any(b <= a for a, b in zip(subdivs, subdivs[1:])):
         raise ConfigError("subdivisions must increase, got %r"
                           % (tuple(subdivs),))
     ax = [float(v) for v in semiaxes]
     surf = hyp.ellipsoid_surface(*ax)
     pc = hyp.pinching_constants(surf, geom.SamplePlan(points=400, seed=seed))
-    inp = bd.NewtonBoundInput(n=2, kappa=0.0, alpha=pc.alpha, a=pc.a,
-                              sigma=pc.sigma)
+    bound = bd.newton_bound(2, 0.0, pc.alpha, pc.a, pc.sigma)
     levels = []
     mus = []
     for sub in subdivs:
@@ -318,25 +324,24 @@ def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=(4, 5), seed=42):
         mus.append(r.mu1)
         levels.append({"subdiv": sub, "h": mesh.mean_edge_length(),
                        "mu1": r.mu1, "residual": float(r.residuals[0])})
-    # O(h^2) scheme with h halved per subdivision: the last difference over
-    # 4^d - 1, d the last step in subdivisions, estimates the finest-level
-    # discretization error
-    if len(mus) > 1:
-        d = subdivs[-1] - subdivs[-2]
-        err_est = abs(mus[-1] - mus[-2]) / (4.0 ** d - 1.0)
-    else:
-        err_est = abs(mus[-1])
-    rep = bd.compare(inp, mus[-1], error_estimate=err_est, analytic=False)
+    d = subdivs[-1] - subdivs[-2]
+    step = (mus[-1] - mus[-2]) / (4.0 ** d - 1.0)
+    err_est = abs(step)
+    order = None
+    if len(mus) > 2 and subdivs[-2] - subdivs[-3] == d:
+        older, last = abs(mus[-2] - mus[-3]), abs(mus[-1] - mus[-2])
+        if older > 0.0 and last > 0.0:
+            order = math.log2(older / last) / d
     for lv in levels:
-        lv["bound"] = rep.bound_value
-        lv["margin"] = lv["mu1"] - rep.bound_value
-        lv["verdict"] = bd.compare(inp, lv["mu1"], error_estimate=err_est,
-                                   analytic=False).verdict
+        rep = bd.compare(bound, lv["mu1"], err_est)
+        lv.update(bound=bound, margin=rep.margin, verdict=rep.verdict)
+    # rep is now the finest level's report
     return {"semiaxes": ax, "pinching": {"alpha": pc.alpha, "a": pc.a,
                                          "sigma": pc.sigma,
                                          "constant_H": pc.constant_H},
             "levels": levels, "error_estimate": err_est,
-            "bound": rep.bound_value, "vacuous": rep.vacuous,
+            "extrapolated_mu1": mus[-1] + step, "observed_order": order,
+            "bound": bound, "vacuous": rep.vacuous,
             "mu1": mus[-1], "margin": rep.margin, "verdict": rep.verdict}
 
 

@@ -231,7 +231,6 @@ class PinchingConstants:
     a: float
     sigma: float
     constant_H: bool
-    estimated: bool = True
 
 
 def pinching_constants(hs, plan=geom.SamplePlan(points=400)):

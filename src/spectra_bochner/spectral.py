@@ -223,8 +223,13 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
     reporting the ``shift`` eps, the ``fill`` of K + eps*M's factor (the
     nonzeros SuperLU stores for L and U, ``SuperLU.nnz``: reading ``.L``
     and ``.U`` would copy the factor), ``factor_s`` (ordering plus
-    factorization) and the number of shift-invert ``solves``.
+    factorization) and the number of shift-invert ``solves``.  Raises
+    ConfigError for k < 1 or a tol that is not positive and finite.
     """
+    if k < 1:
+        raise ConfigError("k must be at least 1, got %r" % (k,))
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigError("tol must be positive and finite, got %r" % (tol,))
     K, M = op.K, op.M
     if op.symbols is None:   # the factorization path works in CSC
         K, M = K.tocsc(), M.tocsc()

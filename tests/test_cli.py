@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -109,6 +110,29 @@ class TestEig:
         assert diag["setup_s"] >= 0.0
         assert "fill" not in diag and "shift" not in diag
         assert 0.0 < diag["preconditioner_shift"] < diag["nu1"]
+
+    @pytest.mark.parametrize("domain,opt,value", [
+        (("--surface", "sphere", "--subdiv", "1"), "--k", "0"),
+        (("--manifold", "torus2", "--resolution", "8"), "--k", "0"),
+        (("--surface", "sphere", "--subdiv", "1"), "--tol", "-1"),
+        (("--surface", "sphere", "--subdiv", "1"), "--tol", "0"),
+        (("--surface", "sphere", "--subdiv", "1"), "--tol", "nan"),
+        (("--surface", "sphere", "--subdiv", "1"), "--tol", "inf")])
+    def test_bad_k_or_tol(self, capsys, domain, opt, value):
+        code, out, err = run(capsys, "eig", *domain, opt, value)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: %s must be" % opt[2:])
+
+    @pytest.mark.parametrize("command", ["check", "eig"])
+    def test_unreadable_mesh(self, capsys, tmp_path, command):
+        missing = str(tmp_path / "missing.off")
+        bad = tmp_path / "bad.off"
+        bad.write_text("OFF\n3 1 0\n0 0 0\nx 0 0\n0 1 0\n3 0 1 2\n")
+        for path, why in ((missing, "cannot read OFF file"),
+                          (str(bad), "bad OFF token")):
+            code, out, err = run(capsys, command, "--mesh", path)
+            assert (code, out) == (2, "")
+            assert err.startswith("config error: %s: %s" % (path, why))
 
     def test_missing_domain(self, capsys):
         code, _, err = run(capsys, "eig")
@@ -241,8 +265,28 @@ class TestReport:
         code, out, err = run(capsys, "report", "compare",
                              "--surface", surface, "--refine", refine)
         assert code == 0 and len(out.strip().splitlines()) == 3
-        assert err.startswith("vacuous: the bound -0.16") is vacuous
-        assert (err == "") is not vacuous
+        lines = err.splitlines()
+        assert lines[0].startswith("vacuous: the bound -0.16") is vacuous
+        assert len(lines) == 1 + vacuous
+        assert lines[-1].startswith("extrapolated_mu1: ")
+        assert lines[-1].endswith("observed_order: none")
+
+    def test_compare_extrapolation_on_stderr(self, capsys):
+        code, out, err = run(capsys, "report", "compare",
+                             "--surface", "sphere", "--refine", "1..3")
+        assert code == 0 and len(out.strip().splitlines()) == 4
+        extrap, order = re.fullmatch(
+            r"extrapolated_mu1: (\S+), observed_order: (\S+)\n", err).groups()
+        assert float(extrap) == pytest.approx(2.0, abs=1e-4)
+        assert float(order) == pytest.approx(2.014, abs=5e-4)
+
+    def test_compare_one_level_refused(self, capsys):
+        # one level has no error estimate, so its EqualityCase was a guess
+        code, out, err = run(capsys, "report", "compare",
+                             "--surface", "ellipsoid:1,1,1.1", "--refine", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: a refinement study needs at "
+                              "least two subdivision levels")
 
     def test_compare_sphere(self, capsys):
         code, out, _ = run(capsys, "--json", "report", "compare",

@@ -208,6 +208,18 @@ class TestAssembly:
         with pytest.raises(NonSymmetricCoefficient):
             dz.assemble(ico3, bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        # nan fails every > test of the symmetry and row-sum checks, so it
+        # must be refused before them rather than reach K
+        def provider(q, _B):
+            phi = np.tile(np.eye(2), (len(q), 1, 1))
+            phi[7, 0, 0] = bad
+            return phi
+        with pytest.raises(NonSymmetricCoefficient,
+                           match="coefficient not finite at face 7$"):
+            dz.assemble(dz.icosphere(1), provider)
+
     def test_polar_factor_matches_svd(self):
         X = np.random.default_rng(5).standard_normal((1000, 2, 2))
         X[0] = [[0.0, 1.0], [1.0, 0.0]]       # a reflection, det = -1
@@ -275,6 +287,19 @@ class TestGrid:
         with pytest.raises(DegenerateElement,
                            match=r"not SPD at \[0\.5, 1\.5, 0\.5\]"):
             dz.assemble(g, dz.grid_metric_coefficient(g))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        # steps 1, so cell (i, j, k) has centre (i + 0.5, j + 0.5, k + 0.5)
+        def provider(centers, G):
+            phi = np.array(G)
+            phi[np.all(centers == [1.5, 2.5, 0.5], axis=1), 1, 2] = bad
+            return phi
+
+        g = dz.PeriodicGrid(lengths=[4.0, 4.0, 4.0], shape=(4, 4, 4))
+        with pytest.raises(NonSymmetricCoefficient,
+                           match=r"not finite at cell \[1, 2, 0\]$"):
+            dz.assemble(g, provider)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_pivots_and_inverse(self, n):

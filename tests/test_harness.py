@@ -176,8 +176,31 @@ class TestEllipsoidCompare:
             hz.ellipsoid_compare((1.0, 1.0, 1.0), subdivs)
 
     def test_no_subdivisions(self):
-        with pytest.raises(ConfigError, match="no subdivision levels"):
-            hz.ellipsoid_compare((1.0, 1.0, 1.0), ())
+        # one level has no error estimate: its verdict would be a guess
+        for subdivs in ((), (4,)):
+            with pytest.raises(ConfigError,
+                               match="at least two subdivision levels"):
+                hz.ellipsoid_compare((1.0, 1.0, 1.1), subdivs)
+
+    def test_extrapolates_across_skipped_levels(self):
+        # levels 1 and 3 are two halvings of h apart: the O(h^2) error falls
+        # by 16, so Richardson divides by 15, not 3
+        rep = hz.ellipsoid_compare((1.0, 1.0, 1.0), (1, 3))
+        assert abs(rep["extrapolated_mu1"] - 2.0) < 1e-3
+        assert rep["observed_order"] is None
+
+    @pytest.mark.parametrize("semiaxes,subdivs,order", [
+        ((1.0, 1.0, 1.0), (1, 2, 3), 2.014),
+        ((1.0, 1.0, 1.1), (3, 4, 5), 2.0005),
+    ])
+    def test_observed_order(self, semiaxes, subdivs, order):
+        rep = hz.ellipsoid_compare(semiaxes, subdivs)
+        assert rep["observed_order"] == pytest.approx(order, abs=5e-4)
+
+    @pytest.mark.parametrize("subdivs", [(1, 2), (1, 2, 4)])
+    def test_observed_order_needs_three_even_levels(self, subdivs):
+        rep = hz.ellipsoid_compare((1.0, 1.0, 1.0), subdivs)
+        assert rep["observed_order"] is None
 
     @pytest.mark.parametrize("semiaxes,subdivs,vacuous", [
         ((1.0, 1.0, 1.1), (4, 5), True),    # bound -0.160 against 1.808

@@ -1,6 +1,7 @@
 """Every import under src/ is used, every SpectraError subclass is raised
-or caught, and every public function is called outside the tests: AST scans
-standing in for a linter."""
+or caught, every public function is called outside the tests, and every
+dataclass default is overridden somewhere: AST scans standing in for a
+linter."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 MODULES = sorted(SRC.rglob("*.py"))
+# the code that may call the package: itself and the benchmark
+USERS = MODULES + sorted((ROOT / "specbench").rglob("*.py"))
 
 
 def unused_imports(path):
@@ -118,7 +121,6 @@ def dead_api(defined, users):
 # listed in ROADMAP 5(c), min_sectional, and fd_order_study, the one
 # finite-difference cross-check of the divergence identities.
 TEST_ONLY = [
-    "bounds.SchoutenBoundInput.lambda0", "bounds.sphere_equality_value",
     "boxop.apply", "boxop.divergence_form_defect",
     "boxop.hessian_trace_defect", "boxop.laplacian_box",
     "boxop.schouten_box", "discretize.cotangent_stiffness",
@@ -131,9 +133,7 @@ TEST_ONLY = [
 
 
 def test_no_dead_public_api():
-    users = MODULES + sorted((ROOT / "scripts").rglob("*.py")) \
-        + sorted((ROOT / "specbench").rglob("*.py"))
-    assert dead_api(MODULES, users) == sorted(TEST_ONLY)
+    assert dead_api(MODULES, USERS) == sorted(TEST_ONLY)
 
 
 def test_scan_finds_an_unused_function(tmp_path):
@@ -149,3 +149,72 @@ def test_scan_finds_an_unused_function(tmp_path):
     paths = sorted(tmp_path.glob("*.py"))
     assert dead_api([tmp_path / "mod.py"], paths) == ["mod.C.idle",
                                                       "mod.planted"]
+
+
+def _is_dataclass(node):
+    return any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in node.decorator_list)
+
+
+def unset_defaults(defined, users):
+    """'module.Class.field' of each dataclass field in ``defined`` with a
+    default that no call in ``users`` passes: by keyword, by position, or
+    as a keyword of ``replace``.  A ``*`` or ``**`` argument passes every
+    field it could reach."""
+    fields = {}            # class name -> [(field, has default, module)]
+    for path in defined:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields[node.name] = [
+                    (f.target.id, f.value is not None, path.stem)
+                    for f in node.body if isinstance(f, ast.AnnAssign)
+                    and isinstance(f.target, ast.Name)]
+    passed = set()         # (class name or None for replace, field)
+    for path in users:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = _name(node.func)
+            cls = None if callee == "replace" else callee
+            if cls is not None and cls not in fields:
+                continue
+            keys = {k.arg for k in node.keywords}
+            if cls is not None:
+                npos = (len(fields[cls]) if any(isinstance(a, ast.Starred)
+                                                for a in node.args)
+                        else len(node.args))
+                keys.update(f for f, _, _ in fields[cls][:npos])
+                if None in keys:                          # **kwargs
+                    keys.update(f for f, _, _ in fields[cls])
+            passed.update((cls, k) for k in keys)
+    return sorted("%s.%s.%s" % (mod, cls, f)
+                  for cls, entries in fields.items()
+                  for f, default, mod in entries
+                  if default and (cls, f) not in passed
+                  and (None, f) not in passed)
+
+
+# Dataclass defaults that nothing overrides; each entry needs a reason.
+UNSET_ALLOWED = []
+
+
+def test_no_unset_dataclass_defaults():
+    assert unset_defaults(MODULES, USERS) == sorted(UNSET_ALLOWED)
+
+
+def test_scan_finds_an_unset_default(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass, field, replace\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class C:\n    a: int\n    b: int = 1\n    c: int = 2\n"
+        "    d: bool = True\n    e: list = field(default_factory=list)\n"
+        "    f: int = 3\n\n\n"
+        "@dataclass\nclass Plain:\n    g: int = 0\n\n\n"
+        "class NotData:\n    h: int = 0\n")
+    (tmp_path / "user.py").write_text(
+        "from mod import C, Plain, NotData, replace\n\n"
+        "x = C(0, 5, e=[])\nreplace(x, f=4)\nC(a=1, c=2)\n"
+        "Plain(d=False)\nNotData()\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert unset_defaults([tmp_path / "mod.py"], paths) == ["mod.C.d",
+                                                           "mod.Plain.g"]

@@ -111,6 +111,18 @@ class TestSmallestNonzero:
         r = spec.smallest_nonzero(op, k=2)
         assert r.mu1 == pytest.approx(1.0, abs=0.01)
 
+    @pytest.mark.parametrize("k,tol", [(0, 1e-9), (-1, 1e-9), (1, 0.0),
+                                       (1, -1.0), (1, np.nan), (1, np.inf)])
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_bad_k_or_tol(self, sphere_op, grid, k, tol):
+        op = sphere_op
+        if grid:
+            g = dz.PeriodicGrid(lengths=[1.0, 1.0], shape=(8, 8))
+            op = dz.assemble(g, dz.metric_coefficient())
+        what = "k must be at least 1" if k < 1 else "tol must be positive"
+        with pytest.raises(ConfigError, match=what):
+            spec.smallest_nonzero(op, k=k, tol=tol)
+
     def test_identity_pencil(self):
         g = dz.PeriodicGrid(lengths=[1.0, 1.0], shape=(8, 8))
         op = dz.assemble(g, dz.metric_coefficient())
