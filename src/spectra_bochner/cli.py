@@ -199,9 +199,12 @@ def cmd_check(args):
 def cmd_proptest(args):
     cfg = hz.TrialConfig(trials=args.trials, seed=args.seed)
     if args.which == "newton":
-        rep = hz.newton_inequality_trials(cfg)
-        ok = (rep["violations"] == 0
-              and rep["equality_false_positives"] == 0)
+        rep = hz.newton_inequality_trials(cfg, planted=args.planted)
+        if args.planted:
+            ok = rep["violations"] > 0
+        else:
+            ok = (rep["violations"] == 0
+                  and rep["equality_false_positives"] == 0)
     else:
         rep = {}
         ok = True
@@ -265,7 +268,9 @@ def build_parser():
         description="Curvature identities, eigenvalue bounds, and discrete "
                     "spectra of tensor-coefficient elliptic operators.")
     ap.add_argument("--config", default=None, help="config file path")
-    ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--seed", type=int, default=None,
+                    help="random seed (default: the config's [solver] seed "
+                         "for check, else %d)" % hz.DEFAULT_SEED)
     ap.add_argument("--json", action="store_true", help="JSON output")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -334,6 +339,13 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.seed is None:
+            # check takes the config's seed, which defaults to DEFAULT_SEED
+            if args.command != "check":
+                args.seed = hz.DEFAULT_SEED
+        elif args.seed < 0:
+            raise ConfigError("--seed must be non-negative, got %d"
+                              % args.seed)
         return args.func(args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -4,7 +4,8 @@ Trial streams are driven by numpy's default_rng (PCG64), fully determined by
 the seed recorded in every report.  The two pointwise inequalities exercised:
 
 * trace inequality: tr(A^2 B) >= (tr AB)^2 / tr B for symmetric A and SPD B,
-  equality iff A is a multiple of the identity;
+  equality iff A is a multiple of the identity; checked in B's eigenframe,
+  with planted indefinite B as the negative control;
 * the cubic-polynomial bound: if 0 < alpha I <= A <= a alpha I then every
   diagonal entry of Q(A) (see hypersurface.q_polynomial) is at least
   bounds.l1_core(n, alpha, a, kappa).
@@ -36,11 +37,14 @@ EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+# the seed of a run that names none, on the command line or in its config
+DEFAULT_SEED = 42
+
 
 @dataclass(frozen=True)
 class TrialConfig:
     trials: int = 100_000
-    seed: int = 42
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.trials < 1:
@@ -63,46 +67,45 @@ FD_STEPS = (2e-3, 1e-3)
 # ---------------------------------------------------------------------------
 # trace inequality trials
 
-def newton_inequality_trials(cfg=TrialConfig()):
-    """tr(A^2 B) - (tr AB)^2 / tr B over random (A, B) pairs.
-
-    Defects are normalized by tr B; violations counted below -1e-10.  The
-    equality detector asserts A ~ (tr AB / tr B) I whenever the normalized
-    defect drops below 1e-10; false positives are counted (must stay zero).
-    Up to QA_BATCH trials at a time, the stream gives every trial a
-    DIM_HI x DIM_HI A and Gaussian Q seed and DIM_HI eigenvalues, of which
-    a trial of dimension n uses the leading n; each such chunk is then
-    evaluated per dimension with one stacked QR.
+def newton_inequality_trials(cfg=TrialConfig(), planted=False):
+    """Normalized defects (tr(A^2 B) - (tr AB)^2 / tr B) / tr B of random
+    pairs, in B's eigenframe: the defect and the test A ~ alpha I are
+    unchanged by (A, B) -> (Q^T A Q, Q^T B Q) for orthogonal Q, so diagonal
+    B = diag(lam) covers every SPD B, with tr AB = sum_k lam_k A_kk and
+    tr A^2 B = sum_k lam_k sum_i A_ik^2.  Violations: defect < -1e-10.
+    Where it is below 1e-10 the equality detector asserts A ~ (tr AB / tr B)
+    I; false positives are counted (must stay zero).  Per QA_BATCH chunk
+    the stream gives each trial a DIM_HI x DIM_HI A, then DIM_HI
+    eigenvalues, of which a trial of dimension n uses the leading n
+    (masked, so all dimensions run at once).  ``planted=True`` negates
+    each first eigenvalue (negative control: B is indefinite; only trials
+    with tr B > 0 count, and some must violate).
     """
     rng = np.random.default_rng(cfg.seed)
     dims = rng.integers(DIM_LO, DIM_HI + 1, size=cfg.trials)
-    violations = 0
+    violations = equality_hits = false_positives = 0
     worst = np.inf
-    equality_hits = 0
-    false_positives = 0
-    m = DIM_HI
+    idx = np.arange(DIM_HI)
     for start in range(0, cfg.trials, QA_BATCH):
-        chunk = dims[start:start + QA_BATCH]
-        As = rng.uniform(-1.0, 1.0, size=(chunk.size, m, m))
-        Gs = rng.standard_normal((chunk.size, m, m))
-        lams = rng.uniform(EIG_LO, EIG_HI, size=(chunk.size, m))
-        for n in np.unique(chunk):
-            sel = chunk == n
-            A = As[sel, :n, :n]
-            A = 0.5 * (A + A.transpose(0, 2, 1))
-            Q, _ = np.linalg.qr(Gs[sel, :n, :n])
-            B = (Q * lams[sel, None, :n]) @ Q.transpose(0, 2, 1)
-            trB = np.trace(B, axis1=1, axis2=2)
-            trAB = np.sum((A * B).reshape(-1, n * n), axis=1)
-            trA2B = np.sum(((A @ A) * B).reshape(-1, n * n), axis=1)
-            defect = (trA2B - trAB ** 2 / trB) / trB
-            worst = min(worst, float(np.min(defect)))
-            violations += int(np.sum(defect < -1e-10))
-            hit = defect < 1e-10
-            equality_hits += int(np.sum(hit))
-            alpha = trAB[hit] / trB[hit]
-            off = np.abs(A[hit] - alpha[:, None, None] * np.eye(n))
-            false_positives += int(np.sum(np.max(off, axis=(1, 2)) > 1e-6))
+        keep = idx < dims[start:start + QA_BATCH, None]
+        A = rng.uniform(-1.0, 1.0, size=keep.shape + (DIM_HI,))
+        A = 0.5 * (A + A.transpose(0, 2, 1))
+        lam = rng.uniform(EIG_LO, EIG_HI, size=keep.shape) * keep
+        if planted:
+            lam[:, 0] *= -1.0
+        trB = np.sum(lam, axis=1)
+        trAB = np.sum(lam * np.diagonal(A, axis1=1, axis2=2), axis=1)
+        trA2B = (keep[:, None, :] @ ((A * A) @ lam[:, :, None]))[:, 0, 0]
+        defect = (trA2B - trAB ** 2 / trB) / trB
+        if planted:
+            defect[trB <= 0.0] = np.inf
+        worst = min(worst, float(np.min(defect)))
+        violations += int(np.sum(defect < -1e-10))
+        hit = defect < 1e-10
+        equality_hits += int(np.sum(hit))
+        sub = keep[hit, :, None] & keep[hit, None, :]
+        off = (A[hit] - (trAB / trB)[hit, None, None] * np.eye(DIM_HI)) * sub
+        false_positives += int(np.sum(np.abs(off).max(axis=(1, 2)) > 1e-6))
     return {"trials": cfg.trials, "violations": violations,
             "worst_defect": float(worst), "equality_hits": equality_hits,
             "equality_false_positives": false_positives,
@@ -352,7 +355,7 @@ SUITE_NAMES = ("bochner", "divergence", "newton", "qa", "sphere-equality",
                "ellipsoid-compare")
 
 
-CONFIG_DEFAULTS = {"solver": {"seed": "42"},
+CONFIG_DEFAULTS = {"solver": {"seed": str(DEFAULT_SEED)},
                    "suites": {"trials": "100000", "samples": "200",
                               "subdivs": "4,5"}}
 
@@ -370,6 +373,12 @@ def load_config(path=None):
                   for key in cp[name] if key not in CONFIG_DEFAULTS[name]]
         if extra:
             raise ConfigError("unknown config sections or keys: %s" % extra)
+    try:
+        seed = cp.getint("solver", "seed")
+    except ValueError as exc:
+        raise ConfigError("bad [solver] seed: %s" % exc) from exc
+    if seed < 0:
+        raise ConfigError("[solver] seed must be non-negative, got %d" % seed)
     return cp
 
 
@@ -419,6 +428,12 @@ def run_suite(names, config=None):
                 if rep["equality_false_positives"]:
                     failures.append("newton: equality detector false "
                                     "positives")
+                ctl = newton_inequality_trials(
+                    TrialConfig(trials=min(trials, 2000), seed=seed),
+                    planted=True)
+                rep["planted_control"] = ctl
+                if ctl["violations"] == 0:
+                    failures.append("newton: planted violation NOT detected")
             elif name == "qa":
                 rep = {}
                 for sign in ("positive", "negative"):

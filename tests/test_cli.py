@@ -224,6 +224,50 @@ class TestCheckAndProptest:
                            "--trials", "500", "--planted")
         assert code == 0  # planted mode passes when violations ARE found
 
+    def test_proptest_newton_planted(self, capsys):
+        code, out, _ = run(capsys, "--json", "proptest", "newton",
+                           "--trials", "2000", "--planted")
+        assert code == 0  # planted mode passes when violations ARE found
+        assert json.loads(out)["violations"] > 0
+
+    def test_config_seed_reaches_check(self, capsys, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("[solver]\nseed = 7\n[suites]\ntrials = 100\n")
+        code, out, _ = run(capsys, "--json", "--config", str(p), "check",
+                           "--suites", "newton")
+        assert code == 0
+        assert json.loads(out)["seed"] == 7
+        code, out, _ = run(capsys, "--json", "--seed", "3", "--config",
+                           str(p), "check", "--suites", "newton")
+        assert code == 0
+        assert json.loads(out)["seed"] == 3
+
+    def test_default_seed(self, capsys):
+        code, out, _ = run(capsys, "--json", "proptest", "newton",
+                           "--trials", "100")
+        assert code == 0
+        assert json.loads(out)["seed"] == 42
+
+    @pytest.mark.parametrize("argv", [
+        ("proptest", "newton", "--trials", "100"),
+        ("check", "--suites", "newton"),
+        ("eig", "--surface", "sphere:r=1", "--subdiv", "1"),
+        ("report", "compare", "--refine", "1,2"),
+        ("verify", "bochner", "--samples", "2")])
+    def test_negative_seed_refused(self, capsys, argv):
+        code, _, err = run(capsys, "--seed", "-1", *argv)
+        assert code == 2
+        assert err == "config error: --seed must be non-negative, got -1\n"
+
+    def test_negative_config_seed_refused(self, capsys, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("[solver]\nseed = -1\n")
+        code, _, err = run(capsys, "--config", str(p), "check",
+                           "--suites", "newton")
+        assert code == 2
+        assert err == ("config error: [solver] seed must be non-negative, "
+                       "got -1\n")
+
     @pytest.mark.parametrize("which", ["newton", "qa"])
     def test_proptest_no_trials(self, capsys, which):
         code, _, err = run(capsys, "proptest", which, "--trials", "0")

@@ -44,6 +44,51 @@ class TestTraceInequality:
         assert (hz.newton_inequality_trials(cfg)
                 == hz.newton_inequality_trials(cfg))
 
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_defect_invariant_under_conjugation(self, n):
+        # the eigenframe argument: (A, diag lam) and (Q A Q^T, Q diag lam
+        # Q^T) have the same defect for orthogonal Q
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            A = rng.uniform(-1, 1, size=(n, n))
+            A = 0.5 * (A + A.T)
+            lam = rng.uniform(hz.EIG_LO, hz.EIG_HI, size=n)
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            d = hz.trace_inequality_defect(A, np.diag(lam))
+            dq = hz.trace_inequality_defect(Q @ A @ Q.T, (Q * lam) @ Q.T)
+            assert dq == pytest.approx(d, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("trials,seed", [(300, 3), (2 * hz.QA_BATCH + 5,
+                                                        11)])
+    def test_stream_replays_trial_by_trial(self, trials, seed):
+        # re-draw the stream in its documented order and evaluate each
+        # trial on its own with the single-pair oracle
+        rng = np.random.default_rng(seed)
+        dims = rng.integers(hz.DIM_LO, hz.DIM_HI + 1, size=trials)
+        m = hz.DIM_HI
+        defects = []
+        for start in range(0, trials, hz.QA_BATCH):
+            chunk = dims[start:start + hz.QA_BATCH]
+            As = rng.uniform(-1.0, 1.0, size=(chunk.size, m, m))
+            lams = rng.uniform(hz.EIG_LO, hz.EIG_HI, size=(chunk.size, m))
+            for n, A, lam in zip(chunk, As, lams):
+                A = 0.5 * (A + A.T)[:n, :n]
+                defects.append(hz.trace_inequality_defect(A,
+                                                          np.diag(lam[:n])))
+        defects = np.array(defects)
+        rep = hz.newton_inequality_trials(hz.TrialConfig(trials, seed))
+        assert rep["worst_defect"] == pytest.approx(np.min(defects),
+                                                    rel=1e-12)
+        assert rep["violations"] == int(np.sum(defects < -1e-10))
+        assert rep["equality_hits"] == int(np.sum(defects < 1e-10))
+
+    @pytest.mark.parametrize("seed", [42, 1000])
+    def test_planted_violations_detected(self, seed):
+        rep = hz.newton_inequality_trials(hz.TrialConfig(2000, seed),
+                                          planted=True)
+        assert rep["violations"] > 0
+        assert rep["worst_defect"] < -1e-10
+
 
 class TestQaBound:
     def test_hand_computed_point(self):
@@ -134,6 +179,37 @@ class TestSuites:
         p.write_text(text)
         with pytest.raises(ConfigError, match="unknown config"):
             hz.load_config(str(p))
+
+    def test_run_suite_newton_planted_control(self):
+        cp = hz.load_config()
+        cp["suites"]["trials"] = "500"
+        code, summary = hz.run_suite(["newton"], cp)
+        assert code == hz.EXIT_PASS
+        ctl = summary["suites"]["newton"]["planted_control"]
+        assert ctl["trials"] == 500 and ctl["violations"] > 0
+
+    def test_run_suite_newton_missed_control_fails(self, monkeypatch):
+        trials = hz.newton_inequality_trials
+        monkeypatch.setattr(hz, "newton_inequality_trials",
+                            lambda cfg, planted=False: trials(cfg))
+        cp = hz.load_config()
+        cp["suites"]["trials"] = "500"
+        code, summary = hz.run_suite(["newton"], cp)
+        assert code == hz.EXIT_ASSERTION
+        assert summary["failures"] == ["newton: planted violation NOT "
+                                       "detected"]
+
+    @pytest.mark.parametrize("text,match", [
+        ("[solver]\nseed = -1\n", "seed must be non-negative, got -1"),
+        ("[solver]\nseed = x\n", "bad \\[solver\\] seed")])
+    def test_config_rejects_bad_seed(self, tmp_path, text, match):
+        p = tmp_path / "bad.cfg"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            hz.load_config(str(p))
+        code, summary = hz.run_suite(["newton"], str(p))
+        assert code == hz.EXIT_CONFIG
+        assert "seed" in summary["error"]
 
     def test_config_overrides(self, tmp_path):
         p = tmp_path / "ok.cfg"
