@@ -2,7 +2,7 @@
 
 Modules:
   geometry     charts, curvature, covariant derivatives, analytic builders
-  hypersurface immersions, shape operators, Newton transformation, Q(A)
+  hypersurface immersions, shape operators, Newton transformation, pinching
   boxop        the operator box(f) = sum phi_ij f_ij and its Bochner identity
   discretize   meshes/grids and piecewise-linear assembly of the weak form
   spectral     first nonzero eigenvalue; closed-form sphere spectra

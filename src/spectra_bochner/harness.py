@@ -7,8 +7,8 @@ the seed recorded in every report.  The two pointwise inequalities exercised:
   equality iff A is a multiple of the identity; checked in B's eigenframe,
   with planted indefinite B as the negative control;
 * the cubic-polynomial bound: if 0 < alpha I <= A <= a alpha I then every
-  diagonal entry of Q(A) (see hypersurface.q_polynomial) is at least
-  bounds.l1_core(n, alpha, a, kappa).
+  diagonal entry of Q(A) is at least bounds.l1_core(n, alpha, a, kappa);
+  checked on diagonal A, all dimensions in one masked pass (_qa_defects).
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ class TrialConfig:
         if self.trials < 1:
             raise ConfigError("trials must be at least 1, got %r"
                               % self.trials)
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative, got %r" % self.seed)
 
 
 # trials per batched evaluation (trace and Q(A) trials): bounds the
@@ -73,7 +75,7 @@ def newton_inequality_trials(cfg=TrialConfig(), planted=False):
     unchanged by (A, B) -> (Q^T A Q, Q^T B Q) for orthogonal Q, so diagonal
     B = diag(lam) covers every SPD B, with tr AB = sum_k lam_k A_kk and
     tr A^2 B = sum_k lam_k sum_i A_ik^2.  Violations: defect < -1e-10.
-    Where it is below 1e-10 the equality detector asserts A ~ (tr AB / tr B)
+    Where |defect| < 1e-10 the equality detector asserts A ~ (tr AB / tr B)
     I; false positives are counted (must stay zero).  Per QA_BATCH chunk
     the stream gives each trial a DIM_HI x DIM_HI A, then DIM_HI
     eigenvalues, of which a trial of dimension n uses the leading n
@@ -101,7 +103,7 @@ def newton_inequality_trials(cfg=TrialConfig(), planted=False):
             defect[trB <= 0.0] = np.inf
         worst = min(worst, float(np.min(defect)))
         violations += int(np.sum(defect < -1e-10))
-        hit = defect < 1e-10
+        hit = np.abs(defect) < 1e-10
         equality_hits += int(np.sum(hit))
         sub = keep[hit, :, None] & keep[hit, None, :]
         off = (A[hit] - (trAB / trB)[hit, None, None] * np.eye(DIM_HI)) * sub
@@ -132,8 +134,8 @@ def qa_bound_trials(cfg=TrialConfig(), kappa_sign="positive", planted=False):
     eigenvalues outside the claimed [alpha, a*alpha] band (negative control;
     the suite must then report violations).  The stream gives whole arrays
     in turn: dimensions, alpha, a, kappa, then DIM_HI eigenvalues per
-    trial, of which a trial of dimension n uses the leading n.  Q(A) is
-    then evaluated per dimension, up to QA_BATCH trials at a time.
+    trial, of which a trial of dimension n uses the leading n.  Each
+    QA_BATCH chunk goes through _qa_defects.  Violations: defect < -1e-10.
     """
     if kappa_sign not in ("positive", "negative"):
         raise ConfigError("kappa_sign must be 'positive' or 'negative'")
@@ -152,21 +154,29 @@ def qa_bound_trials(cfg=TrialConfig(), kappa_sign="positive", planted=False):
     else:
         lo, hi = alphas, aas * alphas
     h = rng.uniform(lo[:, None], hi[:, None], size=(size, DIM_HI))
-    violations = 0
-    worst = np.inf
-    for n in np.unique(dims):
-        group = np.flatnonzero(dims == n)
-        for sel in np.split(group, np.arange(QA_BATCH, group.size, QA_BATCH)):
-            alpha, a, kappa = alphas[sel], aas[sel], kappas[sel]
-            Q = hyp.q_polynomial(h[sel, :n, None] * np.eye(n), kappa)
-            defect = (np.min(np.diagonal(Q, axis1=1, axis2=2), axis=1)
-                      - bd.l1_core(n, alpha, a, kappa)) / alpha ** 3
-            worst = min(worst, float(np.min(defect)))
-            violations += int(np.sum(defect < -1e-10))
+    cols = (dims, alphas, aas, kappas, h)
+    defect = np.concatenate([_qa_defects(*(c[s:s + QA_BATCH] for c in cols))
+                             for s in range(0, size, QA_BATCH)])
     return {"trials": cfg.trials, "kappa_sign": kappa_sign,
-            "planted": planted, "violations": violations,
-            "worst_defect": float(worst), "seed": cfg.seed,
+            "planted": planted, "violations": int(np.sum(defect < -1e-10)),
+            "worst_defect": float(np.min(defect)), "seed": cfg.seed,
             "generator": GENERATOR_NAME}
+
+
+def _qa_defects(n, alpha, a, kappa, h):
+    """(min_i Q_ii - l1_core) / alpha^3 per trial for Q = Q(diag h[:n]),
+    h of shape (c, DIM_HI), every dimension in one pass.  The mask keeps
+    each trial's leading n entries x; H = sum x and Q(diag x) is diagonal,
+    Q_ii = 2x_i^3 - 3H x_i^2 + (2H^2 - |x|^2 - kappa(n-2)) x_i
+    + kappa(2n-3) H."""
+    keep = np.arange(DIM_HI)[:, None] < n
+    x = h.T * keep
+    x2 = x * x
+    H = np.sum(x, axis=0)
+    lin = 2.0 * H ** 2 - np.sum(x2, axis=0) - kappa * (n - 2.0)
+    q = 2.0 * x2 * x - 3.0 * H * x2 + lin * x + kappa * (2.0 * n - 3.0) * H
+    return (np.min(np.where(keep, q, np.inf), axis=0)
+            - bd.l1_core(n, alpha, a, kappa)) / alpha ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +383,18 @@ def load_config(path=None):
                   for key in cp[name] if key not in CONFIG_DEFAULTS[name]]
         if extra:
             raise ConfigError("unknown config sections or keys: %s" % extra)
+    _config_seed(cp)
+    return cp
+
+
+def _config_seed(cp):
     try:
         seed = cp.getint("solver", "seed")
     except ValueError as exc:
         raise ConfigError("bad [solver] seed: %s" % exc) from exc
     if seed < 0:
         raise ConfigError("[solver] seed must be non-negative, got %d" % seed)
-    return cp
+    return seed
 
 
 def run_suite(names, config=None):
@@ -388,7 +403,7 @@ def run_suite(names, config=None):
     try:
         cp = config if isinstance(config, configparser.ConfigParser) \
             else load_config(config)
-        seed = cp.getint("solver", "seed")
+        seed = _config_seed(cp)
         trials = cp.getint("suites", "trials")
         samples = cp.getint("suites", "samples")
         subdivs = tuple(int(s) for s in

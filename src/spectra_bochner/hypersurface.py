@@ -1,8 +1,8 @@
 """Immersed hypersurfaces in space forms.
 
 Fundamental forms, shape operator A, mean curvature H (trace convention,
-H = sum of principal curvatures), Newton transformation P1 = H I - A, the
-cubic polynomial Q(A), and sampled pinching constants (alpha, a, sigma).
+H = sum of principal curvatures), Newton transformation P1 = H I - A and
+sampled pinching constants (alpha, a, sigma).
 
 Flat ambient (kappa = 0) immersions map a chart into R^{n+1}; positively
 curved ambients (kappa > 0) are realized inside the round sphere of radius
@@ -167,23 +167,6 @@ def shape_at(hs, u, chart_idx=0):
     lead = u.shape[:-1]
     return ShapeData(**{k: v.reshape(lead + v.shape[1:])
                         for k, v in fields.items()})
-
-
-def q_polynomial(sd, kappa):
-    """Q(A) = 2A^3 - 3H A^2 + (2H^2 - |A|^2 - kappa(n-2)) A + kappa(2n-3) H I.
-
-    A may carry leading batch axes (..., n, n); kappa is then a scalar or an
-    array over those axes.
-    """
-    A = np.asarray(sd.A if isinstance(sd, ShapeData) else sd, dtype=float)
-    n = A.shape[-1]
-    H = np.trace(A, axis1=-2, axis2=-1)[..., None, None]
-    normA2 = np.sum(A * A, axis=(-2, -1))[..., None, None]
-    kappa = np.asarray(kappa, dtype=float)[..., None, None]
-    A2 = A @ A
-    return (2.0 * A2 @ A - 3.0 * H * A2
-            + (2.0 * H ** 2 - normA2 - kappa * (n - 2.0)) * A
-            + kappa * (2.0 * n - 3.0) * H * np.eye(n))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from spectra_bochner import bounds as bd, boxop, discretize as dz
 from spectra_bochner import harness as hz
-from spectra_bochner import hypersurface as hyp
 from spectra_bochner.errors import ConfigError
+
+from oracles import q_polynomial
 
 
 class TestTraceInequality:
@@ -80,7 +81,7 @@ class TestTraceInequality:
         assert rep["worst_defect"] == pytest.approx(np.min(defects),
                                                     rel=1e-12)
         assert rep["violations"] == int(np.sum(defects < -1e-10))
-        assert rep["equality_hits"] == int(np.sum(defects < 1e-10))
+        assert rep["equality_hits"] == int(np.sum(np.abs(defects) < 1e-10))
 
     @pytest.mark.parametrize("seed", [42, 1000])
     def test_planted_violations_detected(self, seed):
@@ -89,17 +90,27 @@ class TestTraceInequality:
         assert rep["violations"] > 0
         assert rep["worst_defect"] < -1e-10
 
+    def test_planted_violations_are_not_equality_hits(self):
+        # a violation is a defect below -1e-10, far from equality; at seed
+        # 42 the detector once counted all 337 of them as hits and as false
+        # positives
+        rep = hz.newton_inequality_trials(hz.TrialConfig(2000, 42),
+                                          planted=True)
+        assert rep["violations"] == 337
+        assert rep["equality_hits"] == 0
+        assert rep["equality_false_positives"] == 0
+
 
 class TestQaBound:
     def test_hand_computed_point(self):
-        Q = hyp.q_polynomial(np.diag([1.0, 1.1, 1.2]), 1.0)
+        Q = q_polynomial(np.diag([1.0, 1.1, 1.2]), 1.0)
         assert bd.l1_core(3, 1.0, 1.2, 1.0) == pytest.approx(14.24)
         assert float(np.min(np.diag(Q))) >= 14.24
 
     def test_umbilic_equality(self):
         for kappa in (1.0, -0.5):
             n, alpha = 4, 1.3
-            Q = hyp.q_polynomial(alpha * np.eye(n), kappa)
+            Q = q_polynomial(alpha * np.eye(n), kappa)
             expect = 2.0 * (n - 1) ** 2 * alpha * (alpha ** 2 + kappa)
             assert float(np.min(np.diag(Q))) == pytest.approx(expect)
             assert bd.l1_core(n, alpha, 1.0, kappa) == pytest.approx(expect)
@@ -114,6 +125,35 @@ class TestQaBound:
         rep = hz.qa_bound_trials(hz.TrialConfig(trials=2000),
                                  kappa_sign="negative", planted=True)
         assert rep["violations"] > 0
+
+    @pytest.mark.parametrize("sign", ["positive", "negative"])
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_stream_replays_trial_by_trial(self, sign, planted):
+        # re-draw the stream in its documented order and evaluate each
+        # trial on its own with the matrix oracle
+        trials, seed = 2 * hz.QA_BATCH + 5, 11
+        rng = np.random.default_rng(seed + (sign == "negative"))
+        dims = rng.integers(hz.DIM_LO, hz.DIM_HI + 1, size=trials)
+        alphas = rng.uniform(0.2, 2.0, size=trials)
+        aas = rng.uniform(1.0, 2.0, size=trials)
+        kappas = (rng.uniform(1e-6, 2.0, size=trials) if sign == "positive"
+                  else rng.uniform(-2.0, 0.0, size=trials))
+        lo, hi = ((0.5 * alphas, 2.0 * aas * alphas) if planted
+                  else (alphas, aas * alphas))
+        h = rng.uniform(lo[:, None], hi[:, None], size=(trials, hz.DIM_HI))
+        defects = np.array([
+            (np.min(np.diag(q_polynomial(np.diag(x[:n]), k)))
+             - bd.l1_core(n, alpha, a, k)) / alpha ** 3
+            for n, alpha, a, k, x in zip(dims, alphas, aas, kappas, h)])
+        masked = hz._qa_defects(dims, alphas, aas, kappas, h)
+        assert np.all(np.abs(masked - defects)
+                      <= 1e-12 * np.maximum(1.0, np.abs(defects)))
+        rep = hz.qa_bound_trials(hz.TrialConfig(trials, seed),
+                                 kappa_sign=sign, planted=planted)
+        assert rep["violations"] == int(np.sum(defects < -1e-10))
+        assert (rep["violations"] > 0) == planted
+        assert rep["worst_defect"] == pytest.approx(np.min(defects),
+                                                    rel=1e-12)
 
 
 class TestSuites:
@@ -179,6 +219,22 @@ class TestSuites:
         p.write_text(text)
         with pytest.raises(ConfigError, match="unknown config"):
             hz.load_config(str(p))
+
+    @pytest.mark.parametrize("trials", [
+        lambda: hz.newton_inequality_trials(hz.TrialConfig(10, -1)),
+        lambda: hz.qa_bound_trials(hz.TrialConfig(10, -1), "negative")],
+        ids=["newton", "qa"])
+    def test_trials_refuse_negative_seed(self, trials):
+        # the qa stream seeds seed + 1, so -1 once ran seed 0's stream
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            trials()
+
+    def test_run_suite_refuses_negative_seed(self):
+        cp = hz.load_config()
+        cp["solver"]["seed"] = "-1"
+        code, summary = hz.run_suite(["newton"], cp)
+        assert code == hz.EXIT_CONFIG
+        assert "seed must be non-negative, got -1" in summary["error"]
 
     def test_run_suite_newton_planted_control(self):
         cp = hz.load_config()
