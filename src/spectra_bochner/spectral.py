@@ -1,23 +1,21 @@
 """First nonzero eigenvalue of K u = mu M u, plus closed-form sphere spectra.
 
-The pencil is singular (constants span the kernel of K).  Periodic grids are
-solved by LOBPCG constrained M-orthogonal to the constants and
-preconditioned through the FFT by the pencil with cell-averaged
-coefficients, shifted by 0.9 times that pencil's mu1 (read off its Fourier
-symbols); nothing is factored and no shift enters their mu1.  Every
-other operator is solved by shift-inverted Lanczos on (K + eps*M)^{-1} M
-with a tiny regularization eps and explicit M-orthogonal deflation of the
-constant mode, K + eps*M factored once in a coordinate nested-dissection
-order of the nodes.  Round spheres have closed-form spectra for the
-Laplacian, the Schouten operator, and the linearized operator L1 of an
-umbilic geodesic sphere, used as oracles.
+The pencil is singular (constants span the kernel of K).  One block LOBPCG,
+kept M-orthogonal to the constants, solves every operator; only its
+preconditioner follows the domain kind.  Periodic grids use the FFT inverse
+of the pencil with cell-averaged coefficients, shifted by 0.9 times that
+pencil's mu1 (read off its Fourier symbols), and factor nothing.  Every
+other operator uses one SuperLU factor of K + eps*M with a tiny eps, taken
+in a coordinate nested-dissection order of the nodes.  No shift enters a
+mu1.  Round spheres have closed-form spectra for the Laplacian, the
+Schouten operator, and the linearized operator L1 of an umbilic geodesic
+sphere, used as oracles.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict
 
@@ -87,50 +85,36 @@ def _nested_dissection(A, points):
     return np.concatenate(order)
 
 
-# LOBPCG iterations per run, and runs from the block the last one returned
+# LOBPCG iterations (residual checks) before NoConvergence
 LOBPCG_MAXITER = 1000
-LOBPCG_RUNS = 4
 # the grid preconditioner's shift sigma, as a fraction of the averaged
 # pencil's mu1
 LOBPCG_SHIFT = 0.9
+# SVQB drops the directions of a basis whose unit-diagonal Gram matrix has
+# an eigenvalue below this fraction of its largest
+SVQB_DROP = 1e-10
 
 
-def _shift_invert_lanczos(op, K, M, k, tol, rng, scale, m1, vol):
-    """(mu, U, stats) from shift-inverted Lanczos on the factored K + eps*M:
-    k + 2 Ritz pairs, the constant mode among them.  The start vector is
-    M-orthogonal to the constants (m1 = M 1, vol = 1'M1)."""
-    N = K.shape[0]
-    eps = 1e-8 * scale
-    v0 = rng.standard_normal(N)
-    v0 -= float(m1 @ v0) / vol
-    want = min(k + 2, N - 2)
-    solves = 0
-
-    def shift_invert(x):  # (K + eps*M)^{-1} x through the permuted factor
-        nonlocal solves
-        solves += 1
-        y = np.empty(N)
-        y[perm] = lu.solve(np.ravel(x)[perm])
-        return y
-
+def _splu_preconditioner(points, K, M, eps):
+    """(P, stats): the inverse of K + eps*M, applied through one SuperLU
+    factor taken in a coordinate nested-dissection order of the nodes."""
     t0 = time.perf_counter()
     A = (K + eps * M).tocsr()
-    perm = _nested_dissection(A, op.points)
+    perm = _nested_dissection(A, points)
     try:
         lu = spla.splu(A[perm][:, perm].tocsc(), permc_spec="NATURAL")
-        factor_s = time.perf_counter() - t0
-        mu, U = spla.eigsh(K, k=want, M=M, sigma=-eps, which="LM", v0=v0,
-                           tol=min(tol, 1e-10), maxiter=5000,
-                           OPinv=spla.LinearOperator((N, N), shift_invert,
-                                                     dtype=float))
-    except spla.ArpackNoConvergence as exc:
-        raise NoConvergence("Lanczos did not converge: %s" % exc,
-                            eigenvalues=getattr(exc, "eigenvalues", None),
-                            residuals=None) from exc
     except RuntimeError as exc:
         raise FactorizationFailure(str(exc)) from exc
-    return mu, U, {"shift": eps, "fill": int(lu.nnz), "factor_s": factor_s,
-                   "solves": solves}
+    stats = {"shift": eps, "fill": int(lu.nnz),
+             "factor_s": time.perf_counter() - t0, "solves": 0}
+
+    def precondition(x):   # one solve per row
+        stats["solves"] += x.shape[0]
+        y = np.empty_like(x)
+        y[:, perm] = lu.solve(x[:, perm].T).T
+        return y
+
+    return precondition, stats
 
 
 def _fft_preconditioner(symbols):
@@ -145,137 +129,152 @@ def _fft_preconditioner(symbols):
     P weights a mode of symbol ratio nu by nu / (nu - sigma), 10 on the
     averaged pencil's first mode and near 1 high in the spectrum, which
     widens the relative gap between mu1 and the modes above it that sets
-    LOBPCG's iteration count.
+    LOBPCG's iteration count.  P maps a block of c rows of length N to
+    another.
     """
     stiff, mass = symbols
-    shape, N = stiff.shape, stiff.size
+    shape = stiff.shape
     ratio = stiff / mass
     ratio.flat[0] = np.inf
     nu1 = float(ratio.min())
     sigma = LOBPCG_SHIFT * nu1
     half = (stiff - sigma * mass)[..., :shape[-1] // 2 + 1]
     half.flat[0] = mass.flat[0]
-    axes = tuple(range(len(shape)))
+    inverse = 1.0 / half
+    axes = tuple(range(1, len(shape) + 1))
 
     def precondition(x):
-        xg = x.reshape(shape + (-1,))
-        y = np.fft.irfftn(np.fft.rfftn(xg, axes=axes) / half[..., None],
-                          s=shape, axes=axes)
+        y = np.fft.irfftn(np.fft.rfftn(x.reshape((-1,) + shape), axes=axes)
+                          * inverse, s=shape, axes=axes)
         return y.reshape(x.shape)
 
-    P = spla.LinearOperator((N, N), matvec=precondition,
-                            matmat=precondition, dtype=float)
-    return P, sigma, nu1
+    return precondition, sigma, nu1
 
 
-def _lobpcg_fft(K, M, symbols, k, tol, rng, scale, vol):
-    """(mu, U, stats) from LOBPCG on K u = mu M u, M-orthogonal to the
-    constants, preconditioned by ``_fft_preconditioner``.
+def _svqb(G):
+    """Z with Z' G Z = I on the kept directions of a basis with Gram matrix
+    G (SVQB, Duersch, Shao, Yang & Gu 2018): G is scaled to a unit
+    diagonal and its eigen-directions below SVQB_DROP of the largest are
+    dropped.  A zero column keeps the scale 1, so its zero eigenvalue drops
+    it."""
+    d = np.diag(G).copy()
+    d[d <= 0.0] = 1.0
+    d = 1.0 / np.sqrt(d)
+    theta, V = np.linalg.eigh(G * d * d[:, None])
+    keep = theta > SVQB_DROP * theta[-1]
+    return d[:, None] * (V[:, keep] / np.sqrt(theta[keep]))
 
-    Convergence asks ||K x - mu M x|| <= tol * scale * sqrt(vol / N) of
-    every M-normalized column x: scale * vol / N estimates ||K|| and
-    sqrt(N / vol) the 2-norm of x.  scipy locks a column once it is below
-    its tolerance and does not check it again, and later Rayleigh-Ritz
-    steps can lift a locked column above it (seen at k >= 2 in the 4-fold
-    mu1 cluster of the perturbed 3-torus).  So the residuals are checked
-    here, and a new run starts from the block the last one returned, with
-    scipy's tolerance a tenth of the last run's.
+
+def _lobpcg(K, M, precondition, k, limit, rng, m1, vol):
+    """(mu, X, residuals, stats): the k smallest eigenpairs of K u = mu M u
+    M-orthogonal to the constants (m1 = M 1, vol = 1'M1), by block LOBPCG
+    (Knyazev 2001) preconditioned by ``precondition``.
+
+    Blocks hold their vectors as rows.  T stacks a basis S = [X D W] with
+    K S and M S as T[0], T[1], T[2]: X the Ritz vectors, D the directions,
+    W the preconditioned residuals of the Ritz vectors whose residual is
+    above ``limit`` (a converged vector is not locked: it rejoins them when
+    its residual rises).  Each iteration applies K, M and the
+    preconditioner once, to W, after W is made M-orthogonal to [X D] and to
+    the constants; the Rayleigh-Ritz step on S runs through ``_svqb``, and
+    one matmul of the coefficients by T updates X, D and their products
+    together.  D is kept M-orthonormal and M-orthogonal to X.  A block
+    whose residuals ||K x - mu M x|| are all within ``limit`` is accepted
+    only once they are recomputed from explicit K X and M X.
     """
-    N = K.shape[0]
-    if 5 * k >= N:   # scipy's lobpcg would turn to a dense solver
-        raise ConfigError("k = %d is too large for LOBPCG on %d nodes"
-                          % (k, N))
-    t0 = time.perf_counter()
-    P, sigma, nu1 = _fft_preconditioner(symbols)
-    X = rng.standard_normal((N, k))
-    limit = tol * scale * math.sqrt(vol / N)
-    setup_s = time.perf_counter() - t0
-    history = []
-    for run in range(LOBPCG_RUNS):
-        with warnings.catch_warnings():   # unconverged runs are caught below
-            warnings.simplefilter("ignore")
-            mu, X, hist = spla.lobpcg(K, X, B=M, M=P, Y=np.ones((N, 1)),
-                                      tol=limit * 0.1 ** run,
-                                      maxiter=LOBPCG_MAXITER,
-                                      largest=False,
-                                      retResidualNormsHistory=True)
-        history += [float(np.max(r)) for r in hist]
-        res = np.linalg.norm(K @ X - (M @ X) * mu, axis=0)
-        if np.max(res) <= limit:
-            return mu, X, {"iterations": len(history), "setup_s": setup_s,
-                           "residual_history": history,
-                           "preconditioner_shift": sigma, "nu1": nu1}
-    raise NoConvergence("LOBPCG did not converge in %d iterations: residuals "
-                        "%s above %.3g" % (len(history), res.tolist(), limit),
-                        eigenvalues=mu, residuals=res)
+    def products(V):   # [V, K V, M V] for a block of rows V
+        return np.stack([V, (K @ V.T).T, (M @ V.T).T])
+
+    X = rng.standard_normal((K.shape[0], k)).T
+    T = products(X - (X @ m1)[:, None] / vol)
+    explicit, history = True, []
+    while True:
+        KSMS = T[0] @ T[1:].transpose(0, 2, 1)
+        Z = _svqb(KSMS[1])
+        lam, Y = np.linalg.eigh(Z.T @ KSMS[0] @ Z)
+        C = Z @ Y[:, :k]
+        mu = lam[:k]
+        if not explicit:   # directions: the [D W] part of the active Ritz
+            Cd = C[:, active]          # vectors, M-orthonormalized against X
+            Cd[:k] = 0.0
+            Cd -= C @ (C.T @ (KSMS[1] @ Cd))
+            C = np.hstack([C, Cd @ _svqb(Cd.T @ KSMS[1] @ Cd)])
+        XD = C.T @ T
+        R = XD[1, :k] - mu[:, None] * XD[2, :k]
+        res = np.linalg.norm(R, axis=1)
+        history.append(float(res.max()))
+        if res.max() <= limit:
+            if explicit:
+                return mu, XD[0, :k].T.copy(), res, {
+                    "iterations": len(history), "residual_history": history}
+            T = products(XD[0, :k])
+            explicit = True
+            continue
+        if len(history) >= LOBPCG_MAXITER:
+            raise NoConvergence("LOBPCG did not converge in %d iterations: "
+                                "residuals %s above %.3g"
+                                % (len(history), res.tolist(), limit),
+                                eigenvalues=mu, residuals=res)
+        active = res > limit
+        W = precondition(R[active])
+        W -= (W @ XD[2].T) @ XD[0]
+        W -= (W @ m1)[:, None] / vol
+        T = np.concatenate([XD, products(W)], axis=1)
+        explicit = False
 
 
 def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
     """k smallest nonzero eigenvalues of K u = mu M u.
 
-    K must be PSD with constants spanning its kernel and M SPD.  The solver
-    follows the domain kind, named by ``diagnostics["solver"]``:
-    ``"lobpcg-fft"`` on periodic grids (``op.symbols`` set), reporting
-    ``iterations``, ``setup_s``, the block's largest residual per
-    iteration (``residual_history``), the averaged pencil's mu1 ``nu1``
-    and the preconditioner's shift sigma (``preconditioner_shift``);
-    ``"splu-shift-invert"`` otherwise,
-    reporting the ``shift`` eps, the ``fill`` of K + eps*M's factor (the
-    nonzeros SuperLU stores for L and U, ``SuperLU.nnz``: reading ``.L``
-    and ``.U`` would copy the factor), ``factor_s`` (ordering plus
-    factorization) and the number of shift-invert ``solves``.  Raises
-    ConfigError for k < 1 or a tol that is not positive and finite.
+    K must be PSD with constants spanning its kernel and M SPD.  ``_lobpcg``
+    solves every operator and accepts a block once each residual
+    ||K x - mu M x|| of its M-normalized columns is within
+    tol * scale * sqrt(vol / N), where scale = sum|K| / sum|M| makes
+    scale * vol / N an estimate of ||K|| and sqrt(N / vol) one of ||x||.
+    The vectors are M-orthonormal, the eigenvalues their Rayleigh quotients
+    and the residuals ||K u - mu M u|| / ||u||.  The preconditioner follows
+    the domain kind, named by ``diagnostics["solver"]``: ``"lobpcg-fft"``
+    on periodic grids (``op.symbols`` set), reporting the averaged pencil's
+    mu1 ``nu1``, the shift sigma (``preconditioner_shift``) and ``setup_s``;
+    ``"lobpcg-splu"`` otherwise, reporting the ``shift`` eps, the ``fill``
+    of K + eps*M's factor (the nonzeros SuperLU stores for L and U,
+    ``SuperLU.nnz``: reading ``.L`` and ``.U`` would copy the factor),
+    ``factor_s`` (ordering plus factorization) and the ``solves``, one per
+    vector.  Both report the ``iterations`` and the block's largest
+    residual per iteration (``residual_history``).  Raises ConfigError for
+    k < 1, for k >= N (N nodes carry N - 1 nonzero eigenvalues) or a tol
+    that is not positive and finite.
     """
     if k < 1:
         raise ConfigError("k must be at least 1, got %r" % (k,))
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigError("tol must be positive and finite, got %r" % (tol,))
     K, M = op.K, op.M
-    if op.symbols is None:   # the factorization path works in CSC
-        K, M = K.tocsc(), M.tocsc()
     N = K.shape[0]
-    scale = abs(K).sum() / max(1.0, abs(M).sum())
+    if k >= N:
+        raise ConfigError("k = %d needs more than the %d nonzero eigenvalues "
+                          "of a pencil on N = %d nodes" % (k, N - 1, N))
+    scale = np.abs(K.data).sum() / max(1.0, np.abs(M.data).sum())
+    m1 = M @ np.ones(N)
+    vol = float(m1.sum())
+    limit = tol * scale * math.sqrt(vol / N)
 
-    ones = np.ones(N)
-    m1 = M @ ones
-    vol = float(ones @ m1)
-
-    rng = np.random.default_rng(seed)
     if op.symbols is None:
-        solver = "splu-shift-invert"
-        mu, U, stats = _shift_invert_lanczos(op, K, M, k, tol, rng, scale,
-                                             m1, vol)
+        solver = "lobpcg-splu"
+        precondition, stats = _splu_preconditioner(op.points, K, M,
+                                                   1e-8 * scale)
     else:
         solver = "lobpcg-fft"
-        mu, U, stats = _lobpcg_fft(K, M, op.symbols, k, tol, rng, scale, vol)
-    idx = np.argsort(mu)
-    mu, U = mu[idx], U[:, idx]
-    # drop the constant mode: dominant M-overlap with 1, eigenvalue near 0
-    overlap = np.abs(m1 @ U) / (math.sqrt(vol)
-                                * np.sqrt(np.einsum("ij,ij->j", U, M @ U)))
-    keep = ~((overlap > 0.9) & (np.abs(mu) < 1e-6 * max(scale, 1.0)))
-    mu, U = mu[keep], U[:, keep]
-    if mu.size < k:
-        raise NoConvergence("only %d nonzero eigenvalues found" % mu.size,
-                            eigenvalues=mu, residuals=None)
-    mu, U = mu[:k], U[:, :k]
-
-    # M-orthonormalize and measure residuals
-    for j in range(k):
-        u = U[:, j]
-        for i in range(j):
-            u = u - float(U[:, i] @ (M @ u)) * U[:, i]
-        nrm = math.sqrt(float(u @ (M @ u)))
-        U[:, j] = u / nrm
-    res = np.array([np.linalg.norm(K @ U[:, j] - mu[j] * (M @ U[:, j]))
-                    / np.linalg.norm(U[:, j]) for j in range(k)])
-    # Rayleigh-quotient refinement of the reported values
-    mu = np.array([float(U[:, j] @ (K @ U[:, j])) for j in range(k)])
-    idx = np.argsort(mu)
-    mu, U, res = mu[idx], U[:, idx], res[idx]
+        t0 = time.perf_counter()
+        precondition, sigma, nu1 = _fft_preconditioner(op.symbols)
+        stats = {"setup_s": time.perf_counter() - t0,
+                 "preconditioner_shift": sigma, "nu1": nu1}
+    mu, U, res, run = _lobpcg(K, M, precondition, k, limit,
+                              np.random.default_rng(seed), m1, vol)
     diag = {"solver": solver, "k": k, "seed": seed, "size": N, **stats,
-            "record": dict(op.record)}
-    return EigenResult(eigenvalues=mu, eigenvectors=U, residuals=res,
+            **run, "record": dict(op.record)}
+    return EigenResult(eigenvalues=mu, eigenvectors=U,
+                       residuals=res / np.linalg.norm(U, axis=0),
                        diagnostics=diag)
 
 

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sl
 
 from spectra_bochner import cli, discretize as dz
 
@@ -110,6 +111,29 @@ class TestEig:
         assert diag["setup_s"] >= 0.0
         assert "fill" not in diag and "shift" not in diag
         assert 0.0 < diag["preconditioner_shift"] < diag["nu1"]
+
+    def test_sixth_eigenvalue_is_in_the_first_cluster(self, capsys):
+        # the second nonzero cluster of icosphere 4 is five-fold at 6.0174;
+        # shift-inverted Lanczos printed 12.0610 as the sixth value
+        code, out, _ = run(capsys, "--seed", "42", "--json", "eig",
+                           "--surface", "sphere", "--subdiv", "4", "--k", "6")
+        assert code == 0
+        mu = np.array(json.loads(out)["eigenvalues"])
+        assert np.ptp(mu[3:]) <= 1e-8 and mu[5] < 6.1
+
+    def test_k_below_mesh_nodes(self, capsys):
+        # icosphere 0 has 12 nodes, so 11 nonzero eigenvalues
+        code, out, err = run(capsys, "eig", "--surface", "sphere",
+                             "--subdiv", "0", "--k", "12")
+        assert (code, out) == (2, "")
+        assert "k = 12" in err and "N = 12" in err
+        code, out, _ = run(capsys, "--json", "eig", "--surface", "sphere",
+                           "--subdiv", "0", "--k", "11")
+        assert code == 0
+        op = dz.assemble(dz.icosphere(0), dz.metric_coefficient())
+        dense = sl.eigh(op.K.toarray(), op.M.toarray(), eigvals_only=True)
+        assert np.allclose(json.loads(out)["eigenvalues"], dense[1:],
+                           rtol=1e-8, atol=0.0)
 
     @pytest.mark.parametrize("domain,opt,value", [
         (("--surface", "sphere", "--subdiv", "1"), "--k", "0"),
