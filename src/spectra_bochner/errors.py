@@ -14,7 +14,7 @@ class DegenerateImmersion(SpectraError):
 
 
 class NotConvex(SpectraError):
-    """A sampled principal curvature, or a bound's alpha, is non-positive."""
+    """A bound's alpha is non-positive."""
 
 
 class NotPositiveDefinite(SpectraError):

@@ -753,7 +753,7 @@ def parse_spec(spec, grammar, what):
             raise ValueError("%d positional values, expected %d"
                              % (len(values), count))
         return build(*match.groups(), *values, **opts)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, ConfigError) as exc:
         raise ConfigError("bad %s spec %r: %s" % (what, spec, exc)) from exc
 
 

@@ -307,9 +307,9 @@ def sphere_equality_suite():
 
 
 def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=(4, 5), seed=42):
-    """FEM mu1(L1) on the ellipsoid against the bound from pinching
-    constants sampled at 400 points; refinement across the given
-    subdivision levels, at least two, which must increase.
+    """FEM mu1(L1) on the ellipsoid against the bound from its pinching
+    constants, those sampled named in ``pinching["sampled"]``; refinement
+    across the given subdivision levels, at least two, which must increase.
 
     The scheme is O(h^2) and h halves per subdivision, so with d the last
     step in subdivisions the last difference over 4^d - 1 estimates the
@@ -325,8 +325,7 @@ def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=(4, 5), seed=42):
         raise ConfigError("subdivisions must increase, got %r"
                           % (tuple(subdivs),))
     ax = [float(v) for v in semiaxes]
-    surf = hyp.ellipsoid_surface(*ax)
-    pc = hyp.pinching_constants(surf, geom.SamplePlan(points=400, seed=seed))
+    pc = hyp.pinching_constants(ax, geom.SamplePlan(points=400, seed=seed))
     bound = bd.newton_bound(2, 0.0, pc.alpha, pc.a, pc.sigma)
     levels = []
     mus = []
@@ -349,9 +348,8 @@ def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=(4, 5), seed=42):
         rep = bd.compare(bound, lv["mu1"], err_est)
         lv.update(bound=bound, margin=rep.margin, verdict=rep.verdict)
     # rep is now the finest level's report
-    return {"semiaxes": ax, "pinching": {"alpha": pc.alpha, "a": pc.a,
-                                         "sigma": pc.sigma,
-                                         "constant_H": pc.constant_H},
+    sampled = [] if pc.constant_H else ["sigma"]
+    return {"semiaxes": ax, "pinching": {**vars(pc), "sampled": sampled},
             "levels": levels, "error_estimate": err_est,
             "extrapolated_mu1": mus[-1] + step, "observed_order": order,
             "bound": bound, "vacuous": rep.vacuous,

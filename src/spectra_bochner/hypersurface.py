@@ -2,7 +2,8 @@
 
 Fundamental forms, shape operator A, mean curvature H (trace convention,
 H = sum of principal curvatures), Newton transformation P1 = H I - A and
-sampled pinching constants (alpha, a, sigma).
+the pinching constants (alpha, a, sigma) of ellipsoids, sigma sampled from
+a closed-form Hessian of H and alpha, a in closed form.
 
 Flat ambient (kappa = 0) immersions map a chart into R^{n+1}; positively
 curved ambients (kappa > 0) are realized inside the round sphere of radius
@@ -21,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import geometry as geom
-from .errors import ConfigError, DegenerateImmersion, NotConvex
+from .errors import ConfigError, DegenerateImmersion
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +59,6 @@ class ImmersedHypersurface:
     kappa: float
     charts: Sequence[ImmersionChart]
     orient_signs: Tuple[float, ...]
-    flip_normal: bool = False
     name: str = ""
 
     @property
@@ -71,21 +71,12 @@ class ImmersedHypersurface:
             return tuple(np.diag(B).tolist())
         return None
 
-    def sign(self, chart_idx):
-        s = self.orient_signs[chart_idx]
-        return -s if self.flip_normal else s
-
-    def flipped(self):
-        return replace(self, flip_normal=not self.flip_normal)
-
     def sample_points(self, count, rng):
         """Sample points over the charts' unit disks as whole arrays.
 
         Returns (chart_idx (count,), U (count, n)): point k lies in chart
         k mod ncharts, in a uniform direction at radius sqrt(r), r uniform
-        on [0.02, 1).  The stream is one draw of the radii and one of the
-        directions, so a seed gives other points, and other sampled
-        constants, than the earlier per-point draws did.
+        on [0.02, 1), from one draw of the radii and one of the directions.
         """
         chart_idx = np.arange(count) % len(self.charts)
         r = rng.uniform(0.02, 1.0, size=count)
@@ -126,12 +117,6 @@ class ShapeData:
     point: np.ndarray      # ambient position
 
 
-def _dot(x, y):
-    """x . y over the last axis, rounded like a 1-D ``x @ y`` (the
-    reason is given in _unit_sphere_chart_jets)."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
 def shape_at(hs, u, chart_idx=0):
     """Shape operator data at a chart point u (n,) or a stack u (P, n)."""
     u = np.asarray(u, dtype=float)
@@ -144,16 +129,16 @@ def shape_at(hs, u, chart_idx=0):
         raise DegenerateImmersion("induced metric singular at %r"
                                   % (U[np.argmax(bad)],))
     if hs.kappa > 0.0:
-        X1 = X / np.sqrt(_dot(X, X))[:, None]
+        X1 = X / np.linalg.norm(X, axis=-1)[:, None]
         span = np.concatenate([J, X1[:, None, :]], axis=1)
     else:
         span = J
     nu = generalized_cross(span)
-    nn = np.sqrt(_dot(nu, nu))
+    nn = np.linalg.norm(nu, axis=-1)
     if (nn == 0.0).any():
         raise DegenerateImmersion("immersion not regular at %r"
                                   % (U[np.argmax(nn == 0.0)],))
-    nu = hs.sign(chart_idx) * nu / nn[:, None]
+    nu = hs.orient_signs[chart_idx] * nu / nn[:, None]
     h = np.einsum("pabm,pm->pab", H2, nu)
     E = geom.orthonormal_frame(g)
     A = np.swapaxes(E, -1, -2) @ h @ E
@@ -201,10 +186,6 @@ def newton1_field(hs, chart_idx=0):
     return geom.Field(jets, rank=2, name="newton1")
 
 
-def mean_curvature_field(hs, chart_idx=0):
-    return geom.Field(lambda u, order: [shape_at(hs, u, chart_idx).H])
-
-
 # ---------------------------------------------------------------------------
 # pinching constants
 
@@ -216,44 +197,31 @@ class PinchingConstants:
     constant_H: bool
 
 
-def pinching_constants(hs, plan=geom.SamplePlan(points=400)):
-    """Sampled (alpha, a, sigma) for the eigenvalue-bound hypotheses.
+def pinching_constants(semiaxes, plan=geom.SamplePlan(points=400)):
+    """(alpha, a, sigma) of the ellipsoid with these semiaxes, for the
+    eigenvalue-bound hypotheses.
 
-    alpha = min sampled principal curvature, a = max/alpha; sigma is the max
-    over sampled (p, v) of tr(Hess H | v-perp), which reduces to
-    Delta H - min eigenvalue of Hess H.  Constant-H surfaces short-circuit to
-    sigma = 0.  The points are one whole-array draw of ``sample_points``
-    seeded by ``plan.seed`` (so the constants of a seed differ from those
-    of the earlier per-point draws); sigma is taken over the first
-    max(40, points // 4) of them.
+    The principal curvatures range over [s_min/s_max^2, s_max/s_min^2],
+    s_min and s_max the shortest and longest semiaxes, with both ends
+    attained at vertices, so alpha = s_min/s_max^2 and a = (s_max/s_min)^3.
+    H is constant only on a sphere, where sigma = 0.  Otherwise sigma is
+    the max of tr(Hess H | v-perp) = Delta H - min eigenvalue of Hess H
+    over the six vertices and ``plan.points`` normal draws seeded by
+    ``plan.seed``, put on the unit sphere and scaled by the semiaxes: a
+    sampled value, which can fall below the true maximum.
     """
-    cis, U = hs.sample_points(plan.points, np.random.default_rng(plan.seed))
-    lam = np.empty((len(cis), hs.n))
-    for ci in range(len(hs.charts)):
-        lam[cis == ci] = shape_at(hs, U[cis == ci], ci).principal
-    bad = lam[:, 0] <= 0.0
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise NotConvex("principal curvature %g <= 0 at %r" % (lam[k, 0], U[k]))
-    lo, hi = float(np.min(lam[:, 0])), float(np.max(lam[:, -1]))
-    Hvals = np.sum(lam, axis=1)
-    hscale = max(1.0, float(np.max(np.abs(Hvals))))
-    constant_H = float(np.max(Hvals) - np.min(Hvals)) <= 1e-8 * hscale
-
-    if constant_H:
-        sigma = 0.0
-    else:
-        nsig = min(len(cis), max(40, plan.points // 4))
-        hess = np.empty((nsig, hs.n, hs.n))
-        for ci in np.unique(cis[:nsig]):
-            sel = cis[:nsig] == ci
-            geo = geom.point_geometry(induced_metric_manifold(hs, ci).chart(),
-                                      U[:nsig][sel])
-            hess[sel] = geom.scalar_jets(geo, mean_curvature_field(hs, ci), 2)[2]
-        w = np.linalg.eigvalsh(0.5 * (hess + np.swapaxes(hess, -1, -2)))
+    d = _positive(*semiaxes)
+    lo, hi = float(np.min(d)), float(np.max(d))
+    constant_H = lo == hi
+    sigma = 0.0
+    if not constant_H:
+        v = np.random.default_rng(plan.seed).normal(size=(plan.points, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        points = np.concatenate([np.diag(d), -np.diag(d), v * d])
+        w = np.linalg.eigvalsh(ellipsoid_mean_curvature_hessian(points, d))
         sigma = float(np.max(np.sum(w, axis=-1) - w[:, 0]))
-    return PinchingConstants(alpha=lo, a=hi / lo, sigma=sigma,
-                             constant_H=constant_H)
+    return PinchingConstants(alpha=lo / hi ** 2, a=(hi / lo) ** 3,
+                             sigma=sigma, constant_H=constant_H)
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +237,8 @@ def _unit_sphere_chart_jets(pole, U):
     """
     U = np.asarray(U, dtype=float)
     eye = np.eye(U.shape[-1])
-    q = 1.0 + _dot(U, U)[..., None, None]
-    # q^2 and q^3 by Python's float pow (libm), not numpy's vectorized
-    # power, which rounds differently in the last bit: sigma is a nested
-    # finite difference of H that magnifies such a change about 1e10 times
-    q2, q3 = (np.reshape([v ** k for v in q.ravel().tolist()], q.shape)
-              for k in (2.0, 3.0))
-    w = [2.0 / q, -2.0 / q2, 4.0 / q3]   # d^k w / ds^k
+    q = 1.0 + np.sum(U * U, axis=-1)[..., None, None]
+    w = [2.0 / q, -2.0 / q ** 2, 4.0 / q ** 3]   # d^k w / ds^k
     uu = U[..., :, None] * U[..., None, :]
     # derivatives of F(u) = w(|u|^2): dF (..., n, 1), d2F (..., n, n)
     dF = 2.0 * w[1] * U[..., :, None]
@@ -289,6 +252,15 @@ def _unit_sphere_chart_jets(pole, U):
                          + d2F[..., None] * U[..., None, None, :],
                          -pole * d2F[..., None]], axis=-1)
     return X, J, H2
+
+
+def _positive(*values):
+    """The semiaxes or radius as a float array; ConfigError unless all > 0."""
+    d = np.array(values, dtype=float)
+    if not np.all(d > 0.0):
+        raise ConfigError("semiaxes and radii must be positive, got %s"
+                          % ", ".join("%g" % v for v in d))
+    return d
 
 
 def _sphere_charts(ambient, offset=None):
@@ -310,13 +282,13 @@ def _orient_for_positive_H(n, kappa, charts, name):
 
 def sphere_surface(r=1.0, n=2):
     """Round n-sphere of radius r in R^{n+1} (A = I/r with inward normal)."""
-    charts = _sphere_charts(float(r) * np.eye(n + 1))
+    charts = _sphere_charts(_positive(r) * np.eye(n + 1))
     return _orient_for_positive_H(n, 0.0, charts, "sphere:r=%g" % r)
 
 
 def ellipsoid_surface(a1=1.0, a2=1.0, c=1.1):
     """Ellipsoid x^2/a1^2 + y^2/a2^2 + z^2/c^2 = 1 in R^3."""
-    D = np.diag([float(a1), float(a2), float(c)])
+    D = np.diag(_positive(a1, a2, c))
     charts = _sphere_charts(D)
     return _orient_for_positive_H(2, 0.0, charts,
                                   "ellipsoid:%g,%g,%g" % (a1, a2, c))
@@ -377,3 +349,29 @@ def ellipsoid_shape_operator(point, semiaxes):
     t2 = np.cross(nu, t1)
     B = np.stack([t1, t2], axis=-1)
     return A3, nu, B
+
+
+def ellipsoid_mean_curvature_hessian(point, semiaxes):
+    """Closed-form intrinsic Hessian of H at ambient points of an ellipsoid.
+
+    With e = 1/d^2, s = sum e_i^2 x_i^2 and q = sum e_i^3 x_i^2, the
+    function H~ = sum(e) s^(-1/2) - q s^(-3/2) equals H on the surface, and
+    Hess H = B^T (D^2 H~ - <grad H~, nu> A3) B in the tangent basis B of
+    ``ellipsoid_shape_operator``.  ``point`` is (..., 3); the result is
+    (..., 2, 2).
+    """
+    x = np.asarray(point, dtype=float)
+    e = 1.0 / np.asarray(semiaxes, dtype=float) ** 2
+    T = np.sum(e)
+    s, q = (np.sum(e ** k * x * x, axis=-1)[..., None, None] for k in (2, 3))
+    gs, gq = (2.0 * e ** k * x for k in (2, 3))   # grad s and grad q
+    # partials of H~ in (s, q); H~ is linear in q
+    f_s, f_q = (1.5 * q / s - 0.5 * T) / s ** 1.5, -1.0 / s ** 1.5
+    f_ss, f_sq = (0.75 * T - 3.75 * q / s) / s ** 2.5, 1.5 / s ** 2.5
+    gsq = gs[..., :, None] * gq[..., None, :]
+    D2 = (f_ss * gs[..., :, None] * gs[..., None, :]
+          + f_sq * (gsq + np.swapaxes(gsq, -1, -2))
+          + f_s * np.diag(2.0 * e ** 2) + f_q * np.diag(2.0 * e ** 3))
+    A3, nu, B = ellipsoid_shape_operator(x, semiaxes)
+    dn = np.sum((f_s[..., 0] * gs + f_q[..., 0] * gq) * nu, axis=-1)
+    return np.swapaxes(B, -1, -2) @ (D2 - dn[..., None, None] * A3) @ B

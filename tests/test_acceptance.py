@@ -83,6 +83,25 @@ def test_04_ellipsoid_strict_inequality():
             f"{3.0 * rep['error_estimate']:.2e}")
 
 
+@pytest.mark.parametrize("c,bound,mu1", [(1.02, 1.3302, 1.9610),
+                                          (1.05, 0.5906, 1.9024)])
+def test_04_ellipsoid_positive_bound(c, bound, mu1):
+    # criterion 4 beside a bound that is not vacuous: near-round spheroids,
+    # where alpha, a and sigma are 1/c^2, c^3 and (c^2 - 1)(c^2 + 3)/c^6
+    t0 = time.perf_counter()
+    rep = hz.ellipsoid_compare(semiaxes=(1.0, 1.0, c), subdivs=(4, 5))
+    ok = (not rep["vacuous"]
+          and rep["bound"] == pytest.approx(bound, abs=1e-4)
+          and rep["mu1"] == pytest.approx(mu1, abs=1e-4)
+          and rep["verdict"] == bd.VERDICT_INEQUALITY
+          and rep["margin"] > 3.0 * rep["error_estimate"])
+    _report("criterion 4, positive bound (strict inequality on (1,1,%g))" % c,
+            ok, 180.0, time.perf_counter() - t0,
+            f"mu1={rep['mu1']:.6f}, bound={rep['bound']:.6f}, "
+            f"margin={rep['margin']:.3f} > 3x err "
+            f"{3.0 * rep['error_estimate']:.2e}")
+
+
 def test_05_bochner_identity_suite():
     t0 = time.perf_counter()
     rep = hz.bochner_suite(samples=200)

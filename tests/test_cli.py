@@ -163,7 +163,8 @@ class TestEig:
         assert code == 2
 
     @pytest.mark.parametrize("spec", ["sphere:r", "sphere:radius=2",
-                                      "geodesic-sphere:kappa=1,alpha=2"])
+                                      "geodesic-sphere:kappa=1,alpha=2",
+                                      "ellipsoid:1,1,0", "sphere:r=0"])
     def test_bad_or_unmeshable_surface(self, capsys, spec):
         code, _, err = run(capsys, "eig", "--surface", spec, "--subdiv", "1")
         assert code == 2
@@ -334,7 +335,7 @@ class TestReport:
                              "--surface", surface, "--refine", refine)
         assert code == 0 and len(out.strip().splitlines()) == 3
         lines = err.splitlines()
-        assert lines[0].startswith("vacuous: the bound -0.16") is vacuous
+        assert lines[0].startswith("vacuous: the bound -0.193") is vacuous
         assert len(lines) == 1 + vacuous
         assert lines[-1].startswith("extrapolated_mu1: ")
         assert lines[-1].endswith("observed_order: none")
@@ -371,7 +372,9 @@ class TestReport:
         assert err.startswith("config error:")
 
     @pytest.mark.parametrize("spec", ["ellipsoid:1,1", "cube:1",
-                                      "geodesic-sphere:kappa=1,alpha=2"])
+                                      "geodesic-sphere:kappa=1,alpha=2",
+                                      "ellipsoid:1,1,0", "ellipsoid:1,1,-1.1",
+                                      "sphere:r=-1"])
     def test_compare_bad_surface(self, capsys, spec):
         code, _, err = run(capsys, "report", "compare", "--surface", spec,
                            "--refine", "1..2")

@@ -352,7 +352,6 @@ def _builtin_fields():
         "random-spd": (spd, 3),
         "induced": (hyp.induced_metric_manifold(hs, 1).chart().metric, 2),
         "newton1": (hyp.newton1_field(hs, 0), 2),
-        "mean-curvature": (hyp.mean_curvature_field(hs, 1), 2),
         "scaled": (geom.scale_tensor_field(spd, -0.7), 3),
     }
     for m in (t3, s4):

@@ -307,6 +307,17 @@ class TestEllipsoidCompare:
         with pytest.raises(ConfigError, match="must increase"):
             hz.ellipsoid_compare((1.0, 1.0, 1.0), subdivs)
 
+    def test_nonpositive_semiaxes_rejected(self):
+        with pytest.raises(ConfigError, match="must be positive"):
+            hz.ellipsoid_compare((1, 1, 0), (1, 2))
+
+    @pytest.mark.parametrize("semiaxes,sampled", [((1.0, 1.0, 1.0), []),
+                                                  ((1.0, 1.0, 1.1),
+                                                   ["sigma"])])
+    def test_pinching_names_sampled_constants(self, semiaxes, sampled):
+        rep = hz.ellipsoid_compare(semiaxes, (1, 2))
+        assert rep["pinching"]["sampled"] == sampled
+
     def test_no_subdivisions(self):
         # one level has no error estimate: its verdict would be a guess
         for subdivs in ((), (4,)):
@@ -335,7 +346,7 @@ class TestEllipsoidCompare:
         assert rep["observed_order"] is None
 
     @pytest.mark.parametrize("semiaxes,subdivs,vacuous", [
-        ((1.0, 1.0, 1.1), (4, 5), True),    # bound -0.160 against 1.808
+        ((1.0, 1.0, 1.1), (4, 5), True),    # bound -0.193 against 1.808
         ((1.0, 1.0, 1.0), (1, 2), False),   # bound 2, the equality case
     ])
     def test_vacuous_flag(self, semiaxes, subdivs, vacuous):
@@ -343,4 +354,4 @@ class TestEllipsoidCompare:
         assert rep["vacuous"] is vacuous
         assert (rep["bound"] <= 0.0) is vacuous
         if vacuous:
-            assert rep["bound"] == pytest.approx(-0.160, abs=1e-3)
+            assert rep["bound"] == pytest.approx(-0.193, abs=1e-3)

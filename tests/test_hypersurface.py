@@ -1,12 +1,12 @@
 import re
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectra_bochner import geometry as geom, hypersurface as hyp
-from spectra_bochner.errors import ConfigError, DegenerateImmersion, NotConvex
+from spectra_bochner.errors import ConfigError, DegenerateImmersion
 
 from oracles import q_polynomial
 
@@ -41,11 +41,6 @@ class TestShapeOperator:
             assert sd.H == pytest.approx(2.0 / r, abs=1e-9)
             assert np.allclose(sd.P1, np.eye(2) / r, atol=1e-9)
             assert sd.S2 == pytest.approx(1.0 / r ** 2, abs=1e-9)
-
-    def test_flip_normal_negates(self):
-        hs = hyp.sphere_surface(r=1.0)
-        sd = hyp.shape_at(hs.flipped(), np.array([0.2, 0.1]))
-        assert sd.H == pytest.approx(-2.0, abs=1e-9)
 
     def test_ellipsoid_pole_curvatures(self):
         e = hyp.ellipsoid_surface(1.0, 1.0, 1.1)
@@ -150,69 +145,96 @@ class TestQPolynomial:
         assert np.allclose(Q, 2.0 * np.eye(2), atol=1e-8)
 
 
+def principal_sweep(semiaxes, m=200):
+    """Ambient points of a (theta, phi) grid over the ellipsoid whose
+    angles include 0, pi/2, pi and 3 pi/2, so all six vertices are on it."""
+    t = np.linspace(0.0, np.pi, m + 1)
+    f = np.linspace(0.0, 2.0 * np.pi, 2 * m, endpoint=False)
+    T, F = np.meshgrid(t, f, indexing="ij")
+    x = np.stack([np.sin(T) * np.cos(F), np.sin(T) * np.sin(F), np.cos(T)],
+                 axis=-1).reshape(-1, 3)
+    return x * np.asarray(semiaxes)
+
+
+def chart_hessian_of_H(hs, U, ci):
+    """Frame Hessian of H on a chart by the finite-difference route: H from
+    ``shape_at`` as a value-only field, differentiated by ``scalar_jets``
+    over the induced metric."""
+    H = geom.Field(lambda u, order: [hyp.shape_at(hs, u, ci).H])
+    geo = geom.point_geometry(hyp.induced_metric_manifold(hs, ci).chart(), U)
+    return geom.scalar_jets(geo, H, 2)[2]
+
+
+def tr_minus_min(hess):
+    w = np.linalg.eigvalsh(0.5 * (hess + np.swapaxes(hess, -1, -2)))
+    return np.sum(w, axis=-1) - w[..., 0]
+
+
 class TestPinchingConstants:
     def test_sphere(self):
-        pc = hyp.pinching_constants(hyp.sphere_surface(1.0),
+        pc = hyp.pinching_constants((1.0, 1.0, 1.0),
                                     geom.SamplePlan(points=40))
         assert pc.constant_H and pc.sigma == 0.0
-        assert pc.alpha == pytest.approx(1.0, abs=1e-8)
-        assert pc.a == pytest.approx(1.0, abs=1e-8)
-
-    def test_ellipsoid(self):
-        pc = hyp.pinching_constants(hyp.ellipsoid_surface(1.0, 1.0, 1.1),
-                                    geom.SamplePlan(points=120))
-        assert not pc.constant_H
-        # principal curvatures of the spheroid range over [a/c^2, c/a^2];
-        # sampled min sits slightly above the true equatorial minimum
-        assert 1.0 / 1.1 ** 2 - 1e-9 <= pc.alpha < 0.84
-        assert pc.a * pc.alpha <= 1.1 + 1e-9
-        assert pc.sigma > 0.0
-
-    def test_nonconvex_rejected(self):
-        # inward-oriented sphere has negative principal curvatures
-        hs = hyp.sphere_surface(1.0).flipped()
-        with pytest.raises(NotConvex):
-            hyp.pinching_constants(hs, geom.SamplePlan(points=10))
-
-    def test_nonconvex_names_first_sample(self):
-        # only chart 1 is inward, so sample 1 is the first offending one
-        hs = hyp.sphere_surface(1.0)
-        hs = replace(hs, orient_signs=(hs.orient_signs[0],
-                                       -hs.orient_signs[1]))
-        plan = geom.SamplePlan(points=10, seed=3)
-        _, U = hs.sample_points(10, np.random.default_rng(3))
-        first = U[1]
-        with pytest.raises(NotConvex, match=re.escape(repr(first))):
-            hyp.pinching_constants(hs, plan)
+        assert pc.alpha == 1.0 and pc.a == 1.0
 
     def test_constants_pinned(self):
-        # the constants of the whole-array sample stream of seed 42; sigma
-        # is a nested finite difference of H and is held to 1e-6
-        pc = hyp.pinching_constants(hyp.ellipsoid_surface(1.0, 1.0, 1.1),
+        # alpha = 1/c^2 and a = c^3 in closed form; sigma of the spheroid
+        # peaks on the equator, a vertex, at (c^2 - 1)(c^2 + 3)/c^6
+        pc = hyp.pinching_constants((1.0, 1.0, 1.1),
                                     geom.SamplePlan(points=400, seed=42))
-        assert pc.alpha == pytest.approx(
-            float.fromhex("0x1.a7245d0e87415p-1"), rel=1e-14, abs=0.0)
-        assert pc.a == pytest.approx(
-            float.fromhex("0x1.511a440b3c38ep+0"), rel=1e-14, abs=0.0)
-        assert pc.sigma == pytest.approx(
-            float.fromhex("0x1.fefe4f0ddc88ap-2"), rel=1e-6, abs=0.0)
+        assert not pc.constant_H
+        assert pc.alpha == pytest.approx(1.0 / 1.21, rel=1e-15, abs=0.0)
+        assert pc.a == pytest.approx(1.331, rel=1e-15, abs=0.0)
+        assert pc.sigma == pytest.approx(0.21 * 4.21 / 1.1 ** 6, rel=1e-14,
+                                         abs=0.0)
+
+    @pytest.mark.parametrize("ax", [(1.0, 1.3, 0.8), (1.2, 1.0, 0.9),
+                                    (1.0, 1.0, 1.1)])
+    def test_alpha_a_are_principal_extremes(self, ax):
+        # a dense vertex-and-umbilic sweep of the closed-form shape operator
+        A3, _, B = hyp.ellipsoid_shape_operator(principal_sweep(ax), ax)
+        lam = np.linalg.eigvalsh(np.swapaxes(B, -1, -2) @ A3 @ B)
+        lo, hi = float(np.min(lam)), float(np.max(lam))
+        pc = hyp.pinching_constants(ax)
+        assert pc.alpha == pytest.approx(lo, rel=1e-13, abs=0.0)
+        assert pc.a == pytest.approx(hi / lo, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("c", [1.02, 1.05, 1.1])
+    def test_sigma_meridian_sweep(self, c):
+        # the prolate closed form; it is negative for c < 1, where sigma is
+        # not this formula, so oblate spheroids are not checked here
+        t = np.linspace(0.0, np.pi, 4001)
+        x = np.stack([np.sin(t), np.zeros_like(t), c * np.cos(t)], axis=-1)
+        hess = hyp.ellipsoid_mean_curvature_hessian(x, (1.0, 1.0, c))
+        expect = (c * c - 1.0) * (c * c + 3.0) / c ** 6
+        assert float(np.max(tr_minus_min(hess))) == pytest.approx(
+            expect, rel=1e-13, abs=0.0)
+        assert hyp.pinching_constants((1.0, 1.0, c)).sigma == pytest.approx(
+            expect, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("spec", ["ellipsoid:1,1,1.1",
-                                      "ellipsoid:1,1.3,0.8"])
-    def test_constants_match_point_by_point_pass(self, spec):
-        # the batched pass against one shape_at call per sample point of
-        # the same stream, whatever that stream is
+                                      "ellipsoid:1,1.3,0.8",
+                                      "ellipsoid:1.2,1,0.9"])
+    def test_hessian_matches_chart_finite_differences(self, spec):
         hs = hyp.parse_surface(spec)
-        plan = geom.SamplePlan(points=400, seed=42)
-        pc = hyp.pinching_constants(hs, plan)
-        cis, U = hs.sample_points(plan.points,
-                                  np.random.default_rng(plan.seed))
-        lam = np.array([hyp.shape_at(hs, u, ci).principal
-                        for ci, u in zip(cis, U)])
-        alpha = float(np.min(lam[:, 0]))
-        assert pc.alpha == pytest.approx(alpha, rel=1e-14, abs=0.0)
-        assert pc.a == pytest.approx(float(np.max(lam[:, -1])) / alpha,
-                                     rel=1e-14, abs=0.0)
+        cis, U = hs.sample_points(10, np.random.default_rng(42))
+        fd, closed = [], []
+        for ci in (0, 1):
+            sel = cis == ci
+            fd.append(tr_minus_min(chart_hessian_of_H(hs, U[sel], ci)))
+            x = hyp.shape_at(hs, U[sel], ci).point
+            closed.append(tr_minus_min(
+                hyp.ellipsoid_mean_curvature_hessian(x, hs.semiaxes)))
+        fd, closed = np.concatenate(fd), np.concatenate(closed)
+        scale = float(np.max(closed))
+        assert np.max(np.abs(fd - closed)) <= 1e-5 * scale
+        assert np.max(fd) == pytest.approx(scale, rel=1e-5, abs=0.0)
+
+    @pytest.mark.parametrize("ax", [(1.0, 1.0, 0.0), (1.0, 1.0, -1.1),
+                                    (-1.0, -1.0, -1.0)])
+    def test_nonpositive_semiaxes_rejected(self, ax):
+        with pytest.raises(ConfigError, match="must be positive"):
+            hyp.pinching_constants(ax)
 
 
 class TestSamplePoints:
@@ -266,7 +288,9 @@ class TestParsing:
                                      "sphere:radius=2", "ellipsoid:1,1",
                                      "ellipsoid:1,x,1", "ellipsoid:1,1,1,2",
                                      "geodesic-sphere:k=3", "sphere:r=nan",
-                                     "sphere:2"])
+                                     "sphere:2", "ellipsoid:1,1,0",
+                                     "ellipsoid:1,1,-1.1", "sphere:r=0",
+                                     "sphere:r=-1"])
     def test_bad_specs(self, bad):
         with pytest.raises(ConfigError):
             hyp.parse_surface(bad)

@@ -128,7 +128,6 @@ TEST_ONLY = [
     "discretize.pointwise_vs_weak_consistency", "discretize.write_off",
     "geometry.min_ricci", "geometry.min_sectional", "harness.fd_order_study",
     "harness.trace_inequality_defect",
-    "hypersurface.ImmersedHypersurface.flipped",
 ]
 
 
