@@ -1,11 +1,10 @@
 """The operator box(f) = sum_ij phi_ij f_ij and its Bochner-type identity.
 
-Builders: Laplacian (phi = g) and Schouten (phi = S, n >= 3); any other
-symmetric phi is a plain BoxOperator.  All pointwise evaluations
-happen in the deterministic orthonormal frame of the geometry module; the two
-divergence-form groups of the identity are expanded by the product rule, so
-the evaluation needs third derivatives of f and second covariant derivatives
-of phi, nothing more.
+A BoxOperator pairs a symmetric phi with its manifold.  All pointwise
+evaluations happen in the deterministic orthonormal frame of the geometry
+module; the two divergence-form groups of the identity are expanded by the
+product rule, so the evaluation needs third derivatives of f and second
+covariant derivatives of phi, nothing more.
 """
 
 from __future__ import annotations
@@ -29,14 +28,6 @@ class BoxOperator:
         return self.manifold.chart()
 
 
-def laplacian_box(m):
-    return BoxOperator(phi=geom.metric_field(m), manifold=m)
-
-
-def schouten_box(m):
-    return BoxOperator(phi=geom.schouten_tensor_field(m), manifold=m)
-
-
 @dataclass(frozen=True)
 class BochnerResidual:
     """Term-by-term evaluation of the generalized Bochner identity; lhs,
@@ -50,15 +41,6 @@ class BochnerResidual:
     @property
     def rhs(self):
         return sum(self.rhs_terms.values())
-
-
-def apply(box, f, p):
-    """box(f)(p) = tr(phi Hess f) in the orthonormal frame, at a point or
-    at each point of a (P, n) stack."""
-    geo = geom.point_geometry(box.chart, p)
-    _, _, fij = geom.scalar_jets(geo, f, 2)
-    phi_ij = geom.tensor_jets(geo, box.phi, 0)[0]
-    return np.sum(phi_ij * fij, axis=(-2, -1))
 
 
 def divergence_form_defect(box, f, p):
@@ -90,33 +72,41 @@ def divergence_form_defect(box, f, p):
                           - np.einsum("...i,...i->...", divphi, fi)))
 
 
-def bochner_residual(box, f, p, cvals):
-    """Evaluate every term of the generalized Bochner identity at p, once
-    per value of c in ``cvals``; returns one BochnerResidual per c.
+def bochner_residual(m, phis, f, p, cvals):
+    """Evaluate every term of the generalized Bochner identity on the
+    manifold m at p, for each phi in ``phis`` and each value of c in
+    ``cvals``; returns one list per phi of one BochnerResidual per c.
 
     ``p`` is a point (n,) or a stack (P, n); every field of a
-    BochnerResidual is then a float or a (P,) array.  The jets and the
-    curvature are evaluated once, for the whole stack.  The identity holds for
-    every real c: its two c-terms, ``c_trace_hessian`` and the c part of
-    ``divergence_difference``, are the same contraction
+    BochnerResidual is then a float or a (P,) array.  The geometry, the
+    jets of f and the curvature are evaluated once, for the whole stack and
+    every phi; each phi adds only its own jets and contractions.  The
+    identity holds for every real c: its two c-terms, ``c_trace_hessian``
+    and the c part of ``divergence_difference``, are the same contraction
     c * sum phi_mmij f_i f_j with opposite signs, so the residuals
     |lhs - sum(rhs)| of different c differ by rounding only.  Requires
-    third partials of f and second partials of phi.
+    third partials of f and second partials of each phi.
     """
-    geo = geom.point_geometry(box.chart, p)
+    geo = geom.point_geometry(m.chart(), p)
     _, fi, fij, f3 = geom.scalar_jets(geo, f, 3)
-    ph, p3, p4 = geom.tensor_jets(geo, box.phi, 2)
-    Rf = geom.curvature_at(box.manifold, geo).riemann
+    Rf = geom.curvature_at(m, geo).riemann
     ric = np.einsum("...mkjk->...mj", Rf)
-
-    # lhs: 0.5 box(|grad f|^2), Hessian of |grad f|^2 expanded by Leibniz
+    # the Hessian of |grad f|^2, expanded by Leibniz
     u_jk = 2.0 * (np.einsum("...ij,...ik->...jk", fij, fij)
                   + np.einsum("...i,...ijk->...jk", fi, f3))
+    grad_lap = np.einsum("...iik->...k", f3)
+    return [_phi_residuals(geom.tensor_jets(geo, phi, 2), fi, fij, f3, ric,
+                           u_jk, grad_lap, cvals) for phi in phis]
+
+
+def _phi_residuals(phi_jets, fi, fij, f3, ric, u_jk, grad_lap, cvals):
+    """The phi-dependent terms of bochner_residual for one phi."""
+    ph, p3, p4 = phi_jets
+    # lhs: 0.5 box(|grad f|^2)
     lhs = 0.5 * np.einsum("...jk,...jk->...", ph, u_jk)
 
     grad_box = (np.einsum("...ijk,...ij->...k", p3, fij)
                 + np.einsum("...ij,...ijk->...k", ph, f3))
-    grad_lap = np.einsum("...iik->...k", f3)
     p3_skew = p3 - np.swapaxes(p3, -1, -2)
 
     trace_c = np.einsum("...mmij,...i,...j->...", p4, fi, fi)

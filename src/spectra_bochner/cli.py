@@ -65,7 +65,6 @@ def cmd_verify(args):
     if args.target == "bochner":
         m = geom.parse_manifold(args.manifold)
         phi = hz._suite_phi(m, args.phi, seed=args.seed)
-        box = boxop.BoxOperator(phi=phi, manifold=m)
         f = hz._suite_test_function(m, seed=args.seed + 1)
         try:
             cvals = [geom.spec_float(c) for c in args.c.split(",")]
@@ -73,8 +72,8 @@ def cmd_verify(args):
             raise ConfigError("bad --c %r: %s" % (args.c, exc)) from exc
         rng = np.random.default_rng(args.seed)
         pts = m.sample_points(args.samples, rng)
-        rs = np.array([r.residual
-                       for r in boxop.bochner_residual(box, f, pts, cvals)])
+        res, = boxop.bochner_residual(m, [phi], f, pts, cvals)
+        rs = np.array([r.residual for r in res])
         worst = float(np.max(rs, initial=0.0))
         rows = [{"point": [round(float(x), 6) for x in p],
                  "residuals": rs[:, i].tolist()} for i, p in enumerate(pts)]

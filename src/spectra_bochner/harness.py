@@ -213,29 +213,63 @@ def _suite_test_function(m, seed=0):
     return geom.trig_field(wave, phase=float(rng.uniform(0, 2 * np.pi)))
 
 
+# the cases where each planted control of bochner_suite must be flagged:
+# those where its term is not identically zero.  The flat torus has no
+# curvature, and the formal Schouten phi of the 2-tori is zero.
+PLANTED_CASES = {
+    "curvature_flipped": (("perturbed-torus2", "metric"),
+                          ("perturbed-torus2", "random-spd"),
+                          ("sphere4", "metric"), ("sphere4", "schouten"),
+                          ("sphere4", "random-spd")),
+    "hessian_dropped": (("flat-torus2", "metric"),
+                        ("flat-torus2", "random-spd"),
+                        ("perturbed-torus2", "metric"),
+                        ("perturbed-torus2", "random-spd"),
+                        ("sphere4", "metric"), ("sphere4", "schouten"),
+                        ("sphere4", "random-spd")),
+}
+
+
+def _planted_residuals(r):
+    """|lhs - rhs| of the BochnerResidual r with one term planted wrong:
+    the curvature term's sign flipped, or hessian_square dropped."""
+    t = r.rhs_terms
+    return {"curvature_flipped": np.abs(r.lhs - sum(
+                dict(t, curvature=-t["curvature"]).values())),
+            "hessian_dropped": np.abs(r.lhs - sum(
+                v for k, v in t.items() if k != "hessian_square"))}
+
+
 def bochner_suite(samples=200, seed=42):
     """Residuals of the generalized Bochner identity over the standard grid
-    of (manifold, phi) cases, each case evaluated once, as one stack of
-    points, for all of CVALS.
+    of (manifold, phi) cases.  Each manifold is evaluated once, as one stack
+    of points, for its three phi and all of CVALS: the geometry, f's jets
+    and the curvature are shared by its phi.
 
     The identity is c-independent: its two c-terms are the same contraction
     sum phi_mmij f_i f_j with opposite signs, so ``max_c_spread`` (the
     largest per-point spread of the residual across c) measures rounding
-    only."""
+    only.  Each case also reports the max residuals of two planted
+    controls, from the first c's terms (``planted``): the curvature term's
+    sign flipped, and hessian_square dropped.  PLANTED_CASES lists where
+    each must be flagged."""
     rng = np.random.default_rng(seed)
+    kinds = ("metric", "schouten", "random-spd")
     cases = []
     for mname, m in _suite_manifolds():
         pts = m.sample_points(samples, rng)
-        for kind in ("metric", "schouten", "random-spd"):
-            phi = _suite_phi(m, kind, seed=seed)
-            box = boxop.BoxOperator(phi=phi, manifold=m)
-            f = _suite_test_function(m, seed=seed + 1)
-            rs = np.array([r.residual
-                           for r in boxop.bochner_residual(box, f, pts, CVALS)])
+        phis = [_suite_phi(m, kind, seed=seed) for kind in kinds]
+        f = _suite_test_function(m, seed=seed + 1)
+        per_phi = boxop.bochner_residual(m, phis, f, pts, CVALS)
+        for kind, res in zip(kinds, per_phi):
+            rs = np.array([r.residual for r in res])
+            planted = _planted_residuals(res[0])
             cases.append({"manifold": mname, "phi": kind,
                           "max_residual": float(np.max(rs, initial=0.0)),
                           "max_c_spread": float(np.max(np.ptp(rs, axis=0),
                                                        initial=0.0)),
+                          "planted": {k: float(np.max(v, initial=0.0))
+                                      for k, v in planted.items()},
                           "points": len(pts)})
     return {"cases": cases, "cvals": list(CVALS), "seed": seed,
             "max_residual": max(c["max_residual"] for c in cases),
@@ -427,6 +461,13 @@ def run_suite(names, config=None):
                 if rep["max_c_spread"] > 1e-10:
                     failures.append("bochner: c spread %g > 1e-10"
                                     % rep["max_c_spread"])
+                planted = {(c["manifold"], c["phi"]): c["planted"]
+                           for c in rep["cases"]}
+                for ctl, where in PLANTED_CASES.items():
+                    for case in where:
+                        if planted[case][ctl] <= 1e-8:
+                            failures.append("bochner: planted %s on %s/%s "
+                                            "NOT detected" % ((ctl,) + case))
             elif name == "divergence":
                 rep = divergence_suite(seed=seed)
                 if rep["max_defect"] > 1e-8:

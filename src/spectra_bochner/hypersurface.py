@@ -109,7 +109,6 @@ class ShapeData:
     P1: np.ndarray         # H I - A
     normA2: np.ndarray
     S2: np.ndarray         # sum_{i<j} h_i h_j = (H^2 - |A|^2)/2
-    principal: np.ndarray  # ascending principal curvatures
     g: np.ndarray          # induced coordinate metric
     frame: np.ndarray      # orthonormal frame (columns, coordinates)
     h: np.ndarray          # second fundamental form, coordinate components
@@ -147,8 +146,7 @@ def shape_at(hs, u, chart_idx=0):
     normA2 = np.sum(A * A, axis=(-2, -1))
     fields = dict(A=A, H=H, P1=H[:, None, None] * np.eye(hs.n) - A,
                   normA2=normA2, S2=0.5 * (H ** 2 - normA2),
-                  principal=np.linalg.eigvalsh(A), g=g, frame=E, h=h,
-                  normal=nu, point=X)
+                  g=g, frame=E, h=h, normal=nu, point=X)
     lead = u.shape[:-1]
     return ShapeData(**{k: v.reshape(lead + v.shape[1:])
                         for k, v in fields.items()})

@@ -1,8 +1,26 @@
-"""Matrix oracles that the tests compare the package's closed forms with."""
+"""Oracles that the tests compare the package's closed forms with: the
+operator box applied directly, and the matrix Q(A)."""
 
 import numpy as np
 
-from spectra_bochner import hypersurface as hyp
+from spectra_bochner import boxop, geometry as geom, hypersurface as hyp
+
+
+def laplacian_box(m):
+    return boxop.BoxOperator(phi=geom.metric_field(m), manifold=m)
+
+
+def schouten_box(m):
+    return boxop.BoxOperator(phi=geom.schouten_tensor_field(m), manifold=m)
+
+
+def apply(box, f, p):
+    """box(f)(p) = tr(phi Hess f) in the orthonormal frame, at a point or
+    at each point of a (P, n) stack."""
+    geo = geom.point_geometry(box.chart, p)
+    _, _, fij = geom.scalar_jets(geo, f, 2)
+    phi_ij = geom.tensor_jets(geo, box.phi, 0)[0]
+    return np.sum(phi_ij * fij, axis=(-2, -1))
 
 
 def q_polynomial(sd, kappa):

@@ -4,6 +4,8 @@ import pytest
 from spectra_bochner import boxop, geometry as geom, harness as hz
 from spectra_bochner.errors import NonSymmetricCoefficient, NotPositiveDefinite
 
+from oracles import apply, laplacian_box, schouten_box
+
 
 @pytest.fixture(scope="module")
 def torus():
@@ -17,27 +19,26 @@ def sphere4():
 
 class TestApply:
     def test_laplacian_of_cos(self, torus):
-        box = boxop.laplacian_box(torus)
+        box = laplacian_box(torus)
         f = geom.trig_field(np.array([1.0, 0.0]))
         p = np.array([0.7, 0.3])
-        assert boxop.apply(box, f, p) == pytest.approx(-np.cos(0.7), abs=1e-12)
+        assert apply(box, f, p) == pytest.approx(-np.cos(0.7), abs=1e-12)
 
     def test_sphere_coordinate_eigenfunction(self, sphere4):
         # ambient coordinate restrictions satisfy Delta X = -n K X
-        box = boxop.laplacian_box(sphere4)
+        box = laplacian_box(sphere4)
         f = geom.sphere_coordinate_field(sphere4, 2)
         p = np.array([0.3, -0.1, 0.2, 0.4])
-        assert boxop.apply(box, f, p) == pytest.approx(-4.0 * f.comp(p),
-                                                       abs=1e-10)
+        assert apply(box, f, p) == pytest.approx(-4.0 * f.comp(p), abs=1e-10)
 
     def test_schouten_box_is_scaled_laplacian_on_sphere(self, sphere4):
         # S = ((n-2)K/2) g on the round sphere
-        sbox = boxop.schouten_box(sphere4)
-        lbox = boxop.laplacian_box(sphere4)
+        sbox = schouten_box(sphere4)
+        lbox = laplacian_box(sphere4)
         f = geom.sphere_coordinate_field(sphere4, 0)
         p = np.full(4, 0.2)
-        assert boxop.apply(sbox, f, p) == pytest.approx(
-            boxop.apply(lbox, f, p), abs=1e-9)
+        assert apply(sbox, f, p) == pytest.approx(
+            apply(lbox, f, p), abs=1e-9)
 
 
 class TestDivergenceForm:
@@ -49,7 +50,7 @@ class TestDivergenceForm:
         assert d < 1e-8
 
     def test_on_sphere(self, sphere4):
-        box = boxop.schouten_box(sphere4)
+        box = schouten_box(sphere4)
         f = geom.sphere_coordinate_field(sphere4, 1)
         d = boxop.divergence_form_defect(box, f, np.full(4, 0.15))
         assert d < 1e-7
@@ -59,10 +60,11 @@ class TestBochnerIdentity:
     CVALS = (0.0, 1.0, 7.3)
 
     def residuals(self, box, f, p):
-        return boxop.bochner_residual(box, f, p, self.CVALS)
+        return boxop.bochner_residual(box.manifold, [box.phi], f, p,
+                                      self.CVALS)[0]
 
     def test_flat_torus_metric_phi_exact(self, torus):
-        box = boxop.laplacian_box(torus)
+        box = laplacian_box(torus)
         f = geom.trig_field(np.array([1.0, 0.0]))
         p = np.array([0.7, 0.0])
         rs = self.residuals(box, f, p)
@@ -72,7 +74,7 @@ class TestBochnerIdentity:
             assert r.residual < 1e-12
 
     def test_sphere_with_schouten(self, sphere4):
-        box = boxop.schouten_box(sphere4)
+        box = schouten_box(sphere4)
         f = geom.sphere_coordinate_field(sphere4, 3)
         rng = np.random.default_rng(1)
         for p in sphere4.sample_points(10, rng):
@@ -98,17 +100,19 @@ class TestBochnerIdentity:
 
         monkeypatch.setattr(geom, "metric_jets", counted)
         m = geom.perturbed_torus(2)
-        box = boxop.BoxOperator(phi=geom.random_spd_trig_tensor(2, seed=8),
-                                manifold=m)
+        phis = [geom.random_spd_trig_tensor(2, seed=8), geom.metric_field(m)]
         f = geom.trig_field(np.array([2.0, 1.0]), phase=1.1)
-        rs = boxop.bochner_residual(box, f, np.array([1.3, 0.4]), self.CVALS)
+        out = boxop.bochner_residual(m, phis, f, np.array([1.3, 0.4]),
+                                     self.CVALS)
         assert len(calls) == 1
-        assert [r.c for r in rs] == list(self.CVALS)
+        assert len(out) == len(phis)
+        for rs in out:
+            assert [r.c for r in rs] == list(self.CVALS)
 
     def test_term_breakdown_keys(self, torus):
-        box = boxop.laplacian_box(torus)
         f = geom.trig_field(np.array([1.0, 1.0]))
-        r, = boxop.bochner_residual(box, f, np.array([0.2, 0.9]), (1.0,))
+        (r,), = boxop.bochner_residual(torus, [geom.metric_field(torus)], f,
+                                       np.array([0.2, 0.9]), (1.0,))
         expected = {"grad_f_grad_boxf", "phi_gradf_grad_lapf",
                     "hessian_square", "curvature", "c_trace_hessian",
                     "laplacian_phi", "divergence_difference",
@@ -120,7 +124,7 @@ class TestBochnerIdentity:
 class TestHessianTraceDefect:
     def test_hand_value(self, torus):
         # phi = g = I, f = cos x1: quad = cos^2 x1, box f = -cos x1, tr phi = 2
-        box = boxop.laplacian_box(torus)
+        box = laplacian_box(torus)
         f = geom.trig_field(np.array([1.0, 0.0]))
         p = np.array([0.7, 0.0])
         expected = 0.5 * np.cos(0.7) ** 2
@@ -155,9 +159,9 @@ class TestNonSymmetricPhi:
         f = geom.trig_field(np.array([1.0, 0.0]))
         pts = np.array([[0.0, 0.1], [0.5, 0.2], [0.7, 0.3]])
         calls = {
-            "apply": lambda: boxop.apply(box, f, pts),
+            "apply": lambda: apply(box, f, pts),
             "bochner_residual": lambda: boxop.bochner_residual(
-                box, f, pts, [0.0]),
+                torus, [phi], f, pts, [0.0]),
             "tensor_divergence": lambda: geom.tensor_divergence(
                 geom.point_geometry(torus.chart(), pts), phi),
         }
@@ -177,7 +181,8 @@ class TestStackedPoints:
     def case(mname, kind):
         if mname == "torus3:perturb=sin":   # Schouten by finite differences
             m = geom.parse_manifold(mname)
-            phi = geom.schouten_tensor_field(m)
+            phi = (geom.schouten_tensor_field(m) if kind == "schouten"
+                   else hz._suite_phi(m, kind, seed=42))
         else:
             m = dict(hz._suite_manifolds())[mname]
             phi = hz._suite_phi(m, kind, seed=42)
@@ -211,10 +216,9 @@ class TestStackedPoints:
             self.check(getattr(cb, name), [getattr(c, name) for c in cbs])
 
         box, cvals = boxop.BoxOperator(phi=phi, manifold=m), (0.0, 1.0, 7.3)
-        self.check(boxop.apply(box, f, pts),
-                   [boxop.apply(box, f, p) for p in pts])
-        stacked = boxop.bochner_residual(box, f, pts, cvals)
-        per = [boxop.bochner_residual(box, f, p, cvals) for p in pts]
+        self.check(apply(box, f, pts), [apply(box, f, p) for p in pts])
+        stacked, = boxop.bochner_residual(m, [phi], f, pts, cvals)
+        per = [boxop.bochner_residual(m, [phi], f, p, cvals)[0] for p in pts]
         for k, r in enumerate(stacked):
             rs = [pr[k] for pr in per]
             scale = max(np.max(np.abs([x.lhs for x in rs])),
@@ -225,12 +229,34 @@ class TestStackedPoints:
             for t, v in r.rhs_terms.items():
                 self.check(v, [x.rhs_terms[t] for x in rs], scale)
 
+    @pytest.mark.parametrize("mname", ["flat-torus2", "perturbed-torus2",
+                                       "sphere4", "torus3:perturb=sin"])
+    def test_phis_share_one_call(self, mname):
+        """One call for several phi gives bit for bit what one call per phi
+        gives."""
+        kinds = ("metric", "schouten", "random-spd")
+        cases = [self.case(mname, kind) for kind in kinds]
+        m, _, f, pts = cases[0]
+        phis = [phi for _, phi, _, _ in cases]
+        cvals = (0.0, 1.0, 7.3)
+        shared = boxop.bochner_residual(m, phis, f, pts, cvals)
+        assert len(shared) == len(phis)
+        for phi, rs in zip(phis, shared):
+            alone, = boxop.bochner_residual(m, [phi], f, pts, cvals)
+            for r, a in zip(rs, alone):
+                assert r.c == a.c
+                assert np.array_equal(r.lhs, a.lhs)
+                assert np.array_equal(r.residual, a.residual)
+                assert list(r.rhs_terms) == list(a.rhs_terms)
+                for t, v in r.rhs_terms.items():
+                    assert np.array_equal(v, a.rhs_terms[t])
+
     @pytest.mark.parametrize("mname,kind", SUITE_CASES)
     def test_identity_defects_stack_matches_points(self, mname, kind):
         m, phi, f, pts = self.case(mname, kind)
         box = boxop.BoxOperator(phi=phi, manifold=m)
         # both defects cancel terms of the size of box f (squared)
-        scale = max(1.0, np.max(np.abs(boxop.apply(box, f, pts))))
+        scale = max(1.0, np.max(np.abs(apply(box, f, pts))))
         self.check(boxop.divergence_form_defect(box, f, pts),
                    [boxop.divergence_form_defect(box, f, p) for p in pts],
                    scale)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectra_bochner import bounds as bd, boxop, discretize as dz
+from spectra_bochner import geometry as geom
 from spectra_bochner import harness as hz
 from spectra_bochner.errors import ConfigError
 
@@ -157,19 +158,60 @@ class TestQaBound:
 
 
 class TestSuites:
-    def test_bochner_suite_one_residual_call_per_case(self, monkeypatch):
-        shapes = []
+    def test_bochner_suite_one_residual_call_per_manifold(self, monkeypatch):
+        calls = []
         bochner_residual = boxop.bochner_residual
 
-        def counted(box, f, p, cvals):
-            shapes.append(np.shape(p))
-            return bochner_residual(box, f, p, cvals)
+        def counted(m, phis, f, p, cvals):
+            calls.append((len(phis), np.shape(p)))
+            return bochner_residual(m, phis, f, p, cvals)
 
         monkeypatch.setattr(boxop, "bochner_residual", counted)
         rep = hz.bochner_suite(samples=3)
-        assert len(shapes) == len(rep["cases"]) == 9
-        assert all(s[0] == 3 for s in shapes)
+        assert len(calls) == 3
+        assert all(n == 3 and s[0] == 3 for n, s in calls)
+        assert len(rep["cases"]) == 9
         assert all(c["points"] == 3 for c in rep["cases"])
+
+    def test_bochner_suite_shares_point_work(self, monkeypatch):
+        calls = {}
+        for name in ("point_geometry", "scalar_jets", "curvature_at",
+                     "tensor_jets"):
+            def counted(*args, _name=name, _fn=getattr(geom, name), **kw):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(geom, name, counted)
+        hz.bochner_suite(samples=3)
+        assert calls == {"point_geometry": 3, "scalar_jets": 3,
+                         "curvature_at": 3, "tensor_jets": 9}
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_planted_cases_are_where_terms_are_nonzero(self, seed):
+        rep = hz.bochner_suite(samples=10, seed=seed)
+        for ctl, where in hz.PLANTED_CASES.items():
+            flagged = {(c["manifold"], c["phi"]) for c in rep["cases"]
+                       if c["planted"][ctl] > 1e-8}
+            assert flagged == set(where)
+
+    def test_run_suite_flags_the_planted_controls(self):
+        cp = hz.load_config()
+        cp.set("suites", "samples", "10")
+        code, summary = hz.run_suite(["bochner"], cp)
+        assert code == hz.EXIT_PASS, summary["failures"]
+        cases = summary["suites"]["bochner"]["cases"]
+        assert all(set(c["planted"]) == set(hz.PLANTED_CASES) for c in cases)
+
+    def test_run_suite_fails_on_unflagged_controls(self, monkeypatch):
+        monkeypatch.setattr(hz, "_planted_residuals", lambda r: {
+            k: np.zeros_like(r.lhs) for k in hz.PLANTED_CASES})
+        cp = hz.load_config()
+        cp.set("suites", "samples", "10")
+        code, summary = hz.run_suite(["bochner"], cp)
+        assert code == hz.EXIT_ASSERTION
+        missed = [f for f in summary["failures"] if "NOT detected" in f]
+        assert len(missed) == sum(map(len, hz.PLANTED_CASES.values())) == 12
+        assert "bochner: planted curvature_flipped on sphere4/schouten " \
+            "NOT detected" in missed
 
     def test_bochner_suite_small(self):
         rep = hz.bochner_suite(samples=5)

@@ -121,9 +121,8 @@ def dead_api(defined, users):
 # listed in ROADMAP 5(c), min_sectional, and fd_order_study, the one
 # finite-difference cross-check of the divergence identities.
 TEST_ONLY = [
-    "boxop.apply", "boxop.divergence_form_defect",
-    "boxop.hessian_trace_defect", "boxop.laplacian_box",
-    "boxop.schouten_box", "discretize.cotangent_stiffness",
+    "boxop.divergence_form_defect", "boxop.hessian_trace_defect",
+    "discretize.cotangent_stiffness",
     "discretize.nondivergence_free_coefficient", "discretize.observed_order",
     "discretize.pointwise_vs_weak_consistency", "discretize.write_off",
     "geometry.min_ricci", "geometry.min_sectional", "harness.fd_order_study",
