@@ -23,7 +23,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (ConfigError, DegenerateElement, NonSymmetricCoefficient)
@@ -270,27 +269,28 @@ class AssembledOperator:
 
 
 def _check_sym_coeff(phi, shape, where, tol=1e-10):
-    """Symmetric part of a (E, k, k) coefficient stack; names the first
-    element (``where(e)``) whose matrix is not finite or not symmetric."""
+    """Symmetric part, a (E, k, k) view of a (k, k, E) array, of a (E, k, k)
+    stack; names the first element ``where(e)`` not finite or asymmetric."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != shape:
         raise ConfigError("coefficient provider returned shape %r, "
                           "expected %r" % (phi.shape, shape))
+    P = np.ascontiguousarray(phi.transpose(1, 2, 0))
     iu, ju = np.triu_indices(shape[-1], 1)       # each off-diagonal pair
     # max propagates nan and inf, so scale is finite iff the matrix is
-    scale = np.maximum(1.0, np.max(np.abs(phi), axis=(1, 2)))
+    scale = np.maximum(1.0, np.max(np.abs(P), axis=(0, 1)))
     finite = np.isfinite(scale)
     if not np.all(finite):
         raise NonSymmetricCoefficient("coefficient not finite at %s"
                                       % where(int(np.argmin(finite))))
-    bad = np.max(np.abs(phi[:, iu, ju] - phi[:, ju, iu]), axis=1,
+    bad = np.max(np.abs(P[iu, ju] - P[ju, iu]), axis=0,
                  initial=0.0) > tol * scale
     if np.any(bad):
         raise NonSymmetricCoefficient("coefficient not symmetric at %s"
                                       % where(int(np.argmax(bad))))
-    sym = phi + phi.transpose(0, 2, 1)
+    sym = P + P.transpose(1, 0, 2)
     sym *= 0.5
-    return sym
+    return sym.transpose(2, 0, 1)
 
 
 def _sparse_pair(nodes, Ke, Me, n):
@@ -381,9 +381,10 @@ def _grid_element_tensors(h):
 
 
 def _grid_coefficients(grid, phi_provider):
-    """Raised-index weighted coefficients W = vol G^-1 phi G^-1 (C, n*n)
+    """Raised-index weighted coefficients W = vol G^-1 phi G^-1 (n*n, C)
     and volumes vol (C,) of a grid's cells, cell c with lower corner node
-    c; G is the coordinate metric at the cell centre."""
+    c; G is the coordinate metric at the cell centre.  W's n x n products
+    are unrolled over the rows of ``_pivots_and_inverse``'s (n, n, C)."""
     n, shape = grid.dim, grid.shape
     lower = np.indices(shape).reshape(n, -1)     # cell corners, C order
     centers = (lower.T + 0.5) * grid.steps
@@ -398,9 +399,13 @@ def _grid_coefficients(grid, phi_provider):
     phi = _check_sym_coeff(phi_provider(centers, G), G.shape,
                            lambda c: "cell %r" % (lower[:, c].tolist(),))
     vol = np.sqrt(np.prod(pivots, axis=1))
-    W = ginv @ phi @ ginv
-    W *= vol[:, None, None]
-    return W.reshape(len(vol), n * n), vol
+    ginv, phi = ginv.transpose(1, 2, 0), phi.transpose(1, 2, 0)
+    W = np.empty_like(ginv)
+    for i, row in enumerate(ginv):   # row i of G^-1 phi, then of W
+        A = sum((row[k] * phi[k] for k in range(1, n)), row[0] * phi[0])
+        W[i] = sum((A[k] * ginv[k] for k in range(1, n)), A[0] * ginv[0])
+    W *= vol
+    return W.reshape(n * n, len(vol)), vol
 
 
 def _pivots_and_inverse(G):
@@ -446,30 +451,17 @@ def _assemble_grid(grid, phi_provider):
     With at least 3 nodes per axis, node i couples to exactly the 3^n
     distinct nodes at offsets {-1, 0, 1}^n, so the CSR pattern is known in
     closed form (``_grid_pattern``) and no per-cell element matrix is
-    formed.  Node i is corner a of cell i - bits_a, so corner a's row of
-    every cell's stiffness element matrix is T[:, a]^T @ roll_{bits_a}(W^T),
-    which lands in the slots d[a, b] of the offsets bits_b - bits_a
-    (``_stiffness_slots``; these slots are stencil-major, (3^n, N)).  A
-    slot's sum and its transpose partner's hold the same terms in another
-    order: they must agree to SLOT_SYM_TOL, and K is then their mean, so it
-    is exactly symmetric.  Mass slots, (N, 3^n), are separable box sums of
-    the cell volumes (``_mass_slots``).  Each row is then put in sorted
-    column order in place (``_sort_rows``).
+    formed: ``_stiffness_slots`` and ``_mass_slots`` sum K and M into the
+    slots, and ``_sort_rows`` puts each row in sorted column order.
     """
-    n, shape, N = grid.dim, grid.shape, grid.num_nodes
+    n, shape, N = grid.dim, tuple(grid.shape), grid.num_nodes
     W, vol = _grid_coefficients(grid, phi_provider)
     T, Me_unit = _grid_element_tensors(grid.steps)
     # corner a of a cell sits at offset bits[a], the last axis fastest; the
     # stencil {-1, 0, 1}^n is ravelled the same way
     bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     d = (bits - bits[:, None] + 1) @ 3 ** np.arange(n - 1, -1, -1)
-    K = _stiffness_slots(W, T, bits, d, shape)
-    scale = max(K.max(), -K.min())
-    if _symmetrize_slots(K, shape) > SLOT_SYM_TOL * scale:
-        raise NonSymmetricCoefficient("assembled stiffness not symmetric")
-    # |K| slot by slot: no (3^n, N) temporary
-    _check_row_sums(K.sum(axis=0), sum(np.abs(slot) for slot in K))
-    K = np.ascontiguousarray(K.T)
+    K = _stiffness_slots(W, T, bits, shape)
     M = _mass_slots(vol, grid.steps, shape)
     _sort_rows(K, shape)
     _sort_rows(M, shape)
@@ -479,52 +471,104 @@ def _assemble_grid(grid, phi_provider):
     K = sp.csr_matrix((K.ravel(), indices, indptr), shape=(N, N))
     M = sp.csr_matrix((M.ravel(), indices.copy(), indptr.copy()),
                       shape=(N, N))
-    rec = {"domain": "PeriodicGrid", "shape": tuple(shape),
+    rec = {"domain": "PeriodicGrid", "shape": shape,
            "phi": getattr(phi_provider, "label", "custom")}
-    E0 = np.stack([np.einsum("ab,abIJ->IJ", W.mean(axis=0).reshape(n, n),
+    E0 = np.stack([np.einsum("ab,abIJ->IJ", W.mean(axis=1).reshape(n, n),
                              T.reshape((n, n) + Me_unit.shape)),
                    vol.mean() * Me_unit])
     return AssembledOperator(K=K, M=M, points=grid.node_points(), record=rec,
                              symbols=_grid_symbols(shape, d, E0))
 
 
-def _roll_grid(X, shift, shape):
-    """An array (..., C) over a grid's cells or nodes rolled over the grid
-    axes: entry i of the result is entry i - shift, wrapped per axis."""
+def _ghost_layout(shape):
+    """Padded shape, flat strides and the flat range [p0, p0 + L) of the
+    nodes of a grid laid out with a ghost layer on each side of every axis:
+    a shift of the nodes by o in {-1, 0, 1}^n is the flat offset o.stride."""
+    padded = tuple(s + 2 for s in shape)
+    stride = np.append(np.cumprod(padded[:0:-1])[::-1], 1)
+    p0 = int(stride.sum())
+    return padded, stride, p0, int(np.prod(padded)) - 2 * p0
+
+
+def _fill_ghosts(G, n):
+    """G (..., s_1 + 2, .., s_n + 2) with its ghost layers filled in place
+    from the nodes across the wrap, one axis at a time."""
+    for k in range(-n, 0):
+        V = np.moveaxis(G, k, 0)
+        V[0], V[-1] = V[-2], V[1]
+    return G
+
+
+def _stiffness_slots(W, T, bits, shape):
+    """K's slots (N, 3^n), exactly symmetric, with vanishing row sums.
+
+    The slot sums are taken stencil-major in the ghost layout: row a of
+    cell c's element matrix, T[:, a]^T W_c, goes to the cell's corner a,
+    node c + bits_a, into the slots d[a] of the offsets bits_b - bits_a,
+    the box of 2^n stencil indices from 1 - bits_a on, so each corner is
+    one matmul and one add over the flat range of the nodes.  Each slot
+    and its transpose partner then get their mean (``_symmetrize_slots``).
+    """
     n = len(shape)
-    return np.roll(X.reshape(X.shape[:-1] + tuple(shape)), shift,
-                   axis=tuple(range(-n, 0))).reshape(X.shape)
+    padded, stride, p0, L = _ghost_layout(shape)
+    inner = (slice(1, -1),) * n
+    Wg = np.empty((len(W),) + padded)
+    Wg[(slice(None),) + inner] = W.reshape((-1,) + shape)
+    Wg = _fill_ghosts(Wg, n).reshape(len(W), -1)
+    S = np.zeros((3,) * n + (Wg.shape[-1],))
+    for a, b in enumerate(bits):
+        box = tuple(slice(1 - k, 3 - k) for k in b) + (slice(p0, p0 + L),)
+        S[box] += (T[:, a].T @ Wg[:, _corner_cells(b, stride, p0, L)]
+                   ).reshape((2,) * n + (L,))
+    del Wg                               # before the output is allocated
+    _fill_ghosts(S.reshape((3,) * n + padded), n)
+    S = S.reshape(3 ** n, -1)
+    scale = max(S.max(), -S.min())
+    if _symmetrize_slots(S, shape) > SLOT_SYM_TOL * scale:
+        raise NonSymmetricCoefficient("assembled stiffness not symmetric")
+    sums = np.zeros((2, S.shape[1]))     # row sums and |row| sums, slot by
+    for slot in S[:, p0:p0 + L]:         # slot: no (3^n, P) temporary
+        sums[:, p0:p0 + L] += slot, np.abs(slot)
+    _check_row_sums(*sums.reshape((2,) + padded)[(slice(None),) + inner])
+    K = np.empty((int(np.prod(shape)), 3 ** n))
+    K.T.reshape((-1,) + shape)[...] = S.reshape(
+        (-1,) + padded)[(slice(None),) + inner]
+    return K
 
 
-def _stiffness_slots(W, T, bits, d, shape):
-    """The stiffness slot sums, stencil-major (3^n, C): for each corner a,
-    row a of every cell's element matrix, T[:, a]^T @ roll_{bits_a}(W^T),
-    added into the slots d[a].  Each slot is a contiguous row."""
-    Wt = np.ascontiguousarray(W.T)                     # (n*n, C)
-    out = np.zeros((3 ** len(shape), W.shape[0]))
-    for a, shift in enumerate(bits):
-        out[d[a]] += T[:, a].T @ _roll_grid(Wt, tuple(shift), shape)
-    return out
+def _corner_cells(b, stride, p0, L):
+    """The flat range of the ghosted cells c whose corner at offset b is
+    node c + b, for the nodes in the flat range [p0, p0 + L)."""
+    start = p0 - int(np.dot(b, stride))
+    return slice(start, start + L)
 
 
 def _symmetrize_slots(S, shape):
-    """Replace each entry (s, i) of a stencil-major slot array S (3^n, N)
-    and its transpose partner (3^n - 1 - s, i + o_s) by their mean, in
-    place, o_s the offset of stencil index s; returns the largest
-    |difference| seen.  Both entries of a pair get the same float, so the
-    matrix is exactly symmetric; the centre slot is its own partner."""
+    """Replace each entry (s, i) of the ghosted slot sums S (3^n, P) and its
+    transpose partner (3^n - 1 - s, i + o_s), o_s the offset of stencil
+    index s, by their mean over the flat range of the nodes, in place, and
+    return the largest |difference| at the nodes.  Both means add the same
+    two floats, so K is exactly symmetric; the centre slot is its own."""
     n = len(shape)
-    offsets = np.indices((3,) * n).reshape(n, -1).T - 1
-    asym = 0.0
-    for s in range(3 ** n // 2):
-        mine = S[s]
-        # entry i holds the partner of entry (s, i)
-        theirs = _roll_grid(S[-1 - s], tuple(-offsets[s]), shape)
-        asym = max(asym, float(np.max(np.abs(mine - theirs))))
-        mine += theirs
-        mine *= 0.5
-        S[-1 - s] = _roll_grid(mine, tuple(offsets[s]), shape)
-    return asym
+    padded, stride, p0, L = _ghost_layout(shape)
+    half = 3 ** n // 2
+    offsets = (np.indices((3,) * n).reshape(n, -1).T - 1) @ stride
+    asym = np.zeros(padded)
+    seen = asym.reshape(-1)[p0:p0 + L]
+
+    def at(s, o):
+        return S[s, p0 + o:p0 + o + L]
+
+    for s in range(half):
+        o = int(offsets[s])
+        mine, theirs = at(s, 0), at(-1 - s, o)
+        np.maximum(seen, np.abs(mine - theirs), out=seen)
+        partner = at(-1 - s, 0) + at(s, -o)
+        np.add(mine, theirs, out=mine)
+        at(-1 - s, 0)[...] = partner
+    for rows in (slice(0, half), slice(half + 1, None)):
+        S[rows, p0:p0 + L] *= 0.5
+    return float(asym[(slice(1, -1),) * n].max())
 
 
 def _mass_slots(vol, h, shape):
@@ -552,19 +596,22 @@ def _grid_pattern(shape):
     Row i's columns are the nodes i + o, o in {-1, 0, 1}^n, wrapped per
     axis.  A column ravels its per-axis coordinates, the first axis most
     significant, so a row sorts by sorting each axis's three wrapped
-    coordinates on its own.  The indices are a mixed-radix sum over the
-    axes, built in place in the layout (i_1, .., i_n, o_1, .., o_n).
+    coordinates on its own.  The indices are a mixed-radix sum of one
+    table per axis in the layout (i_1, .., i_n, o_1, .., o_n): a small
+    (rows, stencil) table of the first n - 1, extended by the last's.
     """
-    n = len(shape)
-    cols = np.zeros(tuple(shape) + (3,) * n, dtype=np.int32)
+    cols = np.zeros((1, 1), dtype=np.int32)
     for k, s in enumerate(shape):
-        wrapped = (np.arange(s, dtype=np.int32)[:, None]
-                   + np.arange(-1, 2, dtype=np.int32)) % s
-        axes = [1] * (2 * n)
-        axes[k], axes[n + k] = s, 3
-        cols *= s
-        cols += np.sort(wrapped, axis=1).reshape(axes)
-    return cols.ravel()
+        table = np.sort((np.arange(s, dtype=np.int32)[:, None]
+                         + np.arange(-1, 2, dtype=np.int32)) % s, axis=1)
+        table *= np.int32(np.prod(shape[k + 1:]))
+        if k < len(shape) - 1:
+            cols = (cols[:, None, :, None] + table[None, :, None, :]
+                    ).reshape(-1, 3 * cols.shape[1])
+    out = np.tile(np.repeat(cols, 3, axis=1), (1, s)).reshape(
+        len(cols), s, -1)
+    out += np.tile(table, cols.shape[1])
+    return out.ravel()
 
 
 def _sort_rows(S, shape):
@@ -597,14 +644,12 @@ def _grid_symbols(shape, d, E0):
     array of the grid's shape per element matrix.
     """
     n = len(shape)
-    stencil = np.indices((3,) * n).reshape(n, -1) - 1   # d's offsets
-    at = np.ravel_multi_index(tuple(stencil), shape, mode="wrap")
-    S = np.zeros((len(E0), int(np.prod(shape))))
-    S[:, at] = [np.bincount(d.ravel(), e.ravel(), minlength=3 ** n)
-                for e in E0]
-    lam = np.fft.fftn(S.reshape((-1,) + tuple(shape)),
-                      axes=tuple(range(1, n + 1))).real
-    return tuple(lam)
+    lam = np.stack([np.bincount(d.ravel(), e.ravel(), minlength=3 ** n)
+                    for e in E0]).reshape((len(E0),) + (3,) * n)
+    for s in shape:   # the transform is separable: one axis at a time
+        lam = np.tensordot(lam, np.exp(-2j * np.pi / s * np.outer(
+            np.arange(-1, 2), np.arange(s))), axes=(1, 0))
+    return tuple(lam.real)
 
 
 def _check_row_sums(rs, row_abs):
@@ -739,81 +784,6 @@ def vertex_normals(mesh):
     return out
 
 
-def nondivergence_free_coefficient():
-    """Smooth SPD phi with nonzero divergence (negative control)."""
-
-    def provider(q, X):
-        k = X.shape[-1]
-        phi = np.tile(np.eye(k), (len(q), 1, 1))
-        phi[:, 0, 0] += 0.5 * (1.0 + np.sin(q[:, 0]))
-        if k > 1:
-            phi[:, 0, 1] = phi[:, 1, 0] = 0.25 * np.cos(q[:, 0] + q[:, -1])
-        return phi
-
-    return _labelled(provider, "nondivfree")
-
-
-# ---------------------------------------------------------------------------
-# cotangent oracle
-
-def cotangent_stiffness(mesh):
-    """Classical cotangent-weight stiffness matrix (independent route)."""
-    V, F = mesh.vertices, mesh.faces
-    nv = mesh.num_vertices
-    rows, cols, vals = [], [], []
-    for tri in F:
-        p = V[tri]
-        for k in range(3):
-            i, j, o = tri[(k + 1) % 3], tri[(k + 2) % 3], tri[k]
-            u = p[(k + 1) % 3] - p[k]
-            v = p[(k + 2) % 3] - p[k]
-            cot = float(u @ v) / np.linalg.norm(np.cross(u, v))
-            w = 0.5 * cot
-            rows += [i, j, i, j]
-            cols += [j, i, i, j]
-            vals += [-w, -w, w, w]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(nv, nv)).tocsr()
-
-
-# ---------------------------------------------------------------------------
-# pointwise vs weak consistency
-
-def domain_resolution(domain):
-    """Representative mesh size h."""
-    if isinstance(domain, SurfaceMesh):
-        return domain.mean_edge_length()
-    return float(np.max(domain.steps))
-
-
-def pointwise_vs_weak_consistency(domain, phi_provider, f_at, boxf_at):
-    """Compare M^{-1} K f against -box(f) at the nodes.
-
-    For divergence-free phi the weak operator is the negative of box;
-    returns {'h', 'max_error', 'rel_error'}.
-    """
-    op = assemble(domain, phi_provider)
-    f = np.array([f_at(p) for p in op.points])
-    b = np.array([boxf_at(p) for p in op.points])
-    w = spla.spsolve(op.M.tocsc(), op.K @ f)
-    e = w + b
-    err = float(np.max(np.abs(e)))
-    vol = float(np.ones_like(e) @ (op.M @ np.ones_like(e)))
-    rms = math.sqrt(max(float(e @ (op.M @ e)), 0.0) / vol)
-    scale = max(1.0, float(np.max(np.abs(b))))
-    return {"h": domain_resolution(domain), "max_error": err,
-            "rms_error": rms, "median_error": float(np.median(np.abs(e))),
-            "rel_error": err / scale, "size": op.size}
-
-
-def observed_order(reports, key="max_error"):
-    """Least-squares slope of log(error) vs log(h) over refinement levels."""
-    hs = np.log([r["h"] for r in reports])
-    es = np.log([max(r[key], 1e-300) for r in reports])
-    A = np.stack([hs, np.ones_like(hs)], axis=1)
-    slope, _ = np.linalg.lstsq(A, es, rcond=None)[0]
-    return float(slope)
-
-
 # ---------------------------------------------------------------------------
 # I/O
 
@@ -848,13 +818,3 @@ def read_off(path):
     except ValueError as exc:
         raise ConfigError("%s: bad OFF token: %s" % (path, exc)) from exc
     return SurfaceMesh(vertices=verts, faces=np.asarray(faces))
-
-
-def write_off(mesh, path):
-    with open(path, "w") as fh:
-        fh.write("OFF\n%d %d %d\n" % (mesh.num_vertices, mesh.num_faces,
-                                      mesh.num_edges))
-        for v in mesh.vertices:
-            fh.write("%.17g %.17g %.17g\n" % tuple(v))
-        for f in mesh.faces:
-            fh.write("3 %d %d %d\n" % tuple(f))

@@ -114,15 +114,6 @@ def newton_inequality_trials(cfg=TrialConfig(), planted=False):
             "seed": cfg.seed, "generator": GENERATOR_NAME}
 
 
-def trace_inequality_defect(A, B):
-    """Normalized defect for a single (A, B) pair (oracle for spot checks)."""
-    A = np.asarray(A, float)
-    B = np.asarray(B, float)
-    trB = float(np.trace(B))
-    trAB = float(np.sum(A * B))
-    return (float(np.sum((A @ A) * B)) - trAB ** 2 / trB) / trB
-
-
 # ---------------------------------------------------------------------------
 # Q(A) bound trials
 

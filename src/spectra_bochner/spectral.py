@@ -21,6 +21,7 @@ from typing import Dict
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dsyevd
 
 from .errors import (ConfigError, FactorizationFailure, NoConvergence,
                      SchoutenUndefined)
@@ -90,6 +91,9 @@ LOBPCG_MAXITER = 1000
 # the grid preconditioner's shift sigma, as a fraction of the averaged
 # pencil's mu1
 LOBPCG_SHIFT = 0.9
+# iterations without a new minimum of the largest residual after which
+# LOBPCG recomputes the products of [X D] from explicit K and M products
+LOBPCG_STALL = 10
 # SVQB drops the directions of a basis whose unit-diagonal Gram matrix has
 # an eigenvalue below this fraction of its largest
 SVQB_DROP = 1e-10
@@ -151,6 +155,16 @@ def _fft_preconditioner(symbols):
     return precondition, sigma, nu1
 
 
+def _eigh(A):
+    """np.linalg.eigh(A) of a small symmetric A by one direct LAPACK dsyevd
+    call on its lower triangle; NoConvergence if dsyevd fails."""
+    theta, V, info = dsyevd(A, lower=1)
+    if info != 0:
+        raise NoConvergence("LAPACK dsyevd failed (info %d) on a %d x %d "
+                            "Rayleigh-Ritz matrix" % ((info,) + A.shape))
+    return theta, V
+
+
 def _svqb(G):
     """Z with Z' G Z = I on the kept directions of a basis with Gram matrix
     G (SVQB, Duersch, Shao, Yang & Gu 2018): G is scaled to a unit
@@ -160,38 +174,46 @@ def _svqb(G):
     d = np.diag(G).copy()
     d[d <= 0.0] = 1.0
     d = 1.0 / np.sqrt(d)
-    theta, V = np.linalg.eigh(G * d * d[:, None])
+    theta, V = _eigh(G * d * d[:, None])
     keep = theta > SVQB_DROP * theta[-1]
     return d[:, None] * (V[:, keep] / np.sqrt(theta[keep]))
 
 
 def _lobpcg(K, M, precondition, k, limit, rng, m1, vol):
-    """(mu, X, residuals, stats): the k smallest eigenpairs of K u = mu M u
-    M-orthogonal to the constants (m1 = M 1, vol = 1'M1), by block LOBPCG
-    (Knyazev 2001) preconditioned by ``precondition``.
+    """(mu, X, R, stats): the k smallest eigenpairs of K u = mu M u
+    M-orthogonal to the constants (m1 = M 1, vol = 1'M1) and their
+    residuals R = K X - mu M X, by block LOBPCG (Knyazev 2001)
+    preconditioned by ``precondition``.
 
     Blocks hold their vectors as rows.  T stacks a basis S = [X D W] with
-    K S and M S as T[0], T[1], T[2]: X the Ritz vectors, D the directions,
-    W the preconditioned residuals of the Ritz vectors whose residual is
-    above ``limit`` (a converged vector is not locked: it rejoins them when
-    its residual rises).  Each iteration applies K, M and the
-    preconditioner once, to W, after W is made M-orthogonal to [X D] and to
-    the constants; the Rayleigh-Ritz step on S runs through ``_svqb``, and
-    one matmul of the coefficients by T updates X, D and their products
-    together.  D is kept M-orthonormal and M-orthogonal to X.  A block
-    whose residuals ||K x - mu M x|| are all within ``limit`` is accepted
-    only once they are recomputed from explicit K X and M X.
+    K S and M S as T[0], T[1], T[2], in the leading rows of one of two
+    (3, 3k, N) buffers: X the Ritz vectors, D the directions, W the
+    preconditioned residuals of the Ritz vectors whose residual is above
+    ``limit`` (a converged vector is not locked).  Each iteration applies
+    K, M and the preconditioner once, to W, made M-orthogonal to [X D]
+    and to the constants; the Rayleigh-Ritz step on S runs through
+    ``_svqb``, and one matmul of the coefficients by T writes X, D (kept
+    M-orthonormal and M-orthogonal to X) and their products into the other
+    buffer, W's rows behind.  Those products are implicit, so they are
+    recomputed once the largest residual goes LOBPCG_STALL iterations
+    without a new minimum (``refreshes``).  A block is accepted only once
+    residuals ||K x - mu M x|| from explicit K X and M X are within
+    ``limit``.
     """
-    def products(V):   # [V, K V, M V] for a block of rows V
-        return np.stack([V, (K @ V.T).T, (M @ V.T).T])
+    def products(T):   # T[1], T[2] = K S, M S for the block of rows S = T[0]
+        T[1] = (K @ T[0].T).T
+        T[2] = (M @ T[0].T).T
+        return T
 
+    work = np.empty((2, 3, 3 * k, K.shape[0]))
     X = rng.standard_normal((K.shape[0], k)).T
-    T = products(X - (X @ m1)[:, None] / vol)
-    explicit, history = True, []
+    work[0, 0, :k] = X - (X @ m1)[:, None] / vol
+    T, side = products(work[0, :, :k]), 0
+    explicit, history, refreshes, best, since = True, [], 0, np.inf, 0
     while True:
         KSMS = T[0] @ T[1:].transpose(0, 2, 1)
         Z = _svqb(KSMS[1])
-        lam, Y = np.linalg.eigh(Z.T @ KSMS[0] @ Z)
+        lam, Y = _eigh(Z.T @ KSMS[0] @ Z)
         C = Z @ Y[:, :k]
         mu = lam[:k]
         if not explicit:   # directions: the [D W] part of the active Ritz
@@ -199,15 +221,17 @@ def _lobpcg(K, M, precondition, k, limit, rng, m1, vol):
             Cd[:k] = 0.0
             Cd -= C @ (C.T @ (KSMS[1] @ Cd))
             C = np.hstack([C, Cd @ _svqb(Cd.T @ KSMS[1] @ Cd)])
-        XD = C.T @ T
+        side = 1 - side
+        XD = np.matmul(C.T, T, out=work[side, :, :C.shape[1]])
         R = XD[1, :k] - mu[:, None] * XD[2, :k]
-        res = np.linalg.norm(R, axis=1)
+        res = np.sqrt(np.einsum("ij,ij->i", R, R))
         history.append(float(res.max()))
         if res.max() <= limit:
             if explicit:
-                return mu, XD[0, :k].T.copy(), res, {
-                    "iterations": len(history), "residual_history": history}
-            T = products(XD[0, :k])
+                return mu, XD[0, :k].T.copy(), R, {
+                    "iterations": len(history), "residual_history": history,
+                    "refreshes": refreshes}
+            T = products(XD[:, :k])
             explicit = True
             continue
         if len(history) >= LOBPCG_MAXITER:
@@ -215,12 +239,26 @@ def _lobpcg(K, M, precondition, k, limit, rng, m1, vol):
                                 "residuals %s above %.3g"
                                 % (len(history), res.tolist(), limit),
                                 eigenvalues=mu, residuals=res)
+        if history[-1] < best:   # a new minimum since the last refresh
+            best, since = history[-1], len(history)
+        elif len(history) - since >= LOBPCG_STALL:
+            T = products(XD)
+            best, refreshes = np.inf, refreshes + 1
+            continue
         active = res > limit
         W = precondition(R[active])
         W -= (W @ XD[2].T) @ XD[0]
         W -= (W @ m1)[:, None] / vol
-        T = np.concatenate([XD, products(W)], axis=1)
+        T = work[side, :, :XD.shape[1] + W.shape[0]]
+        T[0, XD.shape[1]:] = W
+        products(T[:, XD.shape[1]:])
         explicit = False
+
+
+def _abs_sum(x, chunk=1 << 15):
+    """sum |x|, a chunk at a time: no temporary the size of x."""
+    return sum(float(np.abs(x[i:i + chunk]).sum())
+               for i in range(0, x.size, chunk))
 
 
 def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
@@ -240,10 +278,14 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
     of K + eps*M's factor (the nonzeros SuperLU stores for L and U,
     ``SuperLU.nnz``: reading ``.L`` and ``.U`` would copy the factor),
     ``factor_s`` (ordering plus factorization) and the ``solves``, one per
-    vector.  Both report the ``iterations`` and the block's largest
-    residual per iteration (``residual_history``).  Raises ConfigError for
-    k < 1, for k >= N (N nodes carry N - 1 nonzero eigenvalues) or a tol
-    that is not positive and finite.
+    vector.  Both report the ``iterations``, the block's largest residual
+    per iteration (``residual_history``), the ``refreshes`` of the
+    implicit products, and the ``enclosure``: for each eigenvalue, c times
+    its residual's norm in the inverse lumped mass L = diag(M 1), a
+    distance within which the pencil has an eigenvalue, or None when the
+    record names no domain.  Raises ConfigError for k < 1, for k >= N (N
+    nodes carry N - 1 nonzero eigenvalues) or a tol that is not positive
+    and finite.
     """
     if k < 1:
         raise ConfigError("k must be at least 1, got %r" % (k,))
@@ -254,7 +296,7 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
     if k >= N:
         raise ConfigError("k = %d needs more than the %d nonzero eigenvalues "
                           "of a pencil on N = %d nodes" % (k, N - 1, N))
-    scale = np.abs(K.data).sum() / max(1.0, np.abs(M.data).sum())
+    scale = _abs_sum(K.data) / max(1.0, _abs_sum(M.data))
     m1 = M @ np.ones(N)
     vol = float(m1.sum())
     limit = tol * scale * math.sqrt(vol / N)
@@ -269,10 +311,16 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
         precondition, sigma, nu1 = _fft_preconditioner(op.symbols)
         stats = {"setup_s": time.perf_counter() - t0,
                  "preconditioner_shift": sigma, "nu1": nu1}
-    mu, U, res, run = _lobpcg(K, M, precondition, k, limit,
-                              np.random.default_rng(seed), m1, vol)
+    mu, U, R, run = _lobpcg(K, M, precondition, k, limit,
+                            np.random.default_rng(seed), m1, vol)
+    res = np.sqrt(np.einsum("ij,ij->i", R, R))
+    # element masses are at least 1/c^2 of their lumped form: 1/4 on P1
+    # triangles, 1/3 per axis on Q1 cells
+    c = {"SurfaceMesh": 2.0, "PeriodicGrid": 3.0 ** (
+        len(op.record.get("shape", ())) / 2)}.get(op.record.get("domain"))
     diag = {"solver": solver, "k": k, "seed": seed, "size": N, **stats,
-            **run, "record": dict(op.record)}
+            **run, "record": dict(op.record), "enclosure": None if c is None
+            else (c * np.sqrt(np.einsum("ij,ij,j->i", R, R, 1 / m1))).tolist()}
     return EigenResult(eigenvalues=mu, eigenvectors=U,
                        residuals=res / np.linalg.norm(U, axis=0),
                        diagnostics=diag)

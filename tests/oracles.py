@@ -1,9 +1,17 @@
-"""Oracles that the tests compare the package's closed forms with: the
-operator box applied directly, and the matrix Q(A)."""
+"""Oracles and controls that the tests compare the package with: the
+operator box applied directly, the trace-inequality defect of one pair,
+the matrix Q(A), the cotangent stiffness, a non-divergence-free
+coefficient, and the pointwise-vs-weak consistency of assembled operators
+on refinement ladders."""
+
+import math
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from spectra_bochner import boxop, geometry as geom, hypersurface as hyp
+from spectra_bochner import boxop, discretize as dz, geometry as geom
+from spectra_bochner import hypersurface as hyp
 
 
 def laplacian_box(m):
@@ -23,6 +31,15 @@ def apply(box, f, p):
     return np.sum(phi_ij * fij, axis=(-2, -1))
 
 
+def trace_inequality_defect(A, B):
+    """Normalized defect for a single (A, B) pair (oracle for spot checks)."""
+    A = np.asarray(A, float)
+    B = np.asarray(B, float)
+    trB = float(np.trace(B))
+    trAB = float(np.sum(A * B))
+    return (float(np.sum((A @ A) * B)) - trAB ** 2 / trB) / trB
+
+
 def q_polynomial(sd, kappa):
     """Q(A) = 2A^3 - 3H A^2 + (2H^2 - |A|^2 - kappa(n-2)) A + kappa(2n-3) H I.
 
@@ -38,3 +55,83 @@ def q_polynomial(sd, kappa):
     return (2.0 * A2 @ A - 3.0 * H * A2
             + (2.0 * H ** 2 - normA2 - kappa * (n - 2.0)) * A
             + kappa * (2.0 * n - 3.0) * H * np.eye(n))
+
+
+def nondivergence_free_coefficient():
+    """Smooth SPD phi with nonzero divergence (negative control)."""
+
+    def provider(q, X):
+        k = X.shape[-1]
+        phi = np.tile(np.eye(k), (len(q), 1, 1))
+        phi[:, 0, 0] += 0.5 * (1.0 + np.sin(q[:, 0]))
+        if k > 1:
+            phi[:, 0, 1] = phi[:, 1, 0] = 0.25 * np.cos(q[:, 0] + q[:, -1])
+        return phi
+
+    provider.label = "nondivfree"
+    return provider
+
+
+def cotangent_stiffness(mesh):
+    """Classical cotangent-weight stiffness matrix (independent route)."""
+    V, F = mesh.vertices, mesh.faces
+    nv = mesh.num_vertices
+    rows, cols, vals = [], [], []
+    for tri in F:
+        p = V[tri]
+        for k in range(3):
+            i, j = tri[(k + 1) % 3], tri[(k + 2) % 3]
+            u = p[(k + 1) % 3] - p[k]
+            v = p[(k + 2) % 3] - p[k]
+            cot = float(u @ v) / np.linalg.norm(np.cross(u, v))
+            w = 0.5 * cot
+            rows += [i, j, i, j]
+            cols += [j, i, i, j]
+            vals += [-w, -w, w, w]
+    return sp.coo_matrix((vals, (rows, cols)), shape=(nv, nv)).tocsr()
+
+
+def domain_resolution(domain):
+    """Representative mesh size h."""
+    if isinstance(domain, dz.SurfaceMesh):
+        return domain.mean_edge_length()
+    return float(np.max(domain.steps))
+
+
+def pointwise_vs_weak_consistency(domain, phi_provider, f_at, boxf_at):
+    """Compare M^{-1} K f against -box(f) at the nodes.
+
+    For divergence-free phi the weak operator is the negative of box;
+    returns {'h', 'max_error', 'rel_error'}.
+    """
+    op = dz.assemble(domain, phi_provider)
+    f = np.array([f_at(p) for p in op.points])
+    b = np.array([boxf_at(p) for p in op.points])
+    w = spla.spsolve(op.M.tocsc(), op.K @ f)
+    e = w + b
+    err = float(np.max(np.abs(e)))
+    vol = float(np.ones_like(e) @ (op.M @ np.ones_like(e)))
+    rms = math.sqrt(max(float(e @ (op.M @ e)), 0.0) / vol)
+    scale = max(1.0, float(np.max(np.abs(b))))
+    return {"h": domain_resolution(domain), "max_error": err,
+            "rms_error": rms, "median_error": float(np.median(np.abs(e))),
+            "rel_error": err / scale, "size": op.size}
+
+
+def observed_order(reports, key="max_error"):
+    """Least-squares slope of log(error) vs log(h) over refinement levels."""
+    hs = np.log([r["h"] for r in reports])
+    es = np.log([max(r[key], 1e-300) for r in reports])
+    A = np.stack([hs, np.ones_like(hs)], axis=1)
+    slope, _ = np.linalg.lstsq(A, es, rcond=None)[0]
+    return float(slope)
+
+
+def write_off(mesh, path):
+    with open(path, "w") as fh:
+        fh.write("OFF\n%d %d %d\n" % (mesh.num_vertices, mesh.num_faces,
+                                        mesh.num_edges))
+        for v in mesh.vertices:
+            fh.write("%.17g %.17g %.17g\n" % tuple(v))
+        for f in mesh.faces:
+            fh.write("3 %d %d %d\n" % tuple(f))

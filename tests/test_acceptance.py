@@ -13,6 +13,8 @@ import pytest
 from spectra_bochner import (bounds as bd, discretize as dz, harness as hz,
                              spectral as spec)
 
+import oracles
+
 
 def _report(name, ok, budget, elapsed, detail):
     status = "PASS" if ok else "FAIL"
@@ -155,23 +157,23 @@ def test_09_discrete_operator_consistency():
     t0 = time.perf_counter()
     m = dz.icosphere(3)
     op = dz.assemble(m, dz.metric_coefficient())
-    cot_diff = abs(op.K - dz.cotangent_stiffness(m)).max()
+    cot_diff = abs(op.K - oracles.cotangent_stiffness(m)).max()
 
     reports, neg_errs = [], []
     for res in (16, 32, 64):
         g = dz.PeriodicGrid(lengths=[2 * np.pi, 2 * np.pi], shape=(res, res))
-        reports.append(dz.pointwise_vs_weak_consistency(
+        reports.append(oracles.pointwise_vs_weak_consistency(
             g, dz.metric_coefficient(),
             lambda p: np.cos(p[0]), lambda p: -np.cos(p[0])))
 
         def boxf(p):
             return -(1.0 + 0.5 * (1.0 + np.sin(p[0]))) * np.cos(p[0])
 
-        neg_errs.append(dz.pointwise_vs_weak_consistency(
-            g, dz.nondivergence_free_coefficient(),
+        neg_errs.append(oracles.pointwise_vs_weak_consistency(
+            g, oracles.nondivergence_free_coefficient(),
             lambda p: np.cos(p[0]), boxf)["max_error"])
 
-    order = dz.observed_order(reports)
+    order = oracles.observed_order(reports)
     ok = (cot_diff < 1e-12 and abs(order - 2.0) < 0.3 and neg_errs[-1] > 0.05)
     _report("criterion 9 (pointwise vs weak-form operator consistency)",
             ok, 60.0, time.perf_counter() - t0,

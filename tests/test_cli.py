@@ -8,6 +8,8 @@ import scipy.linalg as sl
 
 from spectra_bochner import cli, discretize as dz
 
+import oracles
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -76,7 +78,7 @@ class TestEig:
 
     def test_mesh_off(self, capsys, tmp_path):
         path = str(tmp_path / "s.off")
-        dz.write_off(dz.icosphere(2), path)
+        oracles.write_off(dz.icosphere(2), path)
         code, out, _ = run(capsys, "--json", "eig", "--mesh", path, "--k", "1")
         assert code == 0
         assert json.loads(out)["eigenvalues"][0] == pytest.approx(2.0,
@@ -178,7 +180,7 @@ class TestEig:
         errs = []
         for sub in (2, 3, 4):
             path = str(tmp_path / ("s%d.off" % sub))
-            dz.write_off(dz.icosphere(sub, r), path)
+            oracles.write_off(dz.icosphere(sub, r), path)
             code, out, _ = run(capsys, "--json", "eig", "--mesh", path,
                                "--operator", "newton1", "--k", "1")
             assert code == 0
@@ -227,7 +229,7 @@ class TestVerify:
 class TestCheckAndProptest:
     def test_check_mesh(self, capsys, tmp_path):
         path = str(tmp_path / "s.off")
-        dz.write_off(dz.icosphere(1), path)
+        oracles.write_off(dz.icosphere(1), path)
         code, out, _ = run(capsys, "--json", "check", "--mesh", path)
         assert code == 0
         assert json.loads(out)["euler_characteristic"] == 2

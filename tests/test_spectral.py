@@ -9,6 +9,8 @@ from spectra_bochner import spectral as spec
 from spectra_bochner.errors import (ConfigError, NoConvergence,
                                    SchoutenUndefined)
 
+import oracles
+
 
 def eigenpair_pairing_defect(op_phi, result, op_g, mode=0):
     """Normalized defect of the discrete pairing identity.
@@ -198,7 +200,7 @@ class TestGridSolver:
     @pytest.mark.parametrize("op", [
         torus_grid_op(6),
         dz.assemble(dz.PeriodicGrid(lengths=[2 * np.pi] * 2, shape=(12, 10)),
-                    dz.nondivergence_free_coefficient()),
+                    oracles.nondivergence_free_coefficient()),
     ], ids=["torus3-sin-6", "nondivfree-12x10"])
     def test_shifted_preconditioner_is_spd(self, op):
         P, sigma, nu1 = spec._fft_preconditioner(op.symbols)
@@ -243,7 +245,7 @@ DENSE_OPS = {
         dz.metric_coefficient()),
     "nondivfree-12x10": lambda: dz.assemble(
         dz.PeriodicGrid(lengths=[2 * np.pi] * 2, shape=(12, 10)),
-        dz.nondivergence_free_coefficient()),
+        oracles.nondivergence_free_coefficient()),
     "torus3-sin-8": lambda: torus_grid_op(8),
 }
 
@@ -271,6 +273,9 @@ class TestLobpcg:
         op, dense = dense_case(name)
         r = spec.smallest_nonzero(op, k=k, seed=seed)
         assert np.allclose(r.eigenvalues, dense[:k], rtol=1e-8, atol=0.0)
+        # the certified enclosure holds each value's distance to dense
+        assert np.all(np.abs(r.eigenvalues - dense[:k])
+                      <= r.diagnostics["enclosure"])
 
     @pytest.mark.parametrize("op", [
         dz.assemble(dz.icosphere(0), dz.metric_coefficient()),
@@ -299,6 +304,84 @@ class TestLobpcg:
         assert info.value.eigenvalues.shape == (k,)
         assert info.value.residuals.shape == (k,)
         assert np.min(info.value.residuals) > limit
+
+
+class DriftingProducts:
+    """K whose first ``count`` products come out scaled by 1 + eps: the
+    implicitly updated products of LOBPCG then carry that drift."""
+
+    def __init__(self, K, count=6, eps=1e-6):
+        self.K, self.shape, self.left, self.eps = K, K.shape, count, eps
+
+    def __matmul__(self, V):
+        out = self.K @ V
+        if self.left > 0:
+            self.left -= 1
+            out = out * (1.0 + self.eps)
+        return out
+
+
+class TestLobpcgTrust:
+    # without a refresh on stall this drift took 523-634 iterations on
+    # seeds 0 and 1 and raised NoConvergence after 1000 on seeds 3 and 7:
+    # the residual stuck at about 2e-7 against a limit of 6e-9
+    @pytest.mark.parametrize("seed", [0, 1, 3, 7])
+    def test_planted_drift_refreshes(self, seed):
+        op = torus_grid_op(8)
+        K, M, N = op.K, op.M, op.size
+        m1 = M @ np.ones(N)
+        vol = m1.sum()
+        limit = 1e-9 * (abs(K).sum() / abs(M).sum()) * np.sqrt(vol / N)
+        P = spec._fft_preconditioner(op.symbols)[0]
+        mu, _, R, stats = spec._lobpcg(DriftingProducts(K), M, P, 1, limit,
+                                       np.random.default_rng(seed), m1, vol)
+        assert stats["iterations"] <= 60
+        assert stats["refreshes"] >= 1
+        assert np.linalg.norm(R) <= limit
+        assert mu[0] == pytest.approx(1.0449199065803503, rel=1e-12)
+
+    def test_no_refresh_on_benchmark_sizes(self, torus18_op):
+        ops = [torus18_op] + [
+            dz.assemble(dz.icosphere(sub),
+                        dz.ellipsoid_newton1_coefficient((1.0, 1.0, 1.0)))
+            for sub in (1, 2, 3)]
+        for op in ops:
+            for seed in range(3):
+                r = spec.smallest_nonzero(op, k=1, seed=[0, seed])
+                assert r.diagnostics["refreshes"] == 0
+
+    def test_enclosure_of_hand_built_operator_is_none(self, sphere_op):
+        op = dz.AssembledOperator(K=sphere_op.K, M=sphere_op.M,
+                                  points=sphere_op.points,
+                                  record={"phi": "hand-built"})
+        assert spec.smallest_nonzero(op).diagnostics["enclosure"] is None
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_enclosure_constant(self, sphere_op, grid):
+        # c ||r|| in the inverse lumped-mass norm: c = 2 on P1 triangles,
+        # 3^(n/2) on Q1 cells in n dimensions
+        op = torus_grid_op(6) if grid else sphere_op
+        r = spec.smallest_nonzero(op, k=2)
+        K, M, U = op.K, op.M, r.eigenvectors
+        R = K @ U - (M @ U) * r.eigenvalues
+        lumped = np.sqrt(np.sum(R * R / (M @ np.ones(op.size))[:, None],
+                                axis=0))
+        c = 3.0 ** 1.5 if grid else 2.0
+        assert np.allclose(r.diagnostics["enclosure"], c * lumped,
+                           rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("info", [1, -3])
+    def test_dsyevd_failure_raises(self, sphere_op, monkeypatch, info):
+        dsyevd = spec.dsyevd
+
+        def failing(a, **kwargs):
+            w, v, _ = dsyevd(a, **kwargs)
+            return w, v, info
+
+        monkeypatch.setattr(spec, "dsyevd", failing)
+        with pytest.raises(NoConvergence, match="dsyevd failed") as exc:
+            spec.smallest_nonzero(sphere_op, k=1)
+        assert exc.value.eigenvalues is None
 
 
 class TestNestedDissection:
