@@ -526,8 +526,8 @@ class TestConsistency:
 
     def test_constant_function_exact(self):
         g = dz.PeriodicGrid(lengths=[2 * np.pi, 2 * np.pi], shape=(16, 16))
-        r = oracles.pointwise_vs_weak_consistency(g, dz.metric_coefficient(),
-                                             lambda p: 3.0, lambda p: 0.0)
+        r = oracles.pointwise_vs_weak_consistency(
+            g, dz.metric_coefficient(), lambda p: 3.0, lambda p: 0.0)
         assert r["max_error"] < 1e-10
 
     def test_icosphere_harmonic_median_order_two(self):

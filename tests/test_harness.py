@@ -76,7 +76,7 @@ class TestTraceInequality:
             for n, A, lam in zip(chunk, As, lams):
                 A = 0.5 * (A + A.T)[:n, :n]
                 defects.append(trace_inequality_defect(A,
-                                                          np.diag(lam[:n])))
+                                                       np.diag(lam[:n])))
         defects = np.array(defects)
         rep = hz.newton_inequality_trials(hz.TrialConfig(trials, seed))
         assert rep["worst_defect"] == pytest.approx(np.min(defects),

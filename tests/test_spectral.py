@@ -273,7 +273,7 @@ class TestLobpcg:
         op, dense = dense_case(name)
         r = spec.smallest_nonzero(op, k=k, seed=seed)
         assert np.allclose(r.eigenvalues, dense[:k], rtol=1e-8, atol=0.0)
-        # the certified enclosure holds each value's distance to dense
+        # the enclosure bounds each value's distance to dense
         assert np.all(np.abs(r.eigenvalues - dense[:k])
                       <= r.diagnostics["enclosure"])
 
