@@ -2,18 +2,20 @@
 
 The pencil is singular (constants span the kernel of K).  One block LOBPCG,
 kept M-orthogonal to the constants, solves every operator; only its
-preconditioner follows the domain kind.  Periodic grids use the FFT inverse
-of the pencil with cell-averaged coefficients, shifted by 0.9 times that
-pencil's mu1 (read off its Fourier symbols), and factor nothing.  Every
-other operator uses one SuperLU factor of K + eps*M with a tiny eps, taken
-in a coordinate nested-dissection order of the nodes.  No shift enters a
-mu1.  Round spheres have closed-form spectra for the Laplacian, the
-Schouten operator, and the linearized operator L1 of an umbilic geodesic
-sphere, used as oracles.
+preconditioner and start block follow the domain kind.  Periodic grids use
+the FFT inverse of the pencil with cell-averaged coefficients, shifted by
+0.9 times that pencil's mu1 (read off its Fourier symbols), factor nothing,
+and start from k random rows plus that pencil's lowest Fourier modes.  Every
+other operator starts from k random rows and uses one SuperLU factor of
+K + eps*M with a tiny eps, taken in a coordinate nested-dissection order of
+the nodes.  No shift enters a mu1.  Round spheres have closed-form spectra
+for the Laplacian, the Schouten operator, and the linearized operator L1 of
+an umbilic geodesic sphere, used as oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -94,6 +96,9 @@ LOBPCG_SHIFT = 0.9
 # iterations without a new minimum of the largest residual after which
 # LOBPCG recomputes the products of [X D] from explicit K and M products
 LOBPCG_STALL = 10
+# averaged-pencil modes whose ratio is within this fraction above the k-th
+# smallest count as tied with it and join the grid start block
+START_TIE = 1e-10
 # SVQB drops the directions of a basis whose unit-diagonal Gram matrix has
 # an eigenvalue below this fraction of its largest
 SVQB_DROP = 1e-10
@@ -121,9 +126,10 @@ def _splu_preconditioner(points, K, M, eps):
     return precondition, stats
 
 
-def _fft_preconditioner(symbols):
-    """(P, sigma, nu1): the inverse of the shifted cell-averaged pencil
-    stiff - sigma * mass, applied through the FFT, from its Fourier symbols.
+def _fft_preconditioner(symbols, k):
+    """(P, sigma, nu1, modes): the inverse of the shifted cell-averaged
+    pencil stiff - sigma * mass, applied through the FFT, from its Fourier
+    symbols, and the averaged pencil's lowest modes.
 
     nu1, the smallest stiff / mass ratio off the constant mode, is the
     averaged pencil's exact mu1, and sigma = LOBPCG_SHIFT * nu1 sits below
@@ -134,7 +140,9 @@ def _fft_preconditioner(symbols):
     averaged pencil's first mode and near 1 high in the spectrum, which
     widens the relative gap between mu1 and the modes above it that sets
     LOBPCG's iteration count.  P maps a block of c rows of length N to
-    another.
+    another.  ``modes`` (m, n) holds the wave numbers of the non-constant
+    modes whose ratio is at most the k-th smallest (within START_TIE), one
+    of each conjugate pair kappa, -kappa.
     """
     stiff, mass = symbols
     shape = stiff.shape
@@ -142,6 +150,16 @@ def _fft_preconditioner(symbols):
     ratio.flat[0] = np.inf
     nu1 = float(ratio.min())
     sigma = LOBPCG_SHIFT * nu1
+    # the k-th smallest ratio, stepped to through the distinct values:
+    # np.partition would page in 0.25 MB of sort code on the grid path
+    kth = nu1
+    while np.count_nonzero(ratio <= kth) < k:
+        kth = ratio[ratio > kth].min()
+    kappa = np.argwhere(ratio <= kth * (1.0 + START_TIE))
+    # a conjugate pair spans the same cos and sin rows: keep its first
+    flat = np.ravel_multi_index(kappa.T, shape)
+    conj = np.ravel_multi_index((-kappa % shape).T, shape)
+    modes = kappa[flat <= conj]
     half = (stiff - sigma * mass)[..., :shape[-1] // 2 + 1]
     half.flat[0] = mass.flat[0]
     inverse = 1.0 / half
@@ -152,7 +170,18 @@ def _fft_preconditioner(symbols):
                           * inverse, s=shape, axes=axes)
         return y.reshape(x.shape)
 
-    return precondition, sigma, nu1
+    return precondition, sigma, nu1, modes
+
+
+def _fourier_rows(modes, shape):
+    """The real rows cos(theta.j) and sin(theta.j) over the grid's nodes j
+    (C order) of each mode exp(i theta.j), theta = 2 pi kappa / shape for
+    kappa in ``modes``; a self-conjugate mode (2 kappa = 0 mod shape) has
+    only its cos row, its sin row being zero."""
+    phase = (2 * np.pi * modes / shape) @ np.indices(shape).reshape(
+        len(shape), -1)
+    real = np.all(2 * modes % shape == 0, axis=1)
+    return np.vstack([np.cos(phase), np.sin(phase[~real])])
 
 
 def _eigh(A):
@@ -179,11 +208,34 @@ def _svqb(G):
     return d[:, None] * (V[:, keep] / np.sqrt(theta[keep]))
 
 
-def _lobpcg(K, M, precondition, k, limit, rng, m1, vol):
+def _ritz_start(K, M, X, rows, m1, vol):
+    """(X', c): the k = len(X) lowest Ritz vectors, as rows, of K u = mu M u
+    on the span of the rows of X and the c ``rows``, made M-orthogonal to
+    the constants.  The (k + c, k + c) Rayleigh-Ritz matrices are taken a
+    column at a time, so no K S or M S is held beside S = [X; rows]."""
+    S = np.vstack([X, rows])
+    S -= (S @ m1)[:, None] / vol
+    KSMS = np.empty((2,) + 2 * S.shape[:1])
+    for i, s in enumerate(S):
+        KSMS[0, :, i] = S @ (K @ s)
+        KSMS[1, :, i] = S @ (M @ s)
+    Z = _svqb(KSMS[1])
+    C = Z @ _eigh(Z.T @ KSMS[0] @ Z)[1][:, :len(X)]
+    return C.T @ S, len(rows)
+
+
+def _lobpcg(K, M, precondition, k, limit, rng, m1, vol, start=None):
     """(mu, X, R, stats): the k smallest eigenpairs of K u = mu M u
     M-orthogonal to the constants (m1 = M 1, vol = 1'M1) and their
     residuals R = K X - mu M X, by block LOBPCG (Knyazev 2001)
     preconditioned by ``precondition``.
+
+    The first X is k random rows drawn from ``rng``.  Given ``start``, a
+    function returning extra start rows, X is instead the k lowest Ritz
+    vectors on the span of the random rows and those rows (``_ritz_start``,
+    called before the work buffers are taken, so that the rows never live
+    beside them); the random rows keep the start from being confined to an
+    invariant subspace that misses the wanted eigenvectors.
 
     Blocks hold their vectors as rows.  T stacks a basis S = [X D W] with
     K S and M S as T[0], T[1], T[2], in the leading rows of one of two
@@ -198,15 +250,18 @@ def _lobpcg(K, M, precondition, k, limit, rng, m1, vol):
     recomputed once the largest residual goes LOBPCG_STALL iterations
     without a new minimum (``refreshes``).  A block is accepted only once
     residuals ||K x - mu M x|| from explicit K X and M X are within
-    ``limit``.
+    ``limit``.  ``start_modes`` counts the start rows.
     """
     def products(T):   # T[1], T[2] = K S, M S for the block of rows S = T[0]
         T[1] = (K @ T[0].T).T
         T[2] = (M @ T[0].T).T
         return T
 
-    work = np.empty((2, 3, 3 * k, K.shape[0]))
     X = rng.standard_normal((K.shape[0], k)).T
+    start_modes = 0
+    if start is not None:   # the rows are freed before the work buffers
+        X, start_modes = _ritz_start(K, M, X, start(), m1, vol)
+    work = np.empty((2, 3, 3 * k, K.shape[0]))
     work[0, 0, :k] = X - (X @ m1)[:, None] / vol
     T, side = products(work[0, :, :k]), 0
     explicit, history, refreshes, best, since = True, [], 0, np.inf, 0
@@ -230,7 +285,8 @@ def _lobpcg(K, M, precondition, k, limit, rng, m1, vol):
             if explicit:
                 return mu, XD[0, :k].T.copy(), R, {
                     "iterations": len(history), "residual_history": history,
-                    "refreshes": refreshes}
+                    "refreshes": refreshes,
+                    "start_modes": start_modes}
             T = products(XD[:, :k])
             explicit = True
             continue
@@ -273,8 +329,12 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
     and the residuals ||K u - mu M u|| / ||u||.  The preconditioner follows
     the domain kind, named by ``diagnostics["solver"]``: ``"lobpcg-fft"``
     on periodic grids (``op.symbols`` set), reporting the averaged pencil's
-    mu1 ``nu1``, the shift sigma (``preconditioner_shift``) and ``setup_s``;
-    ``"lobpcg-splu"`` otherwise, reporting the ``shift`` eps, the ``fill``
+    mu1 ``nu1``, the shift sigma (``preconditioner_shift``) and ``setup_s``,
+    and starting from the seeded k random rows together with the cos and
+    sin rows of that pencil's non-constant modes whose ratio is at most its
+    k-th smallest (``start_modes`` rows, ties kept; ``_fft_preconditioner``);
+    ``"lobpcg-splu"`` otherwise, starting from the seeded k random rows
+    alone (``start_modes`` 0), reporting the ``shift`` eps, the ``fill``
     of K + eps*M's factor (the nonzeros SuperLU stores for L and U,
     ``SuperLU.nnz``: reading ``.L`` and ``.U`` would copy the factor),
     ``factor_s`` (ordering plus factorization) and the ``solves``, one per
@@ -283,9 +343,9 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
     implicit products, and the ``enclosure``: for each eigenvalue, c times
     its residual's norm in the inverse lumped mass L = diag(M 1), a
     distance within which the pencil has an eigenvalue, or None when the
-    record names no domain.  Raises ConfigError for k < 1, for k >= N (N
-    nodes carry N - 1 nonzero eigenvalues) or a tol that is not positive
-    and finite.
+    record names no domain.  ``seed`` draws only the k random rows.  Raises
+    ConfigError for k < 1, for k >= N (N nodes carry N - 1 nonzero
+    eigenvalues) or a tol that is not positive and finite.
     """
     if k < 1:
         raise ConfigError("k must be at least 1, got %r" % (k,))
@@ -302,17 +362,18 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
     limit = tol * scale * math.sqrt(vol / N)
 
     if op.symbols is None:
-        solver = "lobpcg-splu"
+        solver, start = "lobpcg-splu", None
         precondition, stats = _splu_preconditioner(op.points, K, M,
                                                    1e-8 * scale)
     else:
         solver = "lobpcg-fft"
         t0 = time.perf_counter()
-        precondition, sigma, nu1 = _fft_preconditioner(op.symbols)
+        precondition, sigma, nu1, modes = _fft_preconditioner(op.symbols, k)
+        start = functools.partial(_fourier_rows, modes, op.symbols[0].shape)
         stats = {"setup_s": time.perf_counter() - t0,
                  "preconditioner_shift": sigma, "nu1": nu1}
     mu, U, R, run = _lobpcg(K, M, precondition, k, limit,
-                            np.random.default_rng(seed), m1, vol)
+                            np.random.default_rng(seed), m1, vol, start)
     res = np.sqrt(np.einsum("ij,ij->i", R, R))
     # element masses are at least 1/c^2 of their lumped form: 1/4 on P1
     # triangles, 1/3 per axis on Q1 cells

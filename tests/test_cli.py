@@ -114,6 +114,19 @@ class TestEig:
         assert "fill" not in diag and "shift" not in diag
         assert 0.0 < diag["preconditioner_shift"] < diag["nu1"]
 
+    def test_start_modes(self, capsys):
+        # the flat square torus's lowest averaged modes are the four
+        # (+-1, 0), (0, +-1): two conjugate pairs, four cos/sin rows
+        code, out, _ = run(capsys, "--json", "eig", "--manifold",
+                           "torus2:L=6.283185307179586",
+                           "--resolution", "16", "--k", "1")
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["start_modes"] == 4
+        code, out, _ = run(capsys, "--json", "eig", "--surface", "sphere:r=1",
+                           "--subdiv", "1", "--k", "1")
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["start_modes"] == 0
+
     def test_sixth_eigenvalue_is_in_the_first_cluster(self, capsys):
         # the second nonzero cluster of icosphere 4 is five-fold at 6.0174;
         # shift-inverted Lanczos printed 12.0610 as the sixth value

@@ -203,7 +203,7 @@ class TestGridSolver:
                     oracles.nondivergence_free_coefficient()),
     ], ids=["torus3-sin-6", "nondivfree-12x10"])
     def test_shifted_preconditioner_is_spd(self, op):
-        P, sigma, nu1 = spec._fft_preconditioner(op.symbols)
+        P, sigma, nu1, _ = spec._fft_preconditioner(op.symbols, 1)
         assert sigma == spec.LOBPCG_SHIFT * nu1 > 0.0
         D = P(np.eye(op.size))
         assert np.max(np.abs(D - D.T)) <= 1e-12 * np.max(np.abs(D))
@@ -218,6 +218,37 @@ class TestGridSolver:
             # the benchmark's recorded mu1 of the 18^3 grid
             assert abs(r.mu1 - 1.0028150121556432) <= 1e-12
         assert np.median(its) <= 22
+
+    def test_start_iterations(self, torus18_op):
+        # started from the averaged pencil's lowest modes: the random start
+        # alone took 14-24 iterations on these seeds
+        for s in range(10):
+            r = spec.smallest_nonzero(torus18_op, k=1, seed=[0, s])
+            assert r.diagnostics["iterations"] <= 12
+            assert r.diagnostics["start_modes"] == 6
+            assert r.mu1 == pytest.approx(1.0028150121556432, rel=1e-12)
+
+    def test_start_modes_take_each_pair_once(self):
+        # flat 7 x 5 grid of lengths (2 pi, 3): the ratios off the constant
+        # mode rise through kappa = (+-1, 0), (0, +-1), (+-2, 0) and the
+        # four (+-1, +-1), whose computed ratios differ by round-off only
+        op = dz.assemble(dz.PeriodicGrid(lengths=[2 * np.pi, 3.0],
+                                         shape=(7, 5)),
+                         dz.metric_coefficient())
+        for k, want in [(1, [[1, 0]]), (2, [[1, 0]]),
+                        (3, [[0, 1], [1, 0]]),
+                        (5, [[0, 1], [1, 0], [2, 0]]),
+                        (7, [[0, 1], [1, 0], [1, 1], [1, 4], [2, 0]])]:
+            modes = spec._fft_preconditioner(op.symbols, k)[3]
+            assert modes.tolist() == want
+
+    @pytest.mark.parametrize("shape,modes,rows", [
+        ((4, 6), [[2, 3]], [[1, -1, 1, -1, 1, -1, -1, 1, -1, 1, -1, 1] * 2]),
+        ((4,), [[1]], [[1, 0, -1, 0], [0, 1, 0, -1]]),
+    ])
+    def test_fourier_rows(self, shape, modes, rows):
+        got = spec._fourier_rows(np.array(modes), shape)
+        assert np.allclose(got, rows, rtol=0.0, atol=1e-14)
 
     def test_block_too_large_for_grid(self):
         # 9 nodes carry 8 nonzero eigenvalues
@@ -277,6 +308,28 @@ class TestLobpcg:
         assert np.all(np.abs(r.eigenvalues - dense[:k])
                       <= r.diagnostics["enclosure"])
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("eps", [0.6, 0.9])
+    def test_start_outside_averaged_modes(self, eps, k):
+        # metric (1 + eps sin x1) I on [0, 2 pi) x [0, 0.97 2 pi): the
+        # averaged pencil's lowest modes are the x1 waves, with nothing
+        # along x2, while mu1 varies along x2.  K, M and the preconditioner
+        # commute with x2-translations, so a start from those modes alone
+        # stays in the wrong class (0.978149 for 0.933147 at eps = 0.6);
+        # the random rows of the start block reach the right one
+        def metric(x):
+            c = 1.0 + eps * np.sin(x[..., 0])
+            return c[..., None, None] * np.eye(2)
+
+        grid = dz.PeriodicGrid(lengths=[2 * np.pi, 0.97 * 2 * np.pi],
+                               shape=(24, 20), metric=metric)
+        op = dz.assemble(grid, dz.grid_metric_coefficient(grid))
+        dense = dense_nonzero(op)
+        for seed in range(20):
+            r = spec.smallest_nonzero(op, k=k, seed=seed)
+            assert r.diagnostics["start_modes"] > 0
+            assert np.allclose(r.eigenvalues, dense[:k], rtol=1e-8, atol=0.0)
+
     @pytest.mark.parametrize("op", [
         dz.assemble(dz.icosphere(0), dz.metric_coefficient()),
         dz.assemble(dz.PeriodicGrid(lengths=[1.0, 1.0], shape=(3, 3)),
@@ -294,7 +347,9 @@ class TestLobpcg:
     ], ids=["grid", "mesh"])
     @pytest.mark.parametrize("k", [1, 3])
     def test_planted_non_convergence(self, op, k, monkeypatch):
-        # three iterations are far too few from a random block
+        # three iterations are too few, from a random block on the mesh and
+        # from the averaged pencil's lowest modes on the grid, whose
+        # residuals still sit near 1e-5 after three against a limit of 5e-9
         monkeypatch.setattr(spec, "LOBPCG_MAXITER", 3)
         K, M = op.K, op.M
         vol = M.sum()
@@ -332,7 +387,7 @@ class TestLobpcgTrust:
         m1 = M @ np.ones(N)
         vol = m1.sum()
         limit = 1e-9 * (abs(K).sum() / abs(M).sum()) * np.sqrt(vol / N)
-        P = spec._fft_preconditioner(op.symbols)[0]
+        P = spec._fft_preconditioner(op.symbols, 1)[0]
         mu, _, R, stats = spec._lobpcg(DriftingProducts(K), M, P, 1, limit,
                                        np.random.default_rng(seed), m1, vol)
         assert stats["iterations"] <= 60
