@@ -6,11 +6,13 @@ K u = mu M u with K the phi-weighted stiffness and M the consistent mass.
 Coefficients are taken constant per face/cell (barycentric quadrature); for
 phi = g the mesh stiffness reproduces the classical cotangent weights, which
 serves as an independent oracle.  Assembly is batched, and a coefficient
-provider is called once per mesh or grid with whole arrays.  Meshes build
-the element matrices of all faces at once and sum COO triplets.  Periodic
-grids, whose sparsity pattern is the closed-form {-1, 0, 1}^n stencil, form
-no element matrices: K and M are summed straight into each node's stencil
-slots from per-cell coefficients and closed-form per-corner tables.
+provider is called once per mesh or grid with whole arrays.  Neither kind
+goes through COO triplets.  Meshes build the element matrices of all faces
+at once and sum them into the slots of the face array's ``EdgeTable``, a
+CSR pattern made once by the topology check.  Periodic grids, whose
+sparsity pattern is the closed-form {-1, 0, 1}^n stencil, form no element
+matrices: K and M are summed straight into each node's stencil slots from
+per-cell coefficients and closed-form per-corner tables.
 """
 
 from __future__ import annotations
@@ -35,11 +37,34 @@ MIN_AREA_FRACTION = 1e-12
 # surface meshes
 
 @dataclass(frozen=True)
+class EdgeTable:
+    """The CSR pattern of a face array's vertex adjacency, diagonal
+    included, each row's columns sorted, and where each face's 3 x 3
+    element matrix lands in it: entry (i, j) of face f's at
+    ``slots[f, i, j]``, and the entry at position p's transpose partner at
+    ``transpose[p]``."""
+
+    indptr: np.ndarray     # (V + 1,) int32
+    indices: np.ndarray    # (nnz,) int32
+    slots: np.ndarray      # (F, 3, 3) int32
+    transpose: np.ndarray  # (nnz,) int32
+
+
+@dataclass(frozen=True)
 class SurfaceMesh:
-    """Closed orientable triangle mesh in R^3."""
+    """Closed orientable triangle mesh in R^3.
+
+    Validation leaves the face array's ``EdgeTable`` in ``edges``; copies
+    on new vertices (``scaled_mesh``) share it.  ``parents`` is set by
+    ``icosphere``: for each subdivision step, the arrays (a, b) such that
+    the step's i-th new vertex, numbered after the vertices it starts
+    from, is the midpoint of vertices a[i] and b[i], projected.
+    """
 
     vertices: np.ndarray  # (V, 3)
     faces: np.ndarray     # (F, 3) int
+    parents: Tuple[Tuple[np.ndarray, np.ndarray], ...] = field(
+        default=(), repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices",
@@ -95,45 +120,87 @@ class SurfaceMesh:
     @classmethod
     def _sharing_faces(cls, mesh, vertices):
         """A mesh on new vertices that shares ``mesh``'s validated face
-        array; only the geometric checks run again."""
+        array and its edge table; only the geometric checks run again."""
         new = object.__new__(cls)
         object.__setattr__(new, "vertices",
                            np.ascontiguousarray(vertices, dtype=float))
-        object.__setattr__(new, "faces", mesh.faces)
+        for name in ("faces", "parents", "edges"):
+            object.__setattr__(new, name, getattr(mesh, name))
         new._check_geometry()
         return new
 
     def _check_topology(self):
         """Index triples in range, consistently oriented, closed, using every
-        vertex and connected: properties of the faces and the vertex count."""
+        vertex and connected: properties of the faces and the vertex count.
+        Sets ``edges``.
+
+        Directed edge 3f + k runs from face f's corner k to corner k + 1,
+        with key a * V + b.  One sort of the keys finds a repeated
+        orientation; the mesh is closed when no edge runs from a vertex to
+        itself and the sorted keys of the reversed edges are the sorted
+        keys, and then the reversed edge of the one at rank r in the second
+        sort is the one at rank r in the first.  Rank r of the keys is CSR
+        position r + a + [b > a]: r off-diagonal entries and a + [b > a]
+        diagonal ones come before it.
+        """
         F = self.faces
         if F.ndim != 2 or F.shape[1] != 3:
             raise DegenerateElement("faces must be index triples")
         nv = self.num_vertices
         if F.size and (F.min() < 0 or F.max() >= nv):
             raise DegenerateElement("face index outside 0..%d" % (nv - 1))
-        a, b = F.ravel(), F[:, [1, 2, 0]].ravel()   # directed edges, face order
-        keys, counts = np.unique(a * nv + b, return_counts=True)
-        if np.any(counts > 1):
-            e = divmod(int(keys[np.argmax(counts > 1)]), nv)
+        a, b = F.ravel(), F[:, [1, 2, 0]].ravel()
+        key, rkey = a * nv + b, b * nv + a
+        order, rorder = np.argsort(key), np.argsort(rkey)
+        key, rkey = key[order], rkey[rorder]
+        repeated = key[1:] == key[:-1]
+        if np.any(repeated):
+            e = divmod(int(key[np.argmax(repeated)]), nv)
             raise DegenerateElement(
                 "edge (%d,%d) repeated with same orientation "
                 "(mesh not orientable or faces duplicated)" % e)
-        keys, counts = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
-                                 return_counts=True)
-        if np.any(counts != 2):
-            k = int(np.argmax(counts != 2))
-            raise DegenerateElement("mesh not closed: edge %r on %d face(s)"
-                                    % (divmod(int(keys[k]), nv), counts[k]))
-        unused = np.flatnonzero(np.bincount(a, minlength=nv) == 0)
+        if not np.array_equal(key, rkey) or np.any(a == b):
+            # each undirected edge then lies on one face: one orientation
+            # of it has no reverse, or it runs from a vertex to itself
+            rev = b * nv + a
+            rank = np.minimum(np.searchsorted(key, rev), key.size - 1)
+            open_ = (key[rank] != rev) | (a == b)
+            e = np.min(np.minimum(a, b)[open_] * nv
+                       + np.maximum(a, b)[open_])
+            raise DegenerateElement("mesh not closed: edge %r on 1 face(s)"
+                                    % (divmod(int(e), nv),))
+        degree = np.bincount(a, minlength=nv)
+        unused = np.flatnonzero(degree == 0)
         if unused.size:
             raise DegenerateElement("%d vertices in no face (first: %d)"
                                     % (unused.size, unused[0]))
-        adjacency = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(nv, nv))
-        ncomp = connected_components(adjacency, directed=False)[0]
+        indptr = np.zeros(nv + 1, dtype=np.int32)
+        np.cumsum(degree + 1, out=indptr[1:])
+        diag = indptr[:-1] + np.bincount(a[b < a], minlength=nv).astype(
+            np.int32)
+        ahead, bsorted = a[order], b[order]
+        pos = (np.arange(a.size, dtype=np.int32) + ahead.astype(np.int32)
+               + (bsorted > ahead))
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        indices[pos] = bsorted
+        indices[diag] = np.arange(nv)
+        ncomp = connected_components(
+            sp.csr_matrix((np.ones(indices.size), indices, indptr),
+                          shape=(nv, nv)), directed=False)[0]
         if ncomp > 1:
             raise DegenerateElement("mesh has %d connected components"
                                     % ncomp)
+        fwd, back = np.empty((2, a.size), dtype=np.int32)
+        fwd[order], back[rorder] = pos, pos
+        transpose = np.empty_like(indices)
+        transpose[fwd], transpose[diag] = back, diag
+        slots = np.empty((len(F), 3, 3), dtype=np.int32)
+        k, k1 = [0, 1, 2], [1, 2, 0]
+        slots[:, k, k1] = fwd.reshape(-1, 3)
+        slots[:, k1, k] = back.reshape(-1, 3)
+        slots[:, k, k] = diag[F]
+        object.__setattr__(self, "edges",
+                           EdgeTable(indptr, indices, slots, transpose))
 
     def _check_geometry(self):
         """Face areas and corner angles.  Both tests are negated
@@ -163,7 +230,10 @@ class SurfaceMesh:
 def icosphere(subdiv=0, radius=1.0):
     """Icosahedron subdivided ``subdiv`` times, projected to the sphere.
 
-    V = 10 * 4^subdiv + 2.
+    V = 10 * 4^subdiv + 2.  Each step keeps the vertices it starts from and
+    appends one midpoint per edge, so level s's vertices are the first
+    10 * 4^s + 2 of every finer level; ``parents`` records each step's
+    midpoint parents, which carry a vertex function up the levels.
     """
     if subdiv < 0:
         raise ConfigError("subdiv must be >= 0")
@@ -180,6 +250,7 @@ def icosphere(subdiv=0, radius=1.0):
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
     ], dtype=np.int64)
+    parents = []
     for _ in range(subdiv):
         # the edges ab, bc, ca of each face in turn; each undirected edge
         # gets one midpoint vertex, numbered by its first occurrence
@@ -190,7 +261,9 @@ def icosphere(subdiv=0, radius=1.0):
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        m = verts[a[first[order]]] + verts[b[first[order]]]
+        pa, pb = a[first[order]], b[first[order]]
+        parents.append((pa, pb))
+        m = verts[pa] + verts[pb]
         # each norm rounded as the 1-D dot product np.linalg.norm takes
         m /= np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0])
         verts = np.concatenate([verts, m])
@@ -198,12 +271,14 @@ def icosphere(subdiv=0, radius=1.0):
         x, y, z = faces.T
         faces = np.stack([x, ab, ca, y, bc, ab, z, ca, bc, ab, bc, ca],
                          axis=1).reshape(-1, 3)
-    return SurfaceMesh(vertices=radius * verts, faces=faces)
+    return SurfaceMesh(vertices=radius * verts, faces=faces,
+                       parents=tuple(parents))
 
 
 def scaled_mesh(mesh, scale):
     """Apply a per-axis scaling (e.g. sphere -> ellipsoid).  The copy shares
-    the mesh's validated faces, so only its geometry is checked again."""
+    the mesh's validated faces, edge table and parents, so only its
+    geometry is checked again."""
     return SurfaceMesh._sharing_faces(mesh,
                                       mesh.vertices * np.asarray(scale, float))
 
@@ -293,18 +368,6 @@ def _check_sym_coeff(phi, shape, where, tol=1e-10):
     return sym.transpose(2, 0, 1)
 
 
-def _sparse_pair(nodes, Ke, Me, n):
-    """K and M (CSR) from per-element node lists (E, m) and element
-    matrices (E, m, m); triplets run element by element, row-major."""
-    m = nodes.shape[1]
-    rows = np.repeat(nodes, m, axis=1).ravel()
-    cols = np.tile(nodes, (1, m)).ravel()
-    K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((Me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    _post_checks(K)
-    return K, M
-
-
 def assemble(domain, phi_provider):
     """Assemble stiffness and mass for a SurfaceMesh or PeriodicGrid.
 
@@ -346,11 +409,23 @@ def _assemble_mesh(mesh, phi_provider):
     nf = mesh.num_faces
     phi = _check_sym_coeff(phi_provider(P.mean(axis=1), B), (nf, 2, 2),
                            lambda f: "face %d" % f)
-    Ke = area[:, None, None] * np.einsum("fia,fab,fjb->fij", g, phi, g)
+    Ke = g @ phi @ g.transpose(0, 2, 1)
+    Ke *= area[:, None, None]
     Ke = 0.5 * (Ke + Ke.transpose(0, 2, 1))
-    Me = area[:, None, None] * _MASS_TRI
-    nv = mesh.num_vertices
-    K, M = _sparse_pair(mesh.faces.astype(np.int32), Ke, Me, nv)
+    nv, table = mesh.num_vertices, mesh.edges
+    # an entry and its transpose partner sum the same two faces' terms in
+    # face order, so K is exactly symmetric unless a slot is wrong
+    Kd = np.bincount(table.slots.ravel(), Ke.ravel(), table.indices.size)
+    if np.any(Kd != Kd[table.transpose]):
+        raise NonSymmetricCoefficient("assembled stiffness not symmetric")
+    rows = table.indptr[:-1]        # no row is empty: each has its diagonal
+    _check_row_sums(np.add.reduceat(Kd, rows),
+                    np.add.reduceat(np.abs(Kd), rows))
+    Md = np.bincount(table.slots.ravel(), (area[:, None, None] * _MASS_TRI
+                                           ).ravel(), table.indices.size)
+    # K and M get their own index arrays: scipy sorts indices in place
+    K, M = (sp.csr_matrix((d, table.indices.copy(), table.indptr.copy()),
+                          shape=(nv, nv)) for d in (Kd, Md))
     rec = {"domain": "SurfaceMesh", "vertices": nv, "faces": nf,
            "phi": getattr(phi_provider, "label", "custom")}
     return AssembledOperator(K=K, M=M, points=mesh.vertices, record=rec)
@@ -657,14 +732,6 @@ def _check_row_sums(rs, row_abs):
     sums ``row_abs``: constants span the kernel."""
     if np.max(np.abs(rs) / np.maximum(row_abs, 1e-300)) > 1e-10:
         raise DegenerateElement("stiffness row sums do not vanish")
-
-
-def _post_checks(K):
-    asym = (K - K.T).tocoo()
-    if asym.nnz and np.max(np.abs(asym.data)) > 0.0:
-        raise NonSymmetricCoefficient("assembled stiffness not symmetric")
-    _check_row_sums(K @ np.ones(K.shape[0]),
-                    np.asarray(abs(K).sum(axis=1)).ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -342,7 +342,13 @@ def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=(4, 5), seed=42):
     against that estimate.  ``extrapolated_mu1`` is the Richardson value
     from the last two levels.  ``observed_order`` is
     log2(|mu_-2 - mu_-3| / |mu_-1 - mu_-2|) / d from the last three
-    levels, or None unless they are evenly spaced with distinct mu1."""
+    levels, or None unless they are evenly spaced with distinct mu1.
+
+    Each level after the first starts its solve from the level below's
+    eigenvector, carried up by setting each new vertex to the mean of its
+    midpoint parents, one subdivision step at a time; every level reports
+    its solve's ``iterations`` and ``start_modes`` (0 on the first, 1
+    after it)."""
     if len(subdivs) < 2:
         raise ConfigError("a refinement study needs at least two "
                           "subdivision levels, got %r" % (tuple(subdivs),))
@@ -354,13 +360,20 @@ def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=(4, 5), seed=42):
     bound = bd.newton_bound(2, 0.0, pc.alpha, pc.a, pc.sigma)
     levels = []
     mus = []
+    u = None
     for sub in subdivs:
         mesh = dz.scaled_mesh(dz.icosphere(sub), ax)
         op = dz.assemble(mesh, dz.ellipsoid_newton1_coefficient(ax))
-        r = spec.smallest_nonzero(op, k=1, seed=seed)
+        if u is not None:   # the last rung's eigenvector, prolonged
+            for a, b in mesh.parents[prev:]:
+                u = np.concatenate([u, 0.5 * (u[a] + u[b])])
+        r = spec.smallest_nonzero(op, k=1, seed=seed, start=u)
+        u, prev = r.eigenvectors[:, 0], sub
         mus.append(r.mu1)
         levels.append({"subdiv": sub, "h": mesh.mean_edge_length(),
-                       "mu1": r.mu1, "residual": float(r.residuals[0])})
+                       "mu1": r.mu1, "residual": float(r.residuals[0]),
+                       "iterations": r.diagnostics["iterations"],
+                       "start_modes": r.diagnostics["start_modes"]})
     d = subdivs[-1] - subdivs[-2]
     step = (mus[-1] - mus[-2]) / (4.0 ** d - 1.0)
     err_est = abs(step)

@@ -8,9 +8,10 @@ the FFT inverse of the pencil with cell-averaged coefficients, shifted by
 and start from k random rows plus that pencil's lowest Fourier modes.  Every
 other operator starts from k random rows and uses one SuperLU factor of
 K + eps*M with a tiny eps, taken in a coordinate nested-dissection order of
-the nodes.  No shift enters a mu1.  Round spheres have closed-form spectra
-for the Laplacian, the Schouten operator, and the linearized operator L1 of
-an umbilic geodesic sphere, used as oracles.
+the nodes.  A caller's start rows, such as a coarser mesh's eigenvector,
+join the start on either kind.  No shift enters a mu1.  Round spheres have
+closed-form spectra for the Laplacian, the Schouten operator, and the
+linearized operator L1 of an umbilic geodesic sphere, used as oracles.
 """
 
 from __future__ import annotations
@@ -208,11 +209,13 @@ def _svqb(G):
     return d[:, None] * (V[:, keep] / np.sqrt(theta[keep]))
 
 
-def _ritz_start(K, M, X, rows, m1, vol):
-    """(X', c): the k = len(X) lowest Ritz vectors, as rows, of K u = mu M u
+def _ritz_start(K, M, X, rows, m1, vol, keep):
+    """(X', c): the ``keep`` lowest Ritz vectors, as rows, of K u = mu M u
     on the span of the rows of X and the c ``rows``, made M-orthogonal to
-    the constants.  The (k + c, k + c) Rayleigh-Ritz matrices are taken a
-    column at a time, so no K S or M S is held beside S = [X; rows]."""
+    the constants; the rows may come from anywhere, a coarser mesh's
+    eigenvector carried to this one's nodes included.  The (len(X) + c)^2
+    Rayleigh-Ritz matrices are taken a column at a time, so no K S or M S
+    is held beside S = [X; rows]."""
     S = np.vstack([X, rows])
     S -= (S @ m1)[:, None] / vol
     KSMS = np.empty((2,) + 2 * S.shape[:1])
@@ -220,26 +223,31 @@ def _ritz_start(K, M, X, rows, m1, vol):
         KSMS[0, :, i] = S @ (K @ s)
         KSMS[1, :, i] = S @ (M @ s)
     Z = _svqb(KSMS[1])
-    C = Z @ _eigh(Z.T @ KSMS[0] @ Z)[1][:, :len(X)]
+    C = Z @ _eigh(Z.T @ KSMS[0] @ Z)[1][:, :keep]
     return C.T @ S, len(rows)
 
 
-def _lobpcg(K, M, precondition, k, limit, rng, m1, vol, start=None):
+def _lobpcg(K, M, precondition, k, limit, rng, m1, vol, start=None,
+            guards=0):
     """(mu, X, R, stats): the k smallest eigenpairs of K u = mu M u
     M-orthogonal to the constants (m1 = M 1, vol = 1'M1) and their
     residuals R = K X - mu M X, by block LOBPCG (Knyazev 2001)
     preconditioned by ``precondition``.
 
     The first X is k random rows drawn from ``rng``.  Given ``start``, a
-    function returning extra start rows, X is instead the k lowest Ritz
-    vectors on the span of the random rows and those rows (``_ritz_start``,
-    called before the work buffers are taken, so that the rows never live
-    beside them); the random rows keep the start from being confined to an
-    invariant subspace that misses the wanted eigenvectors.
+    function returning extra start rows, X is instead the k + ``guards``
+    lowest Ritz vectors on the span of the random rows and those rows
+    (``_ritz_start``, called before the work buffers are taken, so that
+    the rows never live beside them).  The block then iterates b = k +
+    guards vectors and is accepted on its first k: a guard keeps a
+    direction that the k lowest Ritz vectors would drop, so a start row
+    from the wrong invariant subspace (another symmetry class of a
+    near-degenerate pair) cannot hide the wanted eigenvector; the random
+    rows keep the span from being confined to such a subspace.
 
     Blocks hold their vectors as rows.  T stacks a basis S = [X D W] with
     K S and M S as T[0], T[1], T[2], in the leading rows of one of two
-    (3, 3k, N) buffers: X the Ritz vectors, D the directions, W the
+    (3, 3b, N) buffers: X the Ritz vectors, D the directions, W the
     preconditioned residuals of the Ritz vectors whose residual is above
     ``limit`` (a converged vector is not locked).  Each iteration applies
     K, M and the preconditioner once, to W, made M-orthogonal to [X D]
@@ -247,10 +255,11 @@ def _lobpcg(K, M, precondition, k, limit, rng, m1, vol, start=None):
     ``_svqb``, and one matmul of the coefficients by T writes X, D (kept
     M-orthonormal and M-orthogonal to X) and their products into the other
     buffer, W's rows behind.  Those products are implicit, so they are
-    recomputed once the largest residual goes LOBPCG_STALL iterations
-    without a new minimum (``refreshes``).  A block is accepted only once
-    residuals ||K x - mu M x|| from explicit K X and M X are within
-    ``limit``.  ``start_modes`` counts the start rows.
+    recomputed once the largest of the first k residuals goes
+    LOBPCG_STALL iterations without a new minimum (``refreshes``).  A
+    block is accepted only once the first k residuals ||K x - mu M x|| from
+    explicit K X and M X are within ``limit``.  ``start_modes`` counts the
+    start rows.
     """
     def products(T):   # T[1], T[2] = K S, M S for the block of rows S = T[0]
         T[1] = (K @ T[0].T).T
@@ -260,41 +269,42 @@ def _lobpcg(K, M, precondition, k, limit, rng, m1, vol, start=None):
     X = rng.standard_normal((K.shape[0], k)).T
     start_modes = 0
     if start is not None:   # the rows are freed before the work buffers
-        X, start_modes = _ritz_start(K, M, X, start(), m1, vol)
-    work = np.empty((2, 3, 3 * k, K.shape[0]))
-    work[0, 0, :k] = X - (X @ m1)[:, None] / vol
-    T, side = products(work[0, :, :k]), 0
+        X, start_modes = _ritz_start(K, M, X, start(), m1, vol, k + guards)
+    b = len(X)
+    work = np.empty((2, 3, 3 * b, K.shape[0]))
+    work[0, 0, :b] = X - (X @ m1)[:, None] / vol
+    T, side = products(work[0, :, :b]), 0
     explicit, history, refreshes, best, since = True, [], 0, np.inf, 0
     while True:
         KSMS = T[0] @ T[1:].transpose(0, 2, 1)
         Z = _svqb(KSMS[1])
         lam, Y = _eigh(Z.T @ KSMS[0] @ Z)
-        C = Z @ Y[:, :k]
-        mu = lam[:k]
+        C = Z @ Y[:, :b]
+        mu = lam[:b]
         if not explicit:   # directions: the [D W] part of the active Ritz
             Cd = C[:, active]          # vectors, M-orthonormalized against X
-            Cd[:k] = 0.0
+            Cd[:b] = 0.0
             Cd -= C @ (C.T @ (KSMS[1] @ Cd))
             C = np.hstack([C, Cd @ _svqb(Cd.T @ KSMS[1] @ Cd)])
         side = 1 - side
         XD = np.matmul(C.T, T, out=work[side, :, :C.shape[1]])
-        R = XD[1, :k] - mu[:, None] * XD[2, :k]
+        R = XD[1, :b] - mu[:, None] * XD[2, :b]
         res = np.sqrt(np.einsum("ij,ij->i", R, R))
-        history.append(float(res.max()))
-        if res.max() <= limit:
+        history.append(float(res[:k].max()))
+        if history[-1] <= limit:
             if explicit:
-                return mu, XD[0, :k].T.copy(), R, {
+                return mu[:k], XD[0, :k].T.copy(), R[:k], {
                     "iterations": len(history), "residual_history": history,
                     "refreshes": refreshes,
                     "start_modes": start_modes}
-            T = products(XD[:, :k])
+            T = products(XD[:, :b])
             explicit = True
             continue
         if len(history) >= LOBPCG_MAXITER:
             raise NoConvergence("LOBPCG did not converge in %d iterations: "
                                 "residuals %s above %.3g"
-                                % (len(history), res.tolist(), limit),
-                                eigenvalues=mu, residuals=res)
+                                % (len(history), res[:k].tolist(), limit),
+                                eigenvalues=mu[:k], residuals=res[:k])
         if history[-1] < best:   # a new minimum since the last refresh
             best, since = history[-1], len(history)
         elif len(history) - since >= LOBPCG_STALL:
@@ -317,7 +327,7 @@ def _abs_sum(x, chunk=1 << 15):
                for i in range(0, x.size, chunk))
 
 
-def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
+def smallest_nonzero(op, k=1, tol=1e-9, seed=42, start=None):
     """k smallest nonzero eigenvalues of K u = mu M u.
 
     K must be PSD with constants spanning its kernel and M SPD.  ``_lobpcg``
@@ -326,26 +336,39 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
     tol * scale * sqrt(vol / N), where scale = sum|K| / sum|M| makes
     scale * vol / N an estimate of ||K|| and sqrt(N / vol) one of ||x||.
     The vectors are M-orthonormal, the eigenvalues their Rayleigh quotients
-    and the residuals ||K u - mu M u|| / ||u||.  The preconditioner follows
-    the domain kind, named by ``diagnostics["solver"]``: ``"lobpcg-fft"``
-    on periodic grids (``op.symbols`` set), reporting the averaged pencil's
-    mu1 ``nu1``, the shift sigma (``preconditioner_shift``) and ``setup_s``,
-    and starting from the seeded k random rows together with the cos and
-    sin rows of that pencil's non-constant modes whose ratio is at most its
-    k-th smallest (``start_modes`` rows, ties kept; ``_fft_preconditioner``);
-    ``"lobpcg-splu"`` otherwise, starting from the seeded k random rows
-    alone (``start_modes`` 0), reporting the ``shift`` eps, the ``fill``
+    and the residuals ||K u - mu M u|| / ||u||.
+
+    ``start``, c rows of length N (one vector may be passed flat), adds a
+    caller's guess, such as a coarser mesh's eigenvector carried to this
+    mesh's nodes: the first block is the k + g lowest Ritz vectors on the
+    span of the seeded k random rows, the c start rows and, on a periodic
+    grid, the Fourier rows below, with g = min(c, N - 1 - k) guard vectors
+    iterated beside the k wanted ones and accepted on the k alone
+    (``_lobpcg``).  With the guards a start row from the wrong symmetry
+    class still leaves the random rows' directions in the block.
+
+    The preconditioner follows the domain kind, named by
+    ``diagnostics["solver"]``: ``"lobpcg-fft"`` on periodic grids
+    (``op.symbols`` set), reporting the averaged pencil's mu1 ``nu1``, the
+    shift sigma (``preconditioner_shift``) and ``setup_s``, and starting
+    from the seeded k random rows together with the cos and sin rows of
+    that pencil's non-constant modes whose ratio is at most its k-th
+    smallest (ties kept; ``_fft_preconditioner``); ``"lobpcg-splu"``
+    otherwise, starting from the seeded k random rows alone unless
+    ``start`` is given, reporting the ``shift`` eps, the ``fill``
     of K + eps*M's factor (the nonzeros SuperLU stores for L and U,
     ``SuperLU.nnz``: reading ``.L`` and ``.U`` would copy the factor),
     ``factor_s`` (ordering plus factorization) and the ``solves``, one per
-    vector.  Both report the ``iterations``, the block's largest residual
-    per iteration (``residual_history``), the ``refreshes`` of the
+    vector.  Both report the ``iterations``, the largest of the k wanted
+    residuals per iteration (``residual_history``), the ``refreshes`` of the
     implicit products, and the ``enclosure``: for each eigenvalue, c times
     its residual's norm in the inverse lumped mass L = diag(M 1), a
     distance within which the pencil has an eigenvalue, or None when the
-    record names no domain.  ``seed`` draws only the k random rows.  Raises
-    ConfigError for k < 1, for k >= N (N nodes carry N - 1 nonzero
-    eigenvalues) or a tol that is not positive and finite.
+    record names no domain.  ``start_modes`` counts the start rows besides
+    the random ones: the caller's and the Fourier rows.  ``seed`` draws
+    only the k random rows.  Raises ConfigError for k < 1, for k >= N (N
+    nodes carry N - 1 nonzero eigenvalues), a tol that is not positive and
+    finite, or start rows whose length is not N.
     """
     if k < 1:
         raise ConfigError("k must be at least 1, got %r" % (k,))
@@ -361,19 +384,31 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42):
     vol = float(m1.sum())
     limit = tol * scale * math.sqrt(vol / N)
 
+    rows, guards = None, 0
+    if start is not None:
+        start = np.atleast_2d(np.asarray(start, dtype=float))
+        if start.ndim != 2 or start.shape[1] != N:
+            raise ConfigError("start rows must have the N = %d nodes as "
+                              "columns, got shape %r" % (N, start.shape))
+        # one guard per row, while the block stays below N - 1 vectors
+        rows, guards = (lambda: start), min(len(start), N - 1 - k)
     if op.symbols is None:
-        solver, start = "lobpcg-splu", None
+        solver = "lobpcg-splu"
         precondition, stats = _splu_preconditioner(op.points, K, M,
                                                    1e-8 * scale)
     else:
         solver = "lobpcg-fft"
         t0 = time.perf_counter()
         precondition, sigma, nu1, modes = _fft_preconditioner(op.symbols, k)
-        start = functools.partial(_fourier_rows, modes, op.symbols[0].shape)
+        fourier = functools.partial(_fourier_rows, modes,
+                                    op.symbols[0].shape)
+        rows = fourier if start is None else (
+            lambda: np.vstack([start, fourier()]))
         stats = {"setup_s": time.perf_counter() - t0,
                  "preconditioner_shift": sigma, "nu1": nu1}
     mu, U, R, run = _lobpcg(K, M, precondition, k, limit,
-                            np.random.default_rng(seed), m1, vol, start)
+                            np.random.default_rng(seed), m1, vol, rows,
+                            guards)
     res = np.sqrt(np.einsum("ij,ij->i", R, R))
     # element masses are at least 1/c^2 of their lumped form: 1/4 on P1
     # triangles, 1/3 per axis on Q1 cells

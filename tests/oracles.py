@@ -1,8 +1,9 @@
 """Oracles and controls that the tests compare the package with: the
 operator box applied directly, the trace-inequality defect of one pair,
-the matrix Q(A), the cotangent stiffness, a non-divergence-free
-coefficient, and the pointwise-vs-weak consistency of assembled operators
-on refinement ladders."""
+the matrix Q(A), the cotangent stiffness, mesh element matrices summed
+from COO triplets, a non-divergence-free coefficient, and the
+pointwise-vs-weak consistency of assembled operators on refinement
+ladders."""
 
 import math
 
@@ -89,6 +90,45 @@ def cotangent_stiffness(mesh):
             cols += [j, i, i, j]
             vals += [-w, -w, w, w]
     return sp.coo_matrix((vals, (rows, cols)), shape=(nv, nv)).tocsr()
+
+
+def mesh_elements(mesh, provider):
+    """Element stiffness and mass matrices (F, 3, 3) of a mesh's faces.
+
+    The provider sees the face barycenters and the assembly's tangent
+    bases B (t1 along corner 0 -> 1, t2 completing it towards corner 2);
+    the hat gradients are taken in R^3, grad psi_k = n x (p_{k+2} -
+    p_{k+1}) / (2 area), and then written in B (independent route: one
+    3-operand einsum per stack, each matrix symmetrized)."""
+    P = mesh.face_corners()
+    e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
+    c = np.cross(e1, e2)
+    area = 0.5 * np.linalg.norm(c, axis=1)
+    t1 = e1 / np.linalg.norm(e1, axis=1)[:, None]
+    t2 = e2 - np.sum(e2 * t1, axis=1)[:, None] * t1
+    t2 /= np.linalg.norm(t2, axis=1)[:, None]
+    B = np.stack([t1, t2], axis=2)
+    nrm = c / (2.0 * area)[:, None]
+    opposite = P[:, [2, 0, 1]] - P[:, [1, 2, 0]]
+    grad = np.cross(nrm[:, None, :], opposite) / (2.0 * area)[:, None, None]
+    g = np.einsum("fki,fia->fka", grad, B)
+    phi = np.asarray(provider(P.mean(axis=1), B), dtype=float)
+    phi = 0.5 * (phi + phi.transpose(0, 2, 1))
+    Ke = area[:, None, None] * np.einsum("fia,fab,fjb->fij", g, phi, g)
+    Ke = 0.5 * (Ke + Ke.transpose(0, 2, 1))
+    mass = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    return Ke, area[:, None, None] * mass
+
+
+def coo_pair(nodes, Ke, Me, n):
+    """K and M (CSR) summed from COO triplets of per-element node lists
+    (E, m) and element matrices (E, m, m), element by element,
+    row-major."""
+    m = nodes.shape[1]
+    rows = np.repeat(nodes, m, axis=1).ravel()
+    cols = np.tile(nodes, (1, m)).ravel()
+    return [sp.coo_matrix((E.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+            for E in (Ke, Me)]
 
 
 def domain_resolution(domain):

@@ -355,6 +355,15 @@ class TestReport:
         assert lines[-1].startswith("extrapolated_mu1: ")
         assert lines[-1].endswith("observed_order: none")
 
+    def test_compare_json_reports_solver_work(self, capsys):
+        code, out, _ = run(capsys, "--json", "report", "compare",
+                           "--surface", "sphere", "--refine", "1..3")
+        levels = json.loads(out)["levels"]
+        assert code == 0
+        assert [lv["start_modes"] for lv in levels] == [0, 1, 1]
+        assert all(isinstance(lv["iterations"], int) and lv["iterations"] > 0
+                   for lv in levels)
+
     def test_compare_extrapolation_on_stderr(self, capsys):
         code, out, err = run(capsys, "report", "compare",
                              "--surface", "sphere", "--refine", "1..3")

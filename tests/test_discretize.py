@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 import warnings
@@ -65,6 +66,19 @@ class TestIcosphere:
         assert np.array_equal(fine.vertices[:coarse.num_vertices],
                               coarse.vertices)
 
+    @pytest.mark.parametrize("sub", range(1, 5))
+    def test_parents_name_each_midpoint(self, sub):
+        m = dz.icosphere(sub)
+        assert len(m.parents) == sub
+        start = 12
+        for a, b in m.parents:
+            mid = m.vertices[a] + m.vertices[b]
+            mid /= np.linalg.norm(mid, axis=1)[:, None]
+            new = m.vertices[start:start + len(a)]
+            assert np.max(np.abs(new - mid)) <= 1e-15
+            start += len(a)
+        assert start == m.num_vertices
+
     def test_base_combinatorics(self):
         m = dz.icosphere(0)
         assert m.num_vertices == 12
@@ -88,9 +102,52 @@ class TestIcosphere:
 
 class TestMeshValidation:
     def test_open_mesh_rejected(self):
+        # (0, 1) is on both faces; (0, 2) is the first edge on one
         v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float)
-        with pytest.raises(DegenerateElement, match="not closed"):
+        with pytest.raises(DegenerateElement, match=r"^mesh not closed: "
+                           r"edge \(0, 2\) on 1 face\(s\)$"):
             dz.SurfaceMesh(vertices=v, faces=np.array([[0, 1, 2], [1, 0, 3]]))
+
+    @pytest.mark.parametrize("faces,message", [
+        # a repeated corner makes an edge from a vertex to itself, which
+        # is its own reverse but lies on one face
+        ([[0, 0, 1]], "mesh not closed: edge (0, 0) on 1 face(s)"),
+        ([[0, 1, 2], [0, 2, 1], [2, 3, 3]],
+         "mesh not closed: edge (3, 3) on 1 face(s)"),
+    ], ids=["self-edge", "self-edge-beside-closed"])
+    def test_self_edge_message(self, faces, message):
+        faces = np.array(faces)
+        v = np.eye(4)[:faces.max() + 1]
+        with pytest.raises(DegenerateElement) as err:
+            dz.SurfaceMesh(vertices=v, faces=faces)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("index", [42, -1])
+    def test_face_index_out_of_range(self, index):
+        m = dz.icosphere(1)
+        f = m.faces.copy()
+        f[3, 1] = index
+        with pytest.raises(DegenerateElement) as err:
+            dz.SurfaceMesh(vertices=m.vertices, faces=f)
+        assert str(err.value) == "face index outside 0..41"
+
+    def test_faces_not_triples(self):
+        m = dz.icosphere(1)
+        with pytest.raises(DegenerateElement,
+                           match="^faces must be index triples$"):
+            dz.SurfaceMesh(vertices=m.vertices,
+                           faces=np.hstack([m.faces, m.faces[:, :1]]))
+
+    def test_three_faces_on_one_edge(self):
+        # face 0 runs 0 -> 12; a third face on that edge repeats one of
+        # its two orientations
+        m = dz.icosphere(1)
+        f = np.vstack([m.faces, [[0, 12, 20]]])
+        with pytest.raises(DegenerateElement) as err:
+            dz.SurfaceMesh(vertices=m.vertices, faces=f)
+        assert str(err.value) == ("edge (0,12) repeated with same orientation "
+                                  "(mesh not orientable or faces "
+                                  "duplicated)")
 
     def test_sliver_rejected(self):
         m = dz.icosphere(1)
@@ -233,6 +290,87 @@ class TestAssembly:
         op = dz.assemble(ico3, dz.metric_coefficient())
         assert op.record["phi"] == "metric"
         assert op.record["vertices"] == ico3.num_vertices
+
+
+def off_round_trip(tmp_path):
+    path = tmp_path / "ellipsoid.off"
+    oracles.write_off(dz.scaled_mesh(dz.icosphere(2), (1.0, 1.3, 0.8)), path)
+    mesh = dz.read_off(str(path))
+    return mesh, dz.mesh_newton1_coefficient(mesh)
+
+
+MESH_CASES = {
+    **{"icosphere-%d" % sub: (lambda _p, sub=sub: (
+        dz.icosphere(sub), dz.metric_coefficient())) for sub in range(5)},
+    "newton1-1,1,1.1": lambda _p: (
+        dz.scaled_mesh(dz.icosphere(3), (1.0, 1.0, 1.1)),
+        dz.ellipsoid_newton1_coefficient((1.0, 1.0, 1.1))),
+    "newton1-1,1.3,0.8": lambda _p: (
+        dz.scaled_mesh(dz.icosphere(3), (1.0, 1.3, 0.8)),
+        dz.ellipsoid_newton1_coefficient((1.0, 1.3, 0.8))),
+    "metric*2.5-1,1.3,0.8": lambda _p: (
+        dz.scaled_mesh(dz.icosphere(2), (1.0, 1.3, 0.8)),
+        dz.metric_coefficient(2.5)),
+    "newton1-discrete-off": off_round_trip,
+}
+
+
+class TestMeshSlotAssembly:
+    @pytest.mark.parametrize("case", MESH_CASES)
+    def test_matches_coo_reference(self, case, tmp_path):
+        mesh, provider = MESH_CASES[case](tmp_path)
+        op = dz.assemble(mesh, provider)
+        refs = oracles.coo_pair(mesh.faces, *oracles.mesh_elements(
+            mesh, provider), mesh.num_vertices)
+        for A, ref in zip((op.K, op.M), refs):
+            assert np.array_equal(A.indptr, ref.indptr)
+            assert np.array_equal(A.indices, ref.indices)
+            assert abs(A - ref).max() <= 1e-14 * abs(ref).max()
+        assert np.array_equal(op.K.data, op.K.T.tocsr().data)
+
+    @staticmethod
+    def planted(slots_edit):
+        """An ellipsoid mesh whose edge table has its slots edited."""
+        mesh = dz.scaled_mesh(dz.icosphere(2), (1.0, 1.3, 0.8))
+        slots = mesh.edges.slots.copy()
+        slots_edit(slots)
+        object.__setattr__(mesh, "edges",
+                           dataclasses.replace(mesh.edges, slots=slots))
+        return mesh
+
+    def test_swapped_slot_pair_rejected(self):
+        # face 7's entries (0, 1) and (0, 2) trade places, their transposes
+        # stay: the row sums still vanish, but K is no longer symmetric
+        def swap(slots):
+            slots[7, 0, [1, 2]] = slots[7, 0, [2, 1]]
+        with pytest.raises(NonSymmetricCoefficient,
+                           match="^assembled stiffness not symmetric$"):
+            dz.assemble(self.planted(swap), dz.metric_coefficient())
+
+    def test_broken_row_sums_rejected(self):
+        # face 7's diagonal entry at corner 0 lands on corner 1's diagonal:
+        # K stays symmetric, but two rows no longer sum to zero
+        def move(slots):
+            slots[7, 0, 0] = slots[7, 1, 1]
+        with pytest.raises(DegenerateElement,
+                           match="^stiffness row sums do not vanish$"):
+            dz.assemble(self.planted(move), dz.metric_coefficient())
+
+    def test_table_shared_by_scaled_copy(self):
+        m = dz.icosphere(2)
+        e = dz.scaled_mesh(m, (1.0, 1.3, 0.8))
+        assert e.edges is m.edges and e.parents is m.parents
+
+    def test_mass_survives_stiffness_edits(self):
+        # the mesh's table is shared by every assembly on its face array:
+        # scipy's in-place index sorting must not reach it or M
+        mesh = dz.icosphere(1)
+        op = dz.assemble(mesh, dz.metric_coefficient())
+        for A in (op.K, op.M):
+            for name in ("indices", "indptr"):
+                assert not np.shares_memory(getattr(A, name),
+                                            getattr(mesh.edges, name))
+        assert not np.shares_memory(op.K.indices, op.M.indices)
 
 
 class TestGrid:

@@ -336,6 +336,18 @@ class TestEllipsoidCompare:
         for f in faces:
             assert sum(m.faces is f for m in geo) == 2
 
+    def test_levels_start_from_the_level_below(self):
+        rep = hz.ellipsoid_compare((1.0, 1.0, 1.0), (1, 2, 4))
+        assert [lv["start_modes"] for lv in rep["levels"]] == [0, 1, 1]
+        assert all(lv["iterations"] > 0 for lv in rep["levels"])
+
+    def test_warm_start_iterations(self):
+        # W4: the finest level started cold took 19 iterations on seed 42
+        for seed in range(5):
+            rep = hz.ellipsoid_compare((1.0, 1.0, 1.1), (4, 5), seed=seed)
+            assert rep["levels"][1]["iterations"] <= 8
+            assert rep["mu1"] == pytest.approx(1.8078779560, abs=1e-10)
+
     @pytest.mark.parametrize("subdivs,factor", [((1, 2, 3), 3.0),
                                                 ((3, 5), 15.0)])
     def test_error_estimate_factor(self, subdivs, factor):

@@ -228,6 +228,15 @@ class TestGridSolver:
             assert r.diagnostics["start_modes"] == 6
             assert r.mu1 == pytest.approx(1.0028150121556432, rel=1e-12)
 
+    def test_caller_start_joins_fourier_rows(self, torus18_op):
+        # on a grid the caller's rows join the averaged pencil's modes
+        cold = spec.smallest_nonzero(torus18_op, seed=3)
+        warm = spec.smallest_nonzero(torus18_op, seed=3,
+                                     start=cold.eigenvectors.T)
+        assert warm.diagnostics["start_modes"] == 7
+        assert warm.diagnostics["iterations"] < cold.diagnostics["iterations"]
+        assert warm.mu1 == pytest.approx(cold.mu1, rel=1e-12, abs=0.0)
+
     def test_start_modes_take_each_pair_once(self):
         # flat 7 x 5 grid of lengths (2 pi, 3): the ratios off the constant
         # mode rise through kappa = (+-1, 0), (0, +-1), (+-2, 0) and the
@@ -329,6 +338,42 @@ class TestLobpcg:
             r = spec.smallest_nonzero(op, k=k, seed=seed)
             assert r.diagnostics["start_modes"] > 0
             assert np.allclose(r.eigenvalues, dense[:k], rtol=1e-8, atol=0.0)
+
+    def test_start_outside_symmetry_class(self):
+        # on the (1, 1, 1.1) spheroid mu1 = 1.8176 is the simple mode
+        # symmetric about the long axis; x lies in the class of the pair
+        # just above it, 1.8213, which the mirror x -> -x of the mesh keeps
+        # apart.  A block of the lowest Ritz vector alone returned 1.8213
+        # on every seed; the guard keeps the random row's direction
+        ax = (1.0, 1.0, 1.1)
+        mesh = dz.scaled_mesh(dz.icosphere(3), ax)
+        op = dz.assemble(mesh, dz.ellipsoid_newton1_coefficient(ax))
+        x = mesh.vertices[:, 0]
+        for seed in range(10):
+            cold = spec.smallest_nonzero(op, seed=seed)
+            warm = spec.smallest_nonzero(op, seed=seed, start=x)
+            assert warm.diagnostics["start_modes"] == 1
+            assert warm.mu1 == pytest.approx(cold.mu1, rel=1e-10, abs=0.0)
+        assert cold.mu1 == pytest.approx(1.8175837, abs=1e-7)
+
+    @pytest.mark.parametrize("op", [
+        dz.assemble(dz.icosphere(0), dz.metric_coefficient()),
+        dz.assemble(dz.PeriodicGrid(lengths=[1.0, 1.0], shape=(3, 3)),
+                    dz.metric_coefficient()),
+    ], ids=["icosphere-0", "grid-3x3"])
+    def test_every_k_below_n_with_start(self, op):
+        # k + guards stays below N - 1: the guards give way as k grows
+        dense = dense_nonzero(op)
+        rows = np.random.default_rng(1).standard_normal((3, op.size))
+        for k in range(1, op.size):
+            r = spec.smallest_nonzero(op, k=k, start=rows)
+            assert np.allclose(r.eigenvalues, dense[:k], rtol=1e-8, atol=0.0)
+
+    def test_start_rows_must_span_the_nodes(self, sphere_op):
+        n = sphere_op.size
+        for shape in ((5, n - 1), (n, 2), (n + 1,), (1, n, 1)):
+            with pytest.raises(ConfigError, match="start rows must have"):
+                spec.smallest_nonzero(sphere_op, start=np.ones(shape))
 
     @pytest.mark.parametrize("op", [
         dz.assemble(dz.icosphere(0), dz.metric_coefficient()),
