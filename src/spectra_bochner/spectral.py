@@ -2,21 +2,17 @@
 
 The pencil is singular (constants span the kernel of K).  One block LOBPCG,
 kept M-orthogonal to the constants, solves every operator; only its
-preconditioner and start block follow the domain kind.  Periodic grids use
-the FFT inverse of the pencil with cell-averaged coefficients, shifted by
-0.9 times that pencil's mu1 (read off its Fourier symbols), factor nothing,
-and start from k random rows plus that pencil's lowest Fourier modes.  Every
-other operator starts from k random rows and uses one SuperLU factor of
-K + eps*M with a tiny eps, taken in a coordinate nested-dissection order of
-the nodes.  A caller's start rows, such as a coarser mesh's eigenvector,
-join the start on either kind.  No shift enters a mu1.  Round spheres have
-closed-form spectra for the Laplacian, the Schouten operator, and the
-linearized operator L1 of an umbilic geodesic sphere, used as oracles.
+preconditioner and start block follow the domain kind (``smallest_nonzero``).
+Periodic grids use the FFT inverse of a shifted cell-averaged pencil and
+factor nothing; every other operator uses one SuperLU factor of K + eps*M
+with a tiny eps, taken in a coordinate nested-dissection order of the
+nodes.  No shift enters a mu1.  Round spheres have closed-form spectra for
+the Laplacian, the Schouten operator, and the linearized operator L1 of an
+umbilic geodesic sphere, used as oracles.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -209,14 +205,11 @@ def _svqb(G):
     return d[:, None] * (V[:, keep] / np.sqrt(theta[keep]))
 
 
-def _ritz_start(K, M, X, rows, m1, vol, keep):
-    """(X', c): the ``keep`` lowest Ritz vectors, as rows, of K u = mu M u
-    on the span of the rows of X and the c ``rows``, made M-orthogonal to
-    the constants; the rows may come from anywhere, a coarser mesh's
-    eigenvector carried to this one's nodes included.  The (len(X) + c)^2
-    Rayleigh-Ritz matrices are taken a column at a time, so no K S or M S
-    is held beside S = [X; rows]."""
-    S = np.vstack([X, rows])
+def _ritz_start(K, M, S, m1, vol, keep):
+    """The ``keep`` lowest Ritz vectors, as rows, of K u = mu M u on the
+    span of the rows of S, made M-orthogonal to the constants in place.
+    The (len(S))^2 Rayleigh-Ritz matrices are taken a column at a time, so
+    no K S or M S is held beside S."""
     S -= (S @ m1)[:, None] / vol
     KSMS = np.empty((2,) + 2 * S.shape[:1])
     for i, s in enumerate(S):
@@ -224,26 +217,15 @@ def _ritz_start(K, M, X, rows, m1, vol, keep):
         KSMS[1, :, i] = S @ (M @ s)
     Z = _svqb(KSMS[1])
     C = Z @ _eigh(Z.T @ KSMS[0] @ Z)[1][:, :keep]
-    return C.T @ S, len(rows)
+    return C.T @ S
 
 
-def _lobpcg(K, M, precondition, k, limit, rng, m1, vol, start=None,
-            guards=0):
+def _lobpcg(K, M, precondition, X, k, limit, m1, vol):
     """(mu, X, R, stats): the k smallest eigenpairs of K u = mu M u
     M-orthogonal to the constants (m1 = M 1, vol = 1'M1) and their
     residuals R = K X - mu M X, by block LOBPCG (Knyazev 2001)
-    preconditioned by ``precondition``.
-
-    The first X is k random rows drawn from ``rng``.  Given ``start``, a
-    function returning extra start rows, X is instead the k + ``guards``
-    lowest Ritz vectors on the span of the random rows and those rows
-    (``_ritz_start``, called before the work buffers are taken, so that
-    the rows never live beside them).  The block then iterates b = k +
-    guards vectors and is accepted on its first k: a guard keeps a
-    direction that the k lowest Ritz vectors would drop, so a start row
-    from the wrong invariant subspace (another symmetry class of a
-    near-degenerate pair) cannot hide the wanted eigenvector; the random
-    rows keep the span from being confined to such a subspace.
+    preconditioned by ``precondition``, from the first block X of b >= k
+    rows: all b are iterated, and the block is accepted on its first k.
 
     Blocks hold their vectors as rows.  T stacks a basis S = [X D W] with
     K S and M S as T[0], T[1], T[2], in the leading rows of one of two
@@ -258,18 +240,13 @@ def _lobpcg(K, M, precondition, k, limit, rng, m1, vol, start=None,
     recomputed once the largest of the first k residuals goes
     LOBPCG_STALL iterations without a new minimum (``refreshes``).  A
     block is accepted only once the first k residuals ||K x - mu M x|| from
-    explicit K X and M X are within ``limit``.  ``start_modes`` counts the
-    start rows.
+    explicit K X and M X are within ``limit``.
     """
     def products(T):   # T[1], T[2] = K S, M S for the block of rows S = T[0]
         T[1] = (K @ T[0].T).T
         T[2] = (M @ T[0].T).T
         return T
 
-    X = rng.standard_normal((K.shape[0], k)).T
-    start_modes = 0
-    if start is not None:   # the rows are freed before the work buffers
-        X, start_modes = _ritz_start(K, M, X, start(), m1, vol, k + guards)
     b = len(X)
     work = np.empty((2, 3, 3 * b, K.shape[0]))
     work[0, 0, :b] = X - (X @ m1)[:, None] / vol
@@ -295,8 +272,7 @@ def _lobpcg(K, M, precondition, k, limit, rng, m1, vol, start=None,
             if explicit:
                 return mu[:k], XD[0, :k].T.copy(), R[:k], {
                     "iterations": len(history), "residual_history": history,
-                    "refreshes": refreshes,
-                    "start_modes": start_modes}
+                    "refreshes": refreshes}
             T = products(XD[:, :b])
             explicit = True
             continue
@@ -328,34 +304,34 @@ def _abs_sum(x, chunk=1 << 15):
 
 
 def smallest_nonzero(op, k=1, tol=1e-9, seed=42, start=None):
-    """k smallest nonzero eigenvalues of K u = mu M u.
+    """k smallest nonzero eigenvalues of K u = mu M u, by ``_lobpcg``.
 
-    K must be PSD with constants spanning its kernel and M SPD.  ``_lobpcg``
-    solves every operator and accepts a block once each residual
-    ||K x - mu M x|| of its M-normalized columns is within
-    tol * scale * sqrt(vol / N), where scale = sum|K| / sum|M| makes
-    scale * vol / N an estimate of ||K|| and sqrt(N / vol) one of ||x||.
-    The vectors are M-orthonormal, the eigenvalues their Rayleigh quotients
-    and the residuals ||K u - mu M u|| / ||u||.
+    K must be PSD with constants spanning its kernel and M SPD.  A block is
+    accepted once each residual ||K x - mu M x|| of its M-normalized
+    columns is within tol * scale * sqrt(vol / N), where scale = sum|K| /
+    sum|M| makes scale * vol / N an estimate of ||K|| and sqrt(N / vol) one
+    of ||x||.  The vectors are M-orthonormal, the eigenvalues their
+    Rayleigh quotients and the residuals ||K u - mu M u|| / ||u||.
 
-    ``start``, c rows of length N (one vector may be passed flat), adds a
-    caller's guess, such as a coarser mesh's eigenvector carried to this
-    mesh's nodes: the first block is the k + g lowest Ritz vectors on the
-    span of the seeded k random rows, the c start rows and, on a periodic
-    grid, the Fourier rows below, with g = min(c, N - 1 - k) guard vectors
-    iterated beside the k wanted ones and accepted on the k alone
-    (``_lobpcg``).  With the guards a start row from the wrong symmetry
-    class still leaves the random rows' directions in the block.
+    The first block is k random rows drawn from ``seed``.  Extra start rows
+    replace it by the k + g lowest Ritz vectors on the span of them and the
+    random rows (``_ritz_start``).  The extra rows are the caller's
+    ``start``, rows of length N (one vector may be passed flat) such as a
+    coarser mesh's eigenvector carried to this mesh's nodes, and on a
+    periodic grid the cos and sin rows of the averaged pencil's
+    non-constant modes whose ratio is at most its k-th smallest
+    (``_fft_preconditioner``); ``start_modes`` counts them.  The random
+    rows stay because every extra row may lie in another symmetry class
+    than mu1's.  g = min(len(start), N - 1 - k) guard vectors, none without
+    ``start``, iterate beside the k wanted ones and are not needed for
+    acceptance, so a start row from the wrong class cannot push the random
+    rows' directions out of the block.
 
     The preconditioner follows the domain kind, named by
     ``diagnostics["solver"]``: ``"lobpcg-fft"`` on periodic grids
     (``op.symbols`` set), reporting the averaged pencil's mu1 ``nu1``, the
-    shift sigma (``preconditioner_shift``) and ``setup_s``, and starting
-    from the seeded k random rows together with the cos and sin rows of
-    that pencil's non-constant modes whose ratio is at most its k-th
-    smallest (ties kept; ``_fft_preconditioner``); ``"lobpcg-splu"``
-    otherwise, starting from the seeded k random rows alone unless
-    ``start`` is given, reporting the ``shift`` eps, the ``fill``
+    shift sigma (``preconditioner_shift``) and ``setup_s``;
+    ``"lobpcg-splu"`` otherwise, reporting the ``shift`` eps, the ``fill``
     of K + eps*M's factor (the nonzeros SuperLU stores for L and U,
     ``SuperLU.nnz``: reading ``.L`` and ``.U`` would copy the factor),
     ``factor_s`` (ordering plus factorization) and the ``solves``, one per
@@ -364,9 +340,7 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42, start=None):
     implicit products, and the ``enclosure``: for each eigenvalue, c times
     its residual's norm in the inverse lumped mass L = diag(M 1), a
     distance within which the pencil has an eigenvalue, or None when the
-    record names no domain.  ``start_modes`` counts the start rows besides
-    the random ones: the caller's and the Fourier rows.  ``seed`` draws
-    only the k random rows.  Raises ConfigError for k < 1, for k >= N (N
+    record names no domain.  Raises ConfigError for k < 1, for k >= N (N
     nodes carry N - 1 nonzero eigenvalues), a tol that is not positive and
     finite, or start rows whose length is not N.
     """
@@ -384,14 +358,13 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42, start=None):
     vol = float(m1.sum())
     limit = tol * scale * math.sqrt(vol / N)
 
-    rows, guards = None, 0
+    rows, guards = [], 0
     if start is not None:
         start = np.atleast_2d(np.asarray(start, dtype=float))
         if start.ndim != 2 or start.shape[1] != N:
             raise ConfigError("start rows must have the N = %d nodes as "
                               "columns, got shape %r" % (N, start.shape))
-        # one guard per row, while the block stays below N - 1 vectors
-        rows, guards = (lambda: start), min(len(start), N - 1 - k)
+        rows, guards = [start], min(len(start), N - 1 - k)
     if op.symbols is None:
         solver = "lobpcg-splu"
         precondition, stats = _splu_preconditioner(op.points, K, M,
@@ -400,23 +373,24 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42, start=None):
         solver = "lobpcg-fft"
         t0 = time.perf_counter()
         precondition, sigma, nu1, modes = _fft_preconditioner(op.symbols, k)
-        fourier = functools.partial(_fourier_rows, modes,
-                                    op.symbols[0].shape)
-        rows = fourier if start is None else (
-            lambda: np.vstack([start, fourier()]))
         stats = {"setup_s": time.perf_counter() - t0,
                  "preconditioner_shift": sigma, "nu1": nu1}
-    mu, U, R, run = _lobpcg(K, M, precondition, k, limit,
-                            np.random.default_rng(seed), m1, vol, rows,
-                            guards)
+        rows.append(_fourier_rows(modes, op.symbols[0].shape))
+    X = np.random.default_rng(seed).standard_normal((N, k)).T
+    start_modes = sum(map(len, rows))
+    if rows:
+        X = _ritz_start(K, M, np.vstack([X] + rows), m1, vol, k + guards)
+    del rows   # freed before _lobpcg takes its work buffers
+    mu, U, R, run = _lobpcg(K, M, precondition, X, k, limit, m1, vol)
     res = np.sqrt(np.einsum("ij,ij->i", R, R))
     # element masses are at least 1/c^2 of their lumped form: 1/4 on P1
     # triangles, 1/3 per axis on Q1 cells
     c = {"SurfaceMesh": 2.0, "PeriodicGrid": 3.0 ** (
         len(op.record.get("shape", ())) / 2)}.get(op.record.get("domain"))
     diag = {"solver": solver, "k": k, "seed": seed, "size": N, **stats,
-            **run, "record": dict(op.record), "enclosure": None if c is None
-            else (c * np.sqrt(np.einsum("ij,ij,j->i", R, R, 1 / m1))).tolist()}
+            **run, "start_modes": start_modes, "record": dict(op.record),
+            "enclosure": None if c is None else (
+                c * np.sqrt(np.einsum("ij,ij,j->i", R, R, 1 / m1))).tolist()}
     return EigenResult(eigenvalues=mu, eigenvectors=U,
                        residuals=res / np.linalg.norm(U, axis=0),
                        diagnostics=diag)
