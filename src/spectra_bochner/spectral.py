@@ -207,16 +207,10 @@ def _svqb(G):
 
 def _ritz_start(K, M, S, m1, vol, keep):
     """The ``keep`` lowest Ritz vectors, as rows, of K u = mu M u on the
-    span of the rows of S, made M-orthogonal to the constants in place.
-    The (len(S))^2 Rayleigh-Ritz matrices are taken a column at a time, so
-    no K S or M S is held beside S."""
+    span of the rows of S, made M-orthogonal to the constants in place."""
     S -= (S @ m1)[:, None] / vol
-    KSMS = np.empty((2,) + 2 * S.shape[:1])
-    for i, s in enumerate(S):
-        KSMS[0, :, i] = S @ (K @ s)
-        KSMS[1, :, i] = S @ (M @ s)
-    Z = _svqb(KSMS[1])
-    C = Z @ _eigh(Z.T @ KSMS[0] @ Z)[1][:, :keep]
+    Z = _svqb(S @ (M @ S.T))
+    C = Z @ _eigh(Z.T @ (S @ (K @ S.T)) @ Z)[1][:, :keep]
     return C.T @ S
 
 
