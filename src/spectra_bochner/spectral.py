@@ -336,7 +336,7 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42, start=None):
     distance within which the pencil has an eigenvalue, or None when the
     record names no domain.  Raises ConfigError for k < 1, for k >= N (N
     nodes carry N - 1 nonzero eigenvalues), a tol that is not positive and
-    finite, or start rows whose length is not N.
+    finite, or start rows whose length is not N or that hold a nan or inf.
     """
     if k < 1:
         raise ConfigError("k must be at least 1, got %r" % (k,))
@@ -358,6 +358,10 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42, start=None):
         if start.ndim != 2 or start.shape[1] != N:
             raise ConfigError("start rows must have the N = %d nodes as "
                               "columns, got shape %r" % (N, start.shape))
+        finite = np.isfinite(start).all(axis=1)
+        if not finite.all():
+            raise ConfigError("start row %d is not finite"
+                              % np.argmin(finite))
         rows, guards = [start], min(len(start), N - 1 - k)
     if op.symbols is None:
         solver = "lobpcg-splu"

@@ -376,6 +376,22 @@ class TestLobpcg:
                 spec.smallest_nonzero(sphere_op, start=np.ones(shape))
 
     @pytest.mark.parametrize("op", [
+        dz.assemble(dz.icosphere(2), dz.metric_coefficient()),
+        dz.assemble(dz.PeriodicGrid(lengths=[1.0, 1.0], shape=(8, 8)),
+                    dz.metric_coefficient()),
+    ], ids=["icosphere-2", "grid-8x8"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_row(self, op, bad):
+        # unchecked, such rows end in a bare IndexError from _svqb on the
+        # mesh and in a dsyevd NoConvergence on the grid
+        rows = np.ones((3, op.size))
+        rows[1, 5] = bad
+        with pytest.raises(ConfigError, match="start row 1 is not finite"):
+            spec.smallest_nonzero(op, start=rows)
+        with pytest.raises(ConfigError, match="start row 0 is not finite"):
+            spec.smallest_nonzero(op, start=np.full(op.size, bad))
+
+    @pytest.mark.parametrize("op", [
         dz.assemble(dz.icosphere(0), dz.metric_coefficient()),
         dz.assemble(dz.PeriodicGrid(lengths=[1.0, 1.0], shape=(3, 3)),
                     dz.metric_coefficient()),
