@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sl
@@ -236,6 +238,25 @@ class TestGridSolver:
         assert warm.diagnostics["start_modes"] == 7
         assert warm.diagnostics["iterations"] < cold.diagnostics["iterations"]
         assert warm.mu1 == pytest.approx(cold.mu1, rel=1e-12, abs=0.0)
+
+    def test_start_rows_freed_before_work_buffers(self, torus18_op,
+                                                  monkeypatch):
+        # the traced peak of one 18^3 solve read 1.38 MB, set by the Ritz
+        # start; the six Fourier rows (0.28 MB) kept alive through the
+        # iteration raise it to 1.54 MB
+        def peak():
+            tracemalloc.start()
+            try:
+                spec.smallest_nonzero(torus18_op, seed=[0, 0])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak() <= 1.46e6
+        kept, rows = [], spec._fourier_rows
+        monkeypatch.setattr(spec, "_fourier_rows",
+                            lambda *a: kept.append(rows(*a)) or kept[-1])
+        assert peak() > 1.46e6
 
     def test_start_modes_take_each_pair_once(self):
         # flat 7 x 5 grid of lengths (2 pi, 3): the ratios off the constant
