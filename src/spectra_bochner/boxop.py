@@ -89,8 +89,7 @@ def bochner_residual(m, phis, f, p, cvals):
     """
     geo = geom.point_geometry(m.chart(), p)
     _, fi, fij, f3 = geom.scalar_jets(geo, f, 3)
-    Rf = geom.curvature_at(m, geo).riemann
-    ric = np.einsum("...mkjk->...mj", Rf)
+    ric = geom.curvature_at(m, geo).ricci
     # the Hessian of |grad f|^2, expanded by Leibniz
     u_jk = 2.0 * (np.einsum("...ij,...ik->...jk", fij, fij)
                   + np.einsum("...i,...ijk->...jk", fi, f3))
