@@ -27,12 +27,6 @@ from . import spectral as spec
 from .errors import (ConfigError, NoConvergence, FactorizationFailure,
                      SpectraError)
 
-EXIT_PASS = hz.EXIT_PASS
-EXIT_ASSERTION = hz.EXIT_ASSERTION
-EXIT_CONFIG = hz.EXIT_CONFIG
-EXIT_NUMERICAL = hz.EXIT_NUMERICAL
-
-
 def _emit(payload, as_json):
     if as_json:
         print(json.dumps(payload, indent=2, default=hz._json_default))
@@ -82,7 +76,7 @@ def cmd_verify(args):
                    "max_residual": worst,
                    "points": rows if args.full else rows[:5]}
         _emit(payload, args.json)
-        return EXIT_PASS if worst <= args.tol else EXIT_ASSERTION
+        return hz.EXIT_PASS if worst <= args.tol else hz.EXIT_ASSERTION
     if args.target == "divergence":
         m = geom.parse_manifold(args.manifold)
         rep = geom.divergence_identity_suite(m, samples=args.samples,
@@ -90,7 +84,7 @@ def cmd_verify(args):
         _emit(rep, args.json)
         worst = max(v for k, v in rep.items()
                     if k.startswith("item") and isinstance(v, float))
-        return EXIT_PASS if worst <= args.tol else EXIT_ASSERTION
+        return hz.EXIT_PASS if worst <= args.tol else hz.EXIT_ASSERTION
     raise ConfigError("unknown verify target %r" % args.target)
 
 
@@ -148,7 +142,7 @@ def cmd_eig(args):
                            "mean_edge_length": domain.mean_edge_length(),
                            "total_area": domain.total_area()}
     _emit(payload, args.json)
-    return EXIT_PASS
+    return hz.EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +161,7 @@ def cmd_bound(args):
         payload = {"bound": val, "n": args.n, "kappa": args.kappa,
                    "alpha": args.alpha, "a": args.a, "sigma": args.sigma}
     _emit(payload, args.json)
-    return EXIT_PASS
+    return hz.EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +176,7 @@ def cmd_check(args):
                    "genus": mesh.genus, "total_area": mesh.total_area(),
                    "valid": True}
         _emit(payload, args.json)
-        return EXIT_PASS
+        return hz.EXIT_PASS
     names = [s for s in (args.suites or "").split(",") if s]
     cfg = hz.load_config(args.config)
     if args.seed is not None:
@@ -215,7 +209,7 @@ def cmd_proptest(args):
             else:
                 ok = ok and rep[sign]["violations"] == 0
     _emit(rep, args.json)
-    return EXIT_PASS if ok else EXIT_ASSERTION
+    return hz.EXIT_PASS if ok else hz.EXIT_ASSERTION
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +247,9 @@ def cmd_report(args):
               % (rep["extrapolated_mu1"],
                  "none" if order is None else "%.4g" % order),
               file=sys.stderr)
-    return EXIT_PASS if rep["verdict"] in (bd.VERDICT_INEQUALITY,
+    return hz.EXIT_PASS if rep["verdict"] in (bd.VERDICT_INEQUALITY,
                                            bd.VERDICT_EQUALITY) \
-        else EXIT_ASSERTION
+        else hz.EXIT_ASSERTION
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +272,9 @@ def build_parser():
     v.add_argument("--manifold", default="torus2:L=6.283185307179586")
     v.add_argument("--phi", default="metric",
                    choices=["metric", "schouten", "random-spd"])
-    v.add_argument("--c", default="0,1,7.3")
+    v.add_argument("--c", default=",".join("%g" % c for c in hz.CVALS))
     v.add_argument("--samples", type=int, default=50)
-    v.add_argument("--tol", type=float, default=1e-8)
+    v.add_argument("--tol", type=float, default=hz.RESIDUAL_TOL)
     v.add_argument("--full", action="store_true")
     v.set_defaults(func=cmd_verify)
 
@@ -321,7 +315,7 @@ def build_parser():
 
     p = sub.add_parser("proptest", help="randomized inequality trials")
     p.add_argument("which", choices=["newton", "qa"])
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=int, default=hz.TrialConfig.trials)
     p.add_argument("--planted", action="store_true",
                    help="plant violations (negative control)")
     p.set_defaults(func=cmd_proptest)
@@ -329,7 +323,8 @@ def build_parser():
     r = sub.add_parser("report", help="bound vs eigenvalue comparison")
     r.add_argument("target", choices=["compare"])
     r.add_argument("--surface", default="ellipsoid:1,1,1.1")
-    r.add_argument("--refine", default="4..5", help="e.g. 3..6 or 4,5")
+    r.add_argument("--refine", default=",".join(map(str, hz.DEFAULT_SUBDIVS)),
+                   help="e.g. 3..6 or 4,5")
     r.set_defaults(func=cmd_report)
     return ap
 
@@ -348,13 +343,13 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
+        return hz.EXIT_CONFIG
     except (NoConvergence, FactorizationFailure) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERICAL
+        return hz.EXIT_NUMERICAL
     except SpectraError as exc:
         print("failure: %s" % exc, file=sys.stderr)
-        return EXIT_ASSERTION
+        return hz.EXIT_ASSERTION
 
 
 if __name__ == "__main__":

@@ -64,6 +64,13 @@ EIG_LO, EIG_HI = 0.1, 10.0
 # the values of c of bochner_suite, and the two FD steps of fd_order_study
 CVALS = (0.0, 1.0, 7.3)
 FD_STEPS = (2e-3, 1e-3)
+# run_suite fails a Bochner residual or divergence defect above
+# RESIDUAL_TOL, a planted control at or below it, and a spread of the
+# Bochner residual across c above C_SPREAD_TOL
+RESIDUAL_TOL = 1e-8
+C_SPREAD_TOL = 1e-10
+# the subdivision levels of ellipsoid_compare
+DEFAULT_SUBDIVS = (4, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +338,8 @@ def sphere_equality_suite():
     return {"results": results, "all_equality": ok}
 
 
-def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=(4, 5), seed=42):
+def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=DEFAULT_SUBDIVS,
+                      seed=42):
     """FEM mu1(L1) on the ellipsoid against the bound from its pinching
     constants, those sampled named in ``pinching["sampled"]``; refinement
     across the given subdivision levels, at least two, which must increase.
@@ -402,8 +410,9 @@ SUITE_NAMES = ("bochner", "divergence", "newton", "qa", "sphere-equality",
 
 
 CONFIG_DEFAULTS = {"solver": {"seed": str(DEFAULT_SEED)},
-                   "suites": {"trials": "100000", "samples": "200",
-                              "subdivs": "4,5"}}
+                   "suites": {"trials": str(TrialConfig.trials),
+                              "samples": "200",
+                              "subdivs": ",".join(map(str, DEFAULT_SUBDIVS))}}
 
 
 def load_config(path=None):
@@ -459,24 +468,24 @@ def run_suite(names, config=None):
         try:
             if name == "bochner":
                 rep = bochner_suite(samples=samples, seed=seed)
-                if rep["max_residual"] > 1e-8:
-                    failures.append("bochner: max residual %g > 1e-8"
-                                    % rep["max_residual"])
-                if rep["max_c_spread"] > 1e-10:
-                    failures.append("bochner: c spread %g > 1e-10"
-                                    % rep["max_c_spread"])
+                if rep["max_residual"] > RESIDUAL_TOL:
+                    failures.append("bochner: max residual %g > %g"
+                                    % (rep["max_residual"], RESIDUAL_TOL))
+                if rep["max_c_spread"] > C_SPREAD_TOL:
+                    failures.append("bochner: c spread %g > %g"
+                                    % (rep["max_c_spread"], C_SPREAD_TOL))
                 planted = {(c["manifold"], c["phi"]): c["planted"]
                            for c in rep["cases"]}
                 for ctl, where in PLANTED_CASES.items():
                     for case in where:
-                        if planted[case][ctl] <= 1e-8:
+                        if planted[case][ctl] <= RESIDUAL_TOL:
                             failures.append("bochner: planted %s on %s/%s "
                                             "NOT detected" % ((ctl,) + case))
             elif name == "divergence":
                 rep = divergence_suite(seed=seed)
-                if rep["max_defect"] > 1e-8:
-                    failures.append("divergence: defect %g > 1e-8"
-                                    % rep["max_defect"])
+                if rep["max_defect"] > RESIDUAL_TOL:
+                    failures.append("divergence: defect %g > %g"
+                                    % (rep["max_defect"], RESIDUAL_TOL))
             elif name == "newton":
                 rep = newton_inequality_trials(
                     TrialConfig(trials=trials, seed=seed))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sl
 
-from spectra_bochner import cli, discretize as dz
+from spectra_bochner import cli, discretize as dz, harness as hz
 
 import oracles
 
@@ -15,6 +15,19 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_parser_defaults_are_the_harness_constants():
+    ap = cli.build_parser()
+    verify = ap.parse_args(["verify", "bochner"])
+    assert tuple(float(c) for c in verify.c.split(",")) == hz.CVALS
+    assert verify.tol == hz.RESIDUAL_TOL
+    assert ap.parse_args(["proptest", "qa"]).trials == hz.TrialConfig.trials
+    refine = ap.parse_args(["report", "compare"]).refine
+    assert cli._parse_refine(refine) == hz.DEFAULT_SUBDIVS
+    suites = hz.load_config()["suites"]
+    assert int(suites["trials"]) == hz.TrialConfig.trials
+    assert tuple(map(int, suites["subdivs"].split(","))) == hz.DEFAULT_SUBDIVS
 
 
 class TestBound:
