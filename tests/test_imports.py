@@ -1,7 +1,7 @@
 """Every import under src/ is used, every SpectraError subclass is raised
-or caught, every public function is called outside the tests, and every
-dataclass default is overridden somewhere: AST scans standing in for a
-linter."""
+or caught, every public function is called outside the tests, every
+private helper and constant is named, and every dataclass default is
+overridden somewhere: AST scans standing in for a linter."""
 
 import ast
 from pathlib import Path
@@ -143,6 +143,48 @@ def test_scan_finds_an_unused_function(tmp_path):
     paths = sorted(tmp_path.glob("*.py"))
     assert dead_api([tmp_path / "mod.py"], paths) == ["mod.C.idle",
                                                       "mod.planted"]
+
+
+def orphans(defined, users):
+    """'module.name' of each module-level private function and UPPER_CASE
+    constant in ``defined`` that no Name or attribute read in ``users``
+    carries."""
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in users]
+    read = {_name(node) for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and not isinstance(node.ctx, ast.Store)}
+    out = []
+    for path in defined:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name] if node.name.startswith("_") \
+                    and not node.name.endswith("__") else []
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name) and t.id.isupper()]
+            else:
+                names = []
+            out += ["%s.%s" % (path.stem, n) for n in names if n not in read]
+    return sorted(out)
+
+
+def test_no_orphaned_helpers_or_constants():
+    assert orphans(MODULES, USERS) == []
+
+
+def test_scan_finds_an_orphan(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "LIMIT = 3\nLO, HI = 0, 1\nSTALE: int = 2\n_cache = {}\n\n\n"
+        "def _used():\n    return LIMIT\n\n\n"
+        "def _planted():\n    pass\n\n\n"
+        "def __getattr__(name):\n    pass\n\n\n"
+        "def public():\n    return _used()\n")
+    (tmp_path / "user.py").write_text(
+        "import mod\n\nSTALE = mod.HI\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert orphans([tmp_path / "mod.py"], paths) == [
+        "mod.LO", "mod.STALE", "mod._planted"]
 
 
 def _is_dataclass(node):
