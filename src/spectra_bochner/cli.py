@@ -27,6 +27,7 @@ from . import spectral as spec
 from .errors import (ConfigError, NoConvergence, FactorizationFailure,
                      SpectraError)
 
+
 def _emit(payload, as_json):
     if as_json:
         print(json.dumps(payload, indent=2, default=hz._json_default))
@@ -248,7 +249,7 @@ def cmd_report(args):
                  "none" if order is None else "%.4g" % order),
               file=sys.stderr)
     return hz.EXIT_PASS if rep["verdict"] in (bd.VERDICT_INEQUALITY,
-                                           bd.VERDICT_EQUALITY) \
+                                              bd.VERDICT_EQUALITY) \
         else hz.EXIT_ASSERTION
 
 

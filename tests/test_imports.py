@@ -156,15 +156,15 @@ def orphans(defined, users):
     out = []
     for path in defined:
         for node in ast.parse(path.read_text(), filename=str(path)).body:
+            names = []
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                names = [node.name] if node.name.startswith("_") \
-                    and not node.name.endswith("__") else []
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = getattr(node, "targets", None) or [node.target]
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
                 names = [t.id for target in targets for t in ast.walk(target)
                          if isinstance(t, ast.Name) and t.id.isupper()]
-            else:
-                names = []
             out += ["%s.%s" % (path.stem, n) for n in names if n not in read]
     return sorted(out)
 
