@@ -110,7 +110,7 @@ def _eig_domain(args):
         return mesh, provider
     if args.surface:
         ax = _mesh_semiaxes(args.surface)
-        mesh = dz.scaled_mesh(dz.icosphere(args.subdiv), ax)
+        mesh = dz.icosphere(args.subdiv, ax)
         if args.operator == "newton1":
             provider = dz.ellipsoid_newton1_coefficient(ax)
         else:

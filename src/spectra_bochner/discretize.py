@@ -54,8 +54,8 @@ class EdgeTable:
 class SurfaceMesh:
     """Closed orientable triangle mesh in R^3.
 
-    Validation leaves the face array's ``EdgeTable`` in ``edges``; copies
-    on new vertices (``scaled_mesh``) share it.  ``parents`` is set by
+    Validation leaves the face array's ``EdgeTable`` in ``edges`` and the
+    mean edge length in ``mean_edge``.  ``parents`` is set by
     ``icosphere``: for each subdivision step, the arrays (a, b) such that
     the step's i-th new vertex, numbered after the vertices it starts
     from, is the midpoint of vertices a[i] and b[i], projected.
@@ -106,28 +106,13 @@ class SurfaceMesh:
         return float(self.face_areas().sum())
 
     def mean_edge_length(self):
-        P = self.face_corners()
-        e = np.concatenate([P[:, 1] - P[:, 0], P[:, 2] - P[:, 1],
-                            P[:, 0] - P[:, 2]])
-        return float(np.mean(np.linalg.norm(e, axis=1)))
+        return self.mean_edge
 
     # -- validation --------------------------------------------------------
     def validate(self):
         """Every check: the face array's topology, then the geometry."""
         self._check_topology()
         self._check_geometry()
-
-    @classmethod
-    def _sharing_faces(cls, mesh, vertices):
-        """A mesh on new vertices that shares ``mesh``'s validated face
-        array and its edge table; only the geometric checks run again."""
-        new = object.__new__(cls)
-        object.__setattr__(new, "vertices",
-                           np.ascontiguousarray(vertices, dtype=float))
-        for name in ("faces", "parents", "edges"):
-            object.__setattr__(new, name, getattr(mesh, name))
-        new._check_geometry()
-        return new
 
     def _check_topology(self):
         """Index triples in range, consistently oriented, closed, using every
@@ -204,15 +189,17 @@ class SurfaceMesh:
 
     def _check_geometry(self):
         """Face areas and corner angles.  Both tests are negated
-        comparisons, so a nan area or cosine fails them."""
+        comparisons, so a nan area or cosine fails them.  Sets
+        ``mean_edge``, the mean length of the faces' edges."""
         P = self.face_corners()
         E = P[:, [1, 2, 0]] - P           # edge k runs from corner k to k + 1
         L = np.einsum("fki,fki->fk", E, E)
         areas = 0.5 * np.linalg.norm(np.cross(E[:, 0], E[:, 2]), axis=1)
         # an absolute scale, which is 0 (and fails every area) when all
         # faces have collapsed
+        object.__setattr__(self, "mean_edge", float(np.mean(np.sqrt(L))))
         min_area = float(np.min(areas))
-        if not min_area > MIN_AREA_FRACTION * float(np.mean(np.sqrt(L))) ** 2:
+        if not min_area > MIN_AREA_FRACTION * self.mean_edge ** 2:
             raise DegenerateElement("face area %g below %g of the squared "
                                     "mean edge length"
                                     % (min_area, MIN_AREA_FRACTION))
@@ -228,15 +215,29 @@ class SurfaceMesh:
 
 
 def icosphere(subdiv=0, radius=1.0):
-    """Icosahedron subdivided ``subdiv`` times, projected to the sphere.
+    """Icosahedron subdivided ``subdiv`` times, projected to the unit sphere
+    and scaled by ``radius``: one number, or the three semiaxes of an
+    ellipsoid, one per axis.
 
     V = 10 * 4^subdiv + 2.  Each step keeps the vertices it starts from and
     appends one midpoint per edge, so level s's vertices are the first
     10 * 4^s + 2 of every finer level; ``parents`` records each step's
     midpoint parents, which carry a vertex function up the levels.
+
+    ``subdiv`` may also be an increasing sequence of levels, a refinement
+    ladder: one sweep of subdivision steps then builds the list of their
+    meshes.  Each mesh is built on its scaled vertices and validated once.
     """
-    if subdiv < 0:
-        raise ConfigError("subdiv must be >= 0")
+    levels = list(subdiv) if np.ndim(subdiv) else [subdiv]
+    if not levels or levels[0] < 0:
+        raise ConfigError("subdiv must be >= 0, got %r" % (subdiv,))
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError("subdivisions must increase, got %r"
+                          % (tuple(levels),))
+    scale = np.asarray(radius, dtype=float)
+    if scale.shape not in ((), (3,)):
+        raise ConfigError("radius must be one number or three semiaxes, "
+                          "got shape %r" % (scale.shape,))
     t = (1.0 + math.sqrt(5.0)) / 2.0
     verts = np.array([
         [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
@@ -250,8 +251,13 @@ def icosphere(subdiv=0, radius=1.0):
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
     ], dtype=np.int64)
-    parents = []
-    for _ in range(subdiv):
+    parents, meshes = [], []
+    for step in range(levels[-1] + 1):
+        if step in levels:
+            meshes.append(SurfaceMesh(vertices=verts * scale, faces=faces,
+                                      parents=tuple(parents)))
+        if step == levels[-1]:
+            break
         # the edges ab, bc, ca of each face in turn; each undirected edge
         # gets one midpoint vertex, numbered by its first occurrence
         nv = len(verts)
@@ -271,16 +277,7 @@ def icosphere(subdiv=0, radius=1.0):
         x, y, z = faces.T
         faces = np.stack([x, ab, ca, y, bc, ab, z, ca, bc, ab, bc, ca],
                          axis=1).reshape(-1, 3)
-    return SurfaceMesh(vertices=radius * verts, faces=faces,
-                       parents=tuple(parents))
-
-
-def scaled_mesh(mesh, scale):
-    """Apply a per-axis scaling (e.g. sphere -> ellipsoid).  The copy shares
-    the mesh's validated faces, edge table and parents, so only its
-    geometry is checked again."""
-    return SurfaceMesh._sharing_faces(mesh,
-                                      mesh.vertices * np.asarray(scale, float))
+    return meshes if np.ndim(subdiv) else meshes[0]
 
 
 # ---------------------------------------------------------------------------

@@ -352,25 +352,23 @@ def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=DEFAULT_SUBDIVS,
     log2(|mu_-2 - mu_-3| / |mu_-1 - mu_-2|) / d from the last three
     levels, or None unless they are evenly spaced with distinct mu1.
 
+    The levels' meshes come from one ``icosphere`` sweep on the semiaxes.
     Each level after the first starts its solve from the level below's
     eigenvector, carried up by setting each new vertex to the mean of its
     midpoint parents, one subdivision step at a time; every level reports
-    its solve's ``iterations`` and ``start_modes`` (0 on the first, 1
-    after it)."""
+    its mesh's mean edge length ``h`` and its solve's ``iterations`` and
+    ``start_modes`` (0 on the first, 1 after it)."""
     if len(subdivs) < 2:
         raise ConfigError("a refinement study needs at least two "
                           "subdivision levels, got %r" % (tuple(subdivs),))
-    if any(b <= a for a, b in zip(subdivs, subdivs[1:])):
-        raise ConfigError("subdivisions must increase, got %r"
-                          % (tuple(subdivs),))
     ax = [float(v) for v in semiaxes]
     pc = hyp.pinching_constants(ax, geom.SamplePlan(points=400, seed=seed))
     bound = bd.newton_bound(2, 0.0, pc.alpha, pc.a, pc.sigma)
+    meshes = dz.icosphere(subdivs, ax)
     levels = []
     mus = []
     u = None
-    for sub in subdivs:
-        mesh = dz.scaled_mesh(dz.icosphere(sub), ax)
+    for sub, mesh in zip(subdivs, meshes):
         op = dz.assemble(mesh, dz.ellipsoid_newton1_coefficient(ax))
         if u is not None:   # the last rung's eigenvector, prolonged
             for a, b in mesh.parents[prev:]:

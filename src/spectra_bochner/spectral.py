@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dsyevd
 
@@ -101,14 +102,28 @@ START_TIE = 1e-10
 SVQB_DROP = 1e-10
 
 
+def _factor_input(K, M, eps, perm):
+    """P A P' in CSC for A = K + eps*M and the order ``perm`` (row i of
+    P A P' is row perm[i] of A), built on K's CSR pattern, which M shares:
+    A's entries there are K.data + eps * M.data; its columns are relabelled
+    by the inverse of ``perm``, its rows gathered in ``perm``'s order, and
+    the CSC conversion sorts each column's rows (Davis, Direct Methods for
+    Sparse Linear Systems, SIAM 2006, ch. 2)."""
+    inverse = np.empty(perm.size, dtype=K.indices.dtype)
+    inverse[perm] = np.arange(perm.size, dtype=inverse.dtype)
+    A = sp.csr_matrix((K.data + eps * M.data, inverse[K.indices], K.indptr),
+                      shape=K.shape)
+    return A[perm].tocsc()
+
+
 def _splu_preconditioner(points, K, M, eps):
     """(P, stats): the inverse of K + eps*M, applied through one SuperLU
-    factor taken in a coordinate nested-dissection order of the nodes."""
+    factor of ``_factor_input`` in a coordinate nested-dissection order of
+    the nodes."""
     t0 = time.perf_counter()
-    A = (K + eps * M).tocsr()
-    perm = _nested_dissection(A, points)
+    perm = _nested_dissection(K, points)
     try:
-        lu = spla.splu(A[perm][:, perm].tocsc(), permc_spec="NATURAL")
+        lu = spla.splu(_factor_input(K, M, eps, perm), permc_spec="NATURAL")
     except RuntimeError as exc:
         raise FactorizationFailure(str(exc)) from exc
     stats = {"shift": eps, "fill": int(lu.nnz),
@@ -207,11 +222,12 @@ def _svqb(G):
 
 def _ritz_start(K, M, S, m1, vol, keep):
     """The ``keep`` lowest Ritz vectors, as rows, of K u = mu M u on the
-    span of the rows of S, made M-orthogonal to the constants in place."""
-    S -= (S @ m1)[:, None] / vol
-    Z = _svqb(S @ (M @ S.T))
-    C = Z @ _eigh(Z.T @ (S @ (K @ S.T)) @ Z)[1][:, :keep]
-    return C.T @ S
+    span of the columns of the C-ordered S (N, c), made M-orthogonal to the
+    constants in place; K and M multiply S without copying it."""
+    S -= (m1 @ S) / vol
+    Z = _svqb(S.T @ (M @ S))
+    C = Z @ _eigh(Z.T @ (S.T @ (K @ S)) @ Z)[1][:, :keep]
+    return C.T @ S.T
 
 
 def _lobpcg(K, M, precondition, X, k, limit, m1, vol):
@@ -300,7 +316,8 @@ def _abs_sum(x, chunk=1 << 15):
 def smallest_nonzero(op, k=1, tol=1e-9, seed=42, start=None):
     """k smallest nonzero eigenvalues of K u = mu M u, by ``_lobpcg``.
 
-    K must be PSD with constants spanning its kernel and M SPD.  A block is
+    K must be PSD with constants spanning its kernel and M SPD, the two on
+    one CSR pattern: the same ``indptr`` and ``indices``.  A block is
     accepted once each residual ||K x - mu M x|| of its M-normalized
     columns is within tol * scale * sqrt(vol / N), where scale = sum|K| /
     sum|M| makes scale * vol / N an estimate of ||K|| and sqrt(N / vol) one
@@ -328,21 +345,26 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42, start=None):
     ``"lobpcg-splu"`` otherwise, reporting the ``shift`` eps, the ``fill``
     of K + eps*M's factor (the nonzeros SuperLU stores for L and U,
     ``SuperLU.nnz``: reading ``.L`` and ``.U`` would copy the factor),
-    ``factor_s`` (ordering plus factorization) and the ``solves``, one per
-    vector.  Both report the ``iterations``, the largest of the k wanted
-    residuals per iteration (``residual_history``), the ``refreshes`` of the
-    implicit products, and the ``enclosure``: for each eigenvalue, c times
-    its residual's norm in the inverse lumped mass L = diag(M 1), a
-    distance within which the pencil has an eigenvalue, or None when the
-    record names no domain.  Raises ConfigError for k < 1, for k >= N (N
-    nodes carry N - 1 nonzero eigenvalues), a tol that is not positive and
-    finite, or start rows whose length is not N or that hold a nan or inf.
+    ``factor_s`` (ordering, factor input and factorization) and the
+    ``solves``, one per vector.  Both report the ``iterations``, the
+    largest of the k wanted residuals per iteration (``residual_history``),
+    the ``refreshes`` of the implicit products, and the ``enclosure``: for
+    each eigenvalue, c times its residual's norm in the inverse lumped mass
+    L = diag(M 1), a distance within which the pencil has an eigenvalue,
+    or None when the record names no domain.  Raises ConfigError for K
+    and M on different patterns, for k < 1, for k >= N (N nodes carry
+    N - 1 nonzero eigenvalues), a tol that is not positive and finite, or
+    start rows whose length is not N or that hold a nan or inf.
     """
     if k < 1:
         raise ConfigError("k must be at least 1, got %r" % (k,))
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ConfigError("tol must be positive and finite, got %r" % (tol,))
     K, M = op.K, op.M
+    if not (K.format == M.format == "csr"
+            and np.array_equal(K.indptr, M.indptr)
+            and np.array_equal(K.indices, M.indices)):
+        raise ConfigError("K and M must share one CSR pattern")
     N = K.shape[0]
     if k >= N:
         raise ConfigError("k = %d needs more than the %d nonzero eigenvalues "
@@ -376,9 +398,14 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42, start=None):
         rows.append(_fourier_rows(modes, op.symbols[0].shape))
     X = np.random.default_rng(seed).standard_normal((N, k)).T
     start_modes = sum(map(len, rows))
-    if rows:
-        X = _ritz_start(K, M, np.vstack([X] + rows), m1, vol, k + guards)
-    del rows   # freed before _lobpcg takes its work buffers
+    if rows:   # the random rows, then the extra ones, as columns of S
+        S = np.empty((N, k + start_modes))
+        S[:, :k] = X.T
+        ends = np.cumsum([k] + [len(r) for r in rows])
+        for a, b in zip(ends, ends[1:]):   # each block freed once copied
+            S[:, a:b] = rows.pop(0).T
+        X = _ritz_start(K, M, S, m1, vol, k + guards)
+        del S   # freed before _lobpcg takes its work buffers
     mu, U, R, run = _lobpcg(K, M, precondition, X, k, limit, m1, vol)
     res = np.sqrt(np.einsum("ij,ij->i", R, R))
     # element masses are at least 1/c^2 of their lumped form: 1/4 on P1

@@ -1,9 +1,10 @@
 """Oracles and controls that the tests compare the package with: the
 operator box applied directly, the trace-inequality defect of one pair,
 the matrix Q(A), the cotangent stiffness, mesh element matrices summed
-from COO triplets, a non-divergence-free coefficient, and the
-pointwise-vs-weak consistency of assembled operators on refinement
-ladders."""
+from COO triplets, the two-step scaled icosphere, the mean edge length
+and the factor input by scipy's conversions, a non-divergence-free
+coefficient, and the pointwise-vs-weak consistency of assembled operators
+on refinement ladders."""
 
 import math
 
@@ -12,7 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from spectra_bochner import boxop, discretize as dz, geometry as geom
-from spectra_bochner import hypersurface as hyp
+from spectra_bochner import hypersurface as hyp, spectral as spec
 
 
 def laplacian_box(m):
@@ -129,6 +130,64 @@ def coo_pair(nodes, Ke, Me, n):
     cols = np.tile(nodes, (1, m)).ravel()
     return [sp.coo_matrix((E.ravel(), (rows, cols)), shape=(n, n)).tocsr()
             for E in (Ke, Me)]
+
+
+def two_step_icosphere(subdiv, semiaxes):
+    """(vertices, faces, parents) of the unit icosphere built alone, its
+    vertices then scaled per axis (the construction ``icosphere``'s one
+    sweep over a ladder replaced): one np.unique of the edge keys per
+    subdivision step, the midpoints numbered by first occurrence."""
+    t = (1.0 + math.sqrt(5.0)) / 2.0
+    verts = np.array([
+        [-1, t, 0], [1, t, 0], [-1, -t, 0], [1, -t, 0],
+        [0, -1, t], [0, 1, t], [0, -1, -t], [0, 1, -t],
+        [t, 0, -1], [t, 0, 1], [-t, 0, -1], [-t, 0, 1],
+    ], dtype=float)
+    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+    faces = np.array([
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ], dtype=np.int64)
+    parents = []
+    for _ in range(subdiv):
+        nv = len(verts)
+        a, b = faces.ravel(), faces[:, [1, 2, 0]].ravel()
+        _, first, inverse = np.unique(np.minimum(a, b) * nv + np.maximum(a, b),
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        pa, pb = a[first[order]], b[first[order]]
+        parents.append((pa, pb))
+        m = verts[pa] + verts[pb]
+        m /= np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0])
+        verts = np.concatenate([verts, m])
+        ab, bc, ca = (nv + rank[inverse]).reshape(-1, 3).T
+        x, y, z = faces.T
+        faces = np.stack([x, ab, ca, y, bc, ab, z, ca, bc, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
+    # radius 1, then the per-axis scale
+    return (1.0 * verts) * np.asarray(semiaxes, float), faces, parents
+
+
+def mean_edge_length(mesh):
+    """Mean length of the faces' edges, each face's three edges gathered
+    from its corners (the route validation's recorded value replaced)."""
+    P = mesh.face_corners()
+    e = np.concatenate([P[:, 1] - P[:, 0], P[:, 2] - P[:, 1],
+                        P[:, 0] - P[:, 2]])
+    return float(np.mean(np.linalg.norm(e, axis=1)))
+
+
+def scipy_factor_input(K, M, eps, points):
+    """P A P' in CSC for A = K + eps*M by scipy's sum, A's nested-dissection
+    order P and scipy's row and column indexing (the chain
+    ``spectral._factor_input`` on K's pattern replaced)."""
+    A = (K + eps * M).tocsr()
+    perm = spec._nested_dissection(A, points)
+    return A[perm][:, perm].tocsc()
 
 
 def domain_resolution(domain):

@@ -99,6 +99,47 @@ class TestIcosphere:
         m = dz.icosphere(2, 2.5)
         assert np.allclose(np.linalg.norm(m.vertices, axis=1), 2.5)
 
+    @pytest.mark.parametrize("ax", [(1.0, 1.0, 1.0), (1.0, 1.0, 1.1),
+                                    (1.0, 1.3, 0.8)])
+    def test_ladder_matches_two_step_construction(self, ax):
+        # one sweep, each level built on its scaled vertices, against the
+        # unit icosphere built alone and then scaled per axis
+        ladder = dz.icosphere(range(5), ax)
+        assert len(ladder) == 5
+        for sub, mesh in enumerate(ladder):
+            verts, faces, parents = oracles.two_step_icosphere(sub, ax)
+            assert np.array_equal(mesh.vertices, verts)
+            assert np.array_equal(mesh.faces, faces)
+            assert len(mesh.parents) == len(parents) == sub
+            for (a, b), (pa, pb) in zip(mesh.parents, parents):
+                assert np.array_equal(a, pa) and np.array_equal(b, pb)
+
+    def test_ladder_levels_need_not_be_adjacent(self):
+        coarse, fine = dz.icosphere((1, 3), (1.0, 1.3, 0.8))
+        assert coarse.num_vertices == 42 and fine.num_vertices == 642
+        assert len(fine.parents) == 3
+        assert np.array_equal(fine.vertices[:42], coarse.vertices)
+
+    @pytest.mark.parametrize("sub,ax", [(s, ax) for s in range(5) for ax in
+                                        [(1.0, 1.0, 1.0), (1.0, 1.3, 0.8)]])
+    def test_mean_edge_length_from_validation(self, sub, ax):
+        # the value validation records, summed in another order than the
+        # edges gathered from the face corners
+        mesh = dz.icosphere(sub, ax)
+        assert mesh.mean_edge_length() == pytest.approx(
+            oracles.mean_edge_length(mesh), rel=5e-16, abs=0.0)
+
+    @pytest.mark.parametrize("subdiv,radius,match", [
+        (-1, 1.0, "subdiv must be >= 0"),
+        ((), 1.0, "subdiv must be >= 0"),
+        ((2, 2), 1.0, "subdivisions must increase"),
+        ((3, 1), 1.0, "subdivisions must increase"),
+        (1, (1.0, 2.0), "radius must be one number or three semiaxes"),
+    ])
+    def test_bad_levels_or_radius(self, subdiv, radius, match):
+        with pytest.raises(ConfigError, match=match):
+            dz.icosphere(subdiv, radius)
+
 
 class TestMeshValidation:
     def test_open_mesh_rejected(self):
@@ -205,17 +246,11 @@ class TestMeshValidation:
             dz.SurfaceMesh(vertices=v, faces=m.faces)
 
     def test_scaled_copy_checks_geometry(self):
-        # the copy shares the validated faces; its own geometry is checked
+        # each level is checked on its scaled vertices
         with pytest.raises(DegenerateElement, match="face area"):
-            dz.scaled_mesh(dz.icosphere(1), (1.0, 1.0, 0.0))
+            dz.icosphere((1, 2), (1.0, 1.0, 0.0))
         with pytest.raises(DegenerateElement, match="min triangle angle"):
-            dz.scaled_mesh(dz.icosphere(1), (1.0, 1.0, 1e-3))
-
-    def test_scaled_copy_shares_faces(self):
-        m = dz.icosphere(2)
-        e = dz.scaled_mesh(m, (1.0, 1.0, 1.1))
-        assert e.faces is m.faces
-        assert np.array_equal(e.vertices, m.vertices * [1.0, 1.0, 1.1])
+            dz.icosphere((1, 2), (1.0, 1.0, 1e-3))
 
 
 class TestAssembly:
@@ -294,7 +329,7 @@ class TestAssembly:
 
 def off_round_trip(tmp_path):
     path = tmp_path / "ellipsoid.off"
-    oracles.write_off(dz.scaled_mesh(dz.icosphere(2), (1.0, 1.3, 0.8)), path)
+    oracles.write_off(dz.icosphere(2, (1.0, 1.3, 0.8)), path)
     mesh = dz.read_off(str(path))
     return mesh, dz.mesh_newton1_coefficient(mesh)
 
@@ -303,13 +338,13 @@ MESH_CASES = {
     **{"icosphere-%d" % sub: (lambda _p, sub=sub: (
         dz.icosphere(sub), dz.metric_coefficient())) for sub in range(5)},
     "newton1-1,1,1.1": lambda _p: (
-        dz.scaled_mesh(dz.icosphere(3), (1.0, 1.0, 1.1)),
+        dz.icosphere(3, (1.0, 1.0, 1.1)),
         dz.ellipsoid_newton1_coefficient((1.0, 1.0, 1.1))),
     "newton1-1,1.3,0.8": lambda _p: (
-        dz.scaled_mesh(dz.icosphere(3), (1.0, 1.3, 0.8)),
+        dz.icosphere(3, (1.0, 1.3, 0.8)),
         dz.ellipsoid_newton1_coefficient((1.0, 1.3, 0.8))),
     "metric*2.5-1,1.3,0.8": lambda _p: (
-        dz.scaled_mesh(dz.icosphere(2), (1.0, 1.3, 0.8)),
+        dz.icosphere(2, (1.0, 1.3, 0.8)),
         dz.metric_coefficient(2.5)),
     "newton1-discrete-off": off_round_trip,
 }
@@ -331,7 +366,7 @@ class TestMeshSlotAssembly:
     @staticmethod
     def planted(slots_edit):
         """An ellipsoid mesh whose edge table has its slots edited."""
-        mesh = dz.scaled_mesh(dz.icosphere(2), (1.0, 1.3, 0.8))
+        mesh = dz.icosphere(2, (1.0, 1.3, 0.8))
         slots = mesh.edges.slots.copy()
         slots_edit(slots)
         object.__setattr__(mesh, "edges",
@@ -355,11 +390,6 @@ class TestMeshSlotAssembly:
         with pytest.raises(DegenerateElement,
                            match="^stiffness row sums do not vanish$"):
             dz.assemble(self.planted(move), dz.metric_coefficient())
-
-    def test_table_shared_by_scaled_copy(self):
-        m = dz.icosphere(2)
-        e = dz.scaled_mesh(m, (1.0, 1.3, 0.8))
-        assert e.edges is m.edges and e.parents is m.parents
 
     def test_mass_survives_stiffness_edits(self):
         # the mesh's table is shared by every assembly on its face array:

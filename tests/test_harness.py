@@ -319,8 +319,8 @@ class TestSuites:
 
 class TestEllipsoidCompare:
     def test_topology_once_per_face_array(self, monkeypatch):
-        # each rung's icosphere is checked in full; its scaled copy shares
-        # the face array and repeats only the geometric checks
+        # one sweep builds each rung's mesh on its scaled vertices, and
+        # each mesh is checked once, topology then geometry
         seen = {"_check_topology": [], "_check_geometry": []}
         for name, meshes in seen.items():
             def counted(self, _check=getattr(dz.SurfaceMesh, name),
@@ -330,11 +330,10 @@ class TestEllipsoidCompare:
             monkeypatch.setattr(dz.SurfaceMesh, name, counted)
         hz.ellipsoid_compare((1.0, 1.0, 1.1), (1, 2, 3))
         topo, geo = seen["_check_topology"], seen["_check_geometry"]
-        faces = [m.faces for m in topo]
-        assert [len(f) for f in faces] == [80, 320, 1280]
-        assert len(geo) == 6 and len({id(m) for m in geo}) == 6
-        for f in faces:
-            assert sum(m.faces is f for m in geo) == 2
+        assert [m.num_faces for m in topo] == [80, 320, 1280]
+        assert len({id(m) for m in topo}) == 3
+        assert [id(m) for m in geo] == [id(m) for m in topo]
+        assert all(m.vertices[:, 2].max() == 1.1 for m in topo)
 
     def test_levels_start_from_the_level_below(self):
         rep = hz.ellipsoid_compare((1.0, 1.0, 1.0), (1, 2, 4))

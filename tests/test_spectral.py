@@ -241,9 +241,10 @@ class TestGridSolver:
 
     def test_start_rows_freed_before_work_buffers(self, torus18_op,
                                                   monkeypatch):
-        # the traced peak of one 18^3 solve read 1.38 MB, set by the Ritz
-        # start; the six Fourier rows (0.28 MB) kept alive through the
-        # iteration raise it to 1.54 MB
+        # the traced peak of one 18^3 solve reads 1.26 MB, set by LOBPCG's
+        # work buffers (the Ritz start peaks at 0.78 MB); the six Fourier
+        # rows (0.28 MB) kept alive through the iteration raise it to
+        # 1.54 MB
         def peak():
             tracemalloc.start()
             try:
@@ -299,10 +300,10 @@ DENSE_OPS = {
     "sphere-2": lambda: dz.assemble(dz.icosphere(2), dz.metric_coefficient()),
     "sphere-3": lambda: dz.assemble(dz.icosphere(3), dz.metric_coefficient()),
     "ellipsoid-2": lambda: dz.assemble(
-        dz.scaled_mesh(dz.icosphere(2), (1.0, 1.3, 0.8)),
+        dz.icosphere(2, (1.0, 1.3, 0.8)),
         dz.metric_coefficient()),
     "ellipsoid-3": lambda: dz.assemble(
-        dz.scaled_mesh(dz.icosphere(3), (1.0, 1.3, 0.8)),
+        dz.icosphere(3, (1.0, 1.3, 0.8)),
         dz.metric_coefficient()),
     "nondivfree-12x10": lambda: dz.assemble(
         dz.PeriodicGrid(lengths=[2 * np.pi] * 2, shape=(12, 10)),
@@ -367,7 +368,7 @@ class TestLobpcg:
         # apart.  A block of the lowest Ritz vector alone returned 1.8213
         # on every seed; the guard keeps the random row's direction
         ax = (1.0, 1.0, 1.1)
-        mesh = dz.scaled_mesh(dz.icosphere(3), ax)
+        mesh = dz.icosphere(3, ax)
         op = dz.assemble(mesh, dz.ellipsoid_newton1_coefficient(ax))
         x = mesh.vertices[:, 0]
         for seed in range(10):
@@ -520,6 +521,45 @@ class TestLobpcgTrust:
         with pytest.raises(NoConvergence, match="dsyevd failed") as exc:
             spec.smallest_nonzero(sphere_op, k=1)
         assert exc.value.eigenvalues is None
+
+
+class TestFactorInput:
+    @pytest.mark.parametrize("sub,ax", [(1, 1.0), (2, 1.0), (3, 1.0),
+                                        (4, 1.0), (3, (1.0, 1.3, 0.8))])
+    def test_matches_scipy_chain(self, sub, ax):
+        # the SuperLU input, ordered on K's pattern, bit for bit against
+        # scipy's sum ordered on its own pattern, row and column indexing
+        # and CSC conversion
+        op = dz.assemble(dz.icosphere(sub, ax),
+                         dz.ellipsoid_newton1_coefficient(
+                             np.broadcast_to(ax, 3)))
+        K, M = op.K, op.M
+        eps = 1e-8 * abs(K).sum() / abs(M).sum()
+        got = spec._factor_input(K, M, eps,
+                                 spec._nested_dissection(K, op.points))
+        ref = oracles.scipy_factor_input(K, M, eps, op.points)
+        assert got.format == "csc"
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+    @pytest.mark.parametrize("plant", ["dropped-entry", "csc"])
+    def test_planted_pattern_mismatch_rejected(self, sphere_op, plant):
+        # M with one off-diagonal entry dropped, which scipy's sum would
+        # have factored as the union of the patterns without a word, and
+        # K and M converted to CSC
+        K, M = sphere_op.K, sphere_op.M
+        if plant == "csc":
+            K, M = K.tocsc(), M.tocsc()
+        else:
+            M = M.tolil()
+            M[0, M.rows[0][-1]] = 0.0
+            M = M.tocsr()
+            assert M.nnz == K.nnz - 1
+        op = dz.AssembledOperator(K=K, M=M, points=sphere_op.points,
+                                  record={"phi": "planted"})
+        with pytest.raises(ConfigError,
+                           match="^K and M must share one CSR pattern$"):
+            spec.smallest_nonzero(op)
 
 
 class TestNestedDissection:
