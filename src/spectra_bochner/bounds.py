@@ -34,7 +34,6 @@ VERDICT_VIOLATION = "ViolationSuspected"
 @dataclass(frozen=True)
 class BoundReport:
     bound_value: float
-    computed_mu1: float
     margin: float
     verdict: str
     tolerance: float
@@ -123,5 +122,5 @@ def compare(bound, mu1, error_estimate=None):
         verdict = VERDICT_INEQUALITY
     else:
         verdict = VERDICT_VIOLATION
-    return BoundReport(bound_value=bound, computed_mu1=mu1, margin=margin,
+    return BoundReport(bound_value=bound, margin=margin,
                        verdict=verdict, tolerance=tol)

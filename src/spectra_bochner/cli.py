@@ -140,7 +140,7 @@ def cmd_eig(args):
                            "faces": domain.num_faces,
                            "euler_characteristic":
                                domain.euler_characteristic,
-                           "mean_edge_length": domain.mean_edge_length(),
+                           "mean_edge_length": domain.mean_edge,
                            "total_area": domain.total_area()}
     _emit(payload, args.json)
     return hz.EXIT_PASS
@@ -194,23 +194,13 @@ def cmd_proptest(args):
     cfg = hz.TrialConfig(trials=args.trials, seed=args.seed)
     if args.which == "newton":
         rep = hz.newton_inequality_trials(cfg, planted=args.planted)
-        if args.planted:
-            ok = rep["violations"] > 0
-        else:
-            ok = (rep["violations"] == 0
-                  and rep["equality_false_positives"] == 0)
     else:
-        rep = {}
-        ok = True
-        for sign in ("positive", "negative"):
-            rep[sign] = hz.qa_bound_trials(cfg, kappa_sign=sign,
-                                           planted=args.planted)
-            if args.planted:
-                ok = ok and rep[sign]["violations"] > 0
-            else:
-                ok = ok and rep[sign]["violations"] == 0
+        rep = {sign: hz.qa_bound_trials(cfg, kappa_sign=sign,
+                                        planted=args.planted)
+               for sign in ("positive", "negative")}
     _emit(rep, args.json)
-    return hz.EXIT_PASS if ok else hz.EXIT_ASSERTION
+    failed = hz.trial_failures(args.which, rep, args.planted)
+    return hz.EXIT_ASSERTION if failed else hz.EXIT_PASS
 
 
 # ---------------------------------------------------------------------------

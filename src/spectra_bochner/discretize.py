@@ -54,11 +54,12 @@ class EdgeTable:
 class SurfaceMesh:
     """Closed orientable triangle mesh in R^3.
 
-    Validation leaves the face array's ``EdgeTable`` in ``edges`` and the
-    mean edge length in ``mean_edge``.  ``parents`` is set by
-    ``icosphere``: for each subdivision step, the arrays (a, b) such that
-    the step's i-th new vertex, numbered after the vertices it starts
-    from, is the midpoint of vertices a[i] and b[i], projected.
+    Validation leaves the face array's ``EdgeTable`` in ``edges``, the
+    face areas in ``areas`` and the mean edge length in ``mean_edge``.
+    ``parents`` is set by ``icosphere``: for each subdivision step, the
+    arrays (a, b) such that the step's i-th new vertex, numbered after the
+    vertices it starts from, is the midpoint of vertices a[i] and b[i],
+    projected.
     """
 
     vertices: np.ndarray  # (V, 3)
@@ -97,16 +98,8 @@ class SurfaceMesh:
     def face_corners(self):
         return self.vertices[self.faces]  # (F, 3, 3)
 
-    def face_areas(self):
-        P = self.face_corners()
-        c = np.cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
-        return 0.5 * np.linalg.norm(c, axis=1)
-
     def total_area(self):
-        return float(self.face_areas().sum())
-
-    def mean_edge_length(self):
-        return self.mean_edge
+        return float(self.areas.sum())
 
     # -- validation --------------------------------------------------------
     def validate(self):
@@ -189,12 +182,13 @@ class SurfaceMesh:
 
     def _check_geometry(self):
         """Face areas and corner angles.  Both tests are negated
-        comparisons, so a nan area or cosine fails them.  Sets
-        ``mean_edge``, the mean length of the faces' edges."""
+        comparisons, so a nan area or cosine fails them.  Sets ``areas``
+        and ``mean_edge``, the mean length of the faces' edges."""
         P = self.face_corners()
         E = P[:, [1, 2, 0]] - P           # edge k runs from corner k to k + 1
         L = np.einsum("fki,fki->fk", E, E)
         areas = 0.5 * np.linalg.norm(np.cross(E[:, 0], E[:, 2]), axis=1)
+        object.__setattr__(self, "areas", areas)
         # an absolute scale, which is 0 (and fails every area) when all
         # faces have collapsed
         object.__setattr__(self, "mean_edge", float(np.mean(np.sqrt(L))))
@@ -340,9 +334,10 @@ class AssembledOperator:
         return self.K.shape[0]
 
 
-def _check_sym_coeff(phi, shape, where, tol=1e-10):
+def _check_sym_coeff(phi, shape, where):
     """Symmetric part, a (E, k, k) view of a (k, k, E) array, of a (E, k, k)
-    stack; names the first element ``where(e)`` not finite or asymmetric."""
+    stack; names the first element ``where(e)`` not finite, or asymmetric
+    by more than 1e-10 relative."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != shape:
         raise ConfigError("coefficient provider returned shape %r, "
@@ -356,7 +351,7 @@ def _check_sym_coeff(phi, shape, where, tol=1e-10):
         raise NonSymmetricCoefficient("coefficient not finite at %s"
                                       % where(int(np.argmin(finite))))
     bad = np.max(np.abs(P[iu, ju] - P[ju, iu]), axis=0,
-                 initial=0.0) > tol * scale
+                 initial=0.0) > 1e-10 * scale
     if np.any(bad):
         raise NonSymmetricCoefficient("coefficient not symmetric at %s"
                                       % where(int(np.argmax(bad))))
@@ -390,9 +385,7 @@ _MASS_TRI = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 def _assemble_mesh(mesh, phi_provider):
     P = mesh.face_corners()                          # (F, 3, 3)
     e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
-    area = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
-    if np.any(area <= 0.0):
-        raise DegenerateElement("zero-area face %d" % np.argmax(area <= 0.0))
+    area = mesh.areas   # validation keeps every area above 0
     t1 = e1 / np.linalg.norm(e1, axis=1)[:, None]
     t2 = e2 - np.einsum("fi,fi->f", e2, t1)[:, None] * t1
     t2 /= np.linalg.norm(t2, axis=1)[:, None]
@@ -742,16 +735,15 @@ def _labelled(fn, label):
     return fn
 
 
-def metric_coefficient(scale=1.0):
-    """phi = scale * I: scale * g in any orthonormal tangent basis, and
-    scale times the identity components on a grid."""
-    s = float(scale)
+def metric_coefficient():
+    """phi = I: g in any orthonormal tangent basis, and the identity
+    components on a grid."""
 
     def provider(_q, X):
         k = X.shape[-1]
-        return np.broadcast_to(s * np.eye(k), (len(X), k, k))
+        return np.broadcast_to(np.eye(k), (len(X), k, k))
 
-    return _labelled(provider, "metric" if s == 1.0 else "metric*%g" % s)
+    return _labelled(provider, "metric")
 
 
 def grid_metric_coefficient(grid):

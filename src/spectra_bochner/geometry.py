@@ -164,8 +164,8 @@ class ChartManifold:
         if self.dim < 2:
             raise ValueError("manifold dimension must be >= 2")
 
-    def chart(self, idx=0):
-        return self.charts[idx]
+    def chart(self):
+        return self.charts[0]
 
     def sample_points(self, count, rng):
         """Draw count >= 1 points covering the manifold (chart 0) or patch."""
@@ -187,12 +187,6 @@ class ChartManifold:
                 pts.append(u[:-1] / (1.0 - u[-1]))
             return np.reshape(pts, (count, self.dim))
         raise ConfigError("no sampling strategy for atlas kind %r" % self.atlas_kind)
-
-
-@dataclass(frozen=True)
-class SamplePlan:
-    points: int = 200
-    seed: int = 42
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +275,12 @@ def riemann_lowered(g, Gamma, dGamma):
 @dataclass(frozen=True)
 class PointGeometry:
     """Metric data at a chart point or a stack of points, shared by every
-    jet and curvature query there: g, its inverse, the orthonormal frame
-    (columns), the Christoffel symbols Gamma[c, a, b] and their derivatives
+    jet and curvature query there: g, the orthonormal frame (columns), the
+    Christoffel symbols Gamma[c, a, b] and their derivatives
     dGamma[e, c, a, b] = d_e Gamma^c_ab, each after the point axes of p."""
 
     p: np.ndarray
     g: np.ndarray
-    g_inv: np.ndarray
     frame: np.ndarray
     Gamma: np.ndarray
     dGamma: np.ndarray
@@ -299,7 +292,7 @@ def point_geometry(chart, p):
     p = np.asarray(p, dtype=float)
     g, dg, d2g = metric_jets(chart, p, 2)
     g_inv = np.linalg.inv(g)
-    return PointGeometry(p=p, g=g, g_inv=g_inv, frame=orthonormal_frame(g),
+    return PointGeometry(p=p, g=g, frame=orthonormal_frame(g),
                          Gamma=christoffel(g_inv, dg),
                          dGamma=christoffel_derivative(g, g_inv, dg, d2g))
 
@@ -408,14 +401,14 @@ def tensor_divergence(geo, phi):
 SECTIONAL_PLANES = 8
 
 
-def min_sectional(m, plan=SamplePlan()):
+def min_sectional(m, points=200, seed=42):
     """Sampled lower bound K0 of the sectional curvature: the least frame
     R_ijij and R(u, v, u, v) over SECTIONAL_PLANES orthonormal pairs per
     point, the QR factors of one normal draw after the points."""
     if m.atlas_kind == ATLAS_ANALYTIC_SPHERE:
         return float(m.constant_curvature)
-    rng = np.random.default_rng(plan.seed)
-    pts = m.sample_points(plan.points, rng)
+    rng = np.random.default_rng(seed)
+    pts = m.sample_points(points, rng)
     n = m.dim
     Rf = curvature_at(m, point_geometry(m.chart(), pts)).riemann
     i, j = np.triu_indices(n, 1)
@@ -425,12 +418,12 @@ def min_sectional(m, plan=SamplePlan()):
     return float(min(np.min(Rf[:, i, j, i, j]), np.min(sampled)))
 
 
-def min_ricci(m, plan=SamplePlan()):
+def min_ricci(m, points=200, seed=42):
     """Sampled lower bound L0 of the Ricci curvature (least eigenvalue)."""
     if m.atlas_kind == ATLAS_ANALYTIC_SPHERE:
         return float((m.dim - 1) * m.constant_curvature)
-    rng = np.random.default_rng(plan.seed)
-    pts = m.sample_points(plan.points, rng)
+    rng = np.random.default_rng(seed)
+    pts = m.sample_points(points, rng)
     ric = curvature_at(m, point_geometry(m.chart(), pts)).ricci
     return float(np.min(np.linalg.eigvalsh(ric)[:, 0]))
 
@@ -620,14 +613,14 @@ def _coord_radial_jets(a, wd, x, order):
     return out
 
 
-def _inv_power_derivs(coef, power, shift=1.0, order=3):
-    """Derivatives in s of coef / (shift + s)^power, orders 0..order."""
+def _inv_power_derivs(coef, power):
+    """Derivatives in s of coef / (1 + s)^power, orders 0..3."""
     out = []
     c = coef
     pw = power
-    for k in range(order + 1):
+    for k in range(4):
         ck = c
-        out.append(lambda s, ck=ck, pk=pw + k: ck / (shift + s) ** pk)
+        out.append(lambda s, ck=ck, pk=pw + k: ck / (1.0 + s) ** pk)
         c = c * (-(pw + k))
     return out
 
@@ -655,10 +648,10 @@ def sphere_coordinate_field(m, axis):
     """
     n = m.dim
     if axis < n:
-        ud = _inv_power_derivs(2.0, 1.0, order=3)
+        ud = _inv_power_derivs(2.0, 1.0)
         return Field(lambda p, order: _coord_radial_jets(axis, ud, p, order))
     # X_{n+1} = (s - 1)/(s + 1) = 1 - 2/(1+s)
-    ud = _inv_power_derivs(-2.0, 1.0, order=3)
+    ud = _inv_power_derivs(-2.0, 1.0)
 
     def jets(p, order):
         out = _radial_scalar_jets(ud, p, order)

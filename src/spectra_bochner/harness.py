@@ -177,6 +177,24 @@ def _qa_defects(n, alpha, a, kappa, h):
             - bd.l1_core(n, alpha, a, kappa)) / alpha ** 3
 
 
+def trial_failures(which, rep, planted=False):
+    """Failed gates of a 'newton' or 'qa' report, or of qa reports keyed by
+    kappa sign (named 'qa[sign]'): a violation or an equality-detector
+    false positive, or with ``planted``, no violation."""
+    reps = ({which: rep} if "violations" in rep else
+            {"%s[%s]" % (which, k): r for k, r in rep.items()})
+    if planted:
+        return ["%s: planted violation NOT detected" % label
+                for label, r in reps.items() if r["violations"] == 0]
+    out = []
+    for label, r in reps.items():
+        if r["violations"]:
+            out.append("%s: %d violations" % (label, r["violations"]))
+        if r.get("equality_false_positives"):
+            out.append("%s: equality detector false positives" % label)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # identity suites
 
@@ -276,7 +294,7 @@ def bochner_suite(samples=200, seed=42):
 
 def divergence_suite(samples=20, seed=7):
     """Divergence identities on the analytic manifolds plus div P1 = 0 on
-    umbilic hypersurfaces in space forms."""
+    umbilic hypersurfaces in space forms, each at ``samples`` points."""
     out = {"manifolds": {}, "div_p1": {}}
     for mname, m in _suite_manifolds():
         out["manifolds"][mname] = geom.divergence_identity_suite(
@@ -284,11 +302,10 @@ def divergence_suite(samples=20, seed=7):
     rng = np.random.default_rng(seed)
     for sname in ("sphere:r=1", "geodesic-sphere:kappa=1,alpha=2"):
         hs = hyp.parse_surface(sname)
-        man = hyp.induced_metric_manifold(hs, 0)
-        P1 = hyp.newton1_field(hs, 0)
-        cis, U = hs.sample_points(samples, rng)
-        U = U[cis == 0]
-        d = geom.tensor_divergence(geom.point_geometry(man.chart(), U), P1)
+        man = hyp.induced_metric_manifold(hs)
+        U = hs.sample_points(samples, rng)
+        d = geom.tensor_divergence(geom.point_geometry(man.chart(), U),
+                                   hyp.newton1_field(hs))
         out["div_p1"][sname] = float(np.max(np.abs(d)))
     defects = []
     for rep in out["manifolds"].values():
@@ -362,7 +379,7 @@ def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=DEFAULT_SUBDIVS,
         raise ConfigError("a refinement study needs at least two "
                           "subdivision levels, got %r" % (tuple(subdivs),))
     ax = [float(v) for v in semiaxes]
-    pc = hyp.pinching_constants(ax, geom.SamplePlan(points=400, seed=seed))
+    pc = hyp.pinching_constants(ax, seed)
     bound = bd.newton_bound(2, 0.0, pc.alpha, pc.a, pc.sigma)
     meshes = dz.icosphere(subdivs, ax)
     levels = []
@@ -376,7 +393,7 @@ def ellipsoid_compare(semiaxes=(1.0, 1.0, 1.1), subdivs=DEFAULT_SUBDIVS,
         r = spec.smallest_nonzero(op, k=1, seed=seed, start=u)
         u, prev = r.eigenvectors[:, 0], sub
         mus.append(r.mu1)
-        levels.append({"subdiv": sub, "h": mesh.mean_edge_length(),
+        levels.append({"subdiv": sub, "h": mesh.mean_edge,
                        "mu1": r.mu1, "residual": float(r.residuals[0]),
                        "iterations": r.diagnostics["iterations"],
                        "start_modes": r.diagnostics["start_modes"]})
@@ -487,33 +504,22 @@ def run_suite(names, config=None):
             elif name == "newton":
                 rep = newton_inequality_trials(
                     TrialConfig(trials=trials, seed=seed))
-                if rep["violations"]:
-                    failures.append("newton: %d violations"
-                                    % rep["violations"])
-                if rep["equality_false_positives"]:
-                    failures.append("newton: equality detector false "
-                                    "positives")
+                failures += trial_failures(name, rep)
                 ctl = newton_inequality_trials(
                     TrialConfig(trials=min(trials, 2000), seed=seed),
                     planted=True)
                 rep["planted_control"] = ctl
-                if ctl["violations"] == 0:
-                    failures.append("newton: planted violation NOT detected")
+                failures += trial_failures(name, ctl, planted=True)
             elif name == "qa":
-                rep = {}
-                for sign in ("positive", "negative"):
-                    rep[sign] = qa_bound_trials(
-                        TrialConfig(trials=trials, seed=seed),
-                        kappa_sign=sign)
-                    if rep[sign]["violations"]:
-                        failures.append("qa[%s]: %d violations"
-                                        % (sign, rep[sign]["violations"]))
+                rep = {sign: qa_bound_trials(
+                    TrialConfig(trials=trials, seed=seed), kappa_sign=sign)
+                    for sign in ("positive", "negative")}
+                failures += trial_failures(name, rep)
                 ctl = qa_bound_trials(TrialConfig(trials=min(trials, 2000),
                                                   seed=seed),
                                       kappa_sign="negative", planted=True)
                 rep["planted_control"] = ctl
-                if ctl["violations"] == 0:
-                    failures.append("qa: planted violation NOT detected")
+                failures += trial_failures(name, ctl, planted=True)
             elif name == "sphere-equality":
                 rep = sphere_equality_suite()
                 if not rep["all_equality"]:

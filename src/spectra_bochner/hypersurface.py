@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -33,11 +33,10 @@ class ImmersionChart:
     """Stereographic chart of S^n composed with an ambient affine map.
 
     u -> ambient @ x(u) + offset, where x(u) in R^{n+1} is the unit sphere
-    projected from the pole ``pole`` (+1 north, -1 south) and ``ambient``
-    is a constant (m, n+1) matrix.
+    projected from its north pole and ``ambient`` is a constant (m, n+1)
+    matrix.
     """
 
-    pole: float
     ambient: np.ndarray
     offset: Optional[np.ndarray] = None
 
@@ -45,7 +44,7 @@ class ImmersionChart:
         """Closed-form jets at U (..., n): X (..., m), the first derivatives
         J (..., n, m) and the second derivatives H2 (..., n, n, m), partial
         directions first."""
-        X, J, H2 = _unit_sphere_chart_jets(self.pole, U)
+        X, J, H2 = _unit_sphere_chart_jets(U)
         B = self.ambient.T
         X = X @ B
         if self.offset is not None:
@@ -57,32 +56,29 @@ class ImmersionChart:
 class ImmersedHypersurface:
     n: int
     kappa: float
-    charts: Sequence[ImmersionChart]
-    orient_signs: Tuple[float, ...]
+    chart: ImmersionChart
+    orient: float          # +1 or -1: turns the chart's normal to H > 0
     name: str = ""
 
     @property
     def semiaxes(self):
         """Semiaxes of an axis-aligned ellipsoid in R^3, a sphere included:
         the surfaces that discretize can mesh.  None for any other."""
-        B = self.charts[0].ambient
-        if self.charts[0].offset is None and B.shape == (3, 3) \
+        B = self.chart.ambient
+        if self.chart.offset is None and B.shape == (3, 3) \
                 and not np.any(B - np.diag(np.diag(B))):
             return tuple(np.diag(B).tolist())
         return None
 
     def sample_points(self, count, rng):
-        """Sample points over the charts' unit disks as whole arrays.
-
-        Returns (chart_idx (count,), U (count, n)): point k lies in chart
-        k mod ncharts, in a uniform direction at radius sqrt(r), r uniform
-        on [0.02, 1), from one draw of the radii and one of the directions.
-        """
-        chart_idx = np.arange(count) % len(self.charts)
+        """The points U (count, n) of the chart's unit disk, the surface's
+        southern half, each in a uniform direction at radius sqrt(r), r
+        uniform on [0.02, 1), from one draw of the radii and one of the
+        directions."""
         r = rng.uniform(0.02, 1.0, size=count)
         v = rng.normal(size=(count, self.n))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return chart_idx, np.sqrt(r)[:, None] * v
+        return np.sqrt(r)[:, None] * v
 
 
 def generalized_cross(vectors):
@@ -107,20 +103,18 @@ class ShapeData:
     A: np.ndarray          # symmetric shape operator in the orthonormal frame
     H: np.ndarray          # tr A (unnormalized mean curvature)
     P1: np.ndarray         # H I - A
-    normA2: np.ndarray
     S2: np.ndarray         # sum_{i<j} h_i h_j = (H^2 - |A|^2)/2
     g: np.ndarray          # induced coordinate metric
     frame: np.ndarray      # orthonormal frame (columns, coordinates)
     h: np.ndarray          # second fundamental form, coordinate components
-    normal: np.ndarray     # ambient unit normal
     point: np.ndarray      # ambient position
 
 
-def shape_at(hs, u, chart_idx=0):
+def shape_at(hs, u):
     """Shape operator data at a chart point u (n,) or a stack u (P, n)."""
     u = np.asarray(u, dtype=float)
     U = u.reshape(-1, hs.n)
-    X, J, H2 = hs.charts[chart_idx].jets(U)
+    X, J, H2 = hs.chart.jets(U)
     g = J @ np.swapaxes(J, -1, -2)
     w = np.linalg.eigvalsh(g)
     bad = w[:, 0] <= 1e-12 * np.maximum(1.0, w[:, -1])
@@ -137,16 +131,15 @@ def shape_at(hs, u, chart_idx=0):
     if (nn == 0.0).any():
         raise DegenerateImmersion("immersion not regular at %r"
                                   % (U[np.argmax(nn == 0.0)],))
-    nu = hs.orient_signs[chart_idx] * nu / nn[:, None]
+    nu = hs.orient * nu / nn[:, None]
     h = np.einsum("pabm,pm->pab", H2, nu)
     E = geom.orthonormal_frame(g)
     A = np.swapaxes(E, -1, -2) @ h @ E
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
     H = np.trace(A, axis1=-2, axis2=-1)
-    normA2 = np.sum(A * A, axis=(-2, -1))
     fields = dict(A=A, H=H, P1=H[:, None, None] * np.eye(hs.n) - A,
-                  normA2=normA2, S2=0.5 * (H ** 2 - normA2),
-                  g=g, frame=E, h=h, normal=nu, point=X)
+                  S2=0.5 * (H ** 2 - np.sum(A * A, axis=(-2, -1))),
+                  g=g, frame=E, h=h, point=X)
     lead = u.shape[:-1]
     return ShapeData(**{k: v.reshape(lead + v.shape[1:])
                         for k, v in fields.items()})
@@ -155,9 +148,10 @@ def shape_at(hs, u, chart_idx=0):
 # ---------------------------------------------------------------------------
 # induced-metric chart views
 
-def induced_metric_manifold(hs, chart_idx=0):
-    """ChartManifold carrying the pullback metric g(u) = J J^T of a chart."""
-    chart = hs.charts[chart_idx]
+def induced_metric_manifold(hs):
+    """ChartManifold carrying the pullback metric g(u) = J J^T of the
+    chart."""
+    chart = hs.chart
 
     def jets(u, order):  # d_c g_ab = H2_ca . J_b + J_a . H2_cb
         _, J, H2 = chart.jets(u)
@@ -174,11 +168,11 @@ def induced_metric_manifold(hs, chart_idx=0):
                               name=(hs.name or "surface") + "-induced")
 
 
-def newton1_field(hs, chart_idx=0):
-    """P1 as a coordinate (0,2) tensor field on a chart: H g_ab - h_ab."""
+def newton1_field(hs):
+    """P1 as a coordinate (0,2) tensor field on the chart: H g_ab - h_ab."""
 
     def jets(u, order):
-        sd = shape_at(hs, u, chart_idx)
+        sd = shape_at(hs, u)
         return [sd.H[..., None, None] * sd.g - sd.h]
 
     return geom.Field(jets, rank=2, name="newton1")
@@ -195,7 +189,10 @@ class PinchingConstants:
     constant_H: bool
 
 
-def pinching_constants(semiaxes, plan=geom.SamplePlan(points=400)):
+SIGMA_POINTS = 400
+
+
+def pinching_constants(semiaxes, seed):
     """(alpha, a, sigma) of the ellipsoid with these semiaxes, for the
     eigenvalue-bound hypotheses.
 
@@ -204,8 +201,8 @@ def pinching_constants(semiaxes, plan=geom.SamplePlan(points=400)):
     attained at vertices, so alpha = s_min/s_max^2 and a = (s_max/s_min)^3.
     H is constant only on a sphere, where sigma = 0.  Otherwise sigma is
     the max of tr(Hess H | v-perp) = Delta H - min eigenvalue of Hess H
-    over the six vertices and ``plan.points`` normal draws seeded by
-    ``plan.seed``, put on the unit sphere and scaled by the semiaxes: a
+    over the six vertices and SIGMA_POINTS normal draws seeded by
+    ``seed``, put on the unit sphere and scaled by the semiaxes: a
     sampled value, which can fall below the true maximum.
     """
     d = _positive(*semiaxes)
@@ -213,7 +210,7 @@ def pinching_constants(semiaxes, plan=geom.SamplePlan(points=400)):
     constant_H = lo == hi
     sigma = 0.0
     if not constant_H:
-        v = np.random.default_rng(plan.seed).normal(size=(plan.points, 3))
+        v = np.random.default_rng(seed).normal(size=(SIGMA_POINTS, 3))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         points = np.concatenate([np.diag(d), -np.diag(d), v * d])
         w = np.linalg.eigvalsh(ellipsoid_mean_curvature_hessian(points, d))
@@ -225,13 +222,14 @@ def pinching_constants(semiaxes, plan=geom.SamplePlan(points=400)):
 # ---------------------------------------------------------------------------
 # builders
 
-def _unit_sphere_chart_jets(pole, U):
-    """Jets of the stereographic parametrization of S^n in R^{n+1} at the
-    points U (..., n): X (..., n+1), J (..., n, n+1), H2 (..., n, n, n+1).
+def _unit_sphere_chart_jets(U):
+    """Jets of the stereographic parametrization of S^n in R^{n+1} from the
+    north pole at the points U (..., n): X (..., n+1), J (..., n, n+1),
+    H2 (..., n, n, n+1).
 
-    pole = +1 projects from the north pole (u = 0 maps to the south pole),
-    pole = -1 from the south pole.  The first n coordinates are u w(|u|^2)
-    and the last is pole + v(|u|^2), with w(s) = 2/(1+s), v(s) = -pole w(s).
+    u = 0 maps to the south pole and |u| = 1 to the equator.  The first n
+    coordinates are u w(|u|^2) and the last is 1 - w(|u|^2), with
+    w(s) = 2/(1+s).
     """
     U = np.asarray(U, dtype=float)
     eye = np.eye(U.shape[-1])
@@ -241,14 +239,14 @@ def _unit_sphere_chart_jets(pole, U):
     # derivatives of F(u) = w(|u|^2): dF (..., n, 1), d2F (..., n, n)
     dF = 2.0 * w[1] * U[..., :, None]
     d2F = 4.0 * w[2] * uu + 2.0 * w[1] * eye
-    X = np.concatenate([U * w[0][..., 0], pole - pole * w[0][..., 0]], axis=-1)
-    # d_c (u_a w) = delta_ca w + u_a d_c w;  the last coordinate: -pole d_c w
-    J = np.concatenate([eye * w[0] + dF * U[..., None, :], -pole * dF], axis=-1)
+    X = np.concatenate([U * w[0][..., 0], 1.0 - w[0][..., 0]], axis=-1)
+    # d_c (u_a w) = delta_ca w + u_a d_c w;  the last coordinate: -d_c w
+    J = np.concatenate([eye * w[0] + dF * U[..., None, :], -dF], axis=-1)
     # d_c d_d (u_a w) = delta_ca d_d w + delta_da d_c w + u_a d_cd w
     dFe = dF[..., None, :, :] * eye[:, None, :]
     H2 = np.concatenate([dFe + np.swapaxes(dFe, -3, -2)
                          + d2F[..., None] * U[..., None, None, :],
-                         -pole * d2F[..., None]], axis=-1)
+                         -d2F[..., None]], axis=-1)
     return X, J, H2
 
 
@@ -261,34 +259,23 @@ def _positive(*values):
     return d
 
 
-def _sphere_charts(ambient, offset=None):
-    """Two stereographic charts composed with u -> ambient @ x + offset."""
-    return [ImmersionChart(pole=pole, ambient=ambient, offset=offset)
-            for pole in (1.0, -1.0)]
-
-
-def _orient_for_positive_H(n, kappa, charts, name):
-    hs = ImmersedHypersurface(n=n, kappa=kappa, charts=tuple(charts),
-                              orient_signs=tuple(1.0 for _ in charts), name=name)
-    signs = []
-    ref = np.full(n, 0.1)
-    for ci in range(len(charts)):
-        sd = shape_at(hs, ref, ci)
-        signs.append(1.0 if sd.H > 0 else -1.0)
-    return replace(hs, orient_signs=tuple(signs))
+def _orient_for_positive_H(n, kappa, chart, name):
+    hs = ImmersedHypersurface(n=n, kappa=kappa, chart=chart, orient=1.0,
+                              name=name)
+    return replace(hs, orient=1.0 if shape_at(hs, np.full(n, 0.1)).H > 0
+                   else -1.0)
 
 
 def sphere_surface(r=1.0, n=2):
     """Round n-sphere of radius r in R^{n+1} (A = I/r with inward normal)."""
-    charts = _sphere_charts(_positive(r) * np.eye(n + 1))
-    return _orient_for_positive_H(n, 0.0, charts, "sphere:r=%g" % r)
+    chart = ImmersionChart(ambient=_positive(r) * np.eye(n + 1))
+    return _orient_for_positive_H(n, 0.0, chart, "sphere:r=%g" % r)
 
 
 def ellipsoid_surface(a1=1.0, a2=1.0, c=1.1):
     """Ellipsoid x^2/a1^2 + y^2/a2^2 + z^2/c^2 = 1 in R^3."""
-    D = np.diag(_positive(a1, a2, c))
-    charts = _sphere_charts(D)
-    return _orient_for_positive_H(2, 0.0, charts,
+    chart = ImmersionChart(ambient=np.diag(_positive(a1, a2, c)))
+    return _orient_for_positive_H(2, 0.0, chart,
                                   "ellipsoid:%g,%g,%g" % (a1, a2, c))
 
 
@@ -304,9 +291,9 @@ def geodesic_sphere_surface(kappa=1.0, alpha=1.0, n=2):
     ambient = np.vstack([st / rk * np.eye(n + 1), np.zeros(n + 1)])
     offset = np.zeros(n + 2)
     offset[-1] = ct / rk
-    charts = _sphere_charts(ambient, offset)
     return _orient_for_positive_H(
-        n, kappa, charts, "geodesic-sphere:kappa=%g,alpha=%g" % (kappa, alpha))
+        n, kappa, ImmersionChart(ambient=ambient, offset=offset),
+        "geodesic-sphere:kappa=%g,alpha=%g" % (kappa, alpha))
 
 
 SURFACE_GRAMMAR = {

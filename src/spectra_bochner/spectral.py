@@ -307,8 +307,9 @@ def _lobpcg(K, M, precondition, X, k, limit, m1, vol):
         explicit = False
 
 
-def _abs_sum(x, chunk=1 << 15):
-    """sum |x|, a chunk at a time: no temporary the size of x."""
+def _abs_sum(x):
+    """sum |x|, 2^15 entries at a time: no temporary the size of x."""
+    chunk = 1 << 15
     return sum(float(np.abs(x[i:i + chunk]).sum())
                for i in range(0, x.size, chunk))
 

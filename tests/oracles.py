@@ -193,7 +193,7 @@ def scipy_factor_input(K, M, eps, points):
 def domain_resolution(domain):
     """Representative mesh size h."""
     if isinstance(domain, dz.SurfaceMesh):
-        return domain.mean_edge_length()
+        return domain.mean_edge
     return float(np.max(domain.steps))
 
 

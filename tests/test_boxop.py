@@ -203,7 +203,7 @@ class TestStackedPoints:
         m, phi, f, pts = self.case(mname, kind)
         geo = geom.point_geometry(m.chart(), pts)
         singles = [geom.point_geometry(m.chart(), p) for p in pts]
-        for name in ("g", "g_inv", "frame", "Gamma", "dGamma"):
+        for name in ("g", "frame", "Gamma", "dGamma"):
             self.check(getattr(geo, name), [getattr(s, name) for s in singles])
         for jets, field, order in ((geom.scalar_jets, f, 3),
                                    (geom.tensor_jets, phi, 2)):

@@ -126,7 +126,7 @@ class TestIcosphere:
         # the value validation records, summed in another order than the
         # edges gathered from the face corners
         mesh = dz.icosphere(sub, ax)
-        assert mesh.mean_edge_length() == pytest.approx(
+        assert mesh.mean_edge == pytest.approx(
             oracles.mean_edge_length(mesh), rel=5e-16, abs=0.0)
 
     @pytest.mark.parametrize("subdiv,radius,match", [
@@ -227,6 +227,15 @@ class TestMeshValidation:
             pillow(0.9)
         assert pillow(1.1).num_faces == 2
 
+    def test_collapsed_face_rejected(self):
+        # one corner moved onto another: that face's area is exactly 0
+        m = dz.icosphere(1)
+        v = m.vertices.copy()
+        v[m.faces[0, 0]] = v[m.faces[0, 1]]
+        with pytest.raises(DegenerateElement, match="^face area 0 below 1e-12 "
+                           "of the squared mean edge length$"):
+            dz.SurfaceMesh(vertices=v, faces=m.faces)
+
     def test_all_faces_zero_area_rejected(self):
         # every face on three coincident points: the area scale must not be
         # relative to the (zero) mean area, and the 0/0 cosines must not be
@@ -265,7 +274,8 @@ class TestAssembly:
 
     def test_linearity_in_phi(self, ico3):
         op1 = dz.assemble(ico3, dz.metric_coefficient())
-        op2 = dz.assemble(ico3, dz.metric_coefficient(2.0))
+        op2 = dz.assemble(ico3, lambda _q, B: np.broadcast_to(
+            2.0 * np.eye(2), (len(B), 2, 2)))
         assert abs(op2.K - 2 * op1.K).max() < 1e-13
         assert abs(op2.M - op1.M).max() == 0.0
 
@@ -345,7 +355,7 @@ MESH_CASES = {
         dz.ellipsoid_newton1_coefficient((1.0, 1.3, 0.8))),
     "metric*2.5-1,1.3,0.8": lambda _p: (
         dz.icosphere(2, (1.0, 1.3, 0.8)),
-        dz.metric_coefficient(2.5)),
+        lambda _q, B: np.broadcast_to(2.5 * np.eye(2), (len(B), 2, 2))),
     "newton1-discrete-off": off_round_trip,
 }
 

@@ -82,11 +82,11 @@ class TestCurvature:
 
     def test_min_sectional_matches_per_plane_loop(self):
         # oracle: the same draws, one QR and one contraction per plane
-        m, plan = geom.perturbed_torus(3), geom.SamplePlan(points=50, seed=5)
-        rng = np.random.default_rng(plan.seed)
-        pts = m.sample_points(plan.points, rng)
+        m, points, seed = geom.perturbed_torus(3), 50, 5
+        rng = np.random.default_rng(seed)
+        pts = m.sample_points(points, rng)
         Rf = geom.curvature_at(m, geom.point_geometry(m.chart(), pts)).riemann
-        G = rng.normal(size=(plan.points, geom.SECTIONAL_PLANES, 3, 2))
+        G = rng.normal(size=(points, geom.SECTIONAL_PLANES, 3, 2))
         planes = []
         for R, gs in zip(Rf, G):
             for g in gs:
@@ -95,7 +95,7 @@ class TestCurvature:
                                         q[:, 0], q[:, 1], q[:, 0], q[:, 1]))
         axis = min(R[i, j, i, j] for R in Rf for i in range(3)
                    for j in range(i + 1, 3))
-        got = geom.min_sectional(m, plan)
+        got = geom.min_sectional(m, points, seed)
         assert got == pytest.approx(min(axis, min(planes)), abs=1e-12)
         assert got <= axis
 
@@ -181,7 +181,7 @@ class TestJets:
         assert np.allclose(h1, h_fd, atol=1e-7)
 
     def test_radial_jets_match_fd(self):
-        wd = geom._inv_power_derivs(3.0, 2.0, order=3)
+        wd = geom._inv_power_derivs(3.0, 2.0)
         x = np.array([0.4, -0.6, 0.1])
         val, g1, h1, t1 = geom._radial_scalar_jets(wd, x, 3)
         fn = lambda q: wd[0](np.sum(q * q, axis=-1))
@@ -350,8 +350,8 @@ def _builtin_fields():
         "sphere-height": (geom.sphere_coordinate_field(s4, 4), 4),
         "trig": (geom.trig_field([1.0, 2.0, 1.0], phase=0.3), 3),
         "random-spd": (spd, 3),
-        "induced": (hyp.induced_metric_manifold(hs, 1).chart().metric, 2),
-        "newton1": (hyp.newton1_field(hs, 0), 2),
+        "induced": (hyp.induced_metric_manifold(hs).chart().metric, 2),
+        "newton1": (hyp.newton1_field(hs), 2),
         "scaled": (geom.scale_tensor_field(spd, -0.7), 3),
     }
     for m in (t3, s4):

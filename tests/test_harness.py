@@ -223,6 +223,30 @@ class TestSuites:
         rep = hz.divergence_suite(samples=6)
         assert rep["max_defect"] <= 1e-8
 
+    def test_divergence_suite_uses_every_sample(self, monkeypatch):
+        seen = []
+        divergence = geom.tensor_divergence
+
+        def record(geo, phi):
+            seen.append((phi.name, len(geo.p)))
+            return divergence(geo, phi)
+
+        monkeypatch.setattr(geom, "tensor_divergence", record)
+        hz.divergence_suite(samples=7)
+        assert [k for name, k in seen if name == "newton1"] == [7, 7]
+        assert all(k == 7 for _, k in seen)
+
+    def test_trial_gate_messages(self):
+        newton = {"violations": 3, "equality_false_positives": 1}
+        assert hz.trial_failures("newton", newton) == [
+            "newton: 3 violations", "newton: equality detector false positives"]
+        qa = {"positive": {"violations": 0}, "negative": {"violations": 2}}
+        assert hz.trial_failures("qa", qa) == ["qa[negative]: 2 violations"]
+        assert hz.trial_failures("qa", qa, planted=True) == [
+            "qa[positive]: planted violation NOT detected"]
+        assert hz.trial_failures("qa", {"violations": 0}, planted=True) == [
+            "qa: planted violation NOT detected"]
+
     def test_fd_order(self):
         rep = hz.fd_order_study(samples=4)
         assert rep["observed_order"] == pytest.approx(2.0, abs=0.4)

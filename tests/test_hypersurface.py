@@ -11,7 +11,7 @@ from spectra_bochner.errors import ConfigError, DegenerateImmersion
 from oracles import q_polynomial
 
 
-def gauss_intrinsic(hs, u, chart_idx=0):
+def gauss_intrinsic(hs, u):
     """Intrinsic curvature bundle from the Gauss equation (independent
     route to the chart curvature).
 
@@ -19,7 +19,7 @@ def gauss_intrinsic(hs, u, chart_idx=0):
     + A_ik A_jl - A_il A_jk (umbilic A = alpha I gives constant curvature
     kappa + alpha^2).
     """
-    sd = hyp.shape_at(hs, u, chart_idx)
+    sd = hyp.shape_at(hs, u)
     n = hs.n
     d = np.eye(n)
     A = sd.A
@@ -31,12 +31,21 @@ def gauss_intrinsic(hs, u, chart_idx=0):
                                 ricci=ric, scalar=np.trace(ric))
 
 
+def both_hemispheres(count, rng):
+    """Chart points in uniform directions at radii uniform on [0, 3): the
+    unit disk maps to the southern half of the surface, the rest of the
+    plane to the northern half."""
+    v = rng.normal(size=(count, 2))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return rng.uniform(0.0, 3.0, size=count)[:, None] * v
+
+
 class TestShapeOperator:
     @pytest.mark.parametrize("r", [1.0, 2.0, 0.5])
     def test_round_sphere_umbilic(self, r):
         hs = hyp.sphere_surface(r=r)
-        for ci in (0, 1):
-            sd = hyp.shape_at(hs, np.array([0.3, -0.4]), ci)
+        for u in ([0.3, -0.4], [1.8, -2.4]):   # south and north
+            sd = hyp.shape_at(hs, np.array(u))
             assert np.allclose(sd.A, np.eye(2) / r, atol=1e-9)
             assert sd.H == pytest.approx(2.0 / r, abs=1e-9)
             assert np.allclose(sd.P1, np.eye(2) / r, atol=1e-9)
@@ -44,17 +53,18 @@ class TestShapeOperator:
 
     def test_ellipsoid_pole_curvatures(self):
         e = hyp.ellipsoid_surface(1.0, 1.0, 1.1)
-        sd = hyp.shape_at(e, np.zeros(2), 1)  # maps to (0, 0, +c)
-        assert np.allclose(sd.point, [0.0, 0.0, 1.1], atol=1e-12)
+        sd = hyp.shape_at(e, np.zeros(2))  # maps to (0, 0, -c)
+        assert np.allclose(sd.point, [0.0, 0.0, -1.1], atol=1e-12)
         # both principal curvatures c / a^2 at the pole of a spheroid
         assert np.allclose(np.linalg.eigvalsh(sd.A), [1.1, 1.1], atol=1e-9)
 
     def test_ellipsoid_matches_closed_form_everywhere(self):
         ax = [1.0, 1.3, 0.8]
         e = hyp.ellipsoid_surface(*ax)
-        rng = np.random.default_rng(6)
-        for ci, u in zip(*e.sample_points(25, rng)):
-            sd = hyp.shape_at(e, u, ci)
+        U = both_hemispheres(25, np.random.default_rng(6))
+        assert np.ptp(np.sign(hyp.shape_at(e, U).point[:, 2])) == 2.0
+        for u in U:
+            sd = hyp.shape_at(e, u)
             A3, nu, B = hyp.ellipsoid_shape_operator(sd.point, ax)
             lam = np.sort(np.linalg.eigvalsh(B.T @ A3 @ B))
             assert np.allclose(np.linalg.eigvalsh(sd.A), lam, atol=1e-7)
@@ -76,29 +86,25 @@ class TestStackedShape:
         ("geodesic-sphere:kappa=1,alpha=2", None)])
     def test_stack_matches_points(self, spec, semiaxes):
         hs = hyp.parse_surface(spec)
-        cis, pts = hs.sample_points(50, np.random.default_rng(17))
-        for ci in (0, 1):
-            U = pts[cis == ci]
-            assert U.shape == (25, 2)
-            sd = hyp.shape_at(hs, U, ci)
-            for k, u in enumerate(U):
-                one = hyp.shape_at(hs, u, ci)
-                for f in fields(sd):
-                    stacked, single = getattr(sd, f.name), getattr(one, f.name)
-                    assert stacked.shape[1:] == np.shape(single)
-                    assert np.max(np.abs(stacked[k] - single)) <= 1e-12
-            if semiaxes is None:  # umbilic, A = alpha I
-                assert np.allclose(sd.A, 2.0 * np.eye(2), atol=1e-9)
-                continue
-            A3, _, B = hyp.ellipsoid_shape_operator(sd.point, semiaxes)
-            lam = np.linalg.eigvalsh(np.swapaxes(B, -1, -2) @ A3 @ B)
-            assert np.allclose(np.linalg.eigvalsh(sd.A), lam, atol=1e-7)
+        U = both_hemispheres(50, np.random.default_rng(17))
+        sd = hyp.shape_at(hs, U)
+        for k, u in enumerate(U):
+            one = hyp.shape_at(hs, u)
+            for f in fields(sd):
+                stacked, single = getattr(sd, f.name), getattr(one, f.name)
+                assert stacked.shape[1:] == np.shape(single)
+                assert np.max(np.abs(stacked[k] - single)) <= 1e-12
+        if semiaxes is None:  # umbilic, A = alpha I
+            assert np.allclose(sd.A, 2.0 * np.eye(2), atol=1e-9)
+            return
+        A3, _, B = hyp.ellipsoid_shape_operator(sd.point, semiaxes)
+        lam = np.linalg.eigvalsh(np.swapaxes(B, -1, -2) @ A3 @ B)
+        assert np.allclose(np.linalg.eigvalsh(sd.A), lam, atol=1e-7)
 
     def test_singular_metric_names_first_bad_point(self):
         # the unit sphere flattened onto z = 0 folds along |u| = 1
-        chart = hyp.ImmersionChart(pole=1.0, ambient=np.diag([1.0, 1.0, 0.0]))
-        hs = hyp.ImmersedHypersurface(n=2, kappa=0.0, charts=(chart,),
-                                      orient_signs=(1.0,))
+        chart = hyp.ImmersionChart(ambient=np.diag([1.0, 1.0, 0.0]))
+        hs = hyp.ImmersedHypersurface(n=2, kappa=0.0, chart=chart, orient=1.0)
         U = np.array([[0.3, 0.1], [1.0, 0.0], [0.0, 1.0]])
         hyp.shape_at(hs, U[0])
         with pytest.raises(DegenerateImmersion,
@@ -119,7 +125,7 @@ class TestGaussEquation:
 
     def test_cross_validate_against_chart_curvature(self):
         hs = hyp.sphere_surface(r=1.0)
-        man = hyp.induced_metric_manifold(hs, 0)
+        man = hyp.induced_metric_manifold(hs)
         u = np.array([0.3, -0.4])
         cb_gauss = gauss_intrinsic(hs, u)
         cb_chart = geom.curvature_at(man,
@@ -156,12 +162,12 @@ def principal_sweep(semiaxes, m=200):
     return x * np.asarray(semiaxes)
 
 
-def chart_hessian_of_H(hs, U, ci):
+def chart_hessian_of_H(hs, U):
     """Frame Hessian of H on a chart by the finite-difference route: H from
     ``shape_at`` as a value-only field, differentiated by ``scalar_jets``
     over the induced metric."""
-    H = geom.Field(lambda u, order: [hyp.shape_at(hs, u, ci).H])
-    geo = geom.point_geometry(hyp.induced_metric_manifold(hs, ci).chart(), U)
+    H = geom.Field(lambda u, order: [hyp.shape_at(hs, u).H])
+    geo = geom.point_geometry(hyp.induced_metric_manifold(hs).chart(), U)
     return geom.scalar_jets(geo, H, 2)[2]
 
 
@@ -172,16 +178,14 @@ def tr_minus_min(hess):
 
 class TestPinchingConstants:
     def test_sphere(self):
-        pc = hyp.pinching_constants((1.0, 1.0, 1.0),
-                                    geom.SamplePlan(points=40))
+        pc = hyp.pinching_constants((1.0, 1.0, 1.0), 42)
         assert pc.constant_H and pc.sigma == 0.0
         assert pc.alpha == 1.0 and pc.a == 1.0
 
     def test_constants_pinned(self):
         # alpha = 1/c^2 and a = c^3 in closed form; sigma of the spheroid
         # peaks on the equator, a vertex, at (c^2 - 1)(c^2 + 3)/c^6
-        pc = hyp.pinching_constants((1.0, 1.0, 1.1),
-                                    geom.SamplePlan(points=400, seed=42))
+        pc = hyp.pinching_constants((1.0, 1.0, 1.1), 42)
         assert not pc.constant_H
         assert pc.alpha == pytest.approx(1.0 / 1.21, rel=1e-15, abs=0.0)
         assert pc.a == pytest.approx(1.331, rel=1e-15, abs=0.0)
@@ -195,7 +199,7 @@ class TestPinchingConstants:
         A3, _, B = hyp.ellipsoid_shape_operator(principal_sweep(ax), ax)
         lam = np.linalg.eigvalsh(np.swapaxes(B, -1, -2) @ A3 @ B)
         lo, hi = float(np.min(lam)), float(np.max(lam))
-        pc = hyp.pinching_constants(ax)
+        pc = hyp.pinching_constants(ax, 42)
         assert pc.alpha == pytest.approx(lo, rel=1e-13, abs=0.0)
         assert pc.a == pytest.approx(hi / lo, rel=1e-13, abs=0.0)
 
@@ -209,7 +213,7 @@ class TestPinchingConstants:
         expect = (c * c - 1.0) * (c * c + 3.0) / c ** 6
         assert float(np.max(tr_minus_min(hess))) == pytest.approx(
             expect, rel=1e-13, abs=0.0)
-        assert hyp.pinching_constants((1.0, 1.0, c)).sigma == pytest.approx(
+        assert hyp.pinching_constants((1.0, 1.0, c), 42).sigma == pytest.approx(
             expect, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("spec", ["ellipsoid:1,1,1.1",
@@ -217,15 +221,10 @@ class TestPinchingConstants:
                                       "ellipsoid:1.2,1,0.9"])
     def test_hessian_matches_chart_finite_differences(self, spec):
         hs = hyp.parse_surface(spec)
-        cis, U = hs.sample_points(10, np.random.default_rng(42))
-        fd, closed = [], []
-        for ci in (0, 1):
-            sel = cis == ci
-            fd.append(tr_minus_min(chart_hessian_of_H(hs, U[sel], ci)))
-            x = hyp.shape_at(hs, U[sel], ci).point
-            closed.append(tr_minus_min(
-                hyp.ellipsoid_mean_curvature_hessian(x, hs.semiaxes)))
-        fd, closed = np.concatenate(fd), np.concatenate(closed)
+        U = hs.sample_points(10, np.random.default_rng(42))
+        fd = tr_minus_min(chart_hessian_of_H(hs, U))
+        closed = tr_minus_min(hyp.ellipsoid_mean_curvature_hessian(
+            hyp.shape_at(hs, U).point, hs.semiaxes))
         scale = float(np.max(closed))
         assert np.max(np.abs(fd - closed)) <= 1e-5 * scale
         assert np.max(fd) == pytest.approx(scale, rel=1e-5, abs=0.0)
@@ -234,7 +233,7 @@ class TestPinchingConstants:
                                     (-1.0, -1.0, -1.0)])
     def test_nonpositive_semiaxes_rejected(self, ax):
         with pytest.raises(ConfigError, match="must be positive"):
-            hyp.pinching_constants(ax)
+            hyp.pinching_constants(ax, 42)
 
 
 class TestSamplePoints:
@@ -243,9 +242,8 @@ class TestSamplePoints:
     @pytest.mark.parametrize("count", [1, 7, 400])
     def test_charts_alternate_and_radii_in_range(self, spec, count):
         hs = hyp.parse_surface(spec)
-        cis, U = hs.sample_points(count, np.random.default_rng(5))
-        assert cis.shape == (count,) and U.shape == (count, hs.n)
-        assert np.array_equal(cis, np.arange(count) % len(hs.charts))
+        U = hs.sample_points(count, np.random.default_rng(5))
+        assert U.shape == (count, hs.n)
         r = np.linalg.norm(U, axis=1)
         assert np.all(r >= np.sqrt(0.02) * (1.0 - 1e-15))
         assert np.all(r < 1.0)
@@ -255,8 +253,8 @@ class TestFieldsOnCharts:
     def test_div_p1_vanishes_on_space_form_umbilics(self):
         for name in ("sphere:r=1", "geodesic-sphere:kappa=1,alpha=2"):
             hs = hyp.parse_surface(name)
-            man = hyp.induced_metric_manifold(hs, 0)
-            P1 = hyp.newton1_field(hs, 0)
+            man = hyp.induced_metric_manifold(hs)
+            P1 = hyp.newton1_field(hs)
             geo = geom.point_geometry(man.chart(), np.array([0.3, -0.4]))
             d = geom.tensor_divergence(geo, P1)
             assert np.max(np.abs(d)) < 1e-8
@@ -264,13 +262,13 @@ class TestFieldsOnCharts:
     def test_induced_metric_manifold_is_sampled(self):
         # the induced chart is sampled in its box; the unit sphere has ric = g
         man = hyp.induced_metric_manifold(hyp.sphere_surface(1.0))
-        ric = geom.min_ricci(man, geom.SamplePlan(points=4))
+        ric = geom.min_ricci(man, points=4)
         assert ric == pytest.approx(1.0, abs=1e-4)
 
     def test_newton1_field_is_metric_on_unit_sphere(self):
         hs = hyp.sphere_surface(1.0)
-        P1 = hyp.newton1_field(hs, 0)
-        g = hyp.induced_metric_manifold(hs, 0).chart().metric
+        P1 = hyp.newton1_field(hs)
+        g = hyp.induced_metric_manifold(hs).chart().metric
         u = np.array([0.25, 0.6])
         assert np.allclose(P1.comp(u), g.comp(u), atol=1e-10)
 

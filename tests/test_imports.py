@@ -1,7 +1,8 @@
 """Every import under src/ is used, every SpectraError subclass is raised
 or caught, every public function is called outside the tests, every
 private helper and constant is named, and every dataclass default is
-overridden somewhere: AST scans standing in for a linter."""
+overridden somewhere, as is every defaulted function parameter: AST scans
+standing in for a linter."""
 
 import ast
 from pathlib import Path
@@ -236,6 +237,97 @@ UNSET_ALLOWED = []
 
 def test_no_unset_dataclass_defaults():
     assert unset_defaults(MODULES, USERS) == sorted(UNSET_ALLOWED)
+
+
+def _defaulted(func, method):
+    """Names of the parameters of ``func`` that have defaults, and of its
+    positional parameters in order, ``self`` dropped from a method's."""
+    a = func.args
+    positional = [p.arg for p in a.posonlyargs + a.args]
+    named = positional[len(positional) - len(a.defaults):]
+    named += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+              if d is not None]
+    return named, positional[1:] if method else positional
+
+
+def unset_parameters(defined, users, skip=()):
+    """'module.function.parameter' (a method with its class) of each
+    defaulted parameter of a function in ``defined``, ``skip`` aside, that
+    no call in ``users`` passes: by keyword, by position, or through a
+    ``*`` or ``**`` argument.  A function whose name appears anywhere but
+    as the thing called may be called from anywhere, so it counts as
+    passed every parameter."""
+    funcs = {}             # name -> [(qualified name, defaulted, positional)]
+    for path in defined:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {f: c.name for c in ast.walk(tree)
+                 if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                qual = ".".join([path.stem] + ([owner[node]] if node in owner
+                                               else []) + [node.name])
+                if qual[len(path.stem) + 1:] in skip:
+                    continue
+                name = (owner[node] if node.name == "__init__"
+                        and node in owner else node.name)   # a constructor
+                funcs.setdefault(name, []).append(
+                    (qual, *_defaulted(node, node in owner)))
+    passed, referenced = set(), set()
+    for path in users:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callees = {id(n.func) for n in ast.walk(tree)
+                   if isinstance(n, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) \
+                    and id(node) not in callees:
+                referenced.add(_name(node))
+            if not isinstance(node, ast.Call):
+                continue
+            for qual, named, positional in funcs.get(_name(node.func), ()):
+                keys = {k.arg for k in node.keywords}
+                keys.update(positional[:len(node.args)])
+                if None in keys or any(isinstance(a, ast.Starred)
+                                       for a in node.args):
+                    keys.update(named)
+                passed.update((qual, k) for k in keys)
+    return sorted("%s.%s" % (qual, k) for name, entries in funcs.items()
+                  if name not in referenced
+                  for qual, named, _ in entries for k in named
+                  if (qual, k) not in passed)
+
+
+# Defaulted parameters that no call in the package or the benchmark sets,
+# each with its reason.
+UNSET_PARAMETERS_ALLOWED = [
+    # the console script calls main() with no argument; the tests pass argv
+    "cli.main.argv",
+    # run_suite takes the default; the acceptance tests run 25 points
+    "harness.divergence_suite.samples",
+]
+
+
+def test_no_unset_parameters():
+    skip = [q.split(".", 1)[1] for q in TEST_ONLY]
+    assert unset_parameters(MODULES, USERS, skip) == sorted(
+        UNSET_PARAMETERS_ALLOWED)
+
+
+def test_scan_finds_an_unset_parameter(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n\n"
+        "def g(x=0, y=1):\n    pass\n\n\n"
+        "def h(x=0):\n    pass\n\n\n"
+        "def spread(x=0, y=1):\n    pass\n\n\n"
+        "def skipped(x=0):\n    pass\n\n\n"
+        "class C:\n    def __init__(self, x=0, y=1):\n        pass\n\n"
+        "    def m(self, x=0, y=1):\n        pass\n")
+    (tmp_path / "user.py").write_text(
+        "from mod import C, f, g, h, spread, skipped\n\n"
+        "f(0, 5, e=1)\nC(y=2).m(2)\nspread(*[1])\nspread(**{})\n"
+        "BUILDERS = {'g': g}\nh()\nskipped()\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert unset_parameters([tmp_path / "mod.py"], paths, ["skipped"]) == [
+        "mod.C.__init__.x", "mod.C.m.y", "mod.f.c", "mod.f.d", "mod.h.x"]
 
 
 def test_scan_finds_an_unset_default(tmp_path):
