@@ -65,7 +65,7 @@ def divergence_form_defect(box, f, p):
                      + np.einsum("...aab,...b->...", geo.Gamma, vec(geo.p)))
 
     _, fi, fij = geom.scalar_jets(geo, f, 2)
-    phi_ij, dphi = geom.tensor_jets(geo, box.phi, 1)
+    (phi_ij,), (dphi,) = geom.tensor_jets(geo, [box.phi], 1)
     boxf = np.sum(phi_ij * fij, axis=(-2, -1))
     divphi = np.einsum("...ijj->...i", dphi)
     return np.abs(boxf - (div_composite
@@ -80,7 +80,8 @@ def bochner_residual(m, phis, f, p, cvals):
     ``p`` is a point (n,) or a stack (P, n); every field of a
     BochnerResidual is then a float or a (P,) array.  The geometry, the
     jets of f and the curvature are evaluated once, for the whole stack and
-    every phi; each phi adds only its own jets and contractions.  The
+    every phi; the phi are stacked on one leading axis, so their jets and
+    the contractions of the identity take one pass for all of them.  The
     identity holds for every real c: its two c-terms, ``c_trace_hessian``
     and the c part of ``divergence_difference``, are the same contraction
     c * sum phi_mmij f_i f_j with opposite signs, so the residuals
@@ -90,20 +91,15 @@ def bochner_residual(m, phis, f, p, cvals):
     geo = geom.point_geometry(m.chart(), p)
     _, fi, fij, f3 = geom.scalar_jets(geo, f, 3)
     ric = geom.curvature_at(m, geo).ricci
-    # the Hessian of |grad f|^2, expanded by Leibniz
-    u_jk = 2.0 * (np.einsum("...ij,...ik->...jk", fij, fij)
-                  + np.einsum("...i,...ijk->...jk", fi, f3))
-    grad_lap = np.einsum("...iik->...k", f3)
-    return [_phi_residuals(geom.tensor_jets(geo, phi, 2), fi, fij, f3, ric,
-                           u_jk, grad_lap, cvals) for phi in phis]
-
-
-def _phi_residuals(phi_jets, fi, fij, f3, ric, u_jk, grad_lap, cvals):
-    """The phi-dependent terms of bochner_residual for one phi."""
-    ph, p3, p4 = phi_jets
+    ph, p3, p4 = geom.tensor_jets(geo, phis, 2)
+    # the Hessian of |grad f|^2, expanded by Leibniz, copied to the stacked
+    # shape: a broadcast operand moves the last bit of lhs
+    u_jk = np.broadcast_to(2.0 * (np.einsum("...ij,...ik->...jk", fij, fij)
+                                  + np.einsum("...i,...ijk->...jk", fi, f3)),
+                           ph.shape).copy()
     # lhs: 0.5 box(|grad f|^2)
     lhs = 0.5 * np.einsum("...jk,...jk->...", ph, u_jk)
-
+    grad_lap = np.einsum("...iik->...k", f3)
     grad_box = (np.einsum("...ijk,...ij->...k", p3, fij)
                 + np.einsum("...ij,...ijk->...k", ph, f3))
     p3_skew = p3 - np.swapaxes(p3, -1, -2)
@@ -135,13 +131,16 @@ def _phi_residuals(phi_jets, fi, fij, f3, ric, u_jk, grad_lap, cvals):
                           + np.einsum("...j,...ijk,...ik->...", fi, p3, fij)
                           + np.einsum("...j,...ij,...ikk->...", fi, ph, f3)),
     }
-    out = []
+    out = [[] for _ in phis]
     for c in cvals:
         terms_c = dict(terms, c_trace_hessian=c * trace_c,
                        divergence_difference=div_ikkj - c * div_kkij)
         rhs = sum(terms_c.values())
-        out.append(BochnerResidual(c=float(c), lhs=lhs, rhs_terms=terms_c,
-                                   residual=abs(lhs - rhs)))
+        residual = abs(lhs - rhs)
+        for k, rs in enumerate(out):
+            rs.append(BochnerResidual(
+                c=float(c), lhs=lhs[k], residual=residual[k],
+                rhs_terms={t: v[k] for t, v in terms_c.items()}))
     return out
 
 
@@ -151,7 +150,7 @@ def hessian_trace_defect(box, f, p):
     first point where phi is not positive definite."""
     geo = geom.point_geometry(box.chart, p)
     _, _, fij = geom.scalar_jets(geo, f, 2)
-    ph = geom.tensor_jets(geo, box.phi, 0)[0]
+    (ph,), = geom.tensor_jets(geo, [box.phi], 0)
     w = np.ravel(np.linalg.eigvalsh(ph)[..., 0])
     if (w <= 0.0).any():
         k = np.argmax(w <= 0.0)

@@ -25,7 +25,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import (ConfigError, DegenerateElement, NonSymmetricCoefficient)
 
@@ -162,12 +162,14 @@ class SurfaceMesh:
         indices = np.empty(indptr[-1], dtype=np.int32)
         indices[pos] = bsorted
         indices[diag] = np.arange(nv)
-        ncomp = connected_components(
-            sp.csr_matrix((np.ones(indices.size), indices, indptr),
-                          shape=(nv, nv)), directed=False)[0]
-        if ncomp > 1:
+        # closed, so the pattern is symmetric: connected iff one search from
+        # vertex 0 reaches every vertex; components are counted on refusal
+        A = sp.csr_matrix((np.ones(indices.size), indices, indptr),
+                          shape=(nv, nv))
+        if nv and breadth_first_order(
+                A, 0, return_predecessors=False).size < nv:
             raise DegenerateElement("mesh has %d connected components"
-                                    % ncomp)
+                                    % connected_components(A)[0])
         fwd, back = np.empty((2, a.size), dtype=np.int32)
         fwd[order], back[rorder] = pos, pos
         transpose = np.empty_like(indices)

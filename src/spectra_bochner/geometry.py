@@ -355,16 +355,21 @@ def scalar_jets(geo, f, order=2):
     return tuple(out)
 
 
-def tensor_jets(geo, phi, order=1):
-    """Frame covariant derivatives of a symmetric 2-tensor at the point(s)
-    of ``geo``.
+def tensor_jets(geo, phis, order=1):
+    """Frame covariant derivatives of the symmetric 2-tensor fields
+    ``phis`` (a list) at the point(s) of ``geo``.
 
-    Returns (phi_ij[, phi_ijk[, phi_ijkl]]), each after the point axes;
-    derivative indices come last, with
-    phi_ijkl = (nabla_l nabla_k phi)(e_i, e_j).
+    Returns (phi_ij[, phi_ijk[, phi_ijkl]]), each with one leading axis
+    over ``phis`` and then the point axes; derivative indices come last,
+    with phi_ijkl = (nabla_l nabla_k phi)(e_i, e_j).  Each field's partials
+    are taken (and checked symmetric) on their own; the Christoffel
+    corrections and the frame rotation then run once on their stack.
     """
-    parts = phi.partials(geo.p, order)
+    parts = [np.stack(d) for d in zip(*(phi.partials(geo.p, order)
+                                        for phi in phis))]
     Gamma, E = geo.Gamma, geo.frame
+    # _to_frame takes the frame's leading axes for the tensor's
+    E = np.broadcast_to(E, (len(phis),) + E.shape)
     ph = parts[0]
     out = [_to_frame(ph, E)]
     if order >= 1:
@@ -390,7 +395,7 @@ def tensor_jets(geo, phi, order=1):
 
 def tensor_divergence(geo, phi):
     """(div phi)_i = sum_j phi_ijj in the orthonormal frame."""
-    _, T1 = tensor_jets(geo, phi, 1)
+    _, (T1,) = tensor_jets(geo, [phi], 1)
     return np.einsum("...ijj->...i", T1)
 
 
@@ -498,7 +503,7 @@ def divergence_identity_suite(m, samples=20, seed=7, fd_step=1e-4):
     pts = m.sample_points(samples, rng)
     n = m.dim
     geo = point_geometry(m.chart(), pts)
-    ric, T1 = tensor_jets(geo, ricci_tensor_field(m, fd_step), 1)
+    (ric,), (T1,) = tensor_jets(geo, [ricci_tensor_field(m, fd_step)], 1)
     Rs = np.trace(ric, axis1=-2, axis2=-1)
     gradR = np.einsum("...iik->...k", T1)
     div_ric = np.einsum("...ijj->...i", T1)

@@ -29,7 +29,7 @@ def apply(box, f, p):
     at each point of a (P, n) stack."""
     geo = geom.point_geometry(box.chart, p)
     _, _, fij = geom.scalar_jets(geo, f, 2)
-    phi_ij = geom.tensor_jets(geo, box.phi, 0)[0]
+    (phi_ij,), = geom.tensor_jets(geo, [box.phi], 0)
     return np.sum(phi_ij * fij, axis=(-2, -1))
 
 

@@ -149,6 +149,7 @@ class TestHessianTraceDefect:
 
 class TestNonSymmetricPhi:
     @pytest.mark.parametrize("entry", ["apply", "bochner_residual",
+                                       "bochner_residual_second",
                                        "tensor_divergence"])
     def test_named_error_at_first_bad_point(self, torus, entry):
         # phi = [[2, 0.3 x1], [0, 2]] is symmetric only where x1 = 0
@@ -162,6 +163,8 @@ class TestNonSymmetricPhi:
             "apply": lambda: apply(box, f, pts),
             "bochner_residual": lambda: boxop.bochner_residual(
                 torus, [phi], f, pts, [0.0]),
+            "bochner_residual_second": lambda: boxop.bochner_residual(
+                torus, [geom.metric_field(torus), phi], f, pts, [0.0]),
             "tensor_divergence": lambda: geom.tensor_divergence(
                 geom.point_geometry(torus.chart(), pts), phi),
         }
@@ -205,10 +208,10 @@ class TestStackedPoints:
         singles = [geom.point_geometry(m.chart(), p) for p in pts]
         for name in ("g", "frame", "Gamma", "dGamma"):
             self.check(getattr(geo, name), [getattr(s, name) for s in singles])
-        for jets, field, order in ((geom.scalar_jets, f, 3),
-                                   (geom.tensor_jets, phi, 2)):
-            per = zip(*[jets(s, field, order) for s in singles])
-            for got, want in zip(jets(geo, field, order), per):
+        for jets in (lambda g: geom.scalar_jets(g, f, 3),
+                     lambda g: [j[0] for j in geom.tensor_jets(g, [phi], 2)]):
+            per = zip(*[jets(s) for s in singles])
+            for got, want in zip(jets(geo), per):
                 self.check(got, want)
         cb = geom.curvature_at(m, geo)
         cbs = [geom.curvature_at(m, s) for s in singles]
@@ -229,27 +232,53 @@ class TestStackedPoints:
             for t, v in r.rhs_terms.items():
                 self.check(v, [x.rhs_terms[t] for x in rs], scale)
 
-    @pytest.mark.parametrize("mname", ["flat-torus2", "perturbed-torus2",
-                                       "sphere4", "torus3:perturb=sin"])
+    MANIFOLDS = ["flat-torus2", "perturbed-torus2", "sphere4",
+                 "torus3:perturb=sin"]
+
+    def phi_cases(self, mname):
+        """The manifold, its three suite phi, f and a 4-point stack."""
+        cases = [self.case(mname, kind)
+                 for kind in ("metric", "schouten", "random-spd")]
+        m, _, f, pts = cases[0]
+        return m, [phi for _, phi, _, _ in cases], f, pts
+
+    @pytest.mark.parametrize("mname", MANIFOLDS)
+    def test_stacked_fields_match_one_field_calls(self, mname):
+        """tensor_jets of several fields gives bit for bit what one call
+        per field gives."""
+        m, phis, _, pts = self.phi_cases(mname)
+        geo = geom.point_geometry(m.chart(), pts)
+        stacked = geom.tensor_jets(geo, phis, 2)
+        for k, phi in enumerate(phis):
+            for got, (want,) in zip(stacked, geom.tensor_jets(geo, [phi], 2)):
+                assert np.array_equal(got[k], want)
+
+    @pytest.mark.parametrize("mname", MANIFOLDS)
     def test_phis_share_one_call(self, mname):
         """One call for several phi gives bit for bit what one call per phi
-        gives."""
-        kinds = ("metric", "schouten", "random-spd")
-        cases = [self.case(mname, kind) for kind in kinds]
-        m, _, f, pts = cases[0]
-        phis = [phi for _, phi, _, _ in cases]
+        gives on the 4-point stack, and agrees to rounding on a 1-point
+        stack and a single point."""
+        m, phis, f, pts = self.phi_cases(mname)
         cvals = (0.0, 1.0, 7.3)
-        shared = boxop.bochner_residual(m, phis, f, pts, cvals)
-        assert len(shared) == len(phis)
-        for phi, rs in zip(phis, shared):
-            alone, = boxop.bochner_residual(m, [phi], f, pts, cvals)
-            for r, a in zip(rs, alone):
-                assert r.c == a.c
-                assert np.array_equal(r.lhs, a.lhs)
-                assert np.array_equal(r.residual, a.residual)
-                assert list(r.rhs_terms) == list(a.rhs_terms)
-                for t, v in r.rhs_terms.items():
-                    assert np.array_equal(v, a.rhs_terms[t])
+        for p, exact in ((pts, True), (pts[:1], False), (pts[0], False)):
+            shared = boxop.bochner_residual(m, phis, f, p, cvals)
+            assert len(shared) == len(phis)
+            for phi, rs in zip(phis, shared):
+                alone, = boxop.bochner_residual(m, [phi], f, p, cvals)
+                scale = max(np.max(np.abs(v)) for a in alone
+                            for v in (a.lhs, *a.rhs_terms.values()))
+                for r, a in zip(rs, alone):
+                    assert r.c == a.c
+                    assert list(r.rhs_terms) == list(a.rhs_terms)
+                    for got, want in ((r.lhs, a.lhs),
+                                      (r.residual, a.residual),
+                                      *((v, a.rhs_terms[t])
+                                        for t, v in r.rhs_terms.items())):
+                        assert np.shape(got) == np.shape(want)
+                        if exact:
+                            assert np.array_equal(got, want)
+                        else:
+                            assert np.abs(got - want) <= 1e-14 * scale
 
     @pytest.mark.parametrize("mname,kind", SUITE_CASES)
     def test_identity_defects_stack_matches_points(self, mname, kind):

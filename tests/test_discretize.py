@@ -207,6 +207,16 @@ class TestMeshValidation:
         f = np.concatenate([m.faces, m.faces + m.num_vertices])
         with pytest.raises(DegenerateElement, match="2 connected components"):
             dz.SurfaceMesh(vertices=v, faces=f)
+        # three spheres, vertex 0 in the smallest: the search from it
+        # reaches 42 of 366 vertices
+        big = dz.icosphere(2)
+        nb = big.num_vertices
+        v = np.concatenate([m.vertices, big.vertices + [3.0, 0.0, 0.0],
+                            big.vertices + [6.0, 0.0, 0.0]])
+        f = np.concatenate([m.faces, big.faces + m.num_vertices,
+                            big.faces + m.num_vertices + nb])
+        with pytest.raises(DegenerateElement, match="3 connected components"):
+            dz.SurfaceMesh(vertices=v, faces=f)
 
     def test_unreferenced_vertex_rejected(self):
         # used to surface only at factorization (FactorizationFailure)

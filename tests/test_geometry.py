@@ -166,8 +166,8 @@ class TestJets:
         m = geom.round_sphere(3, 1.0)
         chart = m.chart()
         p = np.array([0.2, 0.5, -0.3])
-        ph, p3 = geom.tensor_jets(geom.point_geometry(chart, p),
-                                  chart.metric, 1)
+        (ph,), (p3,) = geom.tensor_jets(geom.point_geometry(chart, p),
+                                        [chart.metric], 1)
         assert np.allclose(ph, np.eye(3), atol=1e-12)
         assert np.max(np.abs(p3)) < 1e-10
 
