@@ -38,10 +38,6 @@ class BochnerResidual:
     rhs_terms: Dict[str, float]
     residual: float
 
-    @property
-    def rhs(self):
-        return sum(self.rhs_terms.values())
-
 
 def divergence_form_defect(box, f, p):
     """|box(f) - (div(phi grad f) - <div phi, grad f>)| at a point p (n,)

@@ -108,9 +108,9 @@ class SurfaceMesh:
         self._check_geometry()
 
     def _check_topology(self):
-        """Index triples in range, consistently oriented, closed, using every
-        vertex and connected: properties of the faces and the vertex count.
-        Sets ``edges``.
+        """At least one face, index triples in range, consistently oriented,
+        closed, using every vertex and connected: properties of the faces
+        and the vertex count.  Sets ``edges``.
 
         Directed edge 3f + k runs from face f's corner k to corner k + 1,
         with key a * V + b.  One sort of the keys finds a repeated
@@ -122,10 +122,12 @@ class SurfaceMesh:
         diagonal ones come before it.
         """
         F = self.faces
+        if not F.size:
+            raise DegenerateElement("mesh has no faces")
         if F.ndim != 2 or F.shape[1] != 3:
             raise DegenerateElement("faces must be index triples")
         nv = self.num_vertices
-        if F.size and (F.min() < 0 or F.max() >= nv):
+        if F.min() < 0 or F.max() >= nv:
             raise DegenerateElement("face index outside 0..%d" % (nv - 1))
         a, b = F.ravel(), F[:, [1, 2, 0]].ravel()
         key, rkey = a * nv + b, b * nv + a
@@ -166,7 +168,7 @@ class SurfaceMesh:
         # vertex 0 reaches every vertex; components are counted on refusal
         A = sp.csr_matrix((np.ones(indices.size), indices, indptr),
                           shape=(nv, nv))
-        if nv and breadth_first_order(
+        if breadth_first_order(
                 A, 0, return_predecessors=False).size < nv:
             raise DegenerateElement("mesh has %d connected components"
                                     % connected_components(A)[0])
@@ -385,36 +387,42 @@ _MASS_TRI = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 
 
 def _assemble_mesh(mesh, phi_provider):
-    P = mesh.face_corners()                          # (F, 3, 3)
-    e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
-    area = mesh.areas   # validation keeps every area above 0
-    t1 = e1 / np.linalg.norm(e1, axis=1)[:, None]
-    t2 = e2 - np.einsum("fi,fi->f", e2, t1)[:, None] * t1
-    t2 /= np.linalg.norm(t2, axis=1)[:, None]
-    B = np.stack([t1, t2], axis=2)                   # (F, 3, 2)
-    v = np.einsum("fki,fia->fka", P - P[:, :1], B)   # local 2D corners
-    # hat gradients: the opposite edge turned by 90 degrees, scaled so that
-    # grad_i . (v_i - v_{i+1}) = 1
-    a, b = v[:, [1, 2, 0]], v[:, [2, 0, 1]]
-    perp = np.stack([a[..., 1] - b[..., 1], b[..., 0] - a[..., 0]], axis=2)
-    g = perp / np.einsum("fka,fka->fk", perp, v - a)[..., None]
-    nf = mesh.num_faces
-    phi = _check_sym_coeff(phi_provider(P.mean(axis=1), B), (nf, 2, 2),
-                           lambda f: "face %d" % f)
-    Ke = g @ phi @ g.transpose(0, 2, 1)
-    Ke *= area[:, None, None]
-    Ke = 0.5 * (Ke + Ke.transpose(0, 2, 1))
+    """K and M by closed forms over (F,)- and (3, F)-shaped arrays.  In
+    face f's basis B the corners sit at (0, 0), (l1, 0) and (x2, y2), so
+    the hat gradients are gx = (-y2, y2, 0) / (l1 y2) and gy = (x2 - l1,
+    -x2, l1) / (l1 y2), and Ke = area (gx, gy) phi (gx, gy)^T; each of its
+    6 distinct entries is computed once, so Ke is exactly symmetric."""
+    V, (a, b, c) = mesh.vertices.T, mesh.faces.T     # (3, V), 3 x (F,)
+    B = np.stack([V[:, b] - V[:, a], V[:, c] - V[:, a]])   # (2, 3, F)
+    l1 = np.sqrt(np.einsum("if,if->f", B[0], B[0]))
+    B[0] /= l1                  # t1, along corner 0 -> 1
+    x2 = np.einsum("if,if->f", B[1], B[0])
+    B[1] -= x2 * B[0]           # t2, completing it towards corner 2
+    y2 = np.sqrt(np.einsum("if,if->f", B[1], B[1]))
+    B[1] /= y2
+    area, nf = mesh.areas, mesh.num_faces   # validation keeps areas above 0
+    phi = _check_sym_coeff(phi_provider((V[:, a] + V[:, b] + V[:, c]).T / 3.0,
+                                        B.transpose(2, 1, 0)),
+                           (nf, 2, 2), lambda f: "face %d" % f)
+    phi = phi.transpose(1, 2, 0) * area              # (2, 2, F)
+    g = np.array([[-y2, y2, 0.0 * y2], [x2 - l1, -x2, l1]]) / (l1 * y2)
+    i, j = np.triu_indices(3)
+    upper = np.einsum("aif,aif->if", g[:, i],
+                      np.einsum("abf,bif->aif", phi, g)[:, j])
+    Ke = upper[[0, 1, 2, 1, 3, 4, 2, 4, 5]]         # (9, F), (i, j) row-major
+    del B, phi, g, upper        # before the slot sums allocate theirs
     nv, table = mesh.num_vertices, mesh.edges
-    # an entry and its transpose partner sum the same two faces' terms in
-    # face order, so K is exactly symmetric unless a slot is wrong
-    Kd = np.bincount(table.slots.ravel(), Ke.ravel(), table.indices.size)
+    # an off-diagonal entry and its transpose partner each sum the same two
+    # faces' terms, so K is exactly symmetric unless a slot is wrong
+    slots = table.slots.reshape(nf, 9).T.astype(np.intp, order="C").ravel()
+    Kd = np.bincount(slots, Ke.ravel(), table.indices.size)
     if np.any(Kd != Kd[table.transpose]):
         raise NonSymmetricCoefficient("assembled stiffness not symmetric")
     rows = table.indptr[:-1]        # no row is empty: each has its diagonal
     _check_row_sums(np.add.reduceat(Kd, rows),
                     np.add.reduceat(np.abs(Kd), rows))
-    Md = np.bincount(table.slots.ravel(), (area[:, None, None] * _MASS_TRI
-                                           ).ravel(), table.indices.size)
+    Md = np.bincount(slots, (_MASS_TRI.reshape(9, 1) * area).ravel(),
+                     table.indices.size)
     # K and M get their own index arrays: scipy sorts indices in place
     K, M = (sp.csr_matrix((d, table.indices.copy(), table.indptr.copy()),
                           shape=(nv, nv)) for d in (Kd, Md))
@@ -757,46 +765,42 @@ def grid_metric_coefficient(grid):
 def ellipsoid_newton1_coefficient(semiaxes):
     """Per-face P1 = H I - A of the ellipsoid, read at projected barycenters.
 
-    Face barycenters are radially mapped onto the ellipsoid by scaling the
-    unit-ball direction of (x/a1, y/a2, z/c); the 3x3 tangent-plane shape
-    operator is restricted to the face basis B.
+    A barycenter q maps to the ellipsoid along w = q / d, d the semiaxes;
+    there grad = w / (|w| d), nu = grad / |grad| and, with e = 1 / d^2,
+    H = (sum e - sum e_i nu_i^2) / |grad|.  With c = B^T nu, PB = B - nu c^T
+    and r = sqrt(1 - |c|^2), U = PB + (PB c) c^T / (r (1 + r)) is the polar
+    factor of PB, the tangent basis nearest the face basis B, and phi =
+    H I - U^T diag(e) U / |grad|: closed forms over (F,)- and (3, F)-shaped
+    components.  A face plane tilted 45 degrees or more from the tangent
+    plane (|c|^2 >= 1/2) is refused.
     """
-    from .hypersurface import ellipsoid_shape_operator
     d = np.asarray(semiaxes, dtype=float)
+    e = 1.0 / d ** 2
 
     def provider(q, B):
-        w = q / d
-        nw = np.linalg.norm(w, axis=1)
+        w = q.T / d[:, None]                         # (3, F)
+        nw = np.sqrt(np.einsum("if,if->f", w, w))
         if np.any(nw == 0.0):
             raise DegenerateElement("face barycenter at the origin")
-        p = (w / nw[:, None]) * d
-        A3, nu, Bs = ellipsoid_shape_operator(p, d)
-        H = np.trace(A3, axis1=1, axis2=2)[:, None, None]
-        tangent = np.eye(3) - np.einsum("fi,fj->fij", nu, nu)
-        BsT = Bs.transpose(0, 2, 1)
-        P1s = BsT @ (H * tangent - A3) @ Bs
-        # exact in-plane rotation aligning the face basis with the surface
-        # tangent basis (umbilic surfaces then restrict to alpha*I exactly)
-        R = _polar_2x2(BsT @ B)
-        return R.transpose(0, 2, 1) @ P1s @ R
+        grad = w / (nw * d[:, None])
+        ng = np.sqrt(np.einsum("if,if->f", grad, grad))
+        nu = grad / ng
+        H = (e.sum() - e @ (nu * nu)) / ng
+        t = B.transpose(2, 1, 0)                     # (2, 3, F)
+        c = np.einsum("aif,if->af", t, nu)
+        s = c[0] * c[0] + c[1] * c[1]
+        tilted = ~(s < 0.5)
+        if np.any(tilted):
+            raise DegenerateElement("face %d tilted 45 deg or more from the "
+                                    "tangent plane" % np.argmax(tilted))
+        r = np.sqrt(1.0 - s)
+        U = t - nu * c[:, None]                      # PB
+        U += (U[0] * c[0] + U[1] * c[1]) * (c / (r * (1.0 + r)))[:, None]
+        phi = H * np.eye(2)[:, :, None] - np.einsum(
+            "aif,bif->abf", U * (e[:, None] / ng), U)
+        return phi.transpose(2, 0, 1)
 
     return _labelled(provider, "newton1:ellipsoid:%g,%g,%g" % tuple(d))
-
-
-def _polar_2x2(X):
-    """Orthogonal polar factor U Vt of a stack (F, 2, 2) of matrices
-    [[a, b], [c, d]] with SVD U S Vt, in closed form.
-
-    For det >= 0 it is the rotation [[p, q], [-q, p]] with (p, q) along
-    (a + d, b - c); otherwise the reflection [[p, q], [q, -p]] with (p, q)
-    along (a - d, b + c).
-    """
-    a, b, c, d = X[:, 0, 0], X[:, 0, 1], X[:, 1, 0], X[:, 1, 1]
-    s = np.where(a * d - b * c >= 0.0, 1.0, -1.0)
-    p, q = a + s * d, b - s * c
-    r = np.hypot(p, q)
-    p, q = p / r, q / r
-    return np.stack([p, q, -s * q, s * p], axis=1).reshape(-1, 2, 2)
 
 
 def mesh_newton1_coefficient(mesh):

@@ -1,10 +1,11 @@
 """Oracles and controls that the tests compare the package with: the
 operator box applied directly, the trace-inequality defect of one pair,
 the matrix Q(A), the cotangent stiffness, mesh element matrices summed
-from COO triplets, the two-step scaled icosphere, the mean edge length
-and the factor input by scipy's conversions, a non-divergence-free
-coefficient, and the pointwise-vs-weak consistency of assembled operators
-on refinement ladders."""
+from COO triplets, the ellipsoid's P1 coefficient by matrix products, the
+two-step scaled icosphere, the mean edge length and the factor input by
+scipy's conversions, a non-divergence-free coefficient, and the
+pointwise-vs-weak consistency of assembled operators on refinement
+ladders."""
 
 import math
 
@@ -93,27 +94,33 @@ def cotangent_stiffness(mesh):
     return sp.coo_matrix((vals, (rows, cols)), shape=(nv, nv)).tocsr()
 
 
+def face_bases(mesh):
+    """Face barycenters (F, 3) and the assembly's tangent bases B (F, 3, 2):
+    t1 along corner 0 -> 1, t2 completing it towards corner 2."""
+    P = mesh.face_corners()
+    e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
+    t1 = e1 / np.linalg.norm(e1, axis=1)[:, None]
+    t2 = e2 - np.sum(e2 * t1, axis=1)[:, None] * t1
+    t2 /= np.linalg.norm(t2, axis=1)[:, None]
+    return P.mean(axis=1), np.stack([t1, t2], axis=2)
+
+
 def mesh_elements(mesh, provider):
     """Element stiffness and mass matrices (F, 3, 3) of a mesh's faces.
 
-    The provider sees the face barycenters and the assembly's tangent
-    bases B (t1 along corner 0 -> 1, t2 completing it towards corner 2);
+    The provider sees the face barycenters and bases of ``face_bases``;
     the hat gradients are taken in R^3, grad psi_k = n x (p_{k+2} -
     p_{k+1}) / (2 area), and then written in B (independent route: one
     3-operand einsum per stack, each matrix symmetrized)."""
     P = mesh.face_corners()
-    e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
-    c = np.cross(e1, e2)
+    c = np.cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
     area = 0.5 * np.linalg.norm(c, axis=1)
-    t1 = e1 / np.linalg.norm(e1, axis=1)[:, None]
-    t2 = e2 - np.sum(e2 * t1, axis=1)[:, None] * t1
-    t2 /= np.linalg.norm(t2, axis=1)[:, None]
-    B = np.stack([t1, t2], axis=2)
+    q, B = face_bases(mesh)
     nrm = c / (2.0 * area)[:, None]
     opposite = P[:, [2, 0, 1]] - P[:, [1, 2, 0]]
     grad = np.cross(nrm[:, None, :], opposite) / (2.0 * area)[:, None, None]
     g = np.einsum("fki,fia->fka", grad, B)
-    phi = np.asarray(provider(P.mean(axis=1), B), dtype=float)
+    phi = np.asarray(provider(q, B), dtype=float)
     phi = 0.5 * (phi + phi.transpose(0, 2, 1))
     Ke = area[:, None, None] * np.einsum("fia,fab,fjb->fij", g, phi, g)
     Ke = 0.5 * (Ke + Ke.transpose(0, 2, 1))
@@ -130,6 +137,45 @@ def coo_pair(nodes, Ke, Me, n):
     cols = np.tile(nodes, (1, m)).ravel()
     return [sp.coo_matrix((E.ravel(), (rows, cols)), shape=(n, n)).tocsr()
             for E in (Ke, Me)]
+
+
+def ellipsoid_newton1_matmul(semiaxes):
+    """Per-face P1 = H I - A of the ellipsoid by 3 x 3 and 2 x 2 products
+    (the route the closed form replaced): the shape operator A3 at the
+    projected barycenters, P1 restricted to the tangent basis Bs of
+    ``ellipsoid_shape_operator``, then turned by the polar factor R of
+    Bs^T B into the face basis B, R^T P1s R."""
+    d = np.asarray(semiaxes, dtype=float)
+
+    def provider(q, B):
+        w = q / d
+        nw = np.linalg.norm(w, axis=1)
+        p = (w / nw[:, None]) * d
+        A3, nu, Bs = hyp.ellipsoid_shape_operator(p, d)
+        H = np.trace(A3, axis1=1, axis2=2)[:, None, None]
+        tangent = np.eye(3) - np.einsum("fi,fj->fij", nu, nu)
+        BsT = Bs.transpose(0, 2, 1)
+        P1s = BsT @ (H * tangent - A3) @ Bs
+        R = polar_2x2(BsT @ B)
+        return R.transpose(0, 2, 1) @ P1s @ R
+
+    return provider
+
+
+def polar_2x2(X):
+    """Orthogonal polar factor U Vt of a stack (F, 2, 2) of matrices
+    [[a, b], [c, d]] with SVD U S Vt, in closed form.
+
+    For det >= 0 it is the rotation [[p, q], [-q, p]] with (p, q) along
+    (a + d, b - c); otherwise the reflection [[p, q], [q, -p]] with (p, q)
+    along (a - d, b + c).
+    """
+    a, b, c, d = X[:, 0, 0], X[:, 0, 1], X[:, 1, 0], X[:, 1, 1]
+    s = np.where(a * d - b * c >= 0.0, 1.0, -1.0)
+    p, q = a + s * d, b - s * c
+    r = np.hypot(p, q)
+    p, q = p / r, q / r
+    return np.stack([p, q, -s * q, s * p], axis=1).reshape(-1, 2, 2)
 
 
 def two_step_icosphere(subdiv, semiaxes):

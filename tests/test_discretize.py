@@ -172,6 +172,12 @@ class TestMeshValidation:
             dz.SurfaceMesh(vertices=m.vertices, faces=f)
         assert str(err.value) == "face index outside 0..41"
 
+    def test_empty_mesh_rejected(self):
+        # a named refusal, not numpy's error from reducing no face areas
+        with pytest.raises(DegenerateElement, match="^mesh has no faces$"):
+            dz.SurfaceMesh(vertices=np.zeros((0, 3)),
+                           faces=np.zeros((0, 3), int))
+
     def test_faces_not_triples(self):
         m = dz.icosphere(1)
         with pytest.raises(DegenerateElement,
@@ -334,17 +340,63 @@ class TestAssembly:
                            match="coefficient not finite at face 7$"):
             dz.assemble(dz.icosphere(1), provider)
 
+    def test_provenance_record(self, ico3):
+        op = dz.assemble(ico3, dz.metric_coefficient())
+        assert op.record["phi"] == "metric"
+        assert op.record["vertices"] == ico3.num_vertices
+
+
+NEWTON1_SEMIAXES = [(1.0, 1.0, 1.0), (1.0, 1.0, 1.1), (1.0, 1.3, 0.8),
+                    (2.0, 1.0, 0.5)]
+
+
+class TestEllipsoidNewton1:
+    """The closed-form P1 coefficient against the matrix-product route of
+    ``oracles.ellipsoid_newton1_matmul``."""
+
     def test_polar_factor_matches_svd(self):
         X = np.random.default_rng(5).standard_normal((1000, 2, 2))
         X[0] = [[0.0, 1.0], [1.0, 0.0]]       # a reflection, det = -1
         assert 100 < np.sum(np.linalg.det(X) < 0) < 900
         U, _, Vt = np.linalg.svd(X)
-        assert np.max(np.abs(dz._polar_2x2(X) - U @ Vt)) <= 1e-15
+        assert np.max(np.abs(oracles.polar_2x2(X) - U @ Vt)) <= 1e-15
 
-    def test_provenance_record(self, ico3):
-        op = dz.assemble(ico3, dz.metric_coefficient())
-        assert op.record["phi"] == "metric"
-        assert op.record["vertices"] == ico3.num_vertices
+    @pytest.mark.parametrize("subdiv", [1, 3, 5])
+    @pytest.mark.parametrize("semiaxes", NEWTON1_SEMIAXES, ids=str)
+    def test_matches_matmul_route(self, semiaxes, subdiv):
+        q, B = oracles.face_bases(dz.icosphere(subdiv, semiaxes))
+        phi = dz.ellipsoid_newton1_coefficient(semiaxes)(q, B)
+        ref = oracles.ellipsoid_newton1_matmul(semiaxes)(q, B)
+        err = np.max(np.abs(phi - ref), axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.max(np.abs(ref), axis=(1, 2)))
+
+    @pytest.mark.parametrize("subdiv", [1, 3, 5])
+    def test_unit_sphere_gives_identity(self, subdiv):
+        q, B = oracles.face_bases(dz.icosphere(subdiv))
+        phi = dz.ellipsoid_newton1_coefficient((1.0, 1.0, 1.0))(q, B)
+        assert np.max(np.abs(phi - np.eye(2))) <= 8 * np.spacing(1.0)
+
+    def test_basis_holding_the_normal_refused(self):
+        # on the unit sphere the normal at q is q; face 3's basis holds it,
+        # face 5's is tilted just under 45 degrees, the rest are tangent
+        q = np.random.default_rng(2).standard_normal((8, 3))
+        q /= np.linalg.norm(q, axis=1)[:, None]
+        t1 = np.cross(q, [0.0, 0.0, 1.0])
+        t1 /= np.linalg.norm(t1, axis=1)[:, None]
+        B = np.stack([t1, np.cross(q, t1)], axis=2)
+        provider = dz.ellipsoid_newton1_coefficient((1.0, 1.0, 1.0))
+        tilt = 0.99 * np.pi / 4
+        B[5, :, 1] = np.cos(tilt) * B[5, :, 1] + np.sin(tilt) * q[5]
+        assert np.all(np.isfinite(provider(q, B)))
+        B[3, :, 1] = q[3]
+        with pytest.raises(DegenerateElement, match="^face 3 tilted 45 deg"):
+            provider(q, B)
+
+    def test_mesh_of_another_surface_refused(self):
+        # the unit icosphere's faces against the normals of (1, 1, 3)
+        with pytest.raises(DegenerateElement, match="^face 24 tilted"):
+            dz.assemble(dz.icosphere(1),
+                        dz.ellipsoid_newton1_coefficient((1.0, 1.0, 3.0)))
 
 
 def off_round_trip(tmp_path):
@@ -757,6 +809,16 @@ class TestIO:
         m2 = dz.read_off(path)
         assert np.allclose(m2.vertices, m.vertices)
         assert np.array_equal(m2.faces, m.faces)
+
+    @pytest.mark.parametrize("text", [
+        "OFF\n0 0 0\n", "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n"],
+        ids=["no-vertices", "three-vertices"])
+    def test_off_without_faces_rejected(self, tmp_path, text):
+        path = os.path.join(tmp_path, "empty.off")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(DegenerateElement, match="^mesh has no faces$"):
+            dz.read_off(path)
 
     def test_off_rejects_garbage(self, tmp_path):
         path = os.path.join(tmp_path, "bad.off")

@@ -109,13 +109,18 @@ def public_defs(path):
 
 def dead_api(defined, users):
     """'module.name' of each public function or method defined in
-    ``defined`` whose name no Name or attribute in ``users`` carries."""
+    ``defined`` whose name no attribute in ``users`` carries, nor, for a
+    module-level function, any Name: a method or property is reached only
+    through attribute access, so a local variable of the same name is no
+    use of it."""
     trees = [ast.parse(p.read_text(), filename=str(p)) for p in users]
-    used = {_name(node) for tree in trees for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    names = attrs | {node.id for node in nodes if isinstance(node, ast.Name)}
     return sorted("%s.%s" % (path.stem, q) for path in defined
                   for q in public_defs(path)
-                  if q.rsplit(".", 1)[-1] not in used)
+                  if q.rsplit(".", 1)[-1] not in (attrs if "." in q
+                                                  else names))
 
 
 # Public API that only the tests call: the identity checks and oracles
@@ -138,11 +143,14 @@ def test_scan_finds_an_unused_function(tmp_path):
         "def planted():\n    return used()\n\n\n"
         "class C:\n    def __init__(self):\n        pass\n\n"
         "    def run(self):\n        pass\n\n"
-        "    def idle(self):\n        pass\n")
+        "    def idle(self):\n        pass\n\n"
+        "    @property\n    def total(self):\n        return 0\n")
+    # a local variable named like the property is no use of it
     (tmp_path / "user.py").write_text(
-        "from mod import C, used\n\nused()\nC().run()\n")
+        "from mod import C, used\n\nused()\nC().run()\ntotal = 1\n")
     paths = sorted(tmp_path.glob("*.py"))
     assert dead_api([tmp_path / "mod.py"], paths) == ["mod.C.idle",
+                                                      "mod.C.total",
                                                       "mod.planted"]
 
 
