@@ -3,7 +3,8 @@
 Subcommands: verify (pointwise identity residuals), eig (discrete
 eigenvalues), bound (closed-form lower bounds), check (named verification
 suites / mesh validation), proptest (randomized inequality trials), report
-(bound-vs-eigenvalue comparison tables).
+(bound-vs-eigenvalue comparison tables).  A request that would check
+nothing, or not what it names, exits 2: newton1 needs a --surface.
 
 Exit codes: 0 pass, 1 assertion failure, 2 usage or config error,
 3 numerical failure.
@@ -101,31 +102,27 @@ def _mesh_semiaxes(spec):
 
 
 def _eig_domain(args):
+    if sum(map(bool, (args.mesh, args.surface, args.manifold))) != 1:
+        raise ConfigError("eig needs exactly one of --mesh, --surface, "
+                          "--manifold")
+    if args.operator == "newton1" and not args.surface:
+        raise ConfigError("--operator newton1 needs --surface: an OFF mesh "
+                          "or a grid has no analytic P1")
     if args.mesh:
-        mesh = dz.read_off(args.mesh)
-        if args.operator == "newton1":
-            provider = dz.mesh_newton1_coefficient(mesh)
-        else:
-            provider = dz.metric_coefficient()
-        return mesh, provider
+        return dz.read_off(args.mesh), dz.metric_coefficient()
     if args.surface:
         ax = _mesh_semiaxes(args.surface)
-        mesh = dz.icosphere(args.subdiv, ax)
-        if args.operator == "newton1":
-            provider = dz.ellipsoid_newton1_coefficient(ax)
-        else:
-            provider = dz.metric_coefficient()
-        return mesh, provider
-    if args.manifold:
-        m = geom.parse_manifold(args.manifold)
-        if m.atlas_kind != geom.ATLAS_PERIODIC_BOX:
-            raise ConfigError("--manifold eig path supports tori only")
-        chart = m.chart()
-        grid = dz.PeriodicGrid(lengths=chart.hi - chart.lo,
-                               shape=(args.resolution,) * m.dim,
-                               metric=chart.metric.comp)
-        return grid, dz.grid_metric_coefficient(grid)
-    raise ConfigError("eig needs one of --mesh, --surface, --manifold")
+        return dz.icosphere(args.subdiv, ax), (
+            dz.ellipsoid_newton1_coefficient(ax) if args.operator == "newton1"
+            else dz.metric_coefficient())
+    m = geom.parse_manifold(args.manifold)
+    if m.atlas_kind != geom.ATLAS_PERIODIC_BOX:
+        raise ConfigError("--manifold eig path supports tori only")
+    chart = m.chart()
+    grid = dz.PeriodicGrid(lengths=chart.hi - chart.lo,
+                           shape=(args.resolution,) * m.dim,
+                           metric=chart.metric.comp)
+    return grid, dz.grid_metric_coefficient(grid)
 
 
 def cmd_eig(args):
@@ -169,6 +166,8 @@ def cmd_bound(args):
 # check
 
 def cmd_check(args):
+    if args.mesh and args.suites is not None:
+        raise ConfigError("check takes --mesh or --suites, not both")
     if args.mesh:
         mesh = dz.read_off(args.mesh)  # validation happens on construction
         payload = {"mesh": args.mesh, "vertices": mesh.num_vertices,
@@ -179,6 +178,8 @@ def cmd_check(args):
         _emit(payload, args.json)
         return hz.EXIT_PASS
     names = [s for s in (args.suites or "").split(",") if s]
+    if not names:
+        raise ConfigError("check needs --mesh or a suite in --suites")
     cfg = hz.load_config(args.config)
     if args.seed is not None:
         cfg["solver"]["seed"] = str(args.seed)
@@ -218,9 +219,8 @@ def _parse_refine(txt):
 
 
 def cmd_report(args):
-    subdivs = _parse_refine(args.refine)
-    rep = hz.ellipsoid_compare(semiaxes=_mesh_semiaxes(args.surface),
-                               subdivs=subdivs, seed=args.seed)
+    rep = hz.ellipsoid_compare(_mesh_semiaxes(args.surface),
+                               _parse_refine(args.refine), args.seed)
     if args.json:
         _emit(rep, True)
     else:

@@ -9,7 +9,9 @@ serves as an independent oracle.  Assembly is batched, and a coefficient
 provider is called once per mesh or grid with whole arrays.  Neither kind
 goes through COO triplets.  Meshes build the element matrices of all faces
 at once and sum them into the slots of the face array's ``EdgeTable``, a
-CSR pattern made once by the topology check.  Periodic grids, whose
+CSR pattern made once by the topology check; one routine,
+``_face_geometry``, gathers the face corners as (3, F) components and forms
+the edges for both the geometry check and assembly.  Periodic grids, whose
 sparsity pattern is the closed-form {-1, 0, 1}^n stencil, form no element
 matrices: K and M are summed straight into each node's stencil slots from
 per-cell coefficients and closed-form per-corner tables.
@@ -95,9 +97,6 @@ class SurfaceMesh:
     def genus(self):
         return (2 - self.euler_characteristic) // 2
 
-    def face_corners(self):
-        return self.vertices[self.faces]  # (F, 3, 3)
-
     def total_area(self):
         return float(self.areas.sum())
 
@@ -168,10 +167,10 @@ class SurfaceMesh:
         # vertex 0 reaches every vertex; components are counted on refusal
         A = sp.csr_matrix((np.ones(indices.size), indices, indptr),
                           shape=(nv, nv))
-        if breadth_first_order(
-                A, 0, return_predecessors=False).size < nv:
+        if breadth_first_order(A, 0, return_predecessors=False).size < nv:
             raise DegenerateElement("mesh has %d connected components"
                                     % connected_components(A)[0])
+        del key, rkey, A            # before the slot arrays are allocated
         fwd, back = np.empty((2, a.size), dtype=np.int32)
         fwd[order], back[rorder] = pos, pos
         transpose = np.empty_like(indices)
@@ -188,10 +187,9 @@ class SurfaceMesh:
         """Face areas and corner angles.  Both tests are negated
         comparisons, so a nan area or cosine fails them.  Sets ``areas``
         and ``mean_edge``, the mean length of the faces' edges."""
-        P = self.face_corners()
-        E = P[:, [1, 2, 0]] - P           # edge k runs from corner k to k + 1
-        L = np.einsum("fki,fki->fk", E, E)
-        areas = 0.5 * np.linalg.norm(np.cross(E[:, 0], E[:, 2]), axis=1)
+        E = _face_geometry(self)[1]
+        L = np.einsum("kif,kif->kf", E, E)             # squared lengths
+        areas = 0.5 * np.linalg.norm(np.cross(E[0], E[2], axis=0), axis=0)
         object.__setattr__(self, "areas", areas)
         # an absolute scale, which is 0 (and fails every area) when all
         # faces have collapsed
@@ -203,13 +201,22 @@ class SurfaceMesh:
                                     % (min_area, MIN_AREA_FRACTION))
         # the angle at corner k lies between edge k and the reversed edge
         # k - 1; it is below MIN_ANGLE_DEG where its cosine is above
-        cos = -np.einsum("fki,fki->fk", E, E[:, [2, 0, 1]]) / np.sqrt(
-            L * L[:, [2, 0, 1]])
+        cos = -np.array([np.einsum("if,if->f", E[k], E[k - 1])
+                         for k in range(3)]) / np.sqrt(L * L[[2, 0, 1]])
         max_cos = float(np.max(cos))
         if not max_cos <= math.cos(math.radians(MIN_ANGLE_DEG)):
             angle = math.degrees(math.acos(min(max_cos, 1.0)))
             raise DegenerateElement("min triangle angle %.3f deg < %g deg"
                                     % (angle, MIN_ANGLE_DEG))
+
+
+def _face_geometry(mesh):
+    """Each face's corners P[k], gathered once, and its edges E[k] =
+    P[k + 1 mod 3] - P[k], as (3, F) arrays of components."""
+    P = np.take(mesh.vertices, mesh.faces.T, axis=0).transpose(0, 2, 1)
+    E = P[[1, 2, 0]]
+    E -= P
+    return P, E
 
 
 def icosphere(subdiv=0, radius=1.0):
@@ -339,9 +346,9 @@ class AssembledOperator:
 
 
 def _check_sym_coeff(phi, shape, where):
-    """Symmetric part, a (E, k, k) view of a (k, k, E) array, of a (E, k, k)
-    stack; names the first element ``where(e)`` not finite, or asymmetric
-    by more than 1e-10 relative."""
+    """Symmetric part (k, k, E) of a (E, k, k) stack; names the first
+    element ``where(e)`` not finite, or asymmetric by more than 1e-10
+    relative."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != shape:
         raise ConfigError("coefficient provider returned shape %r, "
@@ -361,7 +368,7 @@ def _check_sym_coeff(phi, shape, where):
                                       % where(int(np.argmax(bad))))
     sym = P + P.transpose(1, 0, 2)
     sym *= 0.5
-    return sym.transpose(2, 0, 1)
+    return sym
 
 
 def assemble(domain, phi_provider):
@@ -392,8 +399,10 @@ def _assemble_mesh(mesh, phi_provider):
     the hat gradients are gx = (-y2, y2, 0) / (l1 y2) and gy = (x2 - l1,
     -x2, l1) / (l1 y2), and Ke = area (gx, gy) phi (gx, gy)^T; each of its
     6 distinct entries is computed once, so Ke is exactly symmetric."""
-    V, (a, b, c) = mesh.vertices.T, mesh.faces.T     # (3, V), 3 x (F,)
-    B = np.stack([V[:, b] - V[:, a], V[:, c] - V[:, a]])   # (2, 3, F)
+    P, E = _face_geometry(mesh)
+    q = P.sum(axis=0).T / 3.0                       # barycenters (F, 3)
+    B = np.stack([E[0], -E[2]])     # (2, 3, F): corner 0 -> 1, 0 -> 2
+    del P, E
     l1 = np.sqrt(np.einsum("if,if->f", B[0], B[0]))
     B[0] /= l1                  # t1, along corner 0 -> 1
     x2 = np.einsum("if,if->f", B[1], B[0])
@@ -401,10 +410,9 @@ def _assemble_mesh(mesh, phi_provider):
     y2 = np.sqrt(np.einsum("if,if->f", B[1], B[1]))
     B[1] /= y2
     area, nf = mesh.areas, mesh.num_faces   # validation keeps areas above 0
-    phi = _check_sym_coeff(phi_provider((V[:, a] + V[:, b] + V[:, c]).T / 3.0,
-                                        B.transpose(2, 1, 0)),
-                           (nf, 2, 2), lambda f: "face %d" % f)
-    phi = phi.transpose(1, 2, 0) * area              # (2, 2, F)
+    phi = _check_sym_coeff(phi_provider(q, B.transpose(2, 1, 0)),
+                           (nf, 2, 2), lambda f: "face %d" % f) * area
+    del q
     g = np.array([[-y2, y2, 0.0 * y2], [x2 - l1, -x2, l1]]) / (l1 * y2)
     i, j = np.triu_indices(3)
     upper = np.einsum("aif,aif->if", g[:, i],
@@ -474,7 +482,7 @@ def _grid_coefficients(grid, phi_provider):
     phi = _check_sym_coeff(phi_provider(centers, G), G.shape,
                            lambda c: "cell %r" % (lower[:, c].tolist(),))
     vol = np.sqrt(np.prod(pivots, axis=1))
-    ginv, phi = ginv.transpose(1, 2, 0), phi.transpose(1, 2, 0)
+    ginv = ginv.transpose(1, 2, 0)
     W = np.empty_like(ginv)
     for i, row in enumerate(ginv):   # row i of G^-1 phi, then of W
         A = sum((row[k] * phi[k] for k in range(1, n)), row[0] * phi[0])
@@ -801,49 +809,6 @@ def ellipsoid_newton1_coefficient(semiaxes):
         return phi.transpose(2, 0, 1)
 
     return _labelled(provider, "newton1:ellipsoid:%g,%g,%g" % tuple(d))
-
-
-def mesh_newton1_coefficient(mesh):
-    """Discrete P1 from angle-weighted vertex normals (OFF input path).
-
-    Per face, the shape operator is the least-squares fit of the normal
-    differences along two edges; intended for meshes with no analytic parent
-    surface.  P1 itself does not converge in the max norm: on icospheres of
-    radius 2, max |P1 - I/2| over faces is 2.7e-2 at subdiv 2 and 2.5e-2 at
-    subdiv 4.  mu1 still converges at second order.
-    """
-    vn = vertex_normals(mesh)
-    P = mesh.face_corners()
-    N = vn[mesh.faces]
-    E = np.stack([P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]], axis=1)    # (F, 2, 3)
-    dN = np.stack([N[:, 1] - N[:, 0], N[:, 2] - N[:, 0]], axis=1)   # (F, 2, 3)
-
-    def provider(_q, B):
-        A = np.linalg.solve(E @ B, dN @ B)       # edge coords -> (F, 2, 2)
-        A = 0.5 * (A + A.transpose(0, 2, 1))
-        return np.trace(A, axis1=1, axis2=2)[:, None, None] * np.eye(2) - A
-
-    return _labelled(provider, "newton1:discrete")
-
-
-def vertex_normals(mesh):
-    """Angle-weighted average of face normals, oriented outward by majority."""
-    V, P = mesh.vertices, mesh.face_corners()
-    nrm = np.cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
-    ln = np.linalg.norm(nrm, axis=1)
-    nrm = nrm / np.where(ln == 0.0, np.inf, ln)[:, None]   # zero-area: no vote
-    u = P[:, [1, 2, 0]] - P                          # (F, 3 corners, 3)
-    v = P[:, [2, 0, 1]] - P
-    ang = np.arctan2(np.linalg.norm(np.cross(u, v), axis=2),
-                     np.einsum("fki,fki->fk", u, v))
-    out = np.zeros_like(V)
-    np.add.at(out, mesh.faces.ravel(),
-              (ang[:, :, None] * nrm[:, None, :]).reshape(-1, 3))
-    out /= np.maximum(np.linalg.norm(out, axis=1, keepdims=True), 1e-300)
-    ctr = V - V.mean(axis=0)
-    if np.sum(np.einsum("vi,vi->v", out, ctr) < 0.0) > mesh.num_vertices // 2:
-        out = -out
-    return out
 
 
 # ---------------------------------------------------------------------------

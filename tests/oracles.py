@@ -97,7 +97,7 @@ def cotangent_stiffness(mesh):
 def face_bases(mesh):
     """Face barycenters (F, 3) and the assembly's tangent bases B (F, 3, 2):
     t1 along corner 0 -> 1, t2 completing it towards corner 2."""
-    P = mesh.face_corners()
+    P = mesh.vertices[mesh.faces]
     e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
     t1 = e1 / np.linalg.norm(e1, axis=1)[:, None]
     t2 = e2 - np.sum(e2 * t1, axis=1)[:, None] * t1
@@ -112,7 +112,7 @@ def mesh_elements(mesh, provider):
     the hat gradients are taken in R^3, grad psi_k = n x (p_{k+2} -
     p_{k+1}) / (2 area), and then written in B (independent route: one
     3-operand einsum per stack, each matrix symmetrized)."""
-    P = mesh.face_corners()
+    P = mesh.vertices[mesh.faces]
     c = np.cross(P[:, 1] - P[:, 0], P[:, 2] - P[:, 0])
     area = 0.5 * np.linalg.norm(c, axis=1)
     q, B = face_bases(mesh)
@@ -221,7 +221,7 @@ def two_step_icosphere(subdiv, semiaxes):
 def mean_edge_length(mesh):
     """Mean length of the faces' edges, each face's three edges gathered
     from its corners (the route validation's recorded value replaced)."""
-    P = mesh.face_corners()
+    P = mesh.vertices[mesh.faces]
     e = np.concatenate([P[:, 1] - P[:, 0], P[:, 2] - P[:, 1],
                         P[:, 0] - P[:, 2]])
     return float(np.mean(np.linalg.norm(e, axis=1)))

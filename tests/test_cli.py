@@ -1,5 +1,7 @@
 import json
+import pathlib
 import re
+import shlex
 import warnings
 
 import numpy as np
@@ -77,6 +79,32 @@ class TestBound:
         assert (got, out) == (2, "")
         assert err == ("config error: %s bound needs finite inputs, got "
                        "%s=%s\n" % (label, name, bad))
+
+
+def readme_commands(text):
+    """Each ``spectra-bochner`` line of a README's command-line block, as
+    its argument list, comments dropped."""
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("spectra-bochner ")]
+
+
+def test_readme_commands_parse(capsys):
+    # a removed option must not linger in the docs: a planted line with an
+    # unknown flag fails the same parse
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    commands = readme_commands(text)
+    assert len(commands) >= 10
+    for argv in commands:
+        cli.build_parser().parse_args(argv)
+    planted = text.replace("```sh\n# pointwise", "```sh\nspectra-bochner "
+                           "eig --mesh m.off --normals angle\n# pointwise")
+    assert readme_commands(planted)[0] == ["eig", "--mesh", "m.off",
+                                           "--normals", "angle"]
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(readme_commands(planted)[0])
+    assert "unrecognized arguments: --normals angle" in capsys.readouterr().err
 
 
 class TestEig:
@@ -189,6 +217,7 @@ class TestEig:
     def test_missing_domain(self, capsys):
         code, _, err = run(capsys, "eig")
         assert code == 2
+        assert "exactly one of --mesh, --surface, --manifold" in err
 
     @pytest.mark.parametrize("spec", ["sphere:r", "sphere:radius=2",
                                       "geodesic-sphere:kappa=1,alpha=2",
@@ -198,24 +227,29 @@ class TestEig:
         assert code == 2
         assert err.startswith("config error:") and spec in err
 
-    def test_mesh_off_newton1_second_order(self, capsys, tmp_path):
-        # discrete P1 from vertex normals on the sphere of radius r, where
-        # P1 = I/r and mu1(L1) = 2/r^3; measured errors 5.8e-3, 1.4e-3,
-        # 3.6e-4 at subdivs 2-4, from above, halving h quarters the error
-        r = 2.0
-        errs = []
-        for sub in (2, 3, 4):
-            path = str(tmp_path / ("s%d.off" % sub))
-            oracles.write_off(dz.icosphere(sub, r), path)
-            code, out, _ = run(capsys, "--json", "eig", "--mesh", path,
-                               "--operator", "newton1", "--k", "1")
-            assert code == 0
-            errs.append(json.loads(out)["eigenvalues"][0] - 2.0 / r ** 3)
-        errs = np.array(errs)
-        assert np.all(errs > 0.0)
-        assert errs[-1] < 4e-4
-        orders = np.log2(errs[:-1] / errs[1:])
-        assert np.all(np.abs(orders - 2.0) < 0.1)
+    @pytest.mark.parametrize("domain", [
+        ("--mesh", None), ("--manifold", "torus2")], ids=["mesh", "manifold"])
+    def test_newton1_off_a_surface_refused(self, capsys, tmp_path, domain):
+        # only an analytic surface has a P1; this once solved the mesh with
+        # a P1 fitted to vertex normals, and the grid with the metric
+        path = str(tmp_path / "s.off")
+        oracles.write_off(dz.icosphere(1), path)
+        code, out, err = run(capsys, "eig", domain[0], domain[1] or path,
+                             "--operator", "newton1")
+        assert (code, out) == (2, "")
+        assert err == ("config error: --operator newton1 needs --surface: "
+                       "an OFF mesh or a grid has no analytic P1\n")
+
+    @pytest.mark.parametrize("extra", [
+        ("--manifold", "torus2"), ("--surface", "sphere")])
+    def test_mesh_with_another_domain_refused(self, capsys, tmp_path, extra):
+        # the mesh was once solved and the other domain silently dropped
+        path = str(tmp_path / "s.off")
+        oracles.write_off(dz.icosphere(1), path)
+        code, out, err = run(capsys, "eig", "--mesh", path, *extra)
+        assert (code, out) == (2, "")
+        assert err == ("config error: eig needs exactly one of --mesh, "
+                       "--surface, --manifold\n")
 
 
 class TestVerify:
@@ -259,6 +293,26 @@ class TestCheckAndProptest:
         code, out, _ = run(capsys, "--json", "check", "--mesh", path)
         assert code == 0
         assert json.loads(out)["euler_characteristic"] == 2
+
+    @pytest.mark.parametrize("argv", [(), ("--suites", ","),
+                                      ("--suites", "")])
+    def test_check_with_nothing_to_check_refused(self, capsys, argv):
+        # each once printed pass: true and exited 0 after running nothing
+        code, out, err = run(capsys, "--json", "check", *argv)
+        assert (code, out) == (2, "")
+        assert err == ("config error: check needs --mesh or a suite in "
+                       "--suites\n")
+
+    @pytest.mark.parametrize("suites", ["bochner", ""])
+    def test_check_mesh_and_suites_refused(self, capsys, tmp_path, suites):
+        # the mesh was once validated and the suite silently skipped
+        path = str(tmp_path / "s.off")
+        oracles.write_off(dz.icosphere(1), path)
+        code, out, err = run(capsys, "check", "--mesh", path,
+                             "--suites", suites)
+        assert (code, out) == (2, "")
+        assert err == ("config error: check takes --mesh or --suites, not "
+                       "both\n")
 
     def test_check_suites(self, capsys):
         code, out, _ = run(capsys, "--json", "check",

@@ -277,6 +277,41 @@ class TestMeshValidation:
         with pytest.raises(DegenerateElement, match="min triangle angle"):
             dz.icosphere((1, 2), (1.0, 1.0, 1e-3))
 
+    @staticmethod
+    def face_major_geometry(mesh):
+        """The geometry check's areas and largest corner cosine on (F, 3, 3)
+        stacks of the corners and edges, gathered face by face."""
+        P = mesh.vertices[mesh.faces]
+        E = P[:, [1, 2, 0]] - P
+        L = np.einsum("fki,fki->fk", E, E)
+        cos = -np.einsum("fki,fki->fk", E, E[:, [2, 0, 1]]) / np.sqrt(
+            L * L[:, [2, 0, 1]])
+        return (0.5 * np.linalg.norm(np.cross(E[:, 0], E[:, 2]), axis=1),
+                float(np.max(cos)))
+
+    def test_allocation_peak(self, monkeypatch):
+        # tracemalloc peak of validating icosphere 6: 27.7 MB with (F, 3, 3)
+        # corner and edge stacks and the sort keys held to the end, 19.9 MB
+        # with the (3, F) face geometry; the face-major route, planted,
+        # must break the bound
+        mesh = dz.icosphere(6)
+        areas = mesh.areas
+
+        def peak():
+            tracemalloc.start()
+            try:
+                mesh.validate()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak() <= 22e6
+        monkeypatch.setattr(dz.SurfaceMesh, "_check_geometry",
+                            self.face_major_geometry)
+        assert peak() > 22e6
+        ref = self.face_major_geometry(mesh)[0]
+        assert np.max(np.abs(areas - ref) / ref) <= 1e-15
+
 
 class TestAssembly:
     def test_cotangent_oracle(self, ico3):
@@ -399,33 +434,25 @@ class TestEllipsoidNewton1:
                         dz.ellipsoid_newton1_coefficient((1.0, 1.0, 3.0)))
 
 
-def off_round_trip(tmp_path):
-    path = tmp_path / "ellipsoid.off"
-    oracles.write_off(dz.icosphere(2, (1.0, 1.3, 0.8)), path)
-    mesh = dz.read_off(str(path))
-    return mesh, dz.mesh_newton1_coefficient(mesh)
-
-
 MESH_CASES = {
-    **{"icosphere-%d" % sub: (lambda _p, sub=sub: (
+    **{"icosphere-%d" % sub: (lambda sub=sub: (
         dz.icosphere(sub), dz.metric_coefficient())) for sub in range(5)},
-    "newton1-1,1,1.1": lambda _p: (
+    "newton1-1,1,1.1": lambda: (
         dz.icosphere(3, (1.0, 1.0, 1.1)),
         dz.ellipsoid_newton1_coefficient((1.0, 1.0, 1.1))),
-    "newton1-1,1.3,0.8": lambda _p: (
+    "newton1-1,1.3,0.8": lambda: (
         dz.icosphere(3, (1.0, 1.3, 0.8)),
         dz.ellipsoid_newton1_coefficient((1.0, 1.3, 0.8))),
-    "metric*2.5-1,1.3,0.8": lambda _p: (
+    "metric*2.5-1,1.3,0.8": lambda: (
         dz.icosphere(2, (1.0, 1.3, 0.8)),
         lambda _q, B: np.broadcast_to(2.5 * np.eye(2), (len(B), 2, 2))),
-    "newton1-discrete-off": off_round_trip,
 }
 
 
 class TestMeshSlotAssembly:
     @pytest.mark.parametrize("case", MESH_CASES)
-    def test_matches_coo_reference(self, case, tmp_path):
-        mesh, provider = MESH_CASES[case](tmp_path)
+    def test_matches_coo_reference(self, case):
+        mesh, provider = MESH_CASES[case]()
         op = dz.assemble(mesh, provider)
         refs = oracles.coo_pair(mesh.faces, *oracles.mesh_elements(
             mesh, provider), mesh.num_vertices)
@@ -596,7 +623,8 @@ def grid_elements_reference(grid, provider):
                         else np.asarray(grid.metric(centers), dtype=float),
                         (len(centers), n, n))
     pivots, ginv = dz._pivots_and_inverse(G)
-    phi = dz._check_sym_coeff(provider(centers, G), G.shape, str)
+    phi = dz._check_sym_coeff(provider(centers, G), G.shape,
+                                 str).transpose(2, 0, 1)
     vol = np.sqrt(np.prod(pivots, axis=1))
     W = vol[:, None, None] * (ginv @ phi @ ginv)  # raised index, weighted
     Ke = (W.reshape(-1, n * n) @ T.reshape(n * n, -1)).reshape(
@@ -678,7 +706,8 @@ class TestGridStencilAssembly:
         centers = (np.indices(grid.shape).reshape(n, -1).T + 0.5) * grid.steps
         G = np.asarray(grid.metric(centers), dtype=float)
         pivots, ginv = dz._pivots_and_inverse(G)
-        phi = dz._check_sym_coeff(provider(centers, G), G.shape, str)
+        phi = dz._check_sym_coeff(provider(centers, G), G.shape,
+                                 str).transpose(2, 0, 1)
         ref = vol[:, None, None] * (ginv @ phi @ ginv)
         assert np.array_equal(vol, np.sqrt(np.prod(pivots, axis=1)))
         assert W.shape == (n * n, grid.num_nodes)

@@ -321,6 +321,29 @@ class TestSuites:
         assert summary["failures"] == ["newton: planted violation NOT "
                                        "detected"]
 
+    def test_run_suite_ellipsoid_compare_positive_bound(self):
+        cp = hz.load_config()
+        cp["suites"]["subdivs"] = "2,3"
+        code, summary = hz.run_suite(["ellipsoid-compare"], cp)
+        assert code == hz.EXIT_PASS, summary["failures"]
+        rep = summary["suites"]["ellipsoid-compare"]
+        assert rep["semiaxes"] == list(hz.SUITE_SEMIAXES)
+        assert rep["vacuous"] is False and rep["bound"] > 0.5
+        assert rep["verdict"] == bd.VERDICT_INEQUALITY
+
+    def test_run_suite_ellipsoid_compare_fails_a_vacuous_bound(
+            self, monkeypatch):
+        # (1, 1, 1.1)'s bound is -0.193: InequalityHolds, and vacuous
+        monkeypatch.setattr(hz, "SUITE_SEMIAXES", (1.0, 1.0, 1.1))
+        cp = hz.load_config()
+        cp["suites"]["subdivs"] = "2,3"
+        code, summary = hz.run_suite(["ellipsoid-compare"], cp)
+        assert code == hz.EXIT_ASSERTION
+        assert summary["suites"]["ellipsoid-compare"]["verdict"] == \
+            bd.VERDICT_INEQUALITY
+        assert summary["failures"] == ["ellipsoid-compare: bound -0.193128 "
+                                       "<= 0 is vacuous"]
+
     @pytest.mark.parametrize("text,match", [
         ("[solver]\nseed = -1\n", "seed must be non-negative, got -1"),
         ("[solver]\nseed = x\n", "bad \\[solver\\] seed")])
