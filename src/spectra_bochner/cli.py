@@ -4,7 +4,8 @@ Subcommands: verify (pointwise identity residuals), eig (discrete
 eigenvalues), bound (closed-form lower bounds), check (named verification
 suites / mesh validation), proptest (randomized inequality trials), report
 (bound-vs-eigenvalue comparison tables).  A request that would check
-nothing, or not what it names, exits 2: newton1 needs a --surface.
+nothing, or not what it names, exits 2: newton1 and --subdiv need a
+--surface, --resolution a --manifold.  A vacuous bound (<= 0) exits 1.
 
 Exit codes: 0 pass, 1 assertion failure, 2 usage or config error,
 3 numerical failure.
@@ -101,10 +102,16 @@ def _mesh_semiaxes(spec):
     return ax
 
 
+EIG_SUBDIV, EIG_RESOLUTION = 4, 64   # eig's defaults
+
+
 def _eig_domain(args):
     if sum(map(bool, (args.mesh, args.surface, args.manifold))) != 1:
         raise ConfigError("eig needs exactly one of --mesh, --surface, "
                           "--manifold")
+    for opt, needs in (("subdiv", "surface"), ("resolution", "manifold")):
+        if getattr(args, opt) is not None and not getattr(args, needs):
+            raise ConfigError("--%s needs --%s" % (opt, needs))
     if args.operator == "newton1" and not args.surface:
         raise ConfigError("--operator newton1 needs --surface: an OFF mesh "
                           "or a grid has no analytic P1")
@@ -112,15 +119,16 @@ def _eig_domain(args):
         return dz.read_off(args.mesh), dz.metric_coefficient()
     if args.surface:
         ax = _mesh_semiaxes(args.surface)
-        return dz.icosphere(args.subdiv, ax), (
+        subdiv = EIG_SUBDIV if args.subdiv is None else args.subdiv
+        return dz.icosphere(subdiv, ax), (
             dz.ellipsoid_newton1_coefficient(ax) if args.operator == "newton1"
             else dz.metric_coefficient())
     m = geom.parse_manifold(args.manifold)
     if m.atlas_kind != geom.ATLAS_PERIODIC_BOX:
         raise ConfigError("--manifold eig path supports tori only")
     chart = m.chart()
-    grid = dz.PeriodicGrid(lengths=chart.hi - chart.lo,
-                           shape=(args.resolution,) * m.dim,
+    res = EIG_RESOLUTION if args.resolution is None else args.resolution
+    grid = dz.PeriodicGrid(lengths=chart.hi - chart.lo, shape=(res,) * m.dim,
                            metric=chart.metric.comp)
     return grid, dz.grid_metric_coefficient(grid)
 
@@ -229,15 +237,14 @@ def cmd_report(args):
             print("%.6g,%.10g,%.10g,%.10g,%s"
                   % (lv["h"], lv["mu1"], lv["bound"], lv["margin"],
                      lv["verdict"]))
-        if rep["vacuous"]:
-            print("vacuous: the bound %.10g is <= 0, so every verdict "
-                  "against it is trivially true" % rep["bound"],
-                  file=sys.stderr)
         order = rep["observed_order"]
         print("extrapolated_mu1: %.10g, observed_order: %s"
               % (rep["extrapolated_mu1"],
                  "none" if order is None else "%.4g" % order),
               file=sys.stderr)
+    if rep["vacuous"]:
+        print(hz.VACUOUS_FAILURE % rep["bound"], file=sys.stderr)
+        return hz.EXIT_ASSERTION
     return hz.EXIT_PASS if rep["verdict"] in (bd.VERDICT_INEQUALITY,
                                               bd.VERDICT_EQUALITY) \
         else hz.EXIT_ASSERTION
@@ -275,8 +282,9 @@ def build_parser():
     e.add_argument("--manifold", default=None, help="e.g. torus2:L=6.28...")
     e.add_argument("--operator", default="laplacian",
                    choices=["laplacian", "newton1"])
-    e.add_argument("--subdiv", type=int, default=4)
-    e.add_argument("--resolution", type=int, default=64)
+    e.add_argument("--subdiv", type=int, help="default %d" % EIG_SUBDIV)
+    e.add_argument("--resolution", type=int,
+                   help="default %d" % EIG_RESOLUTION)
     e.add_argument("--k", type=int, default=1)
     e.add_argument("--tol", type=float, default=1e-9)
     e.set_defaults(func=cmd_eig)
@@ -313,7 +321,8 @@ def build_parser():
 
     r = sub.add_parser("report", help="bound vs eigenvalue comparison")
     r.add_argument("target", choices=["compare"])
-    r.add_argument("--surface", default="ellipsoid:1,1,1.1")
+    r.add_argument("--surface", default="ellipsoid:" + ",".join(
+        "%g" % v for v in hz.SUITE_SEMIAXES))
     r.add_argument("--refine", default=",".join(map(str, hz.DEFAULT_SUBDIVS)),
                    help="e.g. 3..6 or 4,5")
     r.set_defaults(func=cmd_report)

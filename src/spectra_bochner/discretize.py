@@ -321,11 +321,6 @@ class PeriodicGrid:
     def num_nodes(self):
         return int(np.prod(self.shape))
 
-    def node_points(self):
-        axes = [np.arange(s) * h for s, h in zip(self.shape, self.steps)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
 
 # ---------------------------------------------------------------------------
 # assembled operators
@@ -334,7 +329,8 @@ class PeriodicGrid:
 class AssembledOperator:
     K: sp.csr_matrix
     M: sp.csr_matrix
-    points: np.ndarray             # (N, d) node coordinates, row i = node i
+    # icosphere meshes only: SurfaceMesh.parents, the V-cycle's levels
+    parents: Tuple[Tuple[np.ndarray, np.ndarray], ...] = ()
     record: Dict[str, object] = field(default_factory=dict)
     # periodic grids only: Fourier symbols (stiffness, mass) of the pencil
     # with the cell-averaged coefficients, arrays of the grid's shape
@@ -436,7 +432,7 @@ def _assemble_mesh(mesh, phi_provider):
                           shape=(nv, nv)) for d in (Kd, Md))
     rec = {"domain": "SurfaceMesh", "vertices": nv, "faces": nf,
            "phi": getattr(phi_provider, "label", "custom")}
-    return AssembledOperator(K=K, M=M, points=mesh.vertices, record=rec)
+    return AssembledOperator(K=K, M=M, parents=mesh.parents, record=rec)
 
 
 def _grid_element_tensors(h):
@@ -559,7 +555,7 @@ def _assemble_grid(grid, phi_provider):
     E0 = np.stack([np.einsum("ab,abIJ->IJ", W.mean(axis=1).reshape(n, n),
                              T.reshape((n, n) + Me_unit.shape)),
                    vol.mean() * Me_unit])
-    return AssembledOperator(K=K, M=M, points=grid.node_points(), record=rec,
+    return AssembledOperator(K=K, M=M, record=rec,
                              symbols=_grid_symbols(shape, d, E0))
 
 

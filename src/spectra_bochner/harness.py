@@ -72,6 +72,7 @@ C_SPREAD_TOL = 1e-10
 # the subdivision levels of ellipsoid_compare
 DEFAULT_SUBDIVS = (4, 5)
 SUITE_SEMIAXES = (1.0, 1.0, 1.05)   # the suite's spheroid: L1 bound 0.591
+VACUOUS_FAILURE = "ellipsoid-compare: bound %g <= 0 is vacuous"
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +528,7 @@ def run_suite(names, config=None):
                     failures.append("ellipsoid-compare: verdict %s"
                                     % rep["verdict"])
                 if rep["vacuous"]:
-                    failures.append("ellipsoid-compare: bound %g <= 0 is "
-                                    "vacuous" % rep["bound"])
+                    failures.append(VACUOUS_FAILURE % rep["bound"])
         except ConfigError as exc:
             return EXIT_CONFIG, {"error": "%s: %s" % (name, exc)}
         except SpectraError as exc:

@@ -4,11 +4,12 @@ The pencil is singular (constants span the kernel of K).  One block LOBPCG,
 kept M-orthogonal to the constants, solves every operator; only its
 preconditioner and start block follow the domain kind (``smallest_nonzero``).
 Periodic grids use the FFT inverse of a shifted cell-averaged pencil and
-factor nothing; every other operator uses one SuperLU factor of K + eps*M
-with a tiny eps, taken in a coordinate nested-dissection order of the
-nodes.  No shift enters a mu1.  Round spheres have closed-form spectra for
-the Laplacian, the Schouten operator, and the linearized operator L1 of an
-umbilic geodesic sphere, used as oracles.
+factor nothing; every other operator uses a V-cycle on K + eps*M, with a
+tiny eps, over its icosphere's subdivision ladder, factoring only the
+coarsest level (the whole operator when it has no ladder).  No shift
+enters a mu1.  Round spheres have closed-form spectra for the Laplacian,
+the Schouten operator, and the linearized operator L1 of an umbilic
+geodesic sphere, used as oracles.
 """
 
 from __future__ import annotations
@@ -39,53 +40,6 @@ class EigenResult:
         return float(self.eigenvalues[0])
 
 
-# nested-dissection parts of at most this many nodes are not split further
-ND_LEAF = 64
-
-
-def _nested_dissection(A, points):
-    """Fill-reducing symmetric order of A's nodes: leaves first, separators
-    last.
-
-    Each part is split at the median of its widest coordinate.  The lower
-    side's endpoints of the edges that cross the cut (read from A's
-    sparsity, so a periodic grid's wrap-around plane is caught too) form the
-    separator, ordered after both sides, which are split again until they
-    hold at most ND_LEAF nodes.
-    """
-    upper = np.zeros(A.shape[0], dtype=bool)   # the upper side of a cut
-    order = []
-    stack = [(np.arange(A.shape[0]), True)]
-    while stack:
-        idx, split = stack.pop()
-        split = split and idx.size > ND_LEAF
-        if split:
-            x = points[idx]
-            extent = np.ptp(x, axis=0)
-            axis = int(np.argmax(extent))
-            split = extent[axis] > 0.0
-        if not split:
-            order.append(idx)
-            continue
-        v = x[:, axis]
-        median = np.partition(v, v.size // 2)[v.size // 2]
-        low = v < median
-        if not low.any():
-            low = v <= median
-        lo, hi = idx[low], idx[~low]
-        # a node of lo is cut if its row has an entry in hi; the rows are
-        # run together (none is empty: each holds its diagonal)
-        count = A.indptr[lo + 1] - A.indptr[lo]
-        first = np.cumsum(count) - count
-        run = np.arange(count.sum()) + np.repeat(A.indptr[lo] - first, count)
-        upper[hi] = True
-        cut = np.logical_or.reduceat(upper[A.indices[run]], first)
-        upper[hi] = False
-        # popped in reverse: lower side, upper side, then the separator
-        stack += [(lo[cut], False), (hi, True), (lo[~cut], True)]
-    return np.concatenate(order)
-
-
 # LOBPCG iterations (residual checks) before NoConvergence
 LOBPCG_MAXITER = 1000
 # the grid preconditioner's shift sigma, as a fraction of the averaged
@@ -100,40 +54,65 @@ START_TIE = 1e-10
 # SVQB drops the directions of a basis whose unit-diagonal Gram matrix has
 # an eigenvalue below this fraction of its largest
 SVQB_DROP = 1e-10
+# the V-cycle coarsens while a level has more nodes than this (icosphere 3)
+COARSE_NODES = 642
+# the V-cycle's damped Jacobi weight, and its sweeps before and after the
+# coarse correction: equal, so that the V-cycle is symmetric
+JACOBI_WEIGHT = 0.6
+JACOBI_SWEEPS = (2, 2)
 
 
-def _factor_input(K, M, eps, perm):
-    """P A P' in CSC for A = K + eps*M and the order ``perm`` (row i of
-    P A P' is row perm[i] of A), built on K's CSR pattern, which M shares:
-    A's entries there are K.data + eps * M.data; its columns are relabelled
-    by the inverse of ``perm``, its rows gathered in ``perm``'s order, and
-    the CSC conversion sorts each column's rows (Davis, Direct Methods for
-    Sparse Linear Systems, SIAM 2006, ch. 2)."""
-    inverse = np.empty(perm.size, dtype=K.indices.dtype)
-    inverse[perm] = np.arange(perm.size, dtype=inverse.dtype)
-    A = sp.csr_matrix((K.data + eps * M.data, inverse[K.indices], K.indptr),
-                      shape=K.shape)
-    return A[perm].tocsc()
-
-
-def _splu_preconditioner(points, K, M, eps):
-    """(P, stats): the inverse of K + eps*M, applied through one SuperLU
-    factor of ``_factor_input`` in a coordinate nested-dissection order of
-    the nodes."""
+def _vcycle_preconditioner(K, M, eps, parents):
+    """(P, stats): one V-cycle per vector on A = K + eps*M, built on the
+    CSR pattern K and M share.  Each subdivision step of ``parents``, the
+    last first, coarsens while a level has over COARSE_NODES nodes: its
+    prolongation P is the identity on the old vertices and (1/2, 1/2) on
+    each midpoint, and the coarser operator is Galerkin, P' A P.  Damped
+    Jacobi smooths every level but the coarsest, which one SuperLU factor
+    solves (its MMD order of A' + A, diagonal pivots).  Equal sweeps before
+    and after make the V-cycle symmetric, and so SPD while JACOBI_WEIGHT is
+    below 2 / lambda_max(D^-1 A).  Without parents the factor of A alone is
+    the preconditioner."""
     t0 = time.perf_counter()
-    perm = _nested_dissection(K, points)
+    A = sp.csr_matrix((K.data + eps * M.data, K.indices, K.indptr),
+                      shape=K.shape)
+    levels, steps = [], list(parents)   # (A, omega D^-1, P) per level
+    while steps and A.shape[0] > COARSE_NODES:
+        a, b = steps.pop()
+        n = A.shape[0] - a.size
+        old, mid = np.arange(n), np.arange(n, A.shape[0])
+        P = sp.csr_matrix((np.repeat([1.0, 0.5, 0.5], [n, a.size, a.size]),
+                           (np.concatenate([old, mid, mid]),
+                            np.concatenate([old, a, b]))),
+                          shape=(A.shape[0], n))
+        levels.append((A, JACOBI_WEIGHT / A.diagonal()[:, None], P))
+        A = P.T @ A @ P
     try:
-        lu = spla.splu(_factor_input(K, M, eps, perm), permc_spec="NATURAL")
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise FactorizationFailure(str(exc)) from exc
-    stats = {"shift": eps, "fill": int(lu.nnz),
-             "factor_s": time.perf_counter() - t0, "solves": 0}
+    stats = {"shift": eps, "levels": len(levels) + 1,
+             "coarse_size": A.shape[0], "fill": int(lu.nnz),
+             "setup_s": time.perf_counter() - t0, "solves": 0}
+    pre, post = JACOBI_SWEEPS
 
-    def precondition(x):   # one solve per row
+    def precondition(x):   # one V-cycle per row of x, on the columns b
         stats["solves"] += x.shape[0]
-        y = np.empty_like(x)
-        y[:, perm] = lu.solve(x[:, perm].T).T
-        return y
+        b, down = np.ascontiguousarray(x.T), []
+        for A, w, P in levels:   # smooth from x = 0, restrict the residual
+            x = w * b
+            for _ in range(pre - 1):
+                x += w * (b - A @ x)
+            down.append((x, b))
+            b = P.T @ (b - A @ x)
+        x = lu.solve(b)
+        for (A, w, P), (y, b) in zip(levels[::-1], down[::-1]):
+            x = y + P @ x        # correct, then smooth
+            for _ in range(post):
+                x += w * (b - A @ x)
+        return x.T
 
     return precondition, stats
 
@@ -343,19 +322,22 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42, start=None):
     ``diagnostics["solver"]``: ``"lobpcg-fft"`` on periodic grids
     (``op.symbols`` set), reporting the averaged pencil's mu1 ``nu1``, the
     shift sigma (``preconditioner_shift``) and ``setup_s``;
-    ``"lobpcg-splu"`` otherwise, reporting the ``shift`` eps, the ``fill``
-    of K + eps*M's factor (the nonzeros SuperLU stores for L and U,
-    ``SuperLU.nnz``: reading ``.L`` and ``.U`` would copy the factor),
-    ``factor_s`` (ordering, factor input and factorization) and the
-    ``solves``, one per vector.  Both report the ``iterations``, the
-    largest of the k wanted residuals per iteration (``residual_history``),
-    the ``refreshes`` of the implicit products, and the ``enclosure``: for
-    each eigenvalue, c times its residual's norm in the inverse lumped mass
-    L = diag(M 1), a distance within which the pencil has an eigenvalue,
-    or None when the record names no domain.  Raises ConfigError for K
-    and M on different patterns, for k < 1, for k >= N (N nodes carry
-    N - 1 nonzero eigenvalues), a tol that is not positive and finite, or
-    start rows whose length is not N or that hold a nan or inf.
+    ``"lobpcg-vcycle"`` otherwise (``_vcycle_preconditioner`` on
+    ``op.parents``), reporting the ``shift`` eps, the ladder's ``levels``
+    (1: the factor of K + eps*M alone), the ``coarse_size`` of its
+    coarsest level, the ``fill`` of that level's factor (the nonzeros
+    SuperLU stores for L and U, ``SuperLU.nnz``: reading ``.L`` and ``.U``
+    would copy the factor), ``setup_s`` (the Galerkin products and the
+    factorization) and the ``solves``, one V-cycle per vector.  Both
+    report the ``iterations``, the largest of the k wanted residuals per
+    iteration (``residual_history``), the ``refreshes`` of the implicit
+    products, and the ``enclosure``: for each eigenvalue, c times its
+    residual's norm in the inverse lumped mass L = diag(M 1), a distance
+    within which the pencil has an eigenvalue, or None when the record
+    names no domain.  Raises ConfigError for K and M on different
+    patterns, for k < 1, for k >= N (N nodes carry N - 1 nonzero
+    eigenvalues), a tol that is not positive and finite, or start rows
+    whose length is not N or that hold a nan or inf.
     """
     if k < 1:
         raise ConfigError("k must be at least 1, got %r" % (k,))
@@ -387,9 +369,9 @@ def smallest_nonzero(op, k=1, tol=1e-9, seed=42, start=None):
                               % np.argmin(finite))
         rows, guards = [start], min(len(start), N - 1 - k)
     if op.symbols is None:
-        solver = "lobpcg-splu"
-        precondition, stats = _splu_preconditioner(op.points, K, M,
-                                                   1e-8 * scale)
+        solver = "lobpcg-vcycle"
+        precondition, stats = _vcycle_preconditioner(K, M, 1e-8 * scale,
+                                                      op.parents)
     else:
         solver = "lobpcg-fft"
         t0 = time.perf_counter()

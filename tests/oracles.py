@@ -2,10 +2,9 @@
 operator box applied directly, the trace-inequality defect of one pair,
 the matrix Q(A), the cotangent stiffness, mesh element matrices summed
 from COO triplets, the ellipsoid's P1 coefficient by matrix products, the
-two-step scaled icosphere, the mean edge length and the factor input by
-scipy's conversions, a non-divergence-free coefficient, and the
-pointwise-vs-weak consistency of assembled operators on refinement
-ladders."""
+two-step scaled icosphere, the mean edge length, a domain's node
+coordinates, a non-divergence-free coefficient, and the pointwise-vs-weak
+consistency of assembled operators on refinement ladders."""
 
 import math
 
@@ -14,7 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from spectra_bochner import boxop, discretize as dz, geometry as geom
-from spectra_bochner import hypersurface as hyp, spectral as spec
+from spectra_bochner import hypersurface as hyp
 
 
 def laplacian_box(m):
@@ -227,20 +226,21 @@ def mean_edge_length(mesh):
     return float(np.mean(np.linalg.norm(e, axis=1)))
 
 
-def scipy_factor_input(K, M, eps, points):
-    """P A P' in CSC for A = K + eps*M by scipy's sum, A's nested-dissection
-    order P and scipy's row and column indexing (the chain
-    ``spectral._factor_input`` on K's pattern replaced)."""
-    A = (K + eps * M).tocsr()
-    perm = spec._nested_dissection(A, points)
-    return A[perm][:, perm].tocsc()
-
-
 def domain_resolution(domain):
     """Representative mesh size h."""
     if isinstance(domain, dz.SurfaceMesh):
         return domain.mean_edge
     return float(np.max(domain.steps))
+
+
+def node_points(domain):
+    """(N, d) coordinates of a domain's nodes, row i = node i: a mesh's
+    vertices, or a grid's nodes in C order."""
+    if isinstance(domain, dz.SurfaceMesh):
+        return domain.vertices
+    axes = np.meshgrid(*[np.arange(s) * h for s, h in
+                         zip(domain.shape, domain.steps)], indexing="ij")
+    return np.stack([x.ravel() for x in axes], axis=-1)
 
 
 def pointwise_vs_weak_consistency(domain, phi_provider, f_at, boxf_at):
@@ -250,8 +250,9 @@ def pointwise_vs_weak_consistency(domain, phi_provider, f_at, boxf_at):
     returns {'h', 'max_error', 'rel_error'}.
     """
     op = dz.assemble(domain, phi_provider)
-    f = np.array([f_at(p) for p in op.points])
-    b = np.array([boxf_at(p) for p in op.points])
+    points = node_points(domain)
+    f = np.array([f_at(p) for p in points])
+    b = np.array([boxf_at(p) for p in points])
     w = spla.spsolve(op.M.tocsc(), op.K @ f)
     e = w + b
     err = float(np.max(np.abs(e)))

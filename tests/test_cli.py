@@ -130,8 +130,10 @@ class TestEig:
                            "--subdiv", "2", "--k", "1")
         assert code == 0
         diag = json.loads(out)["diagnostics"]
-        assert diag["fill"] > 0 and diag["factor_s"] >= 0.0
+        assert diag["fill"] > 0 and diag["setup_s"] >= 0.0
         assert diag["solves"] > 0
+        # icosphere 2's 162 nodes are one level: the factor is the cycle
+        assert (diag["levels"], diag["coarse_size"]) == (1, 162)
 
     def test_torus_grid(self, capsys):
         code, out, _ = run(capsys, "--json", "eig", "--manifold",
@@ -239,6 +241,26 @@ class TestEig:
         assert (code, out) == (2, "")
         assert err == ("config error: --operator newton1 needs --surface: "
                        "an OFF mesh or a grid has no analytic P1\n")
+
+    @pytest.mark.parametrize("argv,line", [
+        (("--surface", "sphere", "--resolution", "8"),
+         "--resolution needs --manifold"),
+        (("--manifold", "torus2", "--subdiv", "2"),
+         "--subdiv needs --surface")])
+    def test_option_of_another_domain_refused(self, capsys, argv, line):
+        # each once solved the domain given and dropped the option unread
+        code, out, err = run(capsys, "eig", *argv)
+        assert (code, out, err) == (2, "", "config error: %s\n" % line)
+
+    def test_domain_option_defaults(self):
+        # None in the parser, so that a given option can be told apart
+        # from its default; the defaults are applied by the domain
+        args = cli.build_parser().parse_args(["eig"])
+        assert args.subdiv is None and args.resolution is None
+        args = cli.build_parser().parse_args(["eig", "--surface", "sphere"])
+        assert cli._eig_domain(args)[0].num_vertices == 10 * 4 ** 4 + 2
+        args = cli.build_parser().parse_args(["eig", "--manifold", "torus2"])
+        assert cli._eig_domain(args)[0].shape == (64, 64)
 
     @pytest.mark.parametrize("extra", [
         ("--manifold", "torus2"), ("--surface", "sphere")])
@@ -397,30 +419,36 @@ class TestCheckAndProptest:
 
 class TestReport:
     def test_compare_csv(self, capsys):
-        code, out, _ = run(capsys, "report", "compare",
-                           "--surface", "ellipsoid:1,1,1.1",
-                           "--refine", "3..4")
+        # the default surface is the suite's spheroid, whose bound is
+        # positive; it was (1, 1, 1.1), whose bound is -0.193
+        code, out, _ = run(capsys, "report", "compare", "--refine", "3..4")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "h,mu1,bound,margin,verdict"
         assert len(lines) == 3
         assert all(line.endswith("InequalityHolds") for line in lines[1:])
+        assert all(line.split(",")[2].startswith("0.5906")
+                   for line in lines[1:])
 
     @pytest.mark.parametrize("surface,refine,vacuous", [
         ("ellipsoid:1,1,1.1", "3..4", True), ("sphere:r=1", "1..2", False)])
     def test_compare_flags_vacuous_bound(self, capsys, surface, refine,
                                          vacuous):
+        # a bound <= 0 fails the comparison as it fails the suite; it
+        # used to print InequalityHolds and exit 0
+        failure = "ellipsoid-compare: bound -0.193128 <= 0 is vacuous"
         code, out, err = run(capsys, "--json", "report", "compare",
                              "--surface", surface, "--refine", refine)
-        assert code == 0 and json.loads(out)["vacuous"] is vacuous
+        assert code == vacuous and json.loads(out)["vacuous"] is vacuous
+        assert err.splitlines() == [failure] * vacuous
         code, out, err = run(capsys, "report", "compare",
                              "--surface", surface, "--refine", refine)
-        assert code == 0 and len(out.strip().splitlines()) == 3
+        assert code == vacuous and len(out.strip().splitlines()) == 3
         lines = err.splitlines()
-        assert lines[0].startswith("vacuous: the bound -0.193") is vacuous
         assert len(lines) == 1 + vacuous
-        assert lines[-1].startswith("extrapolated_mu1: ")
-        assert lines[-1].endswith("observed_order: none")
+        assert lines[0].startswith("extrapolated_mu1: ")
+        assert lines[0].endswith("observed_order: none")
+        assert lines[1:] == [failure] * vacuous
 
     def test_compare_json_reports_solver_work(self, capsys):
         code, out, _ = run(capsys, "--json", "report", "compare",

@@ -77,8 +77,11 @@ class TestSmallestNonzero:
 
     def test_mesh_solver_diagnostics(self, sphere_result):
         diag = sphere_result.diagnostics
-        assert diag["solver"] == "lobpcg-splu"
+        assert diag["solver"] == "lobpcg-vcycle"
         assert diag["fill"] > 0 and diag["solves"] > 0 and diag["shift"] > 0
+        assert diag["setup_s"] >= 0.0 and "factor_s" not in diag
+        # icosphere 4's 2562 nodes, then icosphere 3's, which is factored
+        assert (diag["levels"], diag["coarse_size"]) == (2, 642)
         assert diag["iterations"] == len(diag["residual_history"]) > 0
 
     def test_m_orthonormal_eigenvectors(self, sphere_op, sphere_result):
@@ -100,14 +103,30 @@ class TestSmallestNonzero:
         rng = np.random.default_rng(0)
         perm = rng.permutation(sphere_op.size)
         P = np.eye(sphere_op.size)[perm]
-        import scipy.sparse as sp
         Ps = sp.csr_matrix(P)
         op2 = dz.AssembledOperator(K=Ps @ sphere_op.K @ Ps.T,
                                    M=Ps @ sphere_op.M @ Ps.T,
-                                   points=sphere_op.points[perm],
                                    record={"phi": "permuted"})
         r2 = spec.smallest_nonzero(op2, k=1)
         assert r2.mu1 == pytest.approx(sphere_result.mu1, rel=1e-10)
+
+    @pytest.mark.parametrize("plant", ["dropped-entry", "csc"])
+    def test_planted_pattern_mismatch_rejected(self, sphere_op, plant):
+        # M with one off-diagonal entry dropped, which scipy's sum would
+        # have factored as the union of the patterns without a word, and
+        # K and M converted to CSC
+        K, M = sphere_op.K, sphere_op.M
+        if plant == "csc":
+            K, M = K.tocsc(), M.tocsc()
+        else:
+            M = M.tolil()
+            M[0, M.rows[0][-1]] = 0.0
+            M = M.tocsr()
+            assert M.nnz == K.nnz - 1
+        op = dz.AssembledOperator(K=K, M=M, record={"phi": "planted"})
+        with pytest.raises(ConfigError,
+                           match="^K and M must share one CSR pattern$"):
+            spec.smallest_nonzero(op)
 
     def test_flat_torus_grid(self):
         g = dz.PeriodicGrid(lengths=[2 * np.pi, 2 * np.pi], shape=(64, 64))
@@ -131,7 +150,6 @@ class TestSmallestNonzero:
         g = dz.PeriodicGrid(lengths=[1.0, 1.0], shape=(8, 8))
         op = dz.assemble(g, dz.metric_coefficient())
         trivial = dz.AssembledOperator(K=op.M.copy(), M=op.M.copy(),
-                                       points=op.points,
                                        record={"phi": "identity-pencil"})
         r = spec.smallest_nonzero(trivial, k=3)
         assert np.allclose(r.eigenvalues, 1.0, atol=1e-8)
@@ -491,7 +509,6 @@ class TestLobpcgTrust:
 
     def test_enclosure_of_hand_built_operator_is_none(self, sphere_op):
         op = dz.AssembledOperator(K=sphere_op.K, M=sphere_op.M,
-                                  points=sphere_op.points,
                                   record={"phi": "hand-built"})
         assert spec.smallest_nonzero(op).diagnostics["enclosure"] is None
 
@@ -523,95 +540,60 @@ class TestLobpcgTrust:
         assert exc.value.eigenvalues is None
 
 
-class TestFactorInput:
-    @pytest.mark.parametrize("sub,ax", [(1, 1.0), (2, 1.0), (3, 1.0),
-                                        (4, 1.0), (3, (1.0, 1.3, 0.8))])
-    def test_matches_scipy_chain(self, sub, ax):
-        # the SuperLU input, ordered on K's pattern, bit for bit against
-        # scipy's sum ordered on its own pattern, row and column indexing
-        # and CSC conversion
-        op = dz.assemble(dz.icosphere(sub, ax),
-                         dz.ellipsoid_newton1_coefficient(
-                             np.broadcast_to(ax, 3)))
-        K, M = op.K, op.M
-        eps = 1e-8 * abs(K).sum() / abs(M).sum()
-        got = spec._factor_input(K, M, eps,
-                                 spec._nested_dissection(K, op.points))
-        ref = oracles.scipy_factor_input(K, M, eps, op.points)
-        assert got.format == "csc"
-        for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name))
-
-    @pytest.mark.parametrize("plant", ["dropped-entry", "csc"])
-    def test_planted_pattern_mismatch_rejected(self, sphere_op, plant):
-        # M with one off-diagonal entry dropped, which scipy's sum would
-        # have factored as the union of the patterns without a word, and
-        # K and M converted to CSC
-        K, M = sphere_op.K, sphere_op.M
-        if plant == "csc":
-            K, M = K.tocsc(), M.tocsc()
-        else:
-            M = M.tolil()
-            M[0, M.rows[0][-1]] = 0.0
-            M = M.tocsr()
-            assert M.nnz == K.nnz - 1
-        op = dz.AssembledOperator(K=K, M=M, points=sphere_op.points,
-                                  record={"phi": "planted"})
-        with pytest.raises(ConfigError,
-                           match="^K and M must share one CSR pattern$"):
-            spec.smallest_nonzero(op)
+def vcycle(op):
+    """The V-cycle preconditioner of ``op`` and its stats, with the shift
+    ``smallest_nonzero`` takes."""
+    eps = 1e-8 * abs(op.K).sum() / abs(op.M).sum()
+    return spec._vcycle_preconditioner(op.K, op.M, eps, op.parents)
 
 
-class TestNestedDissection:
-    def test_order_is_permutation(self, sphere_op, torus18_op):
-        for op in (sphere_op, torus18_op):
-            perm = spec._nested_dissection(op.K.tocsr(), op.points)
-            assert np.array_equal(np.sort(perm), np.arange(op.size))
-
+class TestVcycle:
     @staticmethod
-    def reference_order(A, points):
-        """The same dissection with each separator read by a sparse row
-        slice of A's pattern times an indicator of the upper side."""
-        pattern = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr),
-                                shape=A.shape)
-        upper = np.zeros(A.shape[0])
-        order, stack = [], [(np.arange(A.shape[0]), True)]
-        while stack:
-            idx, split = stack.pop()
-            if split and idx.size > spec.ND_LEAF:
-                x = points[idx]
-                axis = int(np.argmax(np.ptp(x, axis=0)))
-                split = np.ptp(x[:, axis]) > 0.0
-            else:
-                split = False
-            if not split:
-                order.append(idx)
-                continue
-            v = x[:, axis]
-            median = np.partition(v, v.size // 2)[v.size // 2]
-            low = v < median if (v < median).any() else v <= median
-            lo, hi = idx[low], idx[~low]
-            upper[hi] = 1.0
-            cut = pattern[lo] @ upper > 0.0
-            upper[hi] = 0.0
-            stack += [(lo[cut], False), (hi, True), (lo[~cut], True)]
-        return np.concatenate(order)
+    def matrix(op):
+        """The V-cycle applied to the identity, and its asymmetry relative
+        to its largest entry."""
+        D = vcycle(op)[0](np.eye(op.size))
+        return D, np.max(np.abs(D - D.T)) / np.max(np.abs(D))
 
-    def test_order_matches_reference(self, sphere_op, torus18_op):
-        for op in (sphere_op, torus18_op):
-            A = op.K.tocsr()
-            assert np.array_equal(spec._nested_dissection(A, op.points),
-                                  self.reference_order(A, op.points))
+    @pytest.mark.parametrize("ax,provider", [
+        (1.0, dz.metric_coefficient()),
+        ((1.0, 1.3, 0.8), dz.ellipsoid_newton1_coefficient((1.0, 1.3, 0.8))),
+    ], ids=["laplacian", "newton1"])
+    def test_vcycle_is_spd(self, ax, provider):
+        # LOBPCG needs an SPD preconditioner: the two-level cycle of
+        # icosphere 4 read an asymmetry of 1.8e-15 and 1.9e-15
+        op = dz.assemble(dz.icosphere(4, ax), provider)
+        D, asymmetry = self.matrix(op)
+        assert asymmetry <= 1e-12
+        sl.cholesky(0.5 * (D + D.T))   # positive definite, or LinAlgError
 
-    def test_fill_below_default_order(self, torus18_op):
-        # grids are solved without a factorization, so the 18^3 torus's
-        # K + eps*M is ordered and factored here as the mesh path would
-        K, M = torus18_op.K, torus18_op.M
-        A = (K + 1e-8 * abs(K).sum() / abs(M).sum() * M).tocsr()
-        perm = spec._nested_dissection(A, torus18_op.points)
-        fill = spla.splu(A[perm][:, perm].tocsc(), permc_spec="NATURAL").nnz
-        lu = spla.splu(A.tocsc())
-        assert 0 < fill < lu.nnz
+    def test_planted_unequal_sweeps_not_symmetric(self, sphere_op,
+                                                  monkeypatch):
+        # one sweep fewer after the coarse correction than before it: the
+        # asymmetry read 1.2e-6
+        monkeypatch.setattr(spec, "JACOBI_SWEEPS", (2, 1))
+        assert self.matrix(sphere_op)[1] > 1e-12
+
+    def test_ladder_matches_one_level(self):
+        # the V-cycle on icosphere 5 against the factor of the whole
+        # operator, its parents stripped
+        op = dz.assemble(dz.icosphere(5), dz.metric_coefficient())
+        flat = dz.AssembledOperator(K=op.K, M=op.M, record=op.record)
+        ladder, one = (spec.smallest_nonzero(o, seed=0) for o in (op, flat))
+        assert ladder.mu1 == pytest.approx(one.mu1, rel=1e-10, abs=0.0)
+        assert ladder.diagnostics["levels"] == 3
+        assert one.diagnostics["levels"] == 1
+        assert one.diagnostics["coarse_size"] == op.size
+
+    def test_iterations_icosphere_6(self):
+        # four levels down to icosphere 3 took 10 iterations on these
+        # seeds, against 9 for a factor of the whole operator
+        op = dz.assemble(dz.icosphere(6), dz.metric_coefficient())
+        for seed in range(3):
+            r = spec.smallest_nonzero(op, seed=seed)
+            assert r.diagnostics["levels"] == 4
+            assert r.diagnostics["iterations"] <= 10
+            assert r.mu1 == pytest.approx(2.0001803275041, abs=1e-12)
 
 
 class TestEigenpairPairingDefect:
