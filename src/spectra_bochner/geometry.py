@@ -241,7 +241,8 @@ def _to_frame(T, E):
 def _lowered(dg):
     """low[..., d, a, b] = 0.5 (d_a g_db + d_b g_da - d_d g_ab) over the
     last three axes of dg (dg[..., c, a, b] = d_c g_ab)."""
-    return 0.5 * (np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg)
+    t = dg.swapaxes(-3, -2)   # t[d, a, b] = d_a g_db
+    return 0.5 * (t + t.swapaxes(-2, -1) - dg)
 
 
 def christoffel(g_inv, dg):
@@ -571,12 +572,12 @@ def perturbed_torus(n=2, eps=0.1, L=2.0 * np.pi):
 
 
 def _radial_scalar_jets(wd, x, order):
-    """Partial derivatives of orders 0..order (at most 3) of F(x) =
-    w(|x|^2) from derivatives wd of w in s, at the points x (..., n)."""
+    """Partials of orders 0..order (at most 3) of F(x) = w(|x|^2) at the
+    points x (..., n), w's s-derivatives as ``_inv_power_derivs`` pairs."""
     x = np.asarray(x, dtype=float)
     eye = np.eye(x.shape[-1])
-    s = np.einsum("...a,...a->...", x, x)
-    w = [f(s) for f in wd[:order + 1]]
+    q = 1.0 + np.einsum("...a,...a->...", x, x)
+    w = [c / q ** p for c, p in wd[:order + 1]]
     xx = x[..., :, None] * x[..., None, :]
     out = [w[0]]
     if order >= 1:
@@ -584,49 +585,21 @@ def _radial_scalar_jets(wd, x, order):
     if order >= 2:
         out.append(4.0 * w[2][..., None, None] * xx
                    + 2.0 * w[1][..., None, None] * eye)
-    if order >= 3:
+    if order >= 3:   # T[a, b, c] = delta_ab x_c; S[a, b, c] = T[a, c, b]
+        T = eye[:, :, None] * x[..., None, None, :]
+        S = T.swapaxes(-1, -2)
         out.append(8.0 * w[3][..., None, None, None]
                    * (xx[..., None] * x[..., None, None, :])
                    + 4.0 * w[2][..., None, None, None]
-                   * (eye[:, :, None] * x[..., None, None, :]
-                      + eye[:, None, :] * x[..., None, :, None]
-                      + x[..., :, None, None] * eye))
-    return out
-
-
-def _coord_radial_jets(a, wd, x, order):
-    """Partial derivatives of orders 0..order (at most 3) of F(x) =
-    x_a * w(|x|^2) at the points x (..., n)."""
-    x = np.asarray(x, dtype=float)
-    base = _radial_scalar_jets(wd, x, order)  # jets of w itself
-    ea = np.eye(x.shape[-1])[a]
-    xa = x[..., a]
-    w = base[0]
-    out = [xa * w]
-    if order >= 1:
-        dw = base[1]
-        out.append(ea * w[..., None] + xa[..., None] * dw)
-    if order >= 2:
-        d2w = base[2]
-        out.append(ea[:, None] * dw[..., None, :] + dw[..., :, None] * ea
-                   + xa[..., None, None] * d2w)
-    if order >= 3:
-        d3w = base[3]
-        out.append(ea[:, None, None] * d2w[..., None, :, :]
-                   + ea[:, None] * d2w[..., :, None, :]
-                   + d2w[..., None] * ea + xa[..., None, None, None] * d3w)
+                   * (T + S + S.swapaxes(-2, -3)))
     return out
 
 
 def _inv_power_derivs(coef, power):
-    """Derivatives in s of coef / (1 + s)^power, orders 0..3."""
-    out = []
-    c = coef
-    pw = power
-    for k in range(4):
-        ck = c
-        out.append(lambda s, ck=ck, pk=pw + k: ck / (1.0 + s) ** pk)
-        c = c * (-(pw + k))
+    """[(c_k, p_k)], k = 0..3: d^k/ds^k coef/(1+s)^power = c_k/(1+s)^p_k."""
+    out = [(coef, power)]
+    for k in range(3):
+        out.append((out[-1][0] * -(power + k), power + k + 1))
     return out
 
 
@@ -646,24 +619,47 @@ def round_sphere(n=4, K=1.0):
                          constant_curvature=float(K), name="sphere%d" % n)
 
 
+def stereographic_jets(U, order):
+    """Partials of orders 0..order (at most 3) of the stereographic chart
+    x(u) = (2u, |u|^2 - 1) / (1 + |u|^2) of the unit n-sphere in R^{n+1}
+    (from the north pole: u = 0 is the south pole, |u| = 1 the equator) at
+    the points U (..., n), derivative axes first and the ambient axis last:
+    (..., n, n, n+1) at order 2.  As x = e + w(|u|^2) v, w(s) = 2/(1+s),
+    v = (u, -1) and e the last axis, each partial is a Leibniz sum of w's
+    jets and d_c v = E_c, row c of E = [I | 0]."""
+    U = np.asarray(U, dtype=float)
+    n = U.shape[-1]
+    E = np.eye(n, n + 1)
+    v = np.concatenate([U, np.full(U.shape[:-1] + (1,), -1.0)], axis=-1)
+    w = _radial_scalar_jets(_inv_power_derivs(2.0, 1.0), U, order)
+    out = [w[0][..., None] * v]
+    out[0][..., n] += 1.0
+    if order >= 1:
+        out.append(E * w[0][..., None, None]
+                   + w[1][..., :, None] * v[..., None, :])
+    if order >= 2:   # T[c, d] = E_c d_d w
+        T = E[:, None, :] * w[1][..., None, :, None]
+        out.append(T + T.swapaxes(-2, -3)
+                   + w[2][..., None] * v[..., None, None, :])
+    if order >= 3:   # T[c, d, e] = E_c d_de w; S[c, d, e] = T[d, c, e]
+        T = E[:, None, None, :] * w[2][..., None, :, :, None]
+        S = T.swapaxes(-3, -4)
+        out.append(T + S + S.swapaxes(-2, -3)
+                   + w[3][..., None] * v[..., None, None, None, :])
+    return out
+
+
 def sphere_coordinate_field(m, axis):
-    """Restriction of the ambient coordinate X_axis to the sphere chart.
+    """Restriction of the ambient coordinate X_axis, axis in 0..m.dim, to
+    the sphere chart: component ``axis`` of ``stereographic_jets``.
 
     These are the first nonconstant eigenfunctions: Delta X = -n K X.
     """
-    n = m.dim
-    if axis < n:
-        ud = _inv_power_derivs(2.0, 1.0)
-        return Field(lambda p, order: _coord_radial_jets(axis, ud, p, order))
-    # X_{n+1} = (s - 1)/(s + 1) = 1 - 2/(1+s)
-    ud = _inv_power_derivs(-2.0, 1.0)
-
-    def jets(p, order):
-        out = _radial_scalar_jets(ud, p, order)
-        out[0] = 1.0 + out[0]
-        return out
-
-    return Field(jets)
+    if not 0 <= axis <= m.dim:
+        raise ConfigError("sphere coordinate axis must be in 0..%d, got %r"
+                          % (m.dim, axis))
+    return Field(lambda p, order: [d[..., axis]
+                                   for d in stereographic_jets(p, order)])
 
 
 def trig_field(wavevec, phase=0.0):

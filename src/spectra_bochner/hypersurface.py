@@ -2,22 +2,22 @@
 
 Fundamental forms, shape operator A, mean curvature H (trace convention,
 H = sum of principal curvatures), Newton transformation P1 = H I - A and
-the pinching constants (alpha, a, sigma) of ellipsoids, sigma sampled from
-a closed-form Hessian of H and alpha, a in closed form.
+the pinching constants (alpha, a, sigma) of ellipsoids in any dimension,
+sigma sampled from a closed-form Hessian of H and alpha, a in closed form.
 
-Flat ambient (kappa = 0) immersions map a chart into R^{n+1}; positively
-curved ambients (kappa > 0) are realized inside the round sphere of radius
-1/sqrt(kappa) in R^{n+2}, with the second fundamental form read off from
-ambient second derivatives (the normal is tangent to the sphere, so the cone
-direction drops out automatically).  kappa < 0 is supported analytically for
-umbilic data only and has no chart realization here.
+Each chart is the stereographic chart of S^n under an ambient affine map,
+with closed-form jets to third order, so the induced metric and P1 have
+closed-form partials (to orders 2 and 1).  Flat ambient (kappa = 0)
+immersions map into R^{n+1}; kappa > 0 ambients are realized inside the
+round sphere of radius 1/sqrt(kappa) in R^{n+2}, where the normal is
+tangent to the sphere, so the cone direction drops out of h.  kappa < 0 is
+supported analytically for umbilic data only, with no chart realization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -33,23 +33,18 @@ class ImmersionChart:
     """Stereographic chart of S^n composed with an ambient affine map.
 
     u -> ambient @ x(u) + offset, where x(u) in R^{n+1} is the unit sphere
-    projected from its north pole and ``ambient`` is a constant (m, n+1)
-    matrix.
+    projected from its north pole (``geometry.stereographic_jets``) and
+    ``ambient`` is a constant (m, n+1) matrix.
     """
 
     ambient: np.ndarray
-    offset: Optional[np.ndarray] = None
+    offset: float | np.ndarray = 0.0
 
-    def jets(self, U):
-        """Closed-form jets at U (..., n): X (..., m), the first derivatives
-        J (..., n, m) and the second derivatives H2 (..., n, n, m), partial
-        directions first."""
-        X, J, H2 = _unit_sphere_chart_jets(U)
-        B = self.ambient.T
-        X = X @ B
-        if self.offset is not None:
-            X = X + self.offset
-        return X, J @ B, H2 @ B
+    def jets(self, U, order):
+        """Closed-form partials X, J, H2, H3 of orders 0..order (at most 3)
+        at U (..., n): derivative axes first, e.g. H2 (..., n, n, m)."""
+        X, *d = [j @ self.ambient.T for j in geom.stereographic_jets(U, order)]
+        return [X + self.offset, *d]
 
 
 @dataclass(frozen=True)
@@ -65,7 +60,7 @@ class ImmersedHypersurface:
         """Semiaxes of an axis-aligned ellipsoid in R^3, a sphere included:
         the surfaces that discretize can mesh.  None for any other."""
         B = self.chart.ambient
-        if self.chart.offset is None and B.shape == (3, 3) \
+        if not np.any(self.chart.offset) and B.shape == (3, 3) \
                 and not np.any(B - np.diag(np.diag(B))):
             return tuple(np.diag(B).tolist())
         return None
@@ -98,7 +93,7 @@ def generalized_cross(vectors):
 
 @dataclass(frozen=True)
 class ShapeData:
-    """Shape data at a chart point; a stack of points adds a leading axis."""
+    """Shape data at a chart point; a stack of points adds leading axes."""
 
     A: np.ndarray          # symmetric shape operator in the orthonormal frame
     H: np.ndarray          # tr A (unnormalized mean curvature)
@@ -107,58 +102,66 @@ class ShapeData:
     g: np.ndarray          # induced coordinate metric
     frame: np.ndarray      # orthonormal frame (columns, coordinates)
     h: np.ndarray          # second fundamental form, coordinate components
+    nu: np.ndarray         # unit normal, turned to H > 0 (ambient)
     point: np.ndarray      # ambient position
 
 
 def shape_at(hs, u):
-    """Shape operator data at a chart point u (n,) or a stack u (P, n)."""
+    """Shape operator data at a chart point u (n,) or a stack u (..., n)."""
+    return _shape(hs, u, 2)[0]
+
+
+def _shape(hs, u, order):
+    """(ShapeData, the chart's jets of orders 0..order >= 2) at u."""
     u = np.asarray(u, dtype=float)
-    U = u.reshape(-1, hs.n)
-    X, J, H2 = hs.chart.jets(U)
+    X, J, H2, *_ = jets = hs.chart.jets(u, order)
     g = J @ np.swapaxes(J, -1, -2)
     w = np.linalg.eigvalsh(g)
-    bad = w[:, 0] <= 1e-12 * np.maximum(1.0, w[:, -1])
+    bad = np.ravel(w[..., 0] <= 1e-12 * np.maximum(1.0, w[..., -1]))
     if bad.any():
         raise DegenerateImmersion("induced metric singular at %r"
-                                  % (U[np.argmax(bad)],))
+                                  % (u.reshape(-1, hs.n)[np.argmax(bad)],))
+    span = J
     if hs.kappa > 0.0:
-        X1 = X / np.linalg.norm(X, axis=-1)[:, None]
-        span = np.concatenate([J, X1[:, None, :]], axis=1)
-    else:
-        span = J
+        X1 = X / np.linalg.norm(X, axis=-1, keepdims=True)
+        span = np.concatenate([J, X1[..., None, :]], axis=-2)
     nu = generalized_cross(span)
-    nn = np.linalg.norm(nu, axis=-1)
+    nn = np.linalg.norm(nu, axis=-1, keepdims=True)
     if (nn == 0.0).any():
-        raise DegenerateImmersion("immersion not regular at %r"
-                                  % (U[np.argmax(nn == 0.0)],))
-    nu = hs.orient * nu / nn[:, None]
-    h = np.einsum("pabm,pm->pab", H2, nu)
+        raise DegenerateImmersion("immersion not regular at %r" % (
+            u.reshape(-1, hs.n)[np.argmax(np.ravel(nn == 0.0))],))
+    nu = hs.orient * nu / nn
+    h = np.einsum("...abm,...m->...ab", H2, nu)
     E = geom.orthonormal_frame(g)
     A = np.swapaxes(E, -1, -2) @ h @ E
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
     H = np.trace(A, axis1=-2, axis2=-1)
-    fields = dict(A=A, H=H, P1=H[:, None, None] * np.eye(hs.n) - A,
-                  S2=0.5 * (H ** 2 - np.sum(A * A, axis=(-2, -1))),
-                  g=g, frame=E, h=h, point=X)
-    lead = u.shape[:-1]
-    return ShapeData(**{k: v.reshape(lead + v.shape[1:])
-                        for k, v in fields.items()})
+    return ShapeData(A=A, H=H, P1=H[..., None, None] * np.eye(hs.n) - A,
+                     S2=0.5 * (H ** 2 - np.sum(A * A, axis=(-2, -1))),
+                     g=g, frame=E, h=h, nu=nu, point=X), jets
 
 
 # ---------------------------------------------------------------------------
 # induced-metric chart views
 
 def induced_metric_manifold(hs):
-    """ChartManifold carrying the pullback metric g(u) = J J^T of the
-    chart."""
+    """ChartManifold carrying the pullback metric g = J J^T of the chart,
+    with its partials in closed form from the chart's jets:
+    d_c g_ab = H2_ca . J_b + J_a . H2_cb and d_dc g_ab = T_dcab + T_dcba,
+    T_dcab = H3_dca . J_b + H2_ca . H2_db."""
     chart = hs.chart
 
-    def jets(u, order):  # d_c g_ab = H2_ca . J_b + J_a . H2_cb
-        _, J, H2 = chart.jets(u)
-        out = [J @ np.swapaxes(J, -1, -2)]
-        if order >= 1:
-            HJ = H2 @ np.swapaxes(J, -1, -2)[..., None, :, :]
+    def jets(u, order):
+        _, J, *H = chart.jets(u, min(order, 2) + 1)
+        Jt = np.swapaxes(J, -1, -2)
+        out = [J @ Jt]
+        if order >= 1:   # HJ[c, a, b] = H2_ca . J_b
+            HJ = H[0] @ Jt[..., None, :, :]
             out.append(HJ + np.swapaxes(HJ, -1, -2))
+        if order >= 2:
+            T = (H[1] @ Jt[..., None, None, :, :] + H[0][..., None, :, :, :]
+                 @ np.swapaxes(H[0], -1, -2)[..., :, None, :, :])
+            out.append(T + np.swapaxes(T, -1, -2))
         return out
 
     g = geom.Field(jets, rank=2, name="induced")
@@ -169,11 +172,27 @@ def induced_metric_manifold(hs):
 
 
 def newton1_field(hs):
-    """P1 as a coordinate (0,2) tensor field on the chart: H g_ab - h_ab."""
+    """P1 = H g - h as a coordinate (0,2) tensor field on the chart, with
+    d_c P1 = d_c H g + H d_c g - d_c h in closed form.  The Weingarten
+    equation d_c nu = -h_cd g^de J_e (for kappa > 0 too: nu is tangent to
+    the ambient sphere) gives d_c h_ab = H3_cab . nu - h_cd g^de H2_ab . J_e,
+    and d_c H = g^ab d_c h_ab - (g^-1 h g^-1)^ab d_c g_ab."""
 
     def jets(u, order):
-        sd = shape_at(hs, u)
-        return [sd.H[..., None, None] * sd.g - sd.h]
+        sd, (_, J, H2, *H3) = _shape(hs, u, 3 if order else 2)
+        out = [sd.H[..., None, None] * sd.g - sd.h]
+        if order >= 1:
+            g_inv = np.linalg.inv(sd.g)
+            S = sd.h @ g_inv                   # S[c, e] = h_cd g^de
+            HJ = H2 @ np.swapaxes(J, -1, -2)[..., None, :, :]
+            dg = HJ + np.swapaxes(HJ, -1, -2)
+            dh = (np.einsum("...cabm,...m->...cab", H3[0], sd.nu)
+                  - np.einsum("...ce,...abe->...cab", S, HJ))
+            dH = (np.einsum("...ab,...cab->...c", g_inv, dh)
+                  - np.einsum("...ab,...cab->...c", g_inv @ S, dg))
+            out.append(dH[..., :, None, None] * sd.g[..., None, :, :]
+                       + sd.H[..., None, None, None] * dg - dh)
+        return out
 
     return geom.Field(jets, rank=2, name="newton1")
 
@@ -201,7 +220,7 @@ def pinching_constants(semiaxes, seed):
     attained at vertices, so alpha = s_min/s_max^2 and a = (s_max/s_min)^3.
     H is constant only on a sphere, where sigma = 0.  Otherwise sigma is
     the max of tr(Hess H | v-perp) = Delta H - min eigenvalue of Hess H
-    over the six vertices and SIGMA_POINTS normal draws seeded by
+    over the 2(n+1) vertices and SIGMA_POINTS normal draws seeded by
     ``seed``, put on the unit sphere and scaled by the semiaxes: a
     sampled value, which can fall below the true maximum.
     """
@@ -210,7 +229,7 @@ def pinching_constants(semiaxes, seed):
     constant_H = lo == hi
     sigma = 0.0
     if not constant_H:
-        v = np.random.default_rng(seed).normal(size=(SIGMA_POINTS, 3))
+        v = np.random.default_rng(seed).normal(size=(SIGMA_POINTS, len(d)))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         points = np.concatenate([np.diag(d), -np.diag(d), v * d])
         w = np.linalg.eigvalsh(ellipsoid_mean_curvature_hessian(points, d))
@@ -221,34 +240,6 @@ def pinching_constants(semiaxes, seed):
 
 # ---------------------------------------------------------------------------
 # builders
-
-def _unit_sphere_chart_jets(U):
-    """Jets of the stereographic parametrization of S^n in R^{n+1} from the
-    north pole at the points U (..., n): X (..., n+1), J (..., n, n+1),
-    H2 (..., n, n, n+1).
-
-    u = 0 maps to the south pole and |u| = 1 to the equator.  The first n
-    coordinates are u w(|u|^2) and the last is 1 - w(|u|^2), with
-    w(s) = 2/(1+s).
-    """
-    U = np.asarray(U, dtype=float)
-    eye = np.eye(U.shape[-1])
-    q = 1.0 + np.sum(U * U, axis=-1)[..., None, None]
-    w = [2.0 / q, -2.0 / q ** 2, 4.0 / q ** 3]   # d^k w / ds^k
-    uu = U[..., :, None] * U[..., None, :]
-    # derivatives of F(u) = w(|u|^2): dF (..., n, 1), d2F (..., n, n)
-    dF = 2.0 * w[1] * U[..., :, None]
-    d2F = 4.0 * w[2] * uu + 2.0 * w[1] * eye
-    X = np.concatenate([U * w[0][..., 0], 1.0 - w[0][..., 0]], axis=-1)
-    # d_c (u_a w) = delta_ca w + u_a d_c w;  the last coordinate: -d_c w
-    J = np.concatenate([eye * w[0] + dF * U[..., None, :], -dF], axis=-1)
-    # d_c d_d (u_a w) = delta_ca d_d w + delta_da d_c w + u_a d_cd w
-    dFe = dF[..., None, :, :] * eye[:, None, :]
-    H2 = np.concatenate([dFe + np.swapaxes(dFe, -3, -2)
-                         + d2F[..., None] * U[..., None, None, :],
-                         -d2F[..., None]], axis=-1)
-    return X, J, H2
-
 
 def _positive(*values):
     """The semiaxes or radius as a float array; ConfigError unless all > 0."""
@@ -312,27 +303,28 @@ def parse_surface(spec):
 
 
 def ellipsoid_shape_operator(point, semiaxes):
-    """Closed-form shape operator of an ellipsoid at an ambient point.
+    """Closed-form shape operator of an ellipsoid in R^{n+1} at an ambient
+    point.
 
-    Returns (A3, nu, B): the symmetric 3x3 operator acting on the tangent
-    plane (zero on the normal), the outward-pointing unit normal flipped to
-    the H > 0 convention, and a 3x2 orthonormal tangent basis.  ``point``
-    may be a (..., 3) stack; the outputs then carry the same leading axes.
+    Returns (A3, nu, B): the symmetric (n+1)x(n+1) operator acting on the
+    tangent space (zero on the normal), the outward-pointing unit normal
+    flipped to the H > 0 convention, and an (n+1)xn orthonormal tangent
+    basis, the first n columns of the Householder reflection that maps nu
+    to the last axis (up to sign).  ``point`` may be a (..., n+1) stack;
+    the outputs then carry the same leading axes.
     """
     p = np.asarray(point, dtype=float)
     d = np.asarray(semiaxes, dtype=float)
+    eye = np.eye(len(d))
     grad = p / d ** 2
     nrm = np.linalg.norm(grad, axis=-1)[..., None]
     nu = grad / nrm
-    P = np.eye(3) - nu[..., :, None] * nu[..., None, :]
+    P = eye - nu[..., :, None] * nu[..., None, :]
     A3 = P @ np.diag(1.0 / d ** 2) @ P / nrm[..., None]
-    # orthonormal tangent basis, deterministic
-    k = np.argmin(np.abs(nu), axis=-1)[..., None]
-    t1 = (np.arange(3) == k).astype(float)
-    t1 = t1 - np.sum(t1 * nu, axis=-1, keepdims=True) * nu
-    t1 /= np.linalg.norm(t1, axis=-1, keepdims=True)
-    t2 = np.cross(nu, t1)
-    B = np.stack([t1, t2], axis=-1)
+    # I - v v'/(1 + |nu_last|), v = nu + sign(nu_last) e_last: nu -> -+e_last
+    v = nu + np.where(nu[..., -1:] < 0.0, -1.0, 1.0) * eye[-1]
+    B = eye[:, :-1] - (v[..., :, None] * v[..., None, :-1]
+                       / (1.0 + np.abs(nu[..., -1]))[..., None, None])
     return A3, nu, B
 
 
@@ -342,8 +334,8 @@ def ellipsoid_mean_curvature_hessian(point, semiaxes):
     With e = 1/d^2, s = sum e_i^2 x_i^2 and q = sum e_i^3 x_i^2, the
     function H~ = sum(e) s^(-1/2) - q s^(-3/2) equals H on the surface, and
     Hess H = B^T (D^2 H~ - <grad H~, nu> A3) B in the tangent basis B of
-    ``ellipsoid_shape_operator``.  ``point`` is (..., 3); the result is
-    (..., 2, 2).
+    ``ellipsoid_shape_operator``.  ``point`` is (..., n+1); the result is
+    (..., n, n).
     """
     x = np.asarray(point, dtype=float)
     e = 1.0 / np.asarray(semiaxes, dtype=float) ** 2

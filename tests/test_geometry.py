@@ -184,8 +184,47 @@ class TestJets:
         wd = geom._inv_power_derivs(3.0, 2.0)
         x = np.array([0.4, -0.6, 0.1])
         val, g1, h1, t1 = geom._radial_scalar_jets(wd, x, 3)
-        fn = lambda q: wd[0](np.sum(q * q, axis=-1))
+        (c, p), *_ = wd
+        fn = lambda q: c / (1.0 + np.sum(q * q, axis=-1)) ** p
         assert np.allclose(g1, geom.fd_derivative(fn, x, 1e-6), atol=1e-8)
+
+
+class TestStereographicJets:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_partials_match_fd(self, n):
+        # each order against a central difference of the order below
+        U = 0.6 * np.random.default_rng(n).uniform(-1, 1, size=(5, n))
+        jets = geom.stereographic_jets(U, 3)
+        for k in (1, 2, 3):
+            assert jets[k].shape == (5,) + (n,) * k + (n + 1,)
+            fd = geom.fd_derivative(
+                lambda q: geom.stereographic_jets(q, k - 1)[k - 1], U, 1e-5)
+            assert np.max(np.abs(jets[k] - fd)) <= 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_on_the_unit_sphere(self, n):
+        # |x| = 1, so every tangent vector J_c is orthogonal to x; the
+        # chart maps u = 0 to the south pole and |u| = 1 to the equator
+        U = 2.0 * np.random.default_rng(n).normal(size=(20, n))
+        x, J = geom.stereographic_jets(U, 1)
+        assert np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0)) <= 1e-15
+        assert np.max(np.abs(J @ x[:, :, None])) <= 1e-15
+        assert np.array_equal(geom.stereographic_jets(np.zeros(n), 0)[0],
+                              [0.0] * n + [-1.0])
+        edge = U / np.linalg.norm(U, axis=-1, keepdims=True)
+        assert np.max(np.abs(geom.stereographic_jets(edge, 0)[0][:, n])) \
+            <= 1e-15
+
+    def test_coordinate_field_axis_range(self):
+        m = geom.round_sphere(3, 1.0)
+        p = np.array([0.2, -0.3, 0.5])
+        for axis in range(4):
+            f = geom.sphere_coordinate_field(m, axis)
+            for k, d in enumerate(geom.stereographic_jets(p, 3)):
+                assert same_bits(f.jets(p, 3)[k], d[..., axis])
+        for axis in (-1, 4):
+            with pytest.raises(ConfigError, match="0..3"):
+                geom.sphere_coordinate_field(m, axis)
 
 
 class TestDivergenceIdentities:
@@ -341,6 +380,7 @@ def _builtin_fields():
     of its chart."""
     t3, s4 = geom.perturbed_torus(3), geom.round_sphere(4, 1.0)
     hs = hyp.ellipsoid_surface(1.2, 1.0, 0.9)
+    gs = hyp.geodesic_sphere_surface(kappa=1.0, alpha=2.0)
     spd = geom.random_spd_trig_tensor(3, seed=4)
     fields = {
         "flat": (geom.flat_torus(3).chart().metric, 3),
@@ -352,6 +392,7 @@ def _builtin_fields():
         "random-spd": (spd, 3),
         "induced": (hyp.induced_metric_manifold(hs).chart().metric, 2),
         "newton1": (hyp.newton1_field(hs), 2),
+        "newton1-geodesic-sphere": (hyp.newton1_field(gs), 2),
         "scaled": (geom.scale_tensor_field(spd, -0.7), 3),
     }
     for m in (t3, s4):

@@ -222,6 +222,9 @@ class TestSuites:
     def test_divergence_suite(self):
         rep = hz.divergence_suite(samples=6)
         assert rep["max_defect"] <= 1e-8
+        # closed-form P1 partials: round-off, where finite differences
+        # read 1.4e-10 and 6.8e-10 at 20 points
+        assert max(rep["div_p1"].values()) <= 1e-13
 
     def test_divergence_suite_uses_every_sample(self, monkeypatch):
         seen = []

@@ -1,11 +1,11 @@
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spectra_bochner import geometry as geom, hypersurface as hyp
+from spectra_bochner import bounds as bd, geometry as geom, hypersurface as hyp
 from spectra_bochner.errors import ConfigError, DegenerateImmersion
 
 from oracles import q_polynomial
@@ -130,7 +130,8 @@ class TestGaussEquation:
         cb_gauss = gauss_intrinsic(hs, u)
         cb_chart = geom.curvature_at(man,
                                      geom.point_geometry(man.chart(), u))
-        assert cb_gauss.scalar == pytest.approx(cb_chart.scalar, abs=1e-4)
+        assert cb_gauss.scalar == pytest.approx(cb_chart.scalar,
+                                                abs=1e-14)
 
 
 class TestQPolynomial:
@@ -229,6 +230,53 @@ class TestPinchingConstants:
         assert np.max(np.abs(fd - closed)) <= 1e-5 * scale
         assert np.max(fd) == pytest.approx(scale, rel=1e-5, abs=0.0)
 
+    def test_prolate_spheroid_in_three_dimensions(self):
+        # the n = 3, c = 1.05 row of ROADMAP 1(c): sigma 0.3981, bound
+        # 3.1995; alpha = 1/c^2 and a = c^3 in every dimension
+        pc = hyp.pinching_constants((1.0, 1.0, 1.0, 1.05), 42)
+        assert pc.alpha == pytest.approx(1.0 / 1.05 ** 2, rel=1e-15)
+        assert pc.a == pytest.approx(1.05 ** 3, rel=1e-15)
+        assert pc.sigma == pytest.approx(0.3981, abs=5e-5)
+        bound = bd.newton_bound(3, 0.0, pc.alpha, pc.a, pc.sigma)
+        assert bound == pytest.approx(3.1995, abs=5e-5)
+
+    def test_hessian_in_three_dimensions_matches_chart(self):
+        # the n-generic tangent basis and Hessian against the chart's
+        # finite-difference Hessian of H on a triaxial 3-ellipsoid
+        ax = (1.0, 1.1, 0.9, 1.2)
+        hs = hyp.ImmersedHypersurface(
+            n=3, kappa=0.0, chart=hyp.ImmersionChart(ambient=np.diag(ax)),
+            orient=1.0)
+        U = hs.sample_points(10, np.random.default_rng(42))
+        hs = replace(hs, orient=float(np.sign(hyp.shape_at(hs, U[0]).H)))
+        sd = hyp.shape_at(hs, U)
+        A3, _, B = hyp.ellipsoid_shape_operator(sd.point, ax)
+        lam = np.linalg.eigvalsh(np.swapaxes(B, -1, -2) @ A3 @ B)
+        assert np.allclose(np.linalg.eigvalsh(sd.A), lam, atol=1e-12)
+        fd = tr_minus_min(chart_hessian_of_H(hs, U))
+        closed = tr_minus_min(hyp.ellipsoid_mean_curvature_hessian(
+            sd.point, ax))
+        assert np.max(np.abs(fd - closed)) <= 1e-5 * np.max(np.abs(closed))
+
+    @pytest.mark.parametrize("ax", [(1.0, 1.3, 0.8), (1.0, 1.1, 0.9, 1.2),
+                                    (1.0, 1.1, 0.9, 1.2, 0.8)])
+    def test_tangent_basis_any_dimension(self, ax):
+        # orthonormal and normal to nu, at the vertices (nu_last = 0 or
+        # +-1) and at random points of both hemispheres
+        d = np.asarray(ax)
+        v = np.random.default_rng(0).normal(size=(50, len(d)))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        pts = np.concatenate([np.diag(d), -np.diag(d), v * d])
+        A3, nu, B = hyp.ellipsoid_shape_operator(pts, d)
+        Bt = np.swapaxes(B, -1, -2)
+        assert B.shape == (len(pts), len(d), len(d) - 1)
+        assert np.max(np.abs(Bt @ B - np.eye(len(d) - 1))) <= 1e-15
+        assert np.max(np.abs(Bt @ nu[..., None])) <= 1e-15
+        # B' A3 B carries every principal curvature: A3 is zero on nu
+        lam = np.linalg.eigvalsh(Bt @ A3 @ B)
+        assert np.allclose(np.sort(np.linalg.eigvalsh(A3))[:, 1:], lam,
+                           atol=1e-14)
+
     @pytest.mark.parametrize("ax", [(1.0, 1.0, 0.0), (1.0, 1.0, -1.1),
                                     (-1.0, -1.0, -1.0)])
     def test_nonpositive_semiaxes_rejected(self, ax):
@@ -249,21 +297,80 @@ class TestSamplePoints:
         assert np.all(r < 1.0)
 
 
+SURFACES = ("sphere:r=1", "geodesic-sphere:kappa=1,alpha=2",
+            "ellipsoid:1.2,1,0.9")
+
+
+def max_div(hs, phi, U):
+    """max |div phi| over the chart points U of the induced metric."""
+    geo = geom.point_geometry(hyp.induced_metric_manifold(hs).chart(), U)
+    return float(np.max(np.abs(geom.tensor_divergence(geo, phi))))
+
+
 class TestFieldsOnCharts:
     def test_div_p1_vanishes_on_space_form_umbilics(self):
         for name in ("sphere:r=1", "geodesic-sphere:kappa=1,alpha=2"):
             hs = hyp.parse_surface(name)
-            man = hyp.induced_metric_manifold(hs)
+            assert max_div(hs, hyp.newton1_field(hs),
+                           np.array([0.3, -0.4])) < 1e-14
+
+    @pytest.mark.parametrize("spec", SURFACES)
+    def test_div_p1_at_round_off(self, spec):
+        # div P1 = 0 on every hypersurface of a space form; read 7.3e-16 /
+        # 3.1e-15 / 1.4e-15 at these 20 points
+        hs = hyp.parse_surface(spec)
+        U = hs.sample_points(20, np.random.default_rng(7))
+        assert max_div(hs, hyp.newton1_field(hs), U) <= 1e-13
+
+    @pytest.mark.parametrize("spec", SURFACES)
+    def test_planted_dp1_error_shows(self, spec):
+        # dP1 off by 1e-6 relative reads 2.0e-6 / 8.8e-6 / 3.2e-6
+        hs = hyp.parse_surface(spec)
+        P1 = hyp.newton1_field(hs)
+
+        def planted(u, order):
+            out = P1.jets(u, order)
+            return out[:1] + [(1.0 + 1e-6) * d for d in out[1:]]
+
+        U = hs.sample_points(20, np.random.default_rng(7))
+        assert max_div(hs, geom.Field(planted, rank=2), U) > 1e-7
+
+    @pytest.mark.parametrize("spec", SURFACES)
+    def test_closed_forms_match_fd(self, spec):
+        # d g, d2 g and d P1 against a central difference of the order
+        # below; the finite-difference d2 g of the induced metric (step
+        # 1e-4) was off by 2.6e-8 to 4.2e-8 of max |d2 g| here
+        hs = hyp.parse_surface(spec)
+        U = hs.sample_points(10, np.random.default_rng(3))
+        g = hyp.induced_metric_manifold(hs).chart().metric
+        for f, k in ((g, 1), (g, 2), (hyp.newton1_field(hs), 1)):
+            got = f.partials(U, k)[k]
+            fd = geom.fd_derivative(lambda q: f.jets(q, k - 1)[k - 1], U,
+                                    1e-5)
+            assert np.max(np.abs(got - fd)) <= 1e-8 * np.max(np.abs(got))
+
+    def test_no_finite_differences(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("finite-difference fill reached")
+
+        monkeypatch.setattr(geom, "fd_derivative", refuse)
+        for spec in SURFACES:
+            hs = hyp.parse_surface(spec)
+            U = hs.sample_points(4, np.random.default_rng(1))
+            g = hyp.induced_metric_manifold(hs).chart().metric
             P1 = hyp.newton1_field(hs)
-            geo = geom.point_geometry(man.chart(), np.array([0.3, -0.4]))
-            d = geom.tensor_divergence(geo, P1)
-            assert np.max(np.abs(d)) < 1e-8
+            assert len(g.partials(U, 2)) == 3
+            assert len(P1.partials(U, 1)) == 2
+            # a value-only field does reach the patched fill
+            with pytest.raises(AssertionError, match="fill reached"):
+                geom.Field(lambda q, order: [P1.comp(q)],
+                           rank=2).partials(U, 1)
 
     def test_induced_metric_manifold_is_sampled(self):
         # the induced chart is sampled in its box; the unit sphere has ric = g
         man = hyp.induced_metric_manifold(hyp.sphere_surface(1.0))
         ric = geom.min_ricci(man, points=4)
-        assert ric == pytest.approx(1.0, abs=1e-4)
+        assert ric == pytest.approx(1.0, abs=1e-14)
 
     def test_newton1_field_is_metric_on_unit_sphere(self):
         hs = hyp.sphere_surface(1.0)

@@ -154,6 +154,21 @@ class TestSmallestNonzero:
         r = spec.smallest_nonzero(trivial, k=3)
         assert np.allclose(r.eigenvalues, 1.0, atol=1e-8)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan])
+    def test_mass_not_positive_refused(self, monkeypatch, scale):
+        # M zero, negated or nan on K's pattern: refused before any LOBPCG
+        # work, where a zero M ended in a bare ValueError from _svqb
+        op = dz.assemble(dz.icosphere(2), dz.metric_coefficient())
+        bad = dz.AssembledOperator(K=op.K, M=scale * op.M, record=op.record)
+
+        def unreached(*args):
+            raise AssertionError("LOBPCG work started")
+
+        monkeypatch.setattr(spec, "_vcycle_preconditioner", unreached)
+        monkeypatch.setattr(spec, "_lobpcg", unreached)
+        with pytest.raises(ConfigError, match="total mass 1'M1 = "):
+            spec.smallest_nonzero(bad)
+
     def test_refinement_from_above(self):
         mus = []
         for sub in (2, 3, 4):
@@ -584,6 +599,21 @@ class TestVcycle:
         assert ladder.diagnostics["levels"] == 3
         assert one.diagnostics["levels"] == 1
         assert one.diagnostics["coarse_size"] == op.size
+
+    def test_parentless_factor_in_rcm_order(self):
+        # icosphere 4 in its own vertex order (coarse vertices first) with
+        # no ladder: MMD alone filled 654k there, after RCM 161k; the
+        # permuted factor still inverts K + eps*M
+        op = dz.assemble(dz.icosphere(4), dz.metric_coefficient())
+        flat = dz.AssembledOperator(K=op.K, M=op.M, record=op.record)
+        precondition, stats = vcycle(flat)
+        assert (stats["levels"], stats["coarse_size"]) == (1, op.size)
+        assert stats["fill"] <= 250_000
+        eps = stats["shift"]
+        X = np.random.default_rng(0).standard_normal((2, op.size))
+        AX = (op.K @ X.T + eps * (op.M @ X.T)).T
+        assert np.max(np.abs(precondition(AX) - X)) <= 1e-6 * np.max(
+            np.abs(X))
 
     def test_iterations_icosphere_6(self):
         # four levels down to icosphere 3 took 10 iterations on these
